@@ -10,7 +10,7 @@ drivers.
 
 from .aircomp import (
     NormalizedGradient,
-    denormalize,
+    cluster_average,
     estimate_cluster_gradient,
     normalize_gradient,
     uplink,
@@ -18,7 +18,7 @@ from .aircomp import (
 from .channel import (
     ChannelSet,
     all_cascaded_gains,
-    cascaded_gain,
+    cascaded_components,
     large_scale_coefficients,
     sample_small_scale,
 )
@@ -31,11 +31,14 @@ from .control import (
     unbiased_design,
 )
 from .flsim import (
-    SCHEMES,
     DeviceDataset,
+    Scheme,
     TrainingHistory,
+    aggregate_round,
+    estimation_nmse,
     local_gradient,
     local_loss,
+    parse_scheme,
     run_training,
     synth_clustered_tasks,
 )

@@ -3,13 +3,16 @@
 Every device standardizes its local gradient to zero mean and unit
 variance, scales it by a transmit power, and all devices send
 simultaneously on the same resource. The PS antenna assigned to
-cluster m receives the superposition
+cluster m keeps the real part of the superposition
 
-    y_m = sum_k sqrt(p_k) * c_{m,k} * g_bar_k + z_m,
+    y_m = sum_k sqrt(p_k) * h_{m,k} * g_bar_k + Re{z_m},
 
-with c_{m,k} the cascaded complex gain and z_m circularly symmetric
-Gaussian noise. The cluster estimate divides the real part by a
-denoising factor and adds back the average of the reported means.
+with h_{m,k} the real cascaded gain and z_m circularly symmetric
+Gaussian noise of variance noise_var, so its real part has variance
+noise_var / 2. The cluster estimate divides y_m by a denoising factor
+and adds back the average of the reported means.
+
+Every kernel here takes a leading trial axis T.
 """
 
 from __future__ import annotations
@@ -18,138 +21,103 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet
-from .seeding import rng_from_seed
+# perfbench/tracing.py WRAPS times aircomp.rng_from_seed; nothing here draws.
+from .seeding import rng_from_seed  # noqa: F401
+from .sysmodel import cluster_members
 
 DEGENERATE_STD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class NormalizedGradient:
-    """Standardized gradient plus the statistics needed to undo it."""
+    """Standardized gradients plus the statistics needed to undo them."""
 
-    values: np.ndarray  # (D,)
-    mean: float
-    std: float
+    values: np.ndarray  # (T, K, D)
+    mean: np.ndarray    # (T, K)
+    std: np.ndarray     # (T, K)
 
 
 def normalize_gradient(grad: np.ndarray, eps: float = DEGENERATE_STD_TOL) -> NormalizedGradient:
-    """Shift to zero mean and scale to unit population variance.
+    """Shift each (T, K, D) gradient to zero mean and unit population variance.
 
     A gradient whose population std falls below eps is reported as
-    degenerate: the normalized vector is all zeros and std is exactly
-    0.0, so the device transmits nothing and is reconstructed from its
-    mean alone.
+    degenerate: its normalized vector is all zeros and its std is
+    exactly 0.0, so the device transmits nothing and is reconstructed
+    from its mean alone.
     """
     grad = np.asarray(grad, dtype=float)
-    if grad.ndim != 1 or grad.size == 0:
-        raise ValueError("gradient must be a non-empty 1-D array")
+    if grad.ndim != 3 or grad.shape[2] == 0:
+        raise ValueError(f"gradients must have shape (T, K, D) with D >= 1, got {grad.shape}")
     if not np.all(np.isfinite(grad)):
         raise ValueError("gradient has non-finite entries")
-    mean = float(grad.mean())
-    std = float(grad.std())
-    if std < eps:
-        return NormalizedGradient(values=np.zeros_like(grad), mean=mean, std=0.0)
-    return NormalizedGradient(values=(grad - mean) / std, mean=mean, std=std)
-
-
-def denormalize(ng: NormalizedGradient) -> np.ndarray:
-    return ng.std * ng.values + ng.mean
+    mean = grad.mean(axis=2)
+    std = grad.std(axis=2)
+    degenerate = std < eps
+    std[degenerate] = 0.0
+    values = (grad - mean[:, :, None]) / np.where(degenerate, 1.0, std)[:, :, None]
+    values[degenerate] = 0.0
+    return NormalizedGradient(values=values, mean=mean, std=std)
 
 
 def uplink(
-    ch: ChannelSet,
-    beta: np.ndarray,
-    phases: np.ndarray,
+    gains: np.ndarray,
     powers: np.ndarray,
-    grads: list[NormalizedGradient],
+    grads: NormalizedGradient,
     noise_var: float,
-    noise_seed: int,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Simultaneous analog transmission of all K normalized gradients.
+    """Real part of the signal at every antenna, shape (T, M, D).
 
-    Returns the (M, D) complex matrix whose row m is the signal at the
-    antenna serving cluster m. Noise entries are i.i.d. circularly
-    symmetric complex Gaussian with variance noise_var.
+    gains (T, M, K) are the real cascaded gains, powers (T, K) the
+    transmit powers, and noise (T, M, D) standard normal draws that are
+    scaled to the real noise variance noise_var / 2.
     """
-    M, K = ch.num_surfaces, ch.num_devices
+    T, M, K = gains.shape
+    D = grads.values.shape[2]
     powers = np.asarray(powers, dtype=float)
-    if powers.shape != (K,):
-        raise ValueError(f"powers must have shape ({K},), got {powers.shape}")
+    if powers.shape != (T, K):
+        raise ValueError(f"powers must have shape ({T}, {K}), got {powers.shape}")
     if (powers < 0).any() or not np.all(np.isfinite(powers)):
         raise ValueError("powers must be finite and non-negative")
-    if len(grads) != K:
-        raise ValueError(f"expected {K} gradients, got {len(grads)}")
+    if grads.values.shape[:2] != (T, K):
+        raise ValueError(f"expected gradients of shape ({T}, {K}, D), got {grads.values.shape}")
+    if noise.shape != (T, M, D):
+        raise ValueError(f"noise must have shape ({T}, {M}, {D}), got {noise.shape}")
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
-    D = grads[0].values.shape[0]
-    gbar = np.stack([g.values for g in grads], axis=0)  # (K, D)
-    if gbar.shape != (K, D):
-        raise ValueError("all gradients must share the same dimension")
+    weights = np.sqrt(powers)[:, None, :] * gains
+    signal = np.einsum("tmk,tkd->tmd", weights, grads.values, optimize=True)
+    return signal + np.sqrt(noise_var / 2.0) * noise
 
-    phase = np.exp(1j * phases)  # (M, N)
-    # gains[k, m] = sum_i beta[i, k] * h_ps[i,:,m]^H diag(phase[i]) h_dev[i,k]
-    inner = np.einsum(
-        "inm,in,ikn->ikm", np.conj(ch.ris_to_ps), phase, ch.device_to_ris, optimize=True
+
+def cluster_average(x: np.ndarray, cluster_of: np.ndarray, num_clusters: int) -> np.ndarray:
+    """Average of x (T, K, ...) over each cluster's devices, shape (T, M, ...)."""
+    return np.stack(
+        [x[:, idx].mean(axis=1) for idx in cluster_members(cluster_of, num_clusters)], axis=1
     )
-    gains = np.einsum("ik,ikm->km", beta, inner, optimize=True)  # (K, M) complex
-
-    received = np.einsum("k,km,kd->md", np.sqrt(powers), gains, gbar, optimize=True)
-    rng = rng_from_seed(noise_seed)
-    noise = rng.standard_normal((M, D)) + 1j * rng.standard_normal((M, D))
-    return received + np.sqrt(noise_var / 2.0) * noise
-
-
-def effective_gains(
-    ch: ChannelSet,
-    beta: np.ndarray,
-    phases: np.ndarray,
-    powers: np.ndarray,
-    denoisers: np.ndarray,
-) -> np.ndarray:
-    """Per-entry weight each device contributes to each cluster estimate.
-
-    Entry (m, k) is sqrt(p_k) / lambda_m times the real cascaded gain,
-    i.e. the coefficient multiplying g_bar_k inside estimate m.
-    """
-    from .channel import all_cascaded_gains
-
-    powers = np.asarray(powers, dtype=float)
-    denoisers = np.asarray(denoisers, dtype=float)
-    if (powers < 0).any():
-        raise ValueError("powers must be non-negative")
-    if (denoisers <= 0).any() or np.isnan(denoisers).any():
-        raise ValueError("denoising factors must be positive")
-    gains = all_cascaded_gains(ch, beta, phases)  # (M, K)
-    return np.sqrt(powers)[None, :] * gains / denoisers[:, None]
 
 
 def estimate_cluster_gradient(
-    received_row: np.ndarray,
-    denoiser: float,
-    cluster_means: np.ndarray,
-    cluster_size: int,
+    received: np.ndarray,
+    denoisers: np.ndarray,
+    means: np.ndarray,
+    cluster_of: np.ndarray,
 ) -> np.ndarray:
-    """Recover a cluster's aggregated gradient from its antenna signal.
+    """Recover every cluster's aggregated gradient, shape (T, M, D).
 
-    Real part of the received row divided by the denoising factor,
-    plus the average of the cluster's reported gradient means on every
-    coordinate. An infinite denoiser discards the analog signal and
-    keeps the mean term only.
+    The received signal (T, M, D) divided by the denoising factors
+    (T, M), plus the average of each cluster's reported gradient means
+    (T, K) on every coordinate. An infinite denoiser discards the analog
+    signal and keeps the mean term only.
     """
-    if not denoiser > 0:
-        raise ValueError(f"denoiser must be positive, got {denoiser!r}")
-    cluster_means = np.asarray(cluster_means, dtype=float)
-    if cluster_size < 1:
-        raise ValueError("cluster_size must be >= 1")
-    if cluster_means.shape != (cluster_size,):
-        raise ValueError(
-            f"expected {cluster_size} reported means, got shape {cluster_means.shape}"
-        )
-    received_row = np.asarray(received_row)
-    mean_term = cluster_means.sum() / cluster_size
-    if np.isfinite(denoiser):
-        signal = np.real(received_row) / denoiser
-    else:
-        signal = np.zeros(received_row.shape)
-    return signal + mean_term
+    T, M, _ = received.shape
+    denoisers = np.asarray(denoisers, dtype=float)
+    if denoisers.shape != (T, M):
+        raise ValueError(f"denoisers must have shape ({T}, {M}), got {denoisers.shape}")
+    if not np.all(denoisers > 0):
+        raise ValueError("denoisers must be positive")
+    means = np.asarray(means, dtype=float)
+    if means.shape != (T, np.shape(cluster_of)[0]):
+        raise ValueError(f"expected one reported mean per device, got shape {means.shape}")
+    mean_term = cluster_average(means, cluster_of, M)
+    return received / denoisers[:, :, None] + mean_term[:, :, None]

@@ -19,35 +19,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import rng_from_seed
-from .sysmodel import Geometry, SystemConfig
+# perfbench/tracing.py WRAPS times channel.rng_from_seed; draws take a generator.
+from .seeding import rng_from_seed  # noqa: F401
+from .sysmodel import Geometry
 
 MIN_DEVICE_RIS_DISTANCE = 1.0
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One block-fading realization of every uplink path.
+    """Block-fading realizations of every uplink path, one per trial.
 
-    ris_to_ps[i, n, m] is element n of the channel from surface i to
-    PS antenna m. device_to_ris[i, k, n] is element n of the channel
-    from device k to surface i.
+    ris_to_ps[t, i, n, m] is element n of the channel from surface i to
+    PS antenna m in trial t. device_to_ris[t, i, k, n] is element n of
+    the channel from device k to surface i.
     """
 
-    ris_to_ps: np.ndarray      # (M, N, M) complex
-    device_to_ris: np.ndarray  # (M, K, N) complex
+    ris_to_ps: np.ndarray      # (T, M, N, M) complex
+    device_to_ris: np.ndarray  # (T, M, K, N) complex
 
     @property
-    def num_surfaces(self) -> int:
+    def num_trials(self) -> int:
         return self.ris_to_ps.shape[0]
 
     @property
-    def num_elements(self) -> int:
+    def num_surfaces(self) -> int:
         return self.ris_to_ps.shape[1]
 
     @property
-    def num_devices(self) -> int:
-        return self.device_to_ris.shape[1]
+    def num_elements(self) -> int:
+        return self.ris_to_ps.shape[2]
 
 
 def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.ndarray:
@@ -67,54 +68,44 @@ def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.nda
     return beta
 
 
-def sample_small_scale(cfg: SystemConfig, round_seed: int) -> ChannelSet:
-    """Draw one block-fading realization, deterministic in round_seed.
+def sample_small_scale(
+    rng: np.random.Generator, trials: int, num_clusters: int, num_devices: int, num_elements: int
+) -> ChannelSet:
+    """Draw `trials` independent block-fading realizations from rng.
 
-    Draw order is fixed: surface-to-PS first, then device-to-surface.
+    Draw order is fixed: real then imaginary parts of every
+    surface-to-PS entry, then real then imaginary parts of every
+    device-to-surface entry, each block in C order with the trial axis
+    first.
     """
-    M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
-    rng = rng_from_seed(round_seed)
-    ris_to_ps = _cn01(rng, (M, N, M))
-    device_to_ris = _cn01(rng, (M, K, N))
-    return ChannelSet(ris_to_ps=ris_to_ps, device_to_ris=device_to_ris)
+    T, M, K, N = trials, num_clusters, num_devices, num_elements
+    hp = rng.standard_normal((T, M, N, M)) + 1j * rng.standard_normal((T, M, N, M))
+    hd = rng.standard_normal((T, M, K, N)) + 1j * rng.standard_normal((T, M, K, N))
+    return ChannelSet(ris_to_ps=hp / np.sqrt(2.0), device_to_ris=hd / np.sqrt(2.0))
 
 
-def _cn01(rng: np.random.Generator, shape) -> np.ndarray:
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
+    """inner[t, i, m, k] = h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k]."""
+    return np.einsum(
+        "tinm,tin,tikn->timk",
+        np.conj(ch.ris_to_ps), np.exp(1j * phases), ch.device_to_ris, optimize=True,
+    )
 
 
-def cascaded_gain(
-    ch: ChannelSet, beta: np.ndarray, phases: np.ndarray, m: int, k: int
-) -> float:
-    """Real part of the cascaded device-k-to-antenna-m gain.
+def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Real cascaded gains for every (trial t, antenna m, device k), shape (T, M, K).
 
     Sums over every surface i the attenuated reflected path
-    beta[i, k] * Re{ h_ps[i, :, m]^H diag(e^{j phases[i]}) h_dev[i, k] }.
+    beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] };
+    phases has shape (T, M, N).
     """
-    M = ch.num_surfaces
-    if not (0 <= m < M):
-        raise ValueError(f"antenna index {m} out of range")
-    if not (0 <= k < ch.num_devices):
-        raise ValueError(f"device index {k} out of range")
-    total = 0.0
-    for i in range(M):
-        reflected = np.exp(1j * phases[i]) * ch.device_to_ris[i, k]
-        total += beta[i, k] * float(np.real(np.vdot(ch.ris_to_ps[i, :, m], reflected)))
-    return total
+    return np.einsum("ik,timk->tmk", beta, np.real(_reflected(ch, phases)), optimize=True)
 
 
-def all_cascaded_gains(
-    ch: ChannelSet, beta: np.ndarray, phases: np.ndarray
-) -> np.ndarray:
-    """Matrix of cascaded real gains for every (antenna m, device k).
+def cascaded_components(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Per-surface terms of the cascaded gains, shape (T, M_surface, M_antenna, K).
 
-    Vectorized equivalent of calling cascaded_gain over the full grid.
+    Summing over the surface axis gives all_cascaded_gains up to
+    rounding.
     """
-    phase = np.exp(1j * phases)  # (M, N)
-    # inner[i, m, k] = h_ps[i,:,m]^H diag(phase[i]) h_dev[i,k]
-    inner = np.einsum(
-        "inm,in,ikn->imk", np.conj(ch.ris_to_ps), phase, ch.device_to_ris, optimize=True
-    )
-    return np.einsum("ik,imk->mk", beta, np.real(inner), optimize=True)
+    return beta[None, :, None, :] * np.real(_reflected(ch, phases))

@@ -20,6 +20,13 @@ from .powopt import RatioProblem, solve_projected_ascent
 from .sysmodel import ConfigError, config_from_json, place_geometry
 
 
+def _scheme(text: str) -> flsim.Scheme:
+    try:
+        return flsim.parse_scheme(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airpfl",
@@ -45,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run federated training")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--scheme", default="unbiased", choices=flsim.SCHEMES)
+    p_train.add_argument("--scheme", default="unbiased", type=_scheme)
     p_train.add_argument("--rounds", type=int, default=100)
     p_train.add_argument("--eta", type=float, default=flsim.DEFAULT_LEARNING_RATE)
     p_train.add_argument("--seed", type=int, default=None)
@@ -164,7 +171,7 @@ def _cmd_train(args) -> int:
     final = float(history.losses[-1].sum())
     mean_nmse = float(history.nmse.mean())
     print(
-        f"train[{args.scheme}]: rounds={args.rounds}, eta={args.eta}, "
+        f"train[{args.scheme.name}]: rounds={args.rounds}, eta={args.eta}, "
         f"final summed loss={final:.12g}, mean nmse={mean_nmse:.6g}, seed={seed}"
     )
     return 0

@@ -41,9 +41,10 @@ def unbiased_design(
     num_elements: int,
     cluster_of: np.ndarray,
 ) -> AggregationDesign:
-    """Statistics-only power control with an unbiased denoiser.
+    """Statistics-only power control with an unbiased denoiser, per trial.
 
-    Within cluster m the binding device fixes the common scale
+    sigmas has shape (T, K). Within cluster m the binding device fixes
+    the common scale
 
         zeta_m = min_k sqrt(P_k) * beta[m, k] / (sigma_k * sqrt(D)),
 
@@ -51,11 +52,13 @@ def unbiased_design(
     (so the weakest device runs at its full per-symbol budget P_k / D),
     and the denoiser is lambda_m = pi * N * sqrt(|cluster m|) * zeta_m / 4.
     Devices reporting sigma = 0 are excluded from the minimum and get
-    zero power.
+    zero power. A cluster whose devices all report sigma = 0 carries no
+    analog signal: the minimum over no devices is +inf, so its devices
+    get zero power and its denoiser is +inf (estimate = mean term).
     """
     sigmas = np.asarray(sigmas, dtype=float)
     max_power = np.asarray(max_power, dtype=float)
-    K = sigmas.shape[0]
+    T, K = sigmas.shape
     M = beta.shape[0]
     if beta.shape != (M, K):
         raise ValueError(f"beta must have shape ({M}, {K}), got {beta.shape}")
@@ -63,23 +66,20 @@ def unbiased_design(
         raise ValueError("gradient stds must be non-negative")
     if (max_power <= 0).any():
         raise ValueError("power budgets must be positive")
-    members = cluster_members(cluster_of, M)
-    powers = np.zeros(K)
-    denoisers = np.empty(M)
-    for m, idx in enumerate(members):
+    live = sigmas > 0.0
+    safe = np.where(live, sigmas, 1.0)
+    root_d = np.sqrt(model_dim)
+    powers = np.empty((T, K))
+    denoisers = np.empty((T, M))
+    for m, idx in enumerate(cluster_members(cluster_of, M)):
         if idx.size == 0:
             raise ValueError(f"empty cluster {m}")
-        live = idx[sigmas[idx] > 0.0]
-        if live.size == 0:
-            raise ValueError(
-                f"all devices in cluster {m} reported zero gradient std; no scale exists"
-            )
-        zeta = float(
-            np.min(np.sqrt(max_power[live]) * beta[m, live] / (sigmas[live] * np.sqrt(model_dim)))
-        )
-        p = (sigmas[live] / beta[m, live]) ** 2 * zeta**2
-        powers[live] = np.minimum(p, max_power[live])
-        denoisers[m] = np.pi * num_elements * np.sqrt(idx.size) * zeta / 4.0
+        ratio = np.sqrt(max_power[idx]) * beta[m, idx] / (safe[:, idx] * root_d)
+        zeta = np.where(live[:, idx], ratio, np.inf).min(axis=1)  # (T,)
+        scale = np.where(np.isfinite(zeta), zeta, 0.0)
+        p = (sigmas[:, idx] / beta[m, idx]) ** 2 * scale[:, None] ** 2
+        powers[:, idx] = np.minimum(p, max_power[idx])
+        denoisers[:, m] = np.pi * num_elements * np.sqrt(idx.size) * zeta / 4.0
     return AggregationDesign(powers=powers, denoisers=denoisers, scheme="unbiased")
 
 
@@ -169,21 +169,24 @@ def adaptive_denoisers(
     cluster_of: np.ndarray,
     fallback: np.ndarray,
 ) -> np.ndarray:
-    """Per-cluster adaptive denoisers with explicit degraded modes.
+    """Per-trial, per-cluster adaptive denoisers with explicit degraded modes.
 
-    For each cluster take the conditional-MSE minimizer when it is
-    positive; substitute fallback[m] when the denominator underflows;
-    and return +inf (discard the analog signal, keep the mean term)
-    when the minimizer is non-positive, since the constrained optimum
-    over positive denoisers is then attained in the limit.
+    powers and sigmas have shape (T, K), gains (T, M, K) and fallback
+    (T, M). For each cluster take the conditional-MSE minimizer of
+    mmse_denoising when it is positive; substitute fallback[t, m] when
+    the denominator magnitude falls below 1e-15 (a cluster with no
+    analog signal); and return +inf (discard the analog signal, keep
+    the mean term) when the minimizer is non-positive, since the
+    constrained optimum over positive denoisers is then attained in the
+    limit.
     """
-    M = fallback.shape[0]
-    out = np.empty(M)
-    for m in range(M):
-        try:
-            lam = mmse_denoising(powers, gains[m], sigmas, noise_var, cluster_of, m)
-        except ClusterSignalVanished:
-            out[m] = fallback[m]
-            continue
-        out[m] = lam if lam > 0 else np.inf
+    M = gains.shape[1]
+    num = np.einsum("tk,tmk->tm", powers * sigmas**2, gains**2, optimize=True) + noise_var / 2.0
+    out = np.empty(fallback.shape)
+    for m, idx in enumerate(cluster_members(cluster_of, M)):
+        den = np.einsum("tk,tk->t", np.sqrt(powers[:, idx]) * sigmas[:, idx] ** 3, gains[:, m, idx])
+        vanished = np.abs(den) < DENOISER_UNDERFLOW_TOL
+        raw = idx.size * num[:, m] / np.where(vanished, 1.0, den)
+        lam = np.where(vanished, fallback[:, m], raw)
+        out[:, m] = np.where(lam > 0, lam, np.inf)
     return out

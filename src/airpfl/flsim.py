@@ -6,25 +6,97 @@ them, and the PS reconstructs one aggregated gradient per cluster from
 the superposed analog uplink before taking a gradient step. Scheme
 "ideal" bypasses the channel entirely and serves as the noise-free
 reference.
+
+`aggregate_round` is the one design-and-estimate step of the package:
+training calls it with a batch of one trial per round, and the NMSE
+sweep in `harness` calls it with a batch of Monte Carlo trials.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aircomp import NormalizedGradient, estimate_cluster_gradient, normalize_gradient, uplink
+from .aircomp import (
+    NormalizedGradient,
+    cluster_average,
+    estimate_cluster_gradient,
+    normalize_gradient,
+    uplink,
+)
 from .channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
 from .control import adaptive_denoisers, unbiased_design
 from .powopt import assemble_ratio_problem, solve_projected_ascent
-from .ris import baseline_phases, configure_aligned
+from .ris import baseline_phases, configure_aligned, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
-from .sysmodel import Geometry, SystemConfig
-
-SCHEMES = ("ideal", "unbiased", "mmse", "mmse+powopt", "random-phase")
+from .sysmodel import ConfigError, Geometry, SystemConfig
 
 DEFAULT_LEARNING_RATE = 0.05
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """An uplink scheme: aggregation design x phase configuration x quantization.
+
+    design is "ideal" (no channel), "unbiased" (statistical powers and
+    denoiser), "mmse" (statistical powers, adaptive denoiser) or
+    "mmse+powopt" (optimized powers, adaptive denoiser); phases is
+    "none", "aligned" or "random"; bits, when set, quantizes the phases
+    to 2**bits levels.
+    """
+
+    name: str
+    design: str
+    phases: str
+    bits: int | None
+
+    @property
+    def adaptive(self) -> bool:
+        return self.design in ("mmse", "mmse+powopt")
+
+    @property
+    def powopt(self) -> bool:
+        return self.design == "mmse+powopt"
+
+
+# base name -> (design, phases)
+_BASE_SCHEMES = {
+    "ideal": ("ideal", "none"),
+    "unbiased": ("unbiased", "aligned"),
+    "mmse": ("mmse", "aligned"),
+    "mmse+powopt": ("mmse+powopt", "aligned"),
+    "random-phase": ("mmse", "random"),
+}
+
+_BITS_SUFFIX = re.compile(r"(.+)-(\d+)bit")
+
+
+def parse_scheme(name: str | Scheme) -> Scheme:
+    """Parse a scheme label such as "mmse" or "unbiased-1bit".
+
+    Every scheme except "ideal" takes a "-{b}bit" suffix with b a
+    positive integer. Malformed labels raise ConfigError; a Scheme is
+    returned unchanged.
+    """
+    if isinstance(name, Scheme):
+        return name
+    if not isinstance(name, str):
+        raise ConfigError(f"a scheme must be given by name, got {name!r}")
+    base, bits = name, None
+    match = _BITS_SUFFIX.fullmatch(name)
+    if match is not None:
+        base, digits = match.groups()
+        bits = int(digits)
+        if bits < 1 or digits != str(bits):
+            raise ConfigError(f"scheme {name!r}: the bit count must be a positive integer")
+    if base not in _BASE_SCHEMES:
+        raise ConfigError(f"unknown scheme {name!r}; expected one of {sorted(_BASE_SCHEMES)}")
+    design, phases = _BASE_SCHEMES[base]
+    if bits is not None and phases == "none":
+        raise ConfigError(f"scheme {name!r}: 'ideal' takes no -{{b}}bit suffix")
+    return Scheme(name=name, design=design, phases=phases, bits=bits)
 
 
 @dataclass(frozen=True)
@@ -114,11 +186,64 @@ def sgd_step(weights: np.ndarray, grad_estimate: np.ndarray, eta: float) -> np.n
     return weights - eta * grad_estimate
 
 
+def aggregate_round(
+    cfg: SystemConfig,
+    beta: np.ndarray,
+    scheme: Scheme,
+    gains: np.ndarray,
+    grads: NormalizedGradient,
+    noise: np.ndarray,
+    powopt_seeds=(),
+) -> np.ndarray:
+    """One round of analog aggregation for T independent trials.
+
+    Statistical design, then (mmse+powopt) per-trial power optimization
+    seeded by powopt_seeds[t], then (mmse, mmse+powopt) the adaptive
+    denoiser, then the uplink and the per-cluster estimate. gains
+    (T, M, K) are the real cascaded gains under the round's phases,
+    grads the normalized (T, K, D) gradients and noise (T, M, D)
+    standard normal receiver draws. cfg supplies the clusters, power
+    budgets, surface size and noise level. Returns the (T, M, D)
+    cluster gradient estimates.
+
+    A cluster whose devices all report zero std has no analog signal:
+    the statistical design gives it an infinite denoiser, the adaptive
+    denoiser falls back to it, and its estimate is the exact mean term.
+    """
+    sigmas = grads.std
+    design = unbiased_design(
+        beta, sigmas, cfg.max_power, cfg.model_dim, cfg.num_ris_elements, cfg.cluster_of
+    )
+    powers, denoisers = design.powers, design.denoisers
+    if scheme.powopt:
+        if len(powopt_seeds) != gains.shape[0]:
+            raise ValueError("power optimization needs one seed per trial")
+        powers = np.empty_like(powers)
+        for t, seed in enumerate(powopt_seeds):
+            prob = assemble_ratio_problem(
+                gains[t], sigmas[t], cfg.noise_var, cfg.cluster_of, cfg.max_power
+            )
+            powers[t] = solve_projected_ascent(prob, seed=seed).q ** 2
+    if scheme.adaptive:
+        denoisers = adaptive_denoisers(
+            powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, design.denoisers
+        )
+    received = uplink(gains, powers, grads, cfg.noise_var, noise)
+    return estimate_cluster_gradient(received, denoisers, grads.mean, cfg.cluster_of)
+
+
+def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
+    """Per-trial NMSE of (T, M, D) estimates; 0 where the truth is all zero."""
+    err = np.sum((g_hat - g_true) ** 2, axis=(1, 2))
+    denom = np.sum(g_true**2, axis=(1, 2))
+    return np.divide(err, denom, out=np.zeros_like(err), where=denom > 0)
+
+
 def run_training(
     cfg: SystemConfig,
     geometry: Geometry,
     datasets: list[DeviceDataset],
-    scheme: str,
+    scheme: str | Scheme,
     rounds: int,
     eta=DEFAULT_LEARNING_RATE,
 ) -> TrainingHistory:
@@ -130,8 +255,7 @@ def run_training(
     schemes at the same seed see identical channels, noise, and
     baseline phase draws (paired comparisons).
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    scheme = parse_scheme(scheme)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if len(datasets) != cfg.num_devices:
@@ -142,7 +266,7 @@ def run_training(
     if etas.shape != (rounds,):
         raise ValueError(f"eta must be scalar or length {rounds}")
 
-    M, K, D, N = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
+    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
     members = cfg.clusters()
     beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
     weights = np.zeros((M, D))
@@ -152,24 +276,19 @@ def run_training(
     for t in range(rounds):
         grads = np.stack(
             [local_gradient(weights[cfg.cluster_of[k]], datasets[k]) for k in range(K)]
-        )
-        g_true = np.stack([grads[idx].mean(axis=0) for idx in members])
+        )[None]
+        g_true = cluster_average(grads, cfg.cluster_of, M)
 
-        if scheme == "ideal":
+        if scheme.design == "ideal":
             g_hat = g_true
         else:
-            normalized = [normalize_gradient(grads[k]) for k in range(K)]
-            g_hat = _estimate_over_channel(
-                cfg, beta, members, normalized, scheme, t
-            )
-            denom = float(np.sum(g_true**2))
-            nmse[t] = float(np.sum((g_hat - g_true) ** 2)) / denom if denom > 0 else 0.0
+            g_hat = _estimate_over_channel(cfg, beta, scheme, normalize_gradient(grads), t)
+            nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
-        for m in range(M):
-            weights[m] = sgd_step(weights[m], g_hat[m], etas[t])
+        weights = sgd_step(weights, g_hat[0], etas[t])
         if not np.all(np.isfinite(weights)):
             raise RuntimeError(
-                f"training diverged at round {t} under scheme {scheme!r} "
+                f"training diverged at round {t} under scheme {scheme.name!r} "
                 f"(non-finite weights); reduce eta or noise"
             )
         for m in range(M):
@@ -178,64 +297,25 @@ def run_training(
     return TrainingHistory(
         losses=losses,
         nmse=nmse,
-        scheme=scheme,
+        scheme=scheme.name,
         seed=cfg.master_seed,
         final_weights=weights.copy(),
     )
 
 
-def _estimate_over_channel(cfg, beta, members, normalized, scheme, t):
-    """One round of analog aggregation; returns the (M, D) estimates."""
+def _estimate_over_channel(cfg, beta, scheme, grads, t):
+    """Draw round t's channel, phases and noise; returns the (1, M, D) estimates."""
     master = cfg.master_seed
-    sigmas = np.array([ng.std for ng in normalized])
-    means = np.array([ng.mean for ng in normalized])
-    ch = sample_small_scale(cfg, derive_seed(master, "round-channel", t))
-    if scheme == "random-phase":
-        phases = baseline_phases(
-            "random", cfg.num_clusters, cfg.num_ris_elements,
-            derive_seed(master, "round-phases", t),
-        )
+    M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
+    ch = sample_small_scale(rng_from_seed(derive_seed(master, "round-channel", t)), 1, M, K, N)
+    if scheme.phases == "random":
+        phases = baseline_phases(rng_from_seed(derive_seed(master, "round-phases", t)), 1, M, N)
     else:
         phases = configure_aligned(ch, cfg.cluster_of)
-
-    # Clusters whose devices all report zero std carry no analog
-    # signal this round; their estimate is the exact mean term. The
-    # statistical design is computed on sanitized stds and then
-    # overridden for those clusters.
-    dead = np.array([bool(np.all(sigmas[idx] == 0.0)) for idx in members])
-    sanitized = sigmas.copy()
-    for m in np.flatnonzero(dead):
-        sanitized[members[m]] = 1.0
-    base = unbiased_design(
-        beta, sanitized, cfg.max_power, cfg.model_dim, cfg.num_ris_elements, cfg.cluster_of
-    )
-    powers, denoisers = base.powers.copy(), base.denoisers.copy()
-
-    if scheme in ("mmse", "mmse+powopt", "random-phase"):
-        gains = all_cascaded_gains(ch, beta, phases)
-        if scheme == "mmse+powopt":
-            prob = assemble_ratio_problem(
-                gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power
-            )
-            sol = solve_projected_ascent(prob, seed=derive_seed(master, "round-powopt", t))
-            powers = sol.q**2
-        denoisers = adaptive_denoisers(
-            powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, base.denoisers
-        )
-
-    for m in np.flatnonzero(dead):
-        denoisers[m] = np.inf
-        powers[members[m]] = 0.0
-
-    received = uplink(
-        ch, beta, phases, powers, normalized, cfg.noise_var,
-        derive_seed(master, "round-noise", t),
-    )
-    return np.stack(
-        [
-            estimate_cluster_gradient(
-                received[m], denoisers[m], means[members[m]], members[m].size
-            )
-            for m in range(cfg.num_clusters)
-        ]
-    )
+    if scheme.bits is not None:
+        phases = corrupt_phases(phases, scheme.bits)
+    gains = all_cascaded_gains(ch, beta, phases)
+    noise_rng = rng_from_seed(derive_seed(master, "round-noise", t))
+    noise = noise_rng.standard_normal((1, M, cfg.model_dim))
+    seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
+    return aggregate_round(cfg, beta, scheme, gains, grads, noise, seeds)

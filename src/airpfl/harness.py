@@ -18,10 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aircomp import cluster_average, normalize_gradient
 from .channel import large_scale_coefficients
-from .ris import corrupt_phases
+from .flsim import aggregate_round, estimation_nmse, parse_scheme
+from .ris import baseline_phases, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
-from .sysmodel import Geometry, SystemConfig, make_config, place_geometry
+from .sysmodel import ConfigError, SystemConfig, make_config, place_geometry
+
+# perfbench/tracing.py WRAPS still looks these kernels up under their former harness names.
+from .channel import all_cascaded_gains as _gains_batch
+from .channel import cascaded_components as _components_batch
+from .channel import sample_small_scale as _sample_batch
+from .control import adaptive_denoisers as _adaptive_lambda_batch  # noqa: F401 - called via flsim
+from .control import unbiased_design as _unbiased_batch  # noqa: F401 - called via flsim
+from .ris import configure_aligned as _aligned_phases_batch
 
 CHUNK = 100
 
@@ -45,77 +55,6 @@ def desk_scale_config(master_seed: int = 7) -> SystemConfig:
         noise_var=1e-10,
         master_seed=master_seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# batched channel machinery (trial axis first)
-# ---------------------------------------------------------------------------
-
-def _sample_batch(rng, trials, M, K, N):
-    hp = rng.standard_normal((trials, M, N, M)) + 1j * rng.standard_normal((trials, M, N, M))
-    hd = rng.standard_normal((trials, M, K, N)) + 1j * rng.standard_normal((trials, M, K, N))
-    return hp / np.sqrt(2.0), hd / np.sqrt(2.0)
-
-
-def _aligned_phases_batch(hp, hd, members):
-    """Aligned phases per trial, shape (T, M, N)."""
-    T, M, N, _ = hp.shape
-    theta = np.empty((T, M, N))
-    for m, idx in enumerate(members):
-        summed = hd[:, m, idx, :].sum(axis=1)  # (T, N)
-        ang = np.where(np.abs(summed) < 1e-15, 0.0, np.angle(summed))
-        theta[:, m, :] = np.mod(np.angle(hp[:, m, :, m]) - ang, 2.0 * np.pi)
-    return theta
-
-
-def _gains_batch(hp, hd, theta, beta):
-    """Real cascaded gains per trial, shape (T, M, K)."""
-    phase = np.exp(1j * theta)
-    inner = np.einsum("tinm,tin,tikn->timk", np.conj(hp), phase, hd, optimize=True)
-    return np.einsum("ik,timk->tmk", beta, np.real(inner), optimize=True)
-
-
-def _components_batch(hp, hd, theta, beta):
-    """Per-surface gain components, shape (T, M_surface, M_antenna, K)."""
-    phase = np.exp(1j * theta)
-    inner = np.einsum("tinm,tin,tikn->timk", np.conj(hp), phase, hd, optimize=True)
-    return beta[None, :, None, :] * np.real(inner)
-
-
-def _unbiased_batch(beta, sigmas, max_power, model_dim, num_elements, members):
-    """Vectorized statistical design; sigmas has shape (T, K)."""
-    T, K = sigmas.shape
-    M = beta.shape[0]
-    powers = np.zeros((T, K))
-    lam = np.empty((T, M))
-    root_d = np.sqrt(model_dim)
-    for m, idx in enumerate(members):
-        ratio = np.sqrt(max_power[idx])[None, :] * beta[m, idx][None, :] / (sigmas[:, idx] * root_d)
-        zeta = ratio.min(axis=1)  # (T,)
-        p = (sigmas[:, idx] / beta[m, idx][None, :]) ** 2 * zeta[:, None] ** 2
-        powers[:, idx] = np.minimum(p, max_power[idx][None, :])
-        lam[:, m] = np.pi * num_elements * np.sqrt(idx.size) * zeta / 4.0
-    return powers, lam
-
-
-def _adaptive_lambda_batch(powers, gains, sigmas, noise_var, members, fallback):
-    """Vectorized adaptive denoisers with the same degraded modes as
-    control.adaptive_denoisers: fallback on underflow, +inf when the
-    minimizer is non-positive."""
-    T, M, _ = gains.shape
-    num = np.einsum("tk,tmk->tm", powers * sigmas**2, gains**2, optimize=True) + noise_var / 2.0
-    lam = np.empty((T, M))
-    for m, idx in enumerate(members):
-        den = np.einsum(
-            "tk,tk->t", np.sqrt(powers[:, idx]) * sigmas[:, idx] ** 3, gains[:, m, idx]
-        )
-        size = idx.size
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = size * num[:, m] / den
-        lam_m = np.where(np.abs(den) < 1e-15, fallback[:, m], raw)
-        lam_m = np.where(lam_m > 0, lam_m, np.inf)
-        lam[:, m] = lam_m
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +93,9 @@ class SweepResult:
         raise KeyError((num_elements, p_max, scheme))
 
 
-def _parse_scheme(name: str):
-    """Split a sweep scheme label into (design, phase kind, quant bits)."""
-    base, bits = name, None
-    if name.endswith("bit"):
-        stem, _, suffix = name.rpartition("-")
-        if stem and suffix[:-3].isdigit():
-            base, bits = stem, int(suffix[:-3])
-    if base == "ideal":
-        return "ideal", "none", None
-    if base == "random-phase":
-        return "unbiased+adaptive", "random", bits
-    if base == "unbiased":
-        return "unbiased", "aligned", bits
-    if base == "mmse":
-        return "unbiased+adaptive", "aligned", bits
-    if base == "mmse+powopt":
-        return "powopt+adaptive", "aligned", bits
-    raise ValueError(f"unknown sweep scheme {name!r}")
-
-
 def nmse_sweep(
     cfg: SystemConfig,
-    schemes: list[str],
+    schemes: list,
     n_values: list[int],
     p_values: list[float],
     trials: int,
@@ -189,26 +108,32 @@ def nmse_sweep(
     normal entries per device, standardized exactly before
     transmission), and fresh noise; reports mean NMSE and its standard
     error. Channel, gradient, and noise draws are shared across
-    schemes within a cell so scheme comparisons are paired.
+    schemes within a cell so scheme comparisons are paired. Malformed
+    or repeated scheme labels raise ConfigError before any trial runs.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
-    for s in schemes:
-        _parse_scheme(s)
+    parsed = [parse_scheme(s) for s in schemes]
+    names = [s.name for s in parsed]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ConfigError(f"repeated sweep schemes {repeated}")
     geometry = place_geometry(cfg, seed)
     beta_full = large_scale_coefficients(geometry, cfg.pathloss_exponent)
-    members = cfg.clusters()
     cells = []
     for n in n_values:
         for p_max in p_values:
-            stats = _sweep_cell(cfg, beta_full, members, int(n), float(p_max), schemes, trials, seed)
-            for s in schemes:
-                mean, stderr = stats[s]
+            cell_cfg = cfg.replace(
+                num_ris_elements=int(n), max_power=np.full(cfg.num_devices, float(p_max))
+            )
+            stats = _sweep_cell(cell_cfg, beta_full, float(p_max), parsed, trials, seed)
+            for s in parsed:
+                mean, stderr = stats[s.name]
                 cells.append(
                     SweepCell(
                         num_elements=int(n),
                         p_max=float(p_max),
-                        scheme=s,
+                        scheme=s.name,
                         trials=trials,
                         nmse_mean=mean,
                         nmse_stderr=stderr,
@@ -218,91 +143,47 @@ def nmse_sweep(
     return SweepResult(cells=cells, seed=seed, config_digest=digest)
 
 
-def _sweep_cell(cfg, beta, members, n, p_max, schemes, trials, seed):
-    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
-    power = np.full(K, p_max)
-    sums = {s: 0.0 for s in schemes}
-    sqsums = {s: 0.0 for s in schemes}
+def _sweep_cell(cfg, beta, p_max, schemes, trials, seed):
+    M, K, D, n = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
+    channel_schemes = [s for s in schemes if s.design != "ideal"]
+    sums = {s.name: 0.0 for s in channel_schemes}
+    sqsums = {s.name: 0.0 for s in channel_schemes}
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "sweep-cell", n, repr(p_max), start))
-        hp, hd = _sample_batch(rng, tc, M, K, n)
+        ch = _sample_batch(rng, tc, M, K, n)
         raw = rng.standard_normal((tc, K, D))
-        noise_re = rng.standard_normal((tc, M, D)) * np.sqrt(cfg.noise_var / 2.0)
-        theta_rand = rng.uniform(0.0, 2.0 * np.pi, size=(tc, M, n))
-
-        mean_u = raw.mean(axis=2)
-        std = raw.std(axis=2)
-        gbar = (raw - mean_u[:, :, None]) / std[:, :, None]
-        g_true = np.stack([raw[:, idx, :].mean(axis=1) for idx in members], axis=1)
-        denom = np.sum(g_true**2, axis=(1, 2))
-        mean_term = np.stack([mean_u[:, idx].mean(axis=1) for idx in members], axis=1)
-
-        theta_aligned = _aligned_phases_batch(hp, hd, members)
+        noise = rng.standard_normal((tc, M, D))
+        phases = {"random": baseline_phases(rng, tc, M, n)}
+        grads = normalize_gradient(raw)
+        g_true = cluster_average(raw, cfg.cluster_of, M)
         gains_cache: dict = {}
 
-        def gains_for(phase_kind, bits):
-            key = (phase_kind, bits)
+        for s in channel_schemes:
+            key = (s.phases, s.bits)
             if key not in gains_cache:
-                if phase_kind == "aligned":
-                    theta = theta_aligned
-                elif phase_kind == "random":
-                    theta = theta_rand
-                else:
-                    raise ValueError(phase_kind)
-                if bits is not None:
-                    theta = corrupt_phases(theta, bits)
-                gains_cache[key] = _gains_batch(hp, hd, theta, beta)
-            return gains_cache[key]
-
-        base_p, base_lam = _unbiased_batch(beta, std, power, D, n, members)
-
-        for s in schemes:
-            design, phase_kind, bits = _parse_scheme(s)
-            if design == "ideal":
-                continue  # NMSE identically zero
-            gains = gains_for(phase_kind, bits)
-            if design == "unbiased":
-                p_t, lam_t = base_p, base_lam
-            elif design == "unbiased+adaptive":
-                p_t = base_p
-                lam_t = _adaptive_lambda_batch(p_t, gains, std, cfg.noise_var, members, base_lam)
-            else:  # powopt+adaptive
-                p_t = _powopt_batch(gains, std, cfg.noise_var, cfg.cluster_of, power, seed, n, start)
-                lam_t = _adaptive_lambda_batch(p_t, gains, std, cfg.noise_var, members, base_lam)
-            w = np.sqrt(p_t)[:, None, :] * gains / lam_t[:, :, None]
-            g_hat = (
-                np.einsum("tmk,tkd->tmd", w, gbar, optimize=True)
-                + noise_re / lam_t[:, :, None]
-                + mean_term[:, :, None]
+                if s.phases not in phases:
+                    phases[s.phases] = _aligned_phases_batch(ch, cfg.cluster_of)
+                theta = phases[s.phases]
+                if s.bits is not None:
+                    theta = corrupt_phases(theta, s.bits)
+                gains_cache[key] = _gains_batch(ch, beta, theta)
+            seeds = (
+                [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
+                if s.powopt
+                else ()
             )
-            err = np.sum((g_hat - g_true) ** 2, axis=(1, 2)) / denom
-            sums[s] += float(err.sum())
-            sqsums[s] += float((err**2).sum())
+            g_hat = aggregate_round(cfg, beta, s, gains_cache[key], grads, noise, seeds)
+            err = estimation_nmse(g_hat, g_true)
+            sums[s.name] += float(err.sum())
+            sqsums[s.name] += float((err**2).sum())
 
-    out = {}
-    for s in schemes:
-        if _parse_scheme(s)[0] == "ideal":
-            out[s] = (0.0, 0.0)
-            continue
-        mean = sums[s] / trials
-        var = max(sqsums[s] / trials - mean**2, 0.0) * trials / (trials - 1)
-        out[s] = (mean, float(np.sqrt(var / trials)))
+    out = {s.name: (0.0, 0.0) for s in schemes if s.design == "ideal"}
+    for s in channel_schemes:
+        mean = sums[s.name] / trials
+        var = max(sqsums[s.name] / trials - mean**2, 0.0) * trials / (trials - 1)
+        out[s.name] = (mean, float(np.sqrt(var / trials)))
     return out
-
-
-def _powopt_batch(gains, sigmas, noise_var, cluster_of, max_power, seed, n, start):
-    from .powopt import assemble_ratio_problem, solve_projected_ascent
-
-    T = gains.shape[0]
-    p = np.empty((T, gains.shape[2]))
-    for t in range(T):
-        prob = assemble_ratio_problem(gains[t], sigmas[t], noise_var, cluster_of, max_power)
-        sol = solve_projected_ascent(
-            prob, seed=derive_seed(seed, "sweep-powopt", n, start + t)
-        )
-        p[t] = sol.q**2
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +266,12 @@ def verify_elimination(
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "elimination", start))
-        hp, hd = _sample_batch(rng, tc, M, K, N)
+        ch = _sample_batch(rng, tc, M, K, N)
         if phases == "random":
-            theta = rng.uniform(0.0, 2.0 * np.pi, size=(tc, M, N))
+            theta = baseline_phases(rng, tc, M, N)
         else:
-            theta = _aligned_phases_batch(hp, hd, members)
-        comp = _components_batch(hp, hd, theta, beta)  # (tc, M_surface, M_antenna, K)
+            theta = _aligned_phases_batch(ch, cfg.cluster_of)
+        comp = _components_batch(ch, beta, theta)  # (tc, M_surface, M_antenna, K)
         full = comp.sum(axis=1)  # (tc, M, K)
         s1 += full.sum(axis=0)
         s2 += (full**2).sum(axis=0)

@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSet
-from .seeding import rng_from_seed
+# perfbench/tracing.py WRAPS times ris.rng_from_seed; draws take a generator.
+from .seeding import rng_from_seed  # noqa: F401
 from .sysmodel import cluster_members
 
 ZERO_SUM_TOL = 1e-15
@@ -27,29 +28,24 @@ _TWO_PI = 2.0 * np.pi
 def configure_aligned(ch: ChannelSet, cluster_of: np.ndarray) -> np.ndarray:
     """Per-element phases aligning each surface with its own cluster.
 
-    Returns an (M, N) array with entries in [0, 2*pi). If the summed
+    Returns a (T, M, N) array with entries in [0, 2*pi). If the summed
     device channel of an element has magnitude below 1e-15 its angle
     is taken as 0.
     """
-    M, N = ch.num_surfaces, ch.num_elements
-    members = cluster_members(cluster_of, M)
-    theta = np.empty((M, N))
-    for m in range(M):
-        summed = ch.device_to_ris[m, members[m], :].sum(axis=0)  # (N,)
+    theta = np.empty((ch.num_trials, ch.num_surfaces, ch.num_elements))
+    for m, idx in enumerate(cluster_members(cluster_of, ch.num_surfaces)):
+        summed = ch.device_to_ris[:, m, idx, :].sum(axis=1)  # (T, N)
         sum_angle = np.where(np.abs(summed) < ZERO_SUM_TOL, 0.0, np.angle(summed))
-        own = ch.ris_to_ps[m, :, m]
-        theta[m] = np.mod(np.angle(own) - sum_angle, _TWO_PI)
+        own = ch.ris_to_ps[:, m, :, m]
+        theta[:, m, :] = np.mod(np.angle(own) - sum_angle, _TWO_PI)
     return theta
 
 
-def baseline_phases(mode: str, num_surfaces: int, num_elements: int, seed: int = 0) -> np.ndarray:
-    """Reference phase settings: 'random' uniform on [0, 2*pi), or 'zero'."""
-    if mode == "zero":
-        return np.zeros((num_surfaces, num_elements))
-    if mode == "random":
-        rng = rng_from_seed(seed)
-        return rng.uniform(0.0, _TWO_PI, size=(num_surfaces, num_elements))
-    raise ValueError(f"unknown baseline phase mode {mode!r}")
+def baseline_phases(
+    rng: np.random.Generator, trials: int, num_surfaces: int, num_elements: int
+) -> np.ndarray:
+    """Reference phases drawn uniformly on [0, 2*pi), shape (T, M, N)."""
+    return rng.uniform(0.0, _TWO_PI, size=(trials, num_surfaces, num_elements))
 
 
 def corrupt_phases(phases: np.ndarray, bits: int) -> np.ndarray:

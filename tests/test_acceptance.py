@@ -103,14 +103,15 @@ def test_criterion_2_unbiased_aggregation():
     assert np.min(np.abs(grads)) > 0.3
     g_true = np.stack([grads[idx].mean(axis=0) for idx in members])
 
-    normalized = [normalize_gradient(grads[k]) for k in range(K)]
-    sigmas = np.array([ng.std for ng in normalized])
-    means = np.array([ng.mean for ng in normalized])
-    gbar = np.stack([ng.values for ng in normalized])
+    normalized = normalize_gradient(grads[None])
+    sigmas = normalized.std[0]
+    means = normalized.mean[0]
+    gbar = normalized.values[0]
     design = unbiased_design(
-        beta, sigmas, cfg.max_power, D, N, cfg.cluster_of
+        beta, sigmas[None], cfg.max_power, D, N, cfg.cluster_of
     )
-    sqrt_p = np.sqrt(design.powers)
+    powers, denoisers = design.powers[0], design.denoisers[0]
+    sqrt_p = np.sqrt(powers)
     mean_term = np.array([means[idx].mean() for idx in members])
 
     total = np.zeros((M, D))
@@ -132,22 +133,23 @@ def test_criterion_2_unbiased_aggregation():
         gains = np.einsum("ik,timk->tmk", beta, np.real(inner), optimize=True)
         signal = np.einsum("k,tmk,kd->tmd", sqrt_p, gains, gbar, optimize=True)
         noise = rng.standard_normal((tc, M, D)) * np.sqrt(cfg.noise_var / 2.0)
-        est = (signal + noise) / design.denoisers[None, :, None] + mean_term[None, :, None]
+        est = (signal + noise) / denoisers[None, :, None] + mean_term[None, :, None]
         total += est.sum(axis=0)
 
         if not spot_checked:
-            # The batched math must agree with the public scalar path.
-            ch = ChannelSet(ris_to_ps=hp[0], device_to_ris=hd[0])
+            # The math above must agree with the public kernels.
+            ch = ChannelSet(ris_to_ps=hp[:1], device_to_ris=hd[:1])
             theta_ref = configure_aligned(ch, cfg.cluster_of)
+            gains_ref = all_cascaded_gains(ch, beta, theta_ref)
             received = uplink(
-                ch, beta, theta_ref, design.powers, normalized, 0.0, noise_seed=0
+                gains_ref, design.powers, normalized, 0.0, np.zeros((1, M, D))
             )
+            ref = estimate_cluster_gradient(
+                received, design.denoisers, normalized.mean, cfg.cluster_of
+            )[0]
             for m, idx in enumerate(members):
-                ref = estimate_cluster_gradient(
-                    received[m], design.denoisers[m], means[idx], idx.size
-                )
-                batch_version = signal[0, m] / design.denoisers[m] + mean_term[m]
-                assert np.allclose(batch_version, ref, rtol=1e-9, atol=1e-11)
+                batch_version = signal[0, m] / denoisers[m] + mean_term[m]
+                assert np.allclose(batch_version, ref[m], rtol=1e-9, atol=1e-11)
             spot_checked = True
 
     elapsed = time.perf_counter() - start

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from airpfl.aircomp import (
-    NormalizedGradient,
-    denormalize,
-    effective_gains,
+    cluster_average,
     estimate_cluster_gradient,
     normalize_gradient,
     uplink,
 )
-from airpfl.channel import sample_small_scale
+from airpfl.channel import all_cascaded_gains, sample_small_scale
 from airpfl.ris import configure_aligned
+from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import make_config
 
 # Population statistics of [0, 1, 2]: mean 1, std sqrt(2/3). The std
@@ -22,149 +21,134 @@ STD_012 = 0.816496580927726
 ENTRY_012 = 1.224744871391589
 
 
-def _config(K=4, M=2, N=6, D=5, noise_var=1e-9, seed=0):
-    return make_config(
-        num_devices=K,
-        num_clusters=M,
-        num_ris_elements=N,
-        model_dim=D,
-        cluster_of=np.sort(np.arange(K) % M),
-        max_power=1.0,
-        noise_var=noise_var,
-        master_seed=seed,
-    )
-
-
 def test_normalize_frozen_example():
-    ng = normalize_gradient(np.array([0.0, 1.0, 2.0]))
-    assert ng.mean == pytest.approx(1.0, rel=1e-15)
-    assert ng.std == pytest.approx(STD_012, rel=1e-15)
-    assert ng.values[0] == pytest.approx(-ENTRY_012, rel=1e-15)
-    assert ng.values[1] == pytest.approx(0.0, abs=1e-15)
-    assert ng.values[2] == pytest.approx(ENTRY_012, rel=1e-15)
+    ng = normalize_gradient(np.array([[[0.0, 1.0, 2.0]]]))
+    assert ng.mean[0, 0] == pytest.approx(1.0, rel=1e-15)
+    assert ng.std[0, 0] == pytest.approx(STD_012, rel=1e-15)
+    assert ng.values[0, 0, 0] == pytest.approx(-ENTRY_012, rel=1e-15)
+    assert ng.values[0, 0, 1] == pytest.approx(0.0, abs=1e-15)
+    assert ng.values[0, 0, 2] == pytest.approx(ENTRY_012, rel=1e-15)
 
 
 def test_normalized_values_have_unit_population_std():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        g = rng.standard_normal(rng.integers(2, 40))
+        g = rng.standard_normal((3, 4, rng.integers(2, 40)))
         ng = normalize_gradient(g)
-        assert np.mean(ng.values) == pytest.approx(0.0, abs=1e-12)
-        assert np.std(ng.values) == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(np.mean(ng.values, axis=2), 0.0, atol=1e-12)
+        assert np.allclose(np.std(ng.values, axis=2), 1.0, rtol=1e-12)
 
 
 def test_degenerate_gradient_reports_zero_std():
-    ng = normalize_gradient(np.full(7, 3.25))
-    assert ng.std == 0.0
-    assert ng.mean == pytest.approx(3.25)
-    assert np.all(ng.values == 0.0)
+    g = np.stack([np.full(7, 3.25), np.arange(7.0)])[None]
+    ng = normalize_gradient(g)
+    assert ng.std[0, 0] == 0.0
+    assert ng.mean[0, 0] == pytest.approx(3.25)
+    assert np.all(ng.values[0, 0] == 0.0)
+    assert ng.std[0, 1] > 0.0
 
 
 def test_denormalize_roundtrip():
     rng = np.random.default_rng(8)
-    g = rng.standard_normal(33) * 4.0 + 2.0
-    assert np.allclose(denormalize(normalize_gradient(g)), g, atol=1e-9)
+    g = rng.standard_normal((2, 3, 33)) * 4.0 + 2.0
+    ng = normalize_gradient(g)
+    assert np.allclose(ng.std[:, :, None] * ng.values + ng.mean[:, :, None], g, atol=1e-9)
 
 
 def test_denormalize_roundtrip_degenerate():
-    g = np.full(5, -1.5)
-    assert np.allclose(denormalize(normalize_gradient(g)), g, atol=1e-12)
+    g = np.full((1, 1, 5), -1.5)
+    ng = normalize_gradient(g)
+    assert np.allclose(ng.std[:, :, None] * ng.values + ng.mean[:, :, None], g, atol=1e-12)
 
 
 def test_normalize_rejects_bad_input():
     with pytest.raises(ValueError):
-        normalize_gradient(np.array([]))
+        normalize_gradient(np.zeros((1, 1, 0)))
     with pytest.raises(ValueError):
         normalize_gradient(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
-        normalize_gradient(np.array([1.0, np.nan]))
+        normalize_gradient(np.array([[[1.0, np.nan]]]))
 
 
 # ---------------------------------------------------------------------------
 # uplink
 # ---------------------------------------------------------------------------
 
-def _normalized_batch(rng, K, D):
-    return [normalize_gradient(rng.standard_normal(D)) for _ in range(K)]
+def _normalized_batch(rng, T, K, D):
+    return normalize_gradient(rng.standard_normal((T, K, D)))
 
 
 def test_noiseless_uplink_matches_direct_superposition():
-    cfg = _config()
-    ch = sample_small_scale(cfg, 3)
+    T, M, K, N, D = 2, 2, 4, 6, 5
+    ch = sample_small_scale(rng_from_seed(3), T, M, K, N)
     rng = np.random.default_rng(1)
-    beta = rng.uniform(0.1, 1.0, size=(2, 4))
-    phases = rng.uniform(0, 2 * np.pi, size=(2, 6))
-    powers = rng.uniform(0.0, 2.0, size=4)
-    grads = _normalized_batch(rng, 4, 5)
+    beta = rng.uniform(0.1, 1.0, size=(M, K))
+    phases = rng.uniform(0, 2 * np.pi, size=(T, M, N))
+    powers = rng.uniform(0.0, 2.0, size=(T, K))
+    grads = _normalized_batch(rng, T, K, D)
 
-    received = uplink(ch, beta, phases, powers, grads, 0.0, noise_seed=0)
-    assert received.shape == (2, 5)
+    gains = all_cascaded_gains(ch, beta, phases)
+    received = uplink(gains, powers, grads, 0.0, np.zeros((T, M, D)))
+    assert received.shape == (T, M, D)
 
+    # Real part of the complex superposition, built element by element.
     phase = np.exp(1j * phases)
-    for m in range(2):
-        for d in range(5):
-            acc = 0.0 + 0.0j
-            for k in range(4):
-                gain = 0.0 + 0.0j
-                for i in range(2):
-                    gain += beta[i, k] * np.vdot(
-                        ch.ris_to_ps[i, :, m], phase[i] * ch.device_to_ris[i, k]
-                    )
-                acc += np.sqrt(powers[k]) * gain * grads[k].values[d]
-            assert received[m, d] == pytest.approx(acc, rel=1e-11, abs=1e-12)
+    for t in range(T):
+        for m in range(M):
+            for d in range(D):
+                acc = 0.0 + 0.0j
+                for k in range(K):
+                    gain = 0.0 + 0.0j
+                    for i in range(M):
+                        gain += beta[i, k] * np.vdot(
+                            ch.ris_to_ps[t, i, :, m], phase[t, i] * ch.device_to_ris[t, i, k]
+                        )
+                    acc += np.sqrt(powers[t, k]) * gain * grads.values[t, k, d]
+                assert received[t, m, d] == pytest.approx(acc.real, rel=1e-11, abs=1e-12)
 
 
 def test_uplink_noise_is_reproducible_and_sized():
-    cfg = _config()
-    ch = sample_small_scale(cfg, 3)
-    beta = np.ones((2, 4))
-    phases = np.zeros((2, 6))
-    grads = _normalized_batch(np.random.default_rng(2), 4, 5)
-    a = uplink(ch, beta, phases, np.ones(4), grads, 1e-2, noise_seed=77)
-    b = uplink(ch, beta, phases, np.ones(4), grads, 1e-2, noise_seed=77)
-    c = uplink(ch, beta, phases, np.ones(4), grads, 1e-2, noise_seed=78)
+    # The receiver noise enters scaled to the real-part variance
+    # noise_var / 2; identical inputs give identical outputs.
+    rng = np.random.default_rng(2)
+    gains = rng.standard_normal((3, 2, 4))
+    grads = _normalized_batch(rng, 3, 4, 5)
+    noise = rng.standard_normal((3, 2, 5))
+    a = uplink(gains, np.ones((3, 4)), grads, 1e-2, noise)
+    b = uplink(gains, np.ones((3, 4)), grads, 1e-2, noise)
+    clean = uplink(gains, np.ones((3, 4)), grads, 0.0, noise)
+    assert a.shape == (3, 2, 5)
     assert np.array_equal(a, b)
-    assert not np.allclose(a, c)
+    assert np.allclose(a - clean, np.sqrt(1e-2 / 2.0) * noise, rtol=1e-12, atol=1e-15)
 
 
 def test_uplink_noise_variance_split():
-    # Zero powers leave pure receiver noise; each real and imaginary
-    # part carries half the complex noise variance.
-    cfg = make_config(
-        num_devices=2,
-        num_clusters=1,
-        num_ris_elements=2,
-        model_dim=400000,
-        cluster_of=[0, 0],
-        max_power=1.0,
-        noise_var=0.5,
-        master_seed=0,
-    )
-    ch = sample_small_scale(cfg, 0)
-    rng = np.random.default_rng(4)
-    grads = _normalized_batch(rng, 2, 400000)
-    received = uplink(
-        ch, np.ones((1, 2)), np.zeros((1, 2)), np.zeros(2), grads, 0.5, noise_seed=5
-    )
-    assert abs(np.var(received.real) - 0.25) < 0.25 * 0.02
-    assert abs(np.var(received.imag) - 0.25) < 0.25 * 0.02
-    assert abs(np.mean(received.real)) < 0.005
+    # Zero powers leave pure receiver noise; its real part carries half
+    # the complex noise variance.
+    D = 400000
+    grads = _normalized_batch(np.random.default_rng(4), 1, 2, D)
+    noise = rng_from_seed(5).standard_normal((1, 1, D))
+    received = uplink(np.ones((1, 1, 2)), np.zeros((1, 2)), grads, 0.5, noise)
+    assert abs(np.var(received) - 0.25) < 0.25 * 0.02
+    assert abs(np.mean(received)) < 0.005
 
 
 def test_uplink_validates_inputs():
-    cfg = _config()
-    ch = sample_small_scale(cfg, 0)
-    beta = np.ones((2, 4))
-    phases = np.zeros((2, 6))
-    grads = _normalized_batch(np.random.default_rng(0), 4, 5)
+    T, M, K, D = 2, 2, 4, 5
+    gains = np.ones((T, M, K))
+    grads = _normalized_batch(np.random.default_rng(0), T, K, D)
+    noise = np.zeros((T, M, D))
     with pytest.raises(ValueError):
-        uplink(ch, beta, phases, np.ones(3), grads, 0.0, 0)
+        uplink(gains, np.ones((T, 3)), grads, 0.0, noise)
     with pytest.raises(ValueError):
-        uplink(ch, beta, phases, -np.ones(4), grads, 0.0, 0)
+        uplink(gains, -np.ones((T, K)), grads, 0.0, noise)
     with pytest.raises(ValueError):
-        uplink(ch, beta, phases, np.ones(4), grads[:3], 0.0, 0)
+        uplink(gains, np.ones((T, K)), _normalized_batch(np.random.default_rng(0), T, 3, D),
+               0.0, noise)
     with pytest.raises(ValueError):
-        uplink(ch, beta, phases, np.ones(4), grads, -1.0, 0)
+        uplink(gains, np.ones((T, K)), grads, -1.0, noise)
+    with pytest.raises(ValueError):
+        uplink(gains, np.ones((T, K)), grads, 0.0, np.zeros((T, M, D + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,56 +156,57 @@ def test_uplink_validates_inputs():
 # ---------------------------------------------------------------------------
 
 def test_noiseless_estimate_equals_weighted_sum():
-    # Without noise the recovered estimate must equal the effective
-    # gains applied to the normalized gradients plus the mean term.
-    cfg = _config(noise_var=0.0)
-    ch = sample_small_scale(cfg, 9)
+    # Without noise the recovered estimate must equal the per-entry
+    # weights sqrt(p_k) h_{m,k} / lambda_m applied to the normalized
+    # gradients plus the mean term.
+    M, K, N, D = 2, 4, 6, 5
+    cluster_of = np.array([0, 0, 1, 1])
+    ch = sample_small_scale(rng_from_seed(9), 1, M, K, N)
     rng = np.random.default_rng(3)
-    beta = rng.uniform(0.1, 1.0, size=(2, 4))
-    phases = configure_aligned(ch, cfg.cluster_of)
-    powers = rng.uniform(0.1, 1.0, size=4)
-    denoisers = np.array([2.0, 0.7])
-    grads = _normalized_batch(rng, 4, 5)
+    beta = rng.uniform(0.1, 1.0, size=(M, K))
+    gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cluster_of))
+    powers = rng.uniform(0.1, 1.0, size=(1, K))
+    denoisers = np.array([[2.0, 0.7]])
+    grads = _normalized_batch(rng, 1, K, D)
 
-    received = uplink(ch, beta, phases, powers, grads, 0.0, noise_seed=0)
-    weights = effective_gains(ch, beta, phases, powers, denoisers)  # (M, K)
-    gbar = np.stack([g.values for g in grads])
-    means = np.array([g.mean for g in grads])
-
-    for m, idx in enumerate(cfg.clusters()):
-        est = estimate_cluster_gradient(received[m], denoisers[m], means[idx], idx.size)
-        expected = weights[m] @ gbar + means[idx].sum() / idx.size
-        assert np.allclose(est, expected, rtol=1e-10, atol=1e-12)
+    received = uplink(gains, powers, grads, 0.0, np.zeros((1, M, D)))
+    est = estimate_cluster_gradient(received, denoisers, grads.mean, cluster_of)
+    assert est.shape == (1, M, D)
+    for m in range(M):
+        idx = np.flatnonzero(cluster_of == m)
+        weights = np.sqrt(powers[0]) * gains[0, m] / denoisers[0, m]
+        expected = weights @ grads.values[0] + grads.mean[0, idx].sum() / idx.size
+        assert np.allclose(est[0, m], expected, rtol=1e-10, atol=1e-12)
 
 
 def test_infinite_denoiser_keeps_mean_only():
-    received = np.array([3.0 + 4.0j, -1.0 + 0.5j])
-    est = estimate_cluster_gradient(received, np.inf, np.array([2.0, 4.0]), 2)
-    assert est.shape == (2,)
-    assert np.all(est == 3.0)
+    received = np.array([[[3.0, -1.0], [0.5, 2.0]]])
+    est = estimate_cluster_gradient(
+        received, np.array([[np.inf, 1.0]]), np.array([[2.0, 4.0, 1.0]]), np.array([0, 0, 1])
+    )
+    assert est.shape == (1, 2, 2)
+    assert np.all(est[0, 0] == 3.0)
+    assert np.array_equal(est[0, 1], [1.5, 3.0])
 
 
 def test_estimate_validates_inputs():
-    row = np.zeros(3, dtype=complex)
+    received = np.zeros((1, 1, 3))
+    cluster_of = np.array([0])
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(row, 0.0, np.array([1.0]), 1)
+        estimate_cluster_gradient(received, np.array([[0.0]]), np.array([[1.0]]), cluster_of)
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(row, -1.0, np.array([1.0]), 1)
+        estimate_cluster_gradient(received, np.array([[-1.0]]), np.array([[1.0]]), cluster_of)
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(row, 1.0, np.array([1.0, 2.0]), 1)
+        estimate_cluster_gradient(received, np.array([[np.nan]]), np.array([[1.0]]), cluster_of)
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(row, 1.0, np.array([]), 0)
+        estimate_cluster_gradient(received, np.array([[1.0]]), np.array([[1.0, 2.0]]), cluster_of)
+    with pytest.raises(ValueError):
+        estimate_cluster_gradient(received, np.array([1.0]), np.array([[1.0]]), cluster_of)
 
 
-def test_effective_gains_rejects_bad_denoisers():
-    cfg = _config()
-    ch = sample_small_scale(cfg, 0)
-    beta = np.ones((2, 4))
-    phases = np.zeros((2, 6))
-    with pytest.raises(ValueError):
-        effective_gains(ch, beta, phases, np.ones(4), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        effective_gains(ch, beta, phases, np.ones(4), np.array([1.0, np.nan]))
-    # Infinite denoisers are a legal degraded mode and zero the row.
-    w = effective_gains(ch, beta, phases, np.ones(4), np.array([1.0, np.inf]))
-    assert np.all(w[1] == 0.0)
+def test_cluster_average_groups_devices():
+    x = np.arange(12.0).reshape(2, 3, 2)  # (T, K, D)
+    avg = cluster_average(x, np.array([1, 0, 1]), 2)
+    assert avg.shape == (2, 2, 2)
+    assert np.array_equal(avg[:, 0], x[:, 1])
+    assert np.array_equal(avg[:, 1], (x[:, 0] + x[:, 2]) / 2)

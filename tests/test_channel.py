@@ -5,12 +5,12 @@ import pytest
 
 from airpfl.channel import (
     MIN_DEVICE_RIS_DISTANCE,
-    ChannelSet,
     all_cascaded_gains,
-    cascaded_gain,
+    cascaded_components,
     large_scale_coefficients,
     sample_small_scale,
 )
+from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import Geometry, make_config, place_geometry
 
 # (100 * 200)^(-2.2/2), evaluated with mpmath at 40 digits and rounded
@@ -68,38 +68,39 @@ def test_pathloss_distance_clamp():
 
 
 def test_small_scale_shapes():
-    cfg = _config(K=5, M=2, N=7)
-    ch = sample_small_scale(cfg, 42)
-    assert ch.ris_to_ps.shape == (2, 7, 2)
-    assert ch.device_to_ris.shape == (2, 5, 7)
+    ch = sample_small_scale(rng_from_seed(42), 3, 2, 5, 7)
+    assert ch.ris_to_ps.shape == (3, 2, 7, 2)
+    assert ch.device_to_ris.shape == (3, 2, 5, 7)
+    assert ch.num_trials == 3
     assert ch.num_surfaces == 2
-    assert ch.num_devices == 5
     assert ch.num_elements == 7
 
 
 def test_small_scale_deterministic_in_round_seed():
-    cfg = _config()
-    a = sample_small_scale(cfg, 9)
-    b = sample_small_scale(cfg, 9)
+    a = sample_small_scale(rng_from_seed(9), 1, 2, 4, 8)
+    b = sample_small_scale(rng_from_seed(9), 1, 2, 4, 8)
     assert np.array_equal(a.ris_to_ps, b.ris_to_ps)
     assert np.array_equal(a.device_to_ris, b.device_to_ris)
-    c = sample_small_scale(cfg, 10)
+    c = sample_small_scale(rng_from_seed(10), 1, 2, 4, 8)
     assert not np.allclose(a.device_to_ris, c.device_to_ris)
+
+
+def test_small_scale_draw_order_is_documented_order():
+    # Surface-to-PS real then imaginary parts, then device-to-surface
+    # real then imaginary parts, each scaled to unit complex variance.
+    M, K, N = 2, 3, 5
+    ch = sample_small_scale(rng_from_seed(21), 1, M, K, N)
+    rng = rng_from_seed(21)
+    hp_re, hp_im = rng.standard_normal((M, N, M)), rng.standard_normal((M, N, M))
+    hd_re, hd_im = rng.standard_normal((M, K, N)), rng.standard_normal((M, K, N))
+    assert np.array_equal(ch.ris_to_ps[0], (hp_re + 1j * hp_im) / np.sqrt(2.0))
+    assert np.array_equal(ch.device_to_ris[0], (hd_re + 1j * hd_im) / np.sqrt(2.0))
 
 
 def test_small_scale_moments():
     # Entries are circularly symmetric with unit second moment, so
     # E|h| = sqrt(pi)/2 (folded-Gaussian mean scaled by 1/sqrt(2)).
-    cfg = make_config(
-        num_devices=2000,
-        num_clusters=2,
-        num_ris_elements=250,
-        model_dim=2,
-        cluster_of=np.repeat([0, 1], 1000),
-        max_power=1.0,
-        noise_var=0.0,
-    )
-    ch = sample_small_scale(cfg, 1)
+    ch = sample_small_scale(rng_from_seed(1), 1, 2, 2000, 250)
     h = ch.device_to_ris.ravel()  # one million entries
     assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.01
     assert abs(np.mean(np.abs(h)) - 0.8862269254527579) < 0.005
@@ -107,53 +108,51 @@ def test_small_scale_moments():
     assert abs(np.mean(h.imag)) < 0.005
 
 
+def _cascaded_gain(ch, beta, phases, t, m, k):
+    """Scalar reference: real cascaded device-k-to-antenna-m gain of trial t."""
+    total = 0.0
+    for i in range(ch.num_surfaces):
+        reflected = np.exp(1j * phases[t, i]) * ch.device_to_ris[t, i, k]
+        total += beta[i, k] * float(np.real(np.vdot(ch.ris_to_ps[t, i, :, m], reflected)))
+    return total
+
+
 def test_cascaded_gain_matches_direct_sum():
-    cfg = _config(K=3, M=2, N=5)
-    ch = sample_small_scale(cfg, 7)
+    # Every per-surface component against an element-by-element sum.
+    ch = sample_small_scale(rng_from_seed(7), 2, 2, 3, 5)
     rng = np.random.default_rng(0)
     beta = rng.uniform(0.5, 2.0, size=(2, 3))
-    phases = rng.uniform(0, 2 * np.pi, size=(2, 5))
-    for m in range(2):
-        for k in range(3):
-            expected = 0.0
-            for i in range(2):
-                acc = 0.0 + 0.0j
-                for n in range(5):
-                    acc += (
-                        np.conj(ch.ris_to_ps[i, n, m])
-                        * np.exp(1j * phases[i, n])
-                        * ch.device_to_ris[i, k, n]
-                    )
-                expected += beta[i, k] * acc.real
-            assert cascaded_gain(ch, beta, phases, m, k) == pytest.approx(
-                expected, rel=1e-12
-            )
+    phases = rng.uniform(0, 2 * np.pi, size=(2, 2, 5))
+    comp = cascaded_components(ch, beta, phases)
+    assert comp.shape == (2, 2, 2, 3)
+    for t in range(2):
+        for i in range(2):
+            for m in range(2):
+                for k in range(3):
+                    acc = 0.0 + 0.0j
+                    for n in range(5):
+                        acc += (
+                            np.conj(ch.ris_to_ps[t, i, n, m])
+                            * np.exp(1j * phases[t, i, n])
+                            * ch.device_to_ris[t, i, k, n]
+                        )
+                    assert comp[t, i, m, k] == pytest.approx(beta[i, k] * acc.real, rel=1e-12)
 
 
 def test_all_cascaded_gains_matches_scalar_loop():
-    cfg = _config(K=4, M=2, N=6)
-    ch = sample_small_scale(cfg, 13)
+    ch = sample_small_scale(rng_from_seed(13), 3, 2, 4, 6)
     rng = np.random.default_rng(2)
     beta = rng.uniform(0.1, 1.0, size=(2, 4))
-    phases = rng.uniform(0, 2 * np.pi, size=(2, 6))
+    phases = rng.uniform(0, 2 * np.pi, size=(3, 2, 6))
     grid = all_cascaded_gains(ch, beta, phases)
-    assert grid.shape == (2, 4)
-    for m in range(2):
-        for k in range(4):
-            assert grid[m, k] == pytest.approx(
-                cascaded_gain(ch, beta, phases, m, k), rel=1e-12, abs=1e-14
-            )
-
-
-def test_gain_index_bounds_checked():
-    cfg = _config()
-    ch = sample_small_scale(cfg, 0)
-    beta = np.ones((2, 4))
-    phases = np.zeros((2, 8))
-    with pytest.raises(ValueError):
-        cascaded_gain(ch, beta, phases, 2, 0)
-    with pytest.raises(ValueError):
-        cascaded_gain(ch, beta, phases, 0, 4)
+    assert grid.shape == (3, 2, 4)
+    comp_sum = cascaded_components(ch, beta, phases).sum(axis=1)
+    for t in range(3):
+        for m in range(2):
+            for k in range(4):
+                ref = _cascaded_gain(ch, beta, phases, t, m, k)
+                assert grid[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+                assert comp_sum[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_geometry_to_channel_pipeline():

@@ -156,6 +156,30 @@ def test_train_happy_path(tmp_path, system_path, capsys):
 
 def test_train_rejects_unknown_scheme(system_path):
     assert cli_main(["train", "--config", system_path, "--scheme", "perfect"]) == 2
+    assert cli_main(["train", "--config", system_path, "--scheme", "ideal-1bit"]) == 2
+    assert cli_main(["train", "--config", system_path, "--scheme", "mmse-0bit"]) == 2
+
+
+def test_train_accepts_quantized_scheme(tmp_path, system_path, capsys):
+    out = tmp_path / "train.csv"
+    argv = ["train", "--config", system_path, "--scheme", "unbiased-1bit", "--rounds", "3",
+            "--seed", "6", "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert "train[unbiased-1bit]:" in capsys.readouterr().out
+    assert out.read_text().splitlines()[1].endswith(",unbiased-1bit,6")
+
+
+@pytest.mark.parametrize(
+    "schemes", [["mmse", "mmse"], ["unbiased", "mmse-0bit"], ["ideal-2bit"]],
+    ids=["repeated", "zero-bits", "ideal-bits"],
+)
+def test_sweep_with_malformed_schemes_exits_2(tmp_path, system_doc, capsys, schemes):
+    doc = {"system": system_doc, "schemes": schemes, "n_values": [4], "p_values": [1.0],
+           "trials": 10}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["nmse-sweep", "--config", str(cfg_path)]) == 2
+    assert "bad config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

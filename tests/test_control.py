@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from airpfl.aircomp import effective_gains
-from airpfl.channel import ChannelSet
+from airpfl.channel import ChannelSet, all_cascaded_gains
 from airpfl.control import (
     ClusterSignalVanished,
     adaptive_denoisers,
@@ -29,15 +28,15 @@ def test_unbiased_design_frozen_instance():
     beta = np.array([[1.0, 2.0]])
     design = unbiased_design(
         beta,
-        sigmas=np.array([1.0, 1.0]),
+        sigmas=np.array([[1.0, 1.0]]),
         max_power=np.array([1.0, 1.0]),
         model_dim=16,
         num_elements=8,
         cluster_of=np.array([0, 0]),
     )
-    assert design.powers[0] == pytest.approx(0.0625, rel=1e-15)
-    assert design.powers[1] == pytest.approx(0.015625, rel=1e-15)
-    assert design.denoisers[0] == pytest.approx(LAMBDA_FROZEN, rel=1e-14)
+    assert design.powers[0, 0] == pytest.approx(0.0625, rel=1e-15)
+    assert design.powers[0, 1] == pytest.approx(0.015625, rel=1e-15)
+    assert design.denoisers[0, 0] == pytest.approx(LAMBDA_FROZEN, rel=1e-14)
     assert design.scheme == "unbiased"
 
 
@@ -50,9 +49,9 @@ def test_binding_device_transmits_at_budget():
         max_power = rng.uniform(0.5, 4.0, size=K)
         D = int(rng.integers(4, 64))
         design = unbiased_design(
-            beta, sigmas, max_power, D, 16, np.zeros(K, dtype=int)
+            beta, sigmas[None], max_power, D, 16, np.zeros(K, dtype=int)
         )
-        per_symbol = design.powers * D
+        per_symbol = design.powers[0] * D
         assert np.all(per_symbol <= max_power * (1 + 1e-12))
         binding = np.argmin(np.sqrt(max_power) * beta[0] / sigmas)
         assert per_symbol[binding] == pytest.approx(max_power[binding], rel=1e-12)
@@ -63,8 +62,8 @@ def test_design_scaling_with_gradient_spread():
     # denoiser, keeping the normalized link weights unchanged.
     beta = np.array([[0.8, 1.7, 0.6]])
     sigmas = np.array([1.0, 2.0, 0.7])
-    base = unbiased_design(beta, sigmas, np.ones(3), 8, 32, np.zeros(3, dtype=int))
-    scaled = unbiased_design(beta, 2 * sigmas, np.ones(3), 8, 32, np.zeros(3, dtype=int))
+    base = unbiased_design(beta, sigmas[None], np.ones(3), 8, 32, np.zeros(3, dtype=int))
+    scaled = unbiased_design(beta, 2 * sigmas[None], np.ones(3), 8, 32, np.zeros(3, dtype=int))
     assert np.allclose(scaled.powers, base.powers, rtol=1e-12)
     assert np.allclose(scaled.denoisers, base.denoisers / 2, rtol=1e-12)
 
@@ -72,16 +71,26 @@ def test_design_scaling_with_gradient_spread():
 def test_degenerate_device_gets_zero_power():
     beta = np.array([[1.0, 1.0, 1.0]])
     design = unbiased_design(
-        beta, np.array([1.0, 0.0, 2.0]), np.ones(3), 4, 8, np.zeros(3, dtype=int)
+        beta, np.array([[1.0, 0.0, 2.0]]), np.ones(3), 4, 8, np.zeros(3, dtype=int)
     )
-    assert design.powers[1] == 0.0
-    assert design.powers[0] > 0 and design.powers[2] > 0
+    assert design.powers[0, 1] == 0.0
+    assert design.powers[0, 0] > 0 and design.powers[0, 2] > 0
 
 
-def test_all_degenerate_cluster_raises():
-    beta = np.array([[1.0, 1.0]])
-    with pytest.raises(ValueError, match="zero gradient std"):
-        unbiased_design(beta, np.zeros(2), np.ones(2), 4, 8, np.zeros(2, dtype=int))
+def test_all_degenerate_cluster_carries_no_signal():
+    # A cluster whose devices all report zero std gets zero powers and
+    # an infinite denoiser; the other trial and cluster are unaffected.
+    beta = np.ones((2, 4))
+    sigmas = np.array([[0.0, 0.0, 1.0, 2.0], [1.0, 0.5, 1.0, 2.0]])
+    cluster_of = np.array([0, 0, 1, 1])
+    with np.errstate(all="raise"):
+        design = unbiased_design(beta, sigmas, np.ones(4), 4, 8, cluster_of)
+    assert np.all(design.powers[0, :2] == 0.0)
+    assert design.denoisers[0, 0] == np.inf
+    live = unbiased_design(beta, sigmas[1:], np.ones(4), 4, 8, cluster_of)
+    assert np.array_equal(design.powers[1], live.powers[0])
+    assert np.array_equal(design.denoisers[1], live.denoisers[0])
+    assert np.array_equal(design.powers[0, 2:], live.powers[0, 2:])
 
 
 def test_unbiased_link_weights_average_to_share():
@@ -93,7 +102,7 @@ def test_unbiased_link_weights_average_to_share():
     cluster_of = np.zeros(K, dtype=int)
     beta = np.array([[0.9, 0.5, 1.4]])
     sigmas = np.array([1.0, 1.6, 0.8])
-    design = unbiased_design(beta, sigmas, np.ones(K), 6, N, cluster_of)
+    design = unbiased_design(beta, sigmas[None], np.ones(K), 6, N, cluster_of)
 
     draws = 2500
     acc = np.zeros(K)
@@ -101,9 +110,9 @@ def test_unbiased_link_weights_average_to_share():
     for _ in range(draws):
         hp = (rng.standard_normal((M, N, M)) + 1j * rng.standard_normal((M, N, M))) / np.sqrt(2)
         hd = (rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
-        ch = ChannelSet(ris_to_ps=hp, device_to_ris=hd)
-        theta = configure_aligned(ch, cluster_of)
-        w = effective_gains(ch, beta, theta, design.powers, design.denoisers)[0]
+        ch = ChannelSet(ris_to_ps=hp[None], device_to_ris=hd[None])
+        gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cluster_of))[0]
+        w = np.sqrt(design.powers[0]) * gains[0] / design.denoisers[0, 0]
         acc += w
         acc_sq += w**2
     mean = acc / draws
@@ -286,8 +295,9 @@ def test_adaptive_denoisers_follow_closed_form():
     rng = np.random.default_rng(71)
     powers, gains_row, sigmas, noise_var, cluster_of = _random_instance(rng)
     gains = np.stack([gains_row, rng.uniform(0.2, 1.0, size=5)])
-    fallback = np.array([10.0, 20.0])
-    lam = adaptive_denoisers(powers, gains, sigmas, noise_var, cluster_of, fallback)
+    fallback = np.array([[10.0, 20.0]])
+    lam = adaptive_denoisers(powers[None], gains[None], sigmas[None], noise_var, cluster_of,
+                             fallback)[0]
     assert lam[0] == pytest.approx(
         mmse_denoising(powers, gains[0], sigmas, noise_var, cluster_of, 0), rel=1e-14
     )
@@ -300,9 +310,9 @@ def test_adaptive_denoisers_fallback_on_vanished_signal():
     cluster_of = np.array([0, 1])
     powers = np.ones(2)
     sigmas = np.ones(2)
-    gains = np.array([[0.0, 0.5], [0.3, 0.4]])
-    fallback = np.array([7.5, 9.0])
-    lam = adaptive_denoisers(powers, gains, sigmas, 0.1, cluster_of, fallback)
+    gains = np.array([[[0.0, 0.5], [0.3, 0.4]]])
+    fallback = np.array([[7.5, 9.0]])
+    lam = adaptive_denoisers(powers[None], gains, sigmas[None], 0.1, cluster_of, fallback)[0]
     assert lam[0] == 7.5
     assert lam[1] > 0 and np.isfinite(lam[1])
 
@@ -312,8 +322,9 @@ def test_adaptive_denoisers_discard_when_minimizer_negative():
     # negative; the constrained optimum walks off to infinity, which
     # encodes "drop the analog signal this round".
     cluster_of = np.array([0, 1])
-    gains = np.array([[-0.8, 0.2], [0.1, 0.6]])
-    lam = adaptive_denoisers(np.ones(2), gains, np.ones(2), 0.1, cluster_of, np.ones(2))
+    gains = np.array([[[-0.8, 0.2], [0.1, 0.6]]])
+    lam = adaptive_denoisers(np.ones((1, 2)), gains, np.ones((1, 2)), 0.1, cluster_of,
+                             np.ones((1, 2)))[0]
     assert lam[0] == np.inf
     assert np.isfinite(lam[1])
 

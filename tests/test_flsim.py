@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import airpfl.flsim as flsim
 from airpfl.flsim import (
-    SCHEMES,
     DeviceDataset,
     cluster_loss,
     local_gradient,
@@ -140,7 +140,9 @@ def test_training_is_deterministic():
     assert np.array_equal(a.final_weights, b.final_weights)
 
 
-@pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "ideal"])
+@pytest.mark.parametrize(
+    "scheme", ["unbiased", "mmse", "mmse+powopt", "random-phase", "unbiased-1bit"]
+)
 def test_every_scheme_runs_and_records_nmse(scheme):
     cfg = _config(K=4, M=2, N=16, D=6)
     geom = place_geometry(cfg, cfg.master_seed)
@@ -177,12 +179,53 @@ def test_constant_gradient_cluster_transmits_mean_exactly():
     assert hist.final_weights[0, 0] == pytest.approx(3.0, rel=1e-4)
 
 
+def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
+    # "-{b}bit" quantizes each round's phases with corrupt_phases, as
+    # the sweep does: every phase that reaches the gains sits on the
+    # 2**b grid, and the run differs from the unquantized one.
+    cfg = _config(K=4, M=2, N=16, D=6)
+    geom = place_geometry(cfg, cfg.master_seed)
+    datasets, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
+    seen = []
+    gains_of = flsim.all_cascaded_gains
+
+    def record(ch, beta, phases):
+        seen.append(phases)
+        return gains_of(ch, beta, phases)
+
+    monkeypatch.setattr(flsim, "all_cascaded_gains", record)
+    hist = run_training(cfg, geom, datasets, "random-phase-2bit", rounds=5, eta=0.04)
+    assert len(seen) == 5
+    for phases in seen:
+        assert np.all(np.isin(phases, np.arange(4) * (np.pi / 2)))
+    plain = run_training(cfg, geom, datasets, "random-phase", rounds=5, eta=0.04)
+    assert hist.scheme == "random-phase-2bit"
+    assert not np.array_equal(hist.nmse, plain.nmse)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_training_all_zero_std_gradients_estimate_exactly():
+    # Bias-only model: every local gradient is one number, so every
+    # standardized gradient is degenerate and each cluster estimate is
+    # the exact mean, on every channel scheme.
+    cfg = _config(D=1)
+    geom = place_geometry(cfg, cfg.master_seed)
+    datasets, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=cfg.master_seed)
+    ideal = run_training(cfg, geom, datasets, "ideal", rounds=5)
+    for scheme in ("unbiased", "mmse", "mmse+powopt", "random-phase"):
+        hist = run_training(cfg, geom, datasets, scheme, rounds=5)
+        assert np.all(hist.nmse == 0.0)
+        assert np.array_equal(hist.losses, ideal.losses)
+
+
 def test_training_rejects_bad_arguments():
     cfg = _config()
     geom = place_geometry(cfg, cfg.master_seed)
     datasets, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
     with pytest.raises(ValueError, match="unknown scheme"):
         run_training(cfg, geom, datasets, "analog", rounds=3)
+    with pytest.raises(ValueError):
+        run_training(cfg, geom, datasets, "ideal-1bit", rounds=3)
     with pytest.raises(ValueError):
         run_training(cfg, geom, datasets, "ideal", rounds=0)
     with pytest.raises(ValueError):

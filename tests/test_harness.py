@@ -5,27 +5,22 @@ import csv
 import numpy as np
 import pytest
 
-from airpfl.channel import ChannelSet, all_cascaded_gains
-from airpfl.control import adaptive_denoisers, unbiased_design
+from airpfl.channel import all_cascaded_gains, sample_small_scale
+from airpfl.control import adaptive_denoisers, conditional_mse, mmse_denoising, unbiased_design
+from airpfl.flsim import Scheme, parse_scheme
 from airpfl.harness import (
     DESK_N_VALUES,
     DESK_P_VALUES,
     EliminationReport,
     SweepResult,
-    _adaptive_lambda_batch,
-    _aligned_phases_batch,
-    _components_batch,
-    _gains_batch,
-    _parse_scheme,
-    _sample_batch,
-    _unbiased_batch,
     desk_scale_config,
     export_csv,
     nmse_sweep,
     verify_elimination,
 )
 from airpfl.ris import configure_aligned
-from airpfl.sysmodel import make_config
+from airpfl.seeding import rng_from_seed
+from airpfl.sysmodel import ConfigError, make_config
 
 
 def _config(K=6, M=2, N=8, D=4, seed=3):
@@ -55,62 +50,76 @@ def test_desk_scale_config_shape():
     [
         ("ideal", ("ideal", "none", None)),
         ("unbiased", ("unbiased", "aligned", None)),
-        ("mmse", ("unbiased+adaptive", "aligned", None)),
-        ("mmse+powopt", ("powopt+adaptive", "aligned", None)),
-        ("random-phase", ("unbiased+adaptive", "random", None)),
+        ("mmse", ("mmse", "aligned", None)),
+        ("mmse+powopt", ("mmse+powopt", "aligned", None)),
+        ("random-phase", ("mmse", "random", None)),
         ("unbiased-1bit", ("unbiased", "aligned", 1)),
-        ("mmse-3bit", ("unbiased+adaptive", "aligned", 3)),
+        ("mmse-3bit", ("mmse", "aligned", 3)),
+        ("random-phase-2bit", ("mmse", "random", 2)),
+        ("mmse+powopt-1bit", ("mmse+powopt", "aligned", 1)),
     ],
 )
 def test_scheme_parsing(name, expected):
-    assert _parse_scheme(name) == expected
+    assert parse_scheme(name) == Scheme(name, *expected)
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(ValueError):
-        _parse_scheme("waterfilling")
+    with pytest.raises(ConfigError):
+        parse_scheme("waterfilling")
+
+
+@pytest.mark.parametrize(
+    "name", ["ideal-1bit", "mmse-0bit", "mmse-01bit", "mmse-bit", "mmse-1", 3]
+)
+def test_malformed_scheme_rejected(name):
+    with pytest.raises(ConfigError):
+        parse_scheme(name)
 
 
 # ---------------------------------------------------------------------------
-# batched kernels against the scalar reference path
+# batched kernels against independent oracles
 # ---------------------------------------------------------------------------
 
-def test_batched_kernels_match_scalar_modules():
+def test_batched_kernels_match_independent_oracles():
     cfg = _config(K=5, M=2, N=6)
-    members = cfg.clusters()
+    T, noise_var = 4, 1e-3
+    ch = sample_small_scale(rng_from_seed(17), T, 2, 5, 6)
     rng = np.random.default_rng(17)
-    hp, hd = _sample_batch(rng, 4, 2, 5, 6)
     beta = rng.uniform(0.2, 1.5, size=(2, 5))
-    theta = _aligned_phases_batch(hp, hd, members)
-    gains = _gains_batch(hp, hd, theta, beta)
-    comp = _components_batch(hp, hd, theta, beta)
-    sigmas = rng.uniform(0.5, 1.5, size=(4, 5))
-    powers_b, lam_b = _unbiased_batch(beta, sigmas, cfg.max_power, 4, 6, members)
-    lam_a = _adaptive_lambda_batch(powers_b, gains, sigmas, 1e-3, members, lam_b)
+    gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cfg.cluster_of))
+    sigmas = rng.uniform(0.5, 1.5, size=(T, 5))
+    design = unbiased_design(beta, sigmas, cfg.max_power, 4, 6, cfg.cluster_of)
+    lam = adaptive_denoisers(
+        design.powers, gains, sigmas, noise_var, cfg.cluster_of, design.denoisers
+    )
+    for t in range(T):
+        # Each trial of the batch is the design of that trial alone.
+        single = unbiased_design(beta, sigmas[t:t + 1], cfg.max_power, 4, 6, cfg.cluster_of)
+        assert np.array_equal(single.powers[0], design.powers[t])
+        assert np.array_equal(single.denoisers[0], design.denoisers[t])
+        for m in range(2):
+            args = (design.powers[t], gains[t, m], sigmas[t], noise_var, cfg.cluster_of, m)
+            ref = mmse_denoising(*args)
+            if ref <= 0:
+                assert lam[t, m] == np.inf  # no positive minimizer: discard
+                continue
+            assert lam[t, m] == pytest.approx(ref, rel=1e-12)
 
-    for t in range(4):
-        ch = ChannelSet(ris_to_ps=hp[t], device_to_ris=hd[t])
-        theta_ref = configure_aligned(ch, cfg.cluster_of)
-        assert np.allclose(theta[t], theta_ref, atol=1e-12)
-        gains_ref = all_cascaded_gains(ch, beta, theta_ref)
-        assert np.allclose(gains[t], gains_ref, rtol=1e-11, atol=1e-13)
-        assert np.allclose(comp[t].sum(axis=0), gains_ref, rtol=1e-11, atol=1e-13)
-        design = unbiased_design(beta, sigmas[t], cfg.max_power, 4, 6, cfg.cluster_of)
-        assert np.allclose(powers_b[t], design.powers, rtol=1e-12)
-        assert np.allclose(lam_b[t], design.denoisers, rtol=1e-12)
-        lam_ref = adaptive_denoisers(
-            powers_b[t], gains[t], sigmas[t], 1e-3, cfg.cluster_of, lam_b[t]
-        )
-        assert np.allclose(lam_a[t], lam_ref, rtol=1e-11)
+            # ... and it minimizes the closed-form conditional error.
+            def mse(x):
+                return conditional_mse(
+                    design.powers[t], x, gains[t, m], sigmas[t], noise_var, 4, cfg.cluster_of, m
+                )
+            assert mse(lam[t, m]) <= min(mse(lam[t, m] * 0.99), mse(lam[t, m] * 1.01))
 
 
 def test_batched_adaptive_lambda_degraded_modes():
-    members = [np.array([0]), np.array([1])]
+    cluster_of = np.array([0, 1])
     gains = np.array([[[0.0, 0.4], [0.5, 0.6]], [[-0.7, 0.4], [0.5, 0.6]]])
     powers = np.ones((2, 2))
     sigmas = np.ones((2, 2))
     fallback = np.array([[3.0, 4.0], [3.0, 4.0]])
-    lam = _adaptive_lambda_batch(powers, gains, sigmas, 0.1, members, fallback)
+    lam = adaptive_denoisers(powers, gains, sigmas, 0.1, cluster_of, fallback)
     assert lam[0, 0] == 3.0          # vanished own signal, fallback
     assert lam[1, 0] == np.inf       # negative minimizer, discard
     assert np.isfinite(lam[:, 1]).all()
@@ -148,6 +157,34 @@ def test_sweep_cell_lookup_raises_on_miss():
     res = nmse_sweep(cfg, ["ideal"], [4], [1.0], 10, seed=2)
     with pytest.raises(KeyError):
         res.cell(8, 1.0, "ideal")
+
+
+@pytest.mark.parametrize(
+    "schemes", [["mmse", "mmse"], ["mmse", "mmse-0bit"], ["ideal-1bit"]],
+    ids=["repeated", "zero-bits", "ideal-bits"],
+)
+def test_sweep_rejects_bad_schemes_before_any_trial(schemes, monkeypatch):
+    import airpfl.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_sweep_cell", no_trials)
+    with pytest.raises(ConfigError):
+        nmse_sweep(_config(), schemes, [4], [1.0], 10, seed=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_all_zero_std_gradients_estimate_exactly():
+    # With one model coordinate every standardized gradient is
+    # degenerate: no cluster carries an analog signal and every
+    # estimate is the exact mean term.
+    cfg = _config(D=1)
+    res = nmse_sweep(
+        cfg, ["unbiased", "mmse", "mmse+powopt", "random-phase"], [4], [1.0], 20, seed=3
+    )
+    for c in res.cells:
+        assert c.nmse_mean == 0.0 and c.nmse_stderr == 0.0
 
 
 def test_sweep_requires_multiple_trials():

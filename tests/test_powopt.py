@@ -158,10 +158,10 @@ def test_optimized_powers_do_not_lose_to_statistical_powers():
     for _ in range(trials):
         gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
         beta = np.abs(gains) + 0.1
-        design = unbiased_design(beta, sigmas, max_power, 12, 16, cluster_of)
+        design = unbiased_design(beta, sigmas[None], max_power, 12, 16, cluster_of)
         prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
         sol = solve_projected_ascent(prob, seed=23)
-        base = objective(prob, np.sqrt(design.powers))
+        base = objective(prob, np.sqrt(design.powers[0]))
         if sol.objective >= base - 1e-12:
             wins += 1
     assert wins >= 9

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from airpfl.channel import ChannelSet, all_cascaded_gains, cascaded_gain
+from airpfl.channel import ChannelSet, all_cascaded_gains
 from airpfl.ris import baseline_phases, configure_aligned, corrupt_phases
+from airpfl.seeding import rng_from_seed
 
 TWO_PI = 2.0 * np.pi
 
 
 def _single_link(hp_value, hd_value):
-    """One surface, one element, one device, one antenna."""
+    """One trial, one surface, one element, one device, one antenna."""
     return ChannelSet(
-        ris_to_ps=np.array([[[hp_value]]], dtype=complex),
-        device_to_ris=np.array([[[hd_value]]], dtype=complex),
+        ris_to_ps=np.array([[[[hp_value]]]], dtype=complex),
+        device_to_ris=np.array([[[[hd_value]]]], dtype=complex),
     )
 
 
@@ -24,28 +25,37 @@ def test_single_element_alignment_is_exact():
     hd = 3.0 * np.exp(1j * 2.1)
     ch = _single_link(hp, hd)
     theta = configure_aligned(ch, np.array([0]))
-    assert theta.shape == (1, 1)
-    assert theta[0, 0] == pytest.approx(np.mod(0.7 - 2.1, TWO_PI), abs=1e-12)
-    gain = cascaded_gain(ch, np.ones((1, 1)), theta, 0, 0)
+    assert theta.shape == (1, 1, 1)
+    assert theta[0, 0, 0] == pytest.approx(np.mod(0.7 - 2.1, TWO_PI), abs=1e-12)
+    gain = all_cascaded_gains(ch, np.ones((1, 1)), theta)[0, 0, 0]
     assert gain == pytest.approx(6.0, rel=1e-12)
 
 
 def test_alignment_with_vanishing_sum_falls_back_to_backhaul_angle():
     ch = _single_link(np.exp(1j * 1.3), 0.0)
     theta = configure_aligned(ch, np.array([0]))
-    assert theta[0, 0] == pytest.approx(1.3, abs=1e-12)
+    assert theta[0, 0, 0] == pytest.approx(1.3, abs=1e-12)
 
 
 def test_phases_land_in_canonical_interval():
     rng = np.random.default_rng(3)
-    M, K, N = 3, 6, 10
-    hp = (rng.standard_normal((M, N, M)) + 1j * rng.standard_normal((M, N, M))) / np.sqrt(2)
-    hd = (rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
+    T, M, K, N = 4, 3, 6, 10
+    hp = (rng.standard_normal((T, M, N, M)) + 1j * rng.standard_normal((T, M, N, M))) / np.sqrt(2)
+    hd = (rng.standard_normal((T, M, K, N)) + 1j * rng.standard_normal((T, M, K, N))) / np.sqrt(2)
     ch = ChannelSet(ris_to_ps=hp, device_to_ris=hd)
-    theta = configure_aligned(ch, np.repeat(np.arange(3), 2))
-    assert theta.shape == (M, N)
+    cluster_of = np.repeat(np.arange(3), 2)
+    theta = configure_aligned(ch, cluster_of)
+    assert theta.shape == (T, M, N)
     assert np.all(theta >= 0.0)
     assert np.all(theta < TWO_PI)
+    # Each element rotates its cluster's summed device channel onto the
+    # surface-to-PS link: the own-cluster reflected terms are real and
+    # non-negative element by element.
+    for m in range(M):
+        summed = hd[:, m, cluster_of == m, :].sum(axis=1)
+        reflected = np.conj(hp[:, m, :, m]) * np.exp(1j * theta[:, m]) * summed
+        assert np.allclose(reflected.imag, 0.0, atol=1e-12)
+        assert np.all(reflected.real >= 0.0)
 
 
 def test_own_cluster_mean_gain_matches_closed_form():
@@ -62,9 +72,9 @@ def test_own_cluster_mean_gain_matches_closed_form():
     for _ in range(draws):
         hp = (rng.standard_normal((M, N, M)) + 1j * rng.standard_normal((M, N, M))) / np.sqrt(2)
         hd = (rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
-        ch = ChannelSet(ris_to_ps=hp, device_to_ris=hd)
+        ch = ChannelSet(ris_to_ps=hp[None], device_to_ris=hd[None])
         theta = configure_aligned(ch, cluster_of)
-        g = all_cascaded_gains(ch, beta, theta)[0]
+        g = all_cascaded_gains(ch, beta, theta)[0, 0]
         acc += g
         acc_sq += g**2
     mean = acc / draws
@@ -74,24 +84,14 @@ def test_own_cluster_mean_gain_matches_closed_form():
     assert np.all(np.abs(mean - target) <= 3.0 * stderr)
 
 
-def test_zero_baseline():
-    theta = baseline_phases("zero", 2, 5)
-    assert theta.shape == (2, 5)
-    assert np.all(theta == 0.0)
-
-
 def test_random_baseline_deterministic_and_in_range():
-    a = baseline_phases("random", 2, 5, seed=9)
-    b = baseline_phases("random", 2, 5, seed=9)
-    c = baseline_phases("random", 2, 5, seed=10)
+    a = baseline_phases(rng_from_seed(9), 3, 2, 5)
+    b = baseline_phases(rng_from_seed(9), 3, 2, 5)
+    c = baseline_phases(rng_from_seed(10), 3, 2, 5)
+    assert a.shape == (3, 2, 5)
     assert np.array_equal(a, b)
     assert not np.allclose(a, c)
     assert np.all(a >= 0.0) and np.all(a < TWO_PI)
-
-
-def test_unknown_baseline_mode_raises():
-    with pytest.raises(ValueError):
-        baseline_phases("fourier", 1, 4)
 
 
 # ---------------------------------------------------------------------------
