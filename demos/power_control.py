@@ -54,9 +54,10 @@ def main():
         beta, sigmas[None], cfg.max_power, cfg.model_dim, cfg.num_ris_elements, cfg.cluster_of
     )
     stat_powers, stat_denoisers = stat.powers[0], stat.denoisers[0]
-    prob = assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
-    sol = solve_projected_ascent(prob, seed=5)
-    opt_powers = sol.q**2
+    prob = assemble_ratio_problem(
+        gains[None], sigmas[None], cfg.noise_var, cfg.cluster_of, cfg.max_power
+    )
+    opt_powers = solve_projected_ascent(prob, [5]).q[0] ** 2
 
     print("per-device transmit power (budget 0.5 each)")
     print(f"{'device':>6} {'statistical':>12} {'optimized':>12}")

@@ -131,15 +131,15 @@ def _cmd_verify(args) -> int:
 def _cmd_power(args) -> int:
     doc = _load_json(args.config)
     prob = RatioProblem(
-        a_diag=np.asarray(doc["A"], dtype=float),
-        b=np.asarray(doc["b"], dtype=float),
+        a_diag=np.asarray(doc["A"], dtype=float)[None],
+        b=np.asarray(doc["b"], dtype=float)[None],
         c=np.asarray(doc["c"], dtype=float),
         bounds=np.asarray(doc["bounds"], dtype=float),
     )
-    sol = solve_projected_ascent(prob, seed=args.seed)
+    sol = solve_projected_ascent(prob, [args.seed])
     payload = {
-        "q": [float(v) for v in sol.q],
-        "objective": sol.objective,
+        "q": [float(v) for v in sol.q[0]],
+        "objective": float(sol.objective[0]),
         "converged": sol.converged,
     }
     if args.out:
@@ -147,7 +147,7 @@ def _cmd_power(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(
-        f"power-opt: objective={sol.objective:.12g}, converged={sol.converged}, "
+        f"power-opt: objective={sol.objective[0]:.12g}, converged={sol.converged}, "
         f"iterations={sol.iterations}, seed={args.seed}"
     )
     return 0

@@ -72,13 +72,16 @@ _BASE_SCHEMES = {
 
 _BITS_SUFFIX = re.compile(r"(.+)-(\d+)bit")
 
+# Above 52 bits the phase grid is finer than float64 spacing near 2*pi.
+MAX_PHASE_BITS = 52
+
 
 def parse_scheme(name: str | Scheme) -> Scheme:
     """Parse a scheme label such as "mmse" or "unbiased-1bit".
 
-    Every scheme except "ideal" takes a "-{b}bit" suffix with b a
-    positive integer. Malformed labels raise ConfigError; a Scheme is
-    returned unchanged.
+    Every scheme except "ideal" takes a "-{b}bit" suffix with b an
+    integer from 1 to MAX_PHASE_BITS. Malformed labels raise
+    ConfigError; a Scheme is returned unchanged.
     """
     if isinstance(name, Scheme):
         return name
@@ -89,8 +92,10 @@ def parse_scheme(name: str | Scheme) -> Scheme:
     if match is not None:
         base, digits = match.groups()
         bits = int(digits)
-        if bits < 1 or digits != str(bits):
-            raise ConfigError(f"scheme {name!r}: the bit count must be a positive integer")
+        if not 1 <= bits <= MAX_PHASE_BITS or digits != str(bits):
+            raise ConfigError(
+                f"scheme {name!r}: the bit count must be an integer from 1 to {MAX_PHASE_BITS}"
+            )
     if base not in _BASE_SCHEMES:
         raise ConfigError(f"unknown scheme {name!r}; expected one of {sorted(_BASE_SCHEMES)}")
     design, phases = _BASE_SCHEMES[base]
@@ -197,7 +202,7 @@ def aggregate_round(
 ) -> np.ndarray:
     """One round of analog aggregation for T independent trials.
 
-    Statistical design, then (mmse+powopt) per-trial power optimization
+    Statistical design, then (mmse+powopt) power optimization, trial t
     seeded by powopt_seeds[t], then (mmse, mmse+powopt) the adaptive
     denoiser, then the uplink and the per-cluster estimate. gains
     (T, M, K) are the real cascaded gains under the round's phases,
@@ -209,24 +214,21 @@ def aggregate_round(
     A cluster whose devices all report zero std has no analog signal:
     the statistical design gives it an infinite denoiser, the adaptive
     denoiser falls back to it, and its estimate is the exact mean term.
+    A cluster that optimized powers switch off falls back to the
+    infinite denoiser as well, the estimate the power solver scored.
     """
     sigmas = grads.std
     design = unbiased_design(
         beta, sigmas, cfg.max_power, cfg.model_dim, cfg.num_ris_elements, cfg.cluster_of
     )
-    powers, denoisers = design.powers, design.denoisers
+    powers, denoisers, fallback = design.powers, design.denoisers, design.denoisers
     if scheme.powopt:
-        if len(powopt_seeds) != gains.shape[0]:
-            raise ValueError("power optimization needs one seed per trial")
-        powers = np.empty_like(powers)
-        for t, seed in enumerate(powopt_seeds):
-            prob = assemble_ratio_problem(
-                gains[t], sigmas[t], cfg.noise_var, cfg.cluster_of, cfg.max_power
-            )
-            powers[t] = solve_projected_ascent(prob, seed=seed).q ** 2
+        prob = assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
+        powers = solve_projected_ascent(prob, powopt_seeds).q ** 2
+        fallback = np.full_like(fallback, np.inf)
     if scheme.adaptive:
         denoisers = adaptive_denoisers(
-            powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, design.denoisers
+            powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, fallback
         )
     received = uplink(gains, powers, grads, cfg.noise_var, noise)
     return estimate_cluster_gradient(received, denoisers, grads.mean, cfg.cluster_of)

@@ -109,7 +109,8 @@ def nmse_sweep(
     transmission), and fresh noise; reports mean NMSE and its standard
     error. Channel, gradient, and noise draws are shared across
     schemes within a cell so scheme comparisons are paired. Malformed
-    or repeated scheme labels raise ConfigError before any trial runs.
+    or repeated scheme labels, and repeated or invalid surface sizes
+    and power budgets, raise ConfigError before any trial runs.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
@@ -118,27 +119,21 @@ def nmse_sweep(
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ConfigError(f"repeated sweep schemes {repeated}")
+    grid = {  # replace() validates every cell's surface size and power budget
+        (int(n), float(p)): cfg.replace(
+            num_ris_elements=int(n), max_power=np.full(cfg.num_devices, float(p))
+        )
+        for n in n_values
+        for p in p_values
+    }
+    if len(grid) < len(n_values) * len(p_values):
+        raise ConfigError(f"repeated sweep values in N={list(n_values)} or P={list(p_values)}")
     geometry = place_geometry(cfg, seed)
     beta_full = large_scale_coefficients(geometry, cfg.pathloss_exponent)
     cells = []
-    for n in n_values:
-        for p_max in p_values:
-            cell_cfg = cfg.replace(
-                num_ris_elements=int(n), max_power=np.full(cfg.num_devices, float(p_max))
-            )
-            stats = _sweep_cell(cell_cfg, beta_full, float(p_max), parsed, trials, seed)
-            for s in parsed:
-                mean, stderr = stats[s.name]
-                cells.append(
-                    SweepCell(
-                        num_elements=int(n),
-                        p_max=float(p_max),
-                        scheme=s.name,
-                        trials=trials,
-                        nmse_mean=mean,
-                        nmse_stderr=stderr,
-                    )
-                )
+    for (n, p_max), cell_cfg in grid.items():
+        stats = _sweep_cell(cell_cfg, beta_full, p_max, parsed, trials, seed)
+        cells += [SweepCell(n, p_max, s.name, trials, *stats[s.name]) for s in parsed]
     digest = hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
     return SweepResult(cells=cells, seed=seed, config_digest=digest)
 

@@ -8,10 +8,10 @@ leaves, up to a constant, a sum of ratios in q = sqrt(p):
 
 with a_m[k] = |cluster m|^2 * h_{m,k}^2 * sigma_k^2,
 b_m[k] = h_{m,k} * sigma_k^3 on cluster m's support (0 elsewhere), and
-c_m = |cluster m|^2 * noise_var / 2. The problem is non-convex, so the
-solver runs projected gradient ascent with Armijo backtracking from
-several starts and keeps the best iterate. A dense grid search is
-provided as an oracle for small K.
+c_m = |cluster m|^2 * noise_var / 2, for T trials at once. The problem
+is non-convex, so the solver runs the quadratic transform of Shen & Yu
+(IEEE TSP 2018) from several starts per trial and keeps the best. A
+dense grid search is provided as an oracle for small K.
 """
 
 from __future__ import annotations
@@ -21,19 +21,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import rng_from_seed
-from .sysmodel import cluster_members
+
+STARTS = 8         # the all-bounds corner, then uniform-random feasible points
+MAX_ITERS = 2000
+RTOL = 1e-12       # a start stops once an iteration raises its objective by at most this
 
 
 @dataclass(frozen=True)
 class RatioProblem:
-    """Data of the sum-of-ratios program in the q = sqrt(p) domain."""
+    """Data of T sum-of-ratios programs in the q = sqrt(p) domain."""
 
-    a_diag: np.ndarray  # (M, K) non-negative
-    b: np.ndarray       # (M, K), row m supported on cluster m
+    a_diag: np.ndarray  # (T, M, K) non-negative
+    b: np.ndarray       # (T, M, K), row m supported on cluster m
     c: np.ndarray       # (M,) non-negative
     bounds: np.ndarray  # (K,) positive, upper box bounds on q
 
     def __post_init__(self):
+        shapes = (self.b.shape, self.a_diag.shape[1:])
+        if shapes != (self.a_diag.shape, self.c.shape + self.bounds.shape):
+            raise ValueError("need shapes a_diag, b (T, M, K), c (M,) and bounds (K,)")
         if (self.a_diag < 0).any():
             raise ValueError("ratio denominators need non-negative quadratic terms")
         if (self.c < 0).any():
@@ -44,9 +50,9 @@ class RatioProblem:
 
 @dataclass(frozen=True)
 class AscentResult:
-    q: np.ndarray
-    objective: float
-    converged: bool
+    q: np.ndarray          # (T, K) best amplitudes per trial
+    objective: np.ndarray  # (T,)
+    converged: bool        # every start of every trial met the stopping rule
     iterations: int
 
 
@@ -57,113 +63,105 @@ def assemble_ratio_problem(
     cluster_of: np.ndarray,
     max_power: np.ndarray,
 ) -> RatioProblem:
-    """Build the ratio program from realized gains and gradient stds."""
+    """Build the T ratio programs from realized (T, M, K) gains and (T, K) stds."""
     gains = np.asarray(gains, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
-    max_power = np.asarray(max_power, dtype=float)
-    M, K = gains.shape
-    members = cluster_members(cluster_of, M)
-    a_diag = np.empty((M, K))
-    b = np.zeros((M, K))
-    c = np.empty(M)
-    for m, idx in enumerate(members):
-        if idx.size == 0:
-            raise ValueError(f"empty cluster {m}")
-        size = idx.size
-        a_diag[m] = size**2 * gains[m] ** 2 * sigmas**2
-        b[m, idx] = gains[m, idx] * sigmas[idx] ** 3
-        c[m] = size**2 * noise_var / 2.0
-    return RatioProblem(a_diag=a_diag, b=b, c=c, bounds=np.sqrt(max_power))
+    cluster_of = np.asarray(cluster_of, dtype=int)
+    M = gains.shape[1]
+    sizes = np.bincount(cluster_of, minlength=M)
+    if (sizes == 0).any():
+        raise ValueError(f"empty cluster {int(np.flatnonzero(sizes == 0)[0])}")
+    own = cluster_of[None, :] == np.arange(M)[:, None]  # (M, K)
+    a_diag = (sizes**2)[:, None] * gains**2 * (sigmas**2)[:, None, :]
+    b = np.where(own, gains * (sigmas**3)[:, None, :], 0.0)
+    c = sizes**2 * noise_var / 2.0
+    return RatioProblem(
+        a_diag=a_diag, b=b, c=c, bounds=np.sqrt(np.asarray(max_power, dtype=float))
+    )
 
 
-def objective(prob: RatioProblem, q: np.ndarray) -> float:
-    """Sum over clusters of (q^T b_m)^2 / (q^T diag(a_m) q + c_m)."""
-    q = np.asarray(q, dtype=float)
-    num = (prob.b @ q) ** 2
-    den = prob.a_diag @ (q**2) + prob.c
-    terms = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return float(terms.sum())
+def _numerators_denominators(prob: RatioProblem, q: np.ndarray):
+    """b_m . q and q^T diag(a_m) q + c_m, both (T, S, M), at points q (T, S, K) or (S, K)."""
+    num = q @ prob.b.transpose(0, 2, 1)
+    den = q**2 @ prob.a_diag.transpose(0, 2, 1) + prob.c
+    return num, den
 
 
-def objective_gradient(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    t = prob.b @ q
-    den = prob.a_diag @ (q**2) + prob.c
-    safe = den > 0
-    r = np.zeros_like(t)
-    r[safe] = t[safe] / den[safe]
-    # d/dq [t^2/den] = 2 r b - 2 r^2 (a .* q)
-    return 2.0 * (r @ prob.b) - 2.0 * ((r**2) @ prob.a_diag) * q
+def _sum_of_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    terms = np.divide(num**2, den, out=np.zeros_like(num), where=den > 0)
+    return terms.sum(axis=-1)
 
 
-def solve_projected_ascent(
-    prob: RatioProblem,
-    max_iters: int = 300,
-    restarts: int = 8,
-    tol: float = 1e-9,
-    armijo: float = 1e-4,
-    backtrack: float = 0.5,
-    seed: int = 0,
-) -> AscentResult:
-    """Multi-start projected gradient ascent over the power box.
+def objective(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
+    """Sum over clusters of (q^T b_m)^2 / (q^T diag(a_m) q + c_m), per trial.
 
-    Starts from the all-bounds corner plus uniform-random feasible
-    points. Steps are backtracked until the Armijo increase condition
-    holds, so the objective never decreases along accepted iterates.
-    A start is declared converged when the projected gradient norm
-    drops below tol * (1 + |objective|); if no start converges the
-    best iterate is still returned with converged=False.
+    q is (T, K); returns (T,).
     """
-    rng = rng_from_seed(seed)
-    starts = [prob.bounds.copy()]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(rng.random(prob.bounds.shape[0]) * prob.bounds)
+    q = np.asarray(q, dtype=float)
+    return _sum_of_ratios(*_numerators_denominators(prob, q[:, None, :]))[:, 0]
 
-    best_q, best_f = starts[0], -np.inf
-    best_converged = False
-    total_iters = 0
-    for q0 in starts:
-        q = np.clip(q0, 0.0, prob.bounds)
-        f = objective(prob, q)
-        step = 1.0
-        converged = False
-        for _ in range(max_iters):
-            total_iters += 1
-            g = objective_gradient(prob, q)
-            pg = np.clip(q + g, 0.0, prob.bounds) - q
-            if np.linalg.norm(pg) <= tol * (1.0 + abs(f)):
-                converged = True
-                break
-            accepted = False
-            s = step
-            for _ in range(60):
-                cand = np.clip(q + s * g, 0.0, prob.bounds)
-                move = cand - q
-                fc = objective(prob, cand)
-                if fc >= f + armijo * float(g @ move):
-                    q, f = cand, fc
-                    step = s * 2.0
-                    accepted = True
-                    break
-                s *= backtrack
-            if not accepted:
-                converged = True  # no ascent direction at float precision
-                break
-        if f > best_f:
-            best_q, best_f = q, f
-            best_converged = converged
+
+def _transform_step(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
+    """Next points (T, S, K) of the quadratic-transform iteration from q (T, S, K).
+
+    With y_m = (b_m . q) / (q^T diag(a_m) q + c_m) fixed, the surrogate
+    sum_m 2 y_m (b_m . p) - y_m^2 (p^T diag(a_m) p + c_m) is at most the
+    objective at p, equals it at p = q and is separable in p, so its box
+    maximizer (closed-form per device) never lowers the objective.
+    """
+    num, den = _numerators_denominators(prob, q)
+    y = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    lin = y @ prob.b
+    quad = y**2 @ prob.a_diag
+    flat = np.where(lin > 0, prob.bounds, 0.0)  # surrogate linear in q_k
+    step = np.divide(lin, quad, out=flat, where=quad > 0)
+    return np.clip(step, 0.0, prob.bounds)
+
+
+def solve_projected_ascent(prob: RatioProblem, seeds) -> AscentResult:
+    """Quadratic-transform ascent over the power box, trial t seeded by seeds[t].
+
+    Each trial starts from the all-bounds corner plus STARTS - 1
+    uniform-random feasible points drawn from rng_from_seed(seeds[t]).
+    A start stops once an iteration raises its objective by at most
+    RTOL relative and is then frozen; converged is True when every
+    start of every trial stopped within MAX_ITERS iterations. Each
+    trial returns its best start. A trial's result does not depend on
+    the other trials in the batch.
+    """
+    T, _, K = prob.a_diag.shape
+    if len(seeds) != T:
+        raise ValueError(f"need one seed per trial ({T}), got {len(seeds)}")
+    q = np.empty((T, STARTS, K))
+    for t, seed in enumerate(seeds):
+        q[t, 0] = prob.bounds
+        q[t, 1:] = rng_from_seed(seed).random((STARTS - 1, K)) * prob.bounds
+    f = _sum_of_ratios(*_numerators_denominators(prob, q))
+    active = np.ones((T, STARTS), dtype=bool)
+    iterations = 0
+    while active.any() and iterations < MAX_ITERS:
+        iterations += 1
+        q_new = _transform_step(prob, q)
+        f_new = _sum_of_ratios(*_numerators_denominators(prob, q_new))
+        rise = f_new - f
+        take = active & (rise > 0)
+        active &= rise > RTOL * np.abs(f)
+        q = np.where(take[..., None], q_new, q)
+        f = np.where(take, f_new, f)
+    best = (np.arange(T), np.argmax(f, axis=1))
     return AscentResult(
-        q=best_q, objective=best_f, converged=best_converged, iterations=total_iters
+        q=q[best], objective=f[best], converged=not active.any(), iterations=iterations
     )
 
 
 def brute_force_oracle(prob: RatioProblem, grid_points: int = 60) -> AscentResult:
-    """Exhaustive box-grid search; only viable for K <= 4.
+    """Exhaustive box-grid search per trial; only viable for K <= 4.
 
     Evaluates the objective on a uniform grid (endpoints included) of
-    grid_points values per device and returns the best grid point.
+    grid_points values per device and returns each trial's best grid
+    point.
     """
-    K = prob.bounds.shape[0]
+    T, _, K = prob.a_diag.shape
     if K > 4:
         raise ValueError(f"grid search over {K} devices is too large (limit 4)")
     if grid_points < 2:
@@ -171,10 +169,8 @@ def brute_force_oracle(prob: RatioProblem, grid_points: int = 60) -> AscentResul
     axes = [np.linspace(0.0, b, grid_points) for b in prob.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     qs = np.stack([g.reshape(-1) for g in mesh], axis=1)  # (grid_points**K, K)
-    num = (qs @ prob.b.T) ** 2
-    den = (qs**2) @ prob.a_diag.T + prob.c[None, :]
-    vals = np.divide(num, den, out=np.zeros_like(num), where=den > 0).sum(axis=1)
-    idx = int(np.argmax(vals))
+    vals = _sum_of_ratios(*_numerators_denominators(prob, qs))  # (T, grid_points**K)
+    best = np.argmax(vals, axis=1)
     return AscentResult(
-        q=qs[idx].copy(), objective=float(vals[idx]), converged=True, iterations=qs.shape[0]
+        q=qs[best], objective=vals[np.arange(T), best], converged=True, iterations=qs.shape[0]
     )

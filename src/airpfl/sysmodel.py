@@ -61,7 +61,8 @@ class SystemConfig:
         return cluster_members(self.cluster_of, self.num_clusters)
 
     def replace(self, **changes) -> "SystemConfig":
-        return dataclasses.replace(self, **changes)
+        """A copy with the given fields changed, validated like make_config."""
+        return validate_config(dataclasses.replace(self, **changes))
 
     def to_json(self) -> str:
         doc = {

@@ -122,15 +122,15 @@ def test_power_opt_happy_path(tmp_path, capsys):
 
     solution = json.loads(out.read_text())
     prob = RatioProblem(
-        a_diag=np.array(doc["A"]),
-        b=np.array(doc["b"]),
+        a_diag=np.array([doc["A"]]),
+        b=np.array([doc["b"]]),
         c=np.array(doc["c"]),
         bounds=np.array(doc["bounds"]),
     )
-    ref = solve_projected_ascent(prob, seed=5)
+    ref = solve_projected_ascent(prob, [5])
     assert solution["converged"] == ref.converged
-    assert solution["objective"] == pytest.approx(ref.objective, rel=1e-12)
-    assert np.allclose(solution["q"], ref.q, rtol=1e-12)
+    assert solution["objective"] == pytest.approx(ref.objective[0], rel=1e-12)
+    assert np.allclose(solution["q"], ref.q[0], rtol=1e-12)
 
 
 def test_train_happy_path(tmp_path, system_path, capsys):
@@ -160,6 +160,11 @@ def test_train_rejects_unknown_scheme(system_path):
     assert cli_main(["train", "--config", system_path, "--scheme", "mmse-0bit"]) == 2
 
 
+def test_train_rejects_negative_seed(system_path, capsys):
+    assert cli_main(["train", "--config", system_path, "--rounds", "2", "--seed", "-5"]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
 def test_train_accepts_quantized_scheme(tmp_path, system_path, capsys):
     out = tmp_path / "train.csv"
     argv = ["train", "--config", system_path, "--scheme", "unbiased-1bit", "--rounds", "3",
@@ -176,6 +181,19 @@ def test_train_accepts_quantized_scheme(tmp_path, system_path, capsys):
 def test_sweep_with_malformed_schemes_exits_2(tmp_path, system_doc, capsys, schemes):
     doc = {"system": system_doc, "schemes": schemes, "n_values": [4], "p_values": [1.0],
            "trials": 10}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["nmse-sweep", "--config", str(cfg_path)]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n_values, p_values", [([4, 4], [1.0]), ([0], [1.0]), ([4], [-1.0])],
+    ids=["repeated-N", "zero-N", "negative-P"],
+)
+def test_sweep_with_malformed_grid_exits_2(tmp_path, system_doc, capsys, n_values, p_values):
+    doc = {"system": system_doc, "schemes": ["mmse"], "n_values": n_values,
+           "p_values": p_values, "trials": 10}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["nmse-sweep", "--config", str(cfg_path)]) == 2

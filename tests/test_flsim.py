@@ -179,6 +179,25 @@ def test_constant_gradient_cluster_transmits_mean_exactly():
     assert hist.final_weights[0, 0] == pytest.approx(3.0, rel=1e-4)
 
 
+def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
+    # Cluster 1's own gains are zero, so the optimized powers switch its
+    # devices off and its aligned signal vanishes. Its estimate must be
+    # the mean term the solver scored it by, not the interference scaled
+    # by the statistical denoiser.
+    cfg = _config()
+    T, M, K, D = 2, cfg.num_clusters, cfg.num_devices, cfg.model_dim
+    rng = np.random.default_rng(4)
+    gains = rng.uniform(0.1, 1.0, size=(T, M, K))
+    gains[:, 1, cfg.cluster_of == 1] = 0.0
+    grads = flsim.normalize_gradient(rng.standard_normal((T, K, D)))
+    noise = rng.standard_normal((T, M, D))
+    scheme = flsim.parse_scheme("mmse+powopt")
+    est = flsim.aggregate_round(cfg, np.ones((M, K)), scheme, gains, grads, noise, [1, 2])
+    mean_term = flsim.cluster_average(grads.mean, cfg.cluster_of, M)
+    assert np.array_equal(est[:, 1], np.repeat(mean_term[:, 1, None], D, axis=1))
+    assert np.all(np.isfinite(est))
+
+
 def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
     # "-{b}bit" quantizes each round's phases with corrupt_phases, as
     # the sweep does: every phase that reaches the gains sits on the

@@ -57,6 +57,7 @@ def test_desk_scale_config_shape():
         ("mmse-3bit", ("mmse", "aligned", 3)),
         ("random-phase-2bit", ("mmse", "random", 2)),
         ("mmse+powopt-1bit", ("mmse+powopt", "aligned", 1)),
+        ("mmse-52bit", ("mmse", "aligned", 52)),
     ],
 )
 def test_scheme_parsing(name, expected):
@@ -69,7 +70,7 @@ def test_unknown_scheme_rejected():
 
 
 @pytest.mark.parametrize(
-    "name", ["ideal-1bit", "mmse-0bit", "mmse-01bit", "mmse-bit", "mmse-1", 3]
+    "name", ["ideal-1bit", "mmse-0bit", "mmse-01bit", "mmse-bit", "mmse-1", 3, "unbiased-53bit"]
 )
 def test_malformed_scheme_rejected(name):
     with pytest.raises(ConfigError):
@@ -172,6 +173,23 @@ def test_sweep_rejects_bad_schemes_before_any_trial(schemes, monkeypatch):
     monkeypatch.setattr(harness, "_sweep_cell", no_trials)
     with pytest.raises(ConfigError):
         nmse_sweep(_config(), schemes, [4], [1.0], 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "n_values, p_values",
+    [([4, 4], [1.0]), ([4], [1.0, 1.0]), ([0], [1.0]), ([4], [1.0, -1.0]),
+     ([4], [float("nan")])],
+    ids=["repeated-N", "repeated-P", "zero-N", "negative-P", "nan-P"],
+)
+def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, monkeypatch):
+    import airpfl.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_sweep_cell", no_trials)
+    with pytest.raises(ConfigError):
+        nmse_sweep(_config(), ["mmse"], n_values, p_values, 10, seed=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

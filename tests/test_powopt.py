@@ -3,15 +3,20 @@
 import numpy as np
 import pytest
 
+from airpfl.aircomp import normalize_gradient
+from airpfl.channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
 from airpfl.control import conditional_mse, mmse_denoising
+from airpfl.harness import desk_scale_config
 from airpfl.powopt import (
     RatioProblem,
     assemble_ratio_problem,
     brute_force_oracle,
     objective,
-    objective_gradient,
     solve_projected_ascent,
 )
+from airpfl.ris import configure_aligned
+from airpfl.seeding import rng_from_seed
+from airpfl.sysmodel import place_geometry
 
 
 def _instance(rng, K=3, M=2, noise_var=None):
@@ -27,49 +32,71 @@ def _instance(rng, K=3, M=2, noise_var=None):
     return gains, sigmas, noise_var, cluster_of, max_power
 
 
+def _problem(rng):
+    """One random 3-device instance as a batch of one trial."""
+    gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
+    return assemble_ratio_problem(gains[None], sigmas[None], noise_var, cluster_of, max_power)
+
+
+def _desk_problem(trials, seed):
+    """Desk-scale instances from real draws: aligned phases, standardized gradients."""
+    cfg = desk_scale_config()
+    M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
+    beta = large_scale_coefficients(place_geometry(cfg, seed), cfg.pathloss_exponent)
+    rng = rng_from_seed(seed)
+    ch = sample_small_scale(rng, trials, M, K, N)
+    gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cfg.cluster_of))
+    sigmas = normalize_gradient(rng.standard_normal((trials, K, cfg.model_dim))).std
+    return assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
+
+
 def test_assemble_structure():
     rng = np.random.default_rng(2)
-    gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
+    instances = [_instance(rng, noise_var=0.1) for _ in range(2)]
+    gains = np.stack([inst[0] for inst in instances])
+    sigmas = np.stack([inst[1] for inst in instances])
+    _, _, noise_var, cluster_of, max_power = instances[0]
     prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
-    assert prob.a_diag.shape == (2, 3)
-    assert np.allclose(prob.a_diag[0], 4 * gains[0] ** 2 * sigmas**2)
-    assert np.allclose(prob.b[0, :2], gains[0, :2] * sigmas[:2] ** 3)
-    assert prob.b[0, 2] == 0.0  # cross-cluster devices carry no signal term
+    assert prob.a_diag.shape == prob.b.shape == (2, 2, 3)
+    for t in range(2):
+        assert np.allclose(prob.a_diag[t, 0], 4 * gains[t, 0] ** 2 * sigmas[t] ** 2)
+        assert np.allclose(prob.a_diag[t, 1], 1 * gains[t, 1] ** 2 * sigmas[t] ** 2)
+        assert np.allclose(prob.b[t, 0, :2], gains[t, 0, :2] * sigmas[t, :2] ** 3)
+        assert np.allclose(prob.b[t, 1, 2], gains[t, 1, 2] * sigmas[t, 2] ** 3)
+        assert prob.b[t, 0, 2] == 0.0  # cross-cluster devices carry no signal term
+        assert np.all(prob.b[t, 1, :2] == 0.0)
     assert prob.c[0] == pytest.approx(4 * noise_var / 2)
     assert prob.c[1] == pytest.approx(1 * noise_var / 2)
     assert np.allclose(prob.bounds, np.sqrt(max_power))
 
 
 def test_problem_rejects_negative_terms():
+    ones = np.ones((1, 1, 1))
     with pytest.raises(ValueError):
-        RatioProblem(
-            a_diag=np.array([[-1.0]]), b=np.ones((1, 1)), c=np.zeros(1), bounds=np.ones(1)
-        )
+        RatioProblem(a_diag=-ones, b=ones, c=np.zeros(1), bounds=np.ones(1))
     with pytest.raises(ValueError):
-        RatioProblem(
-            a_diag=np.ones((1, 1)), b=np.ones((1, 1)), c=np.array([-0.1]), bounds=np.ones(1)
-        )
+        RatioProblem(a_diag=ones, b=ones, c=np.array([-0.1]), bounds=np.ones(1))
     with pytest.raises(ValueError):
-        RatioProblem(
-            a_diag=np.ones((1, 1)), b=np.ones((1, 1)), c=np.zeros(1), bounds=np.zeros(1)
-        )
+        RatioProblem(a_diag=ones, b=ones, c=np.zeros(1), bounds=np.zeros(1))
+
+
+def test_problem_rejects_bad_shapes():
+    ones = np.ones((1, 1, 1))
+    with pytest.raises(ValueError, match="shape"):
+        RatioProblem(a_diag=np.ones((1, 1)), b=np.ones((1, 1)), c=np.zeros(1), bounds=np.ones(1))
+    with pytest.raises(ValueError, match="shape"):
+        RatioProblem(a_diag=ones, b=ones, c=np.zeros(2), bounds=np.ones(1))
 
 
 def test_objective_at_zero_is_zero():
-    prob = RatioProblem(
-        a_diag=np.array([[1.0, 2.0]]),
-        b=np.array([[1.0, 0.0]]),
-        c=np.array([0.5]),
-        bounds=np.ones(2),
-    )
-    assert objective(prob, np.zeros(2)) == 0.0
-    zero_c = RatioProblem(
-        a_diag=np.array([[1.0, 2.0]]),
-        b=np.array([[1.0, 0.0]]),
-        c=np.array([0.0]),
-        bounds=np.ones(2),
-    )
-    assert objective(zero_c, np.zeros(2)) == 0.0
+    for c in (0.5, 0.0):
+        prob = RatioProblem(
+            a_diag=np.array([[[1.0, 2.0]]]),
+            b=np.array([[[1.0, 0.0]]]),
+            c=np.array([c]),
+            bounds=np.ones(2),
+        )
+        assert objective(prob, np.zeros((1, 2))) == 0.0
 
 
 def test_objective_equals_recovered_error_reduction():
@@ -80,7 +107,7 @@ def test_objective_equals_recovered_error_reduction():
     D = 12
     for _ in range(25):
         gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
-        prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
+        prob = assemble_ratio_problem(gains[None], sigmas[None], noise_var, cluster_of, max_power)
         q = rng.uniform(0.05, 1.0, size=3) * prob.bounds
         powers = q**2
         total = 0.0
@@ -92,53 +119,105 @@ def test_objective_equals_recovered_error_reduction():
             )
             floor = np.sum(sigmas[own] ** 4) * D / own.size**2
             total += (floor - mse) / D
-        assert objective(prob, q) == pytest.approx(total, rel=1e-9)
-
-
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
-        prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
-        q = rng.uniform(0.1, 1.0, size=3)
-        grad = objective_gradient(prob, q)
-        h = 1e-6
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            fd = (objective(prob, q + e) - objective(prob, q - e)) / (2 * h)
-            assert grad[k] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+        assert objective(prob, q[None])[0] == pytest.approx(total, rel=1e-9)
 
 
 def test_solver_stays_feasible_and_deterministic():
-    rng = np.random.default_rng(13)
-    gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
-    prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
-    a = solve_projected_ascent(prob, seed=5)
-    b = solve_projected_ascent(prob, seed=5)
+    prob = _problem(np.random.default_rng(13))
+    a = solve_projected_ascent(prob, [5])
+    b = solve_projected_ascent(prob, [5])
     assert np.array_equal(a.q, b.q)
-    assert a.objective == b.objective
-    assert np.all(a.q >= -1e-15)
-    assert np.all(a.q <= prob.bounds + 1e-12)
+    assert np.array_equal(a.objective, b.objective)
+    assert a.q.shape == (1, 3) and a.objective.shape == (1,)
+    assert np.all(a.q >= 0.0)
+    assert np.all(a.q <= prob.bounds)
+    assert a.objective == pytest.approx(objective(prob, a.q), rel=1e-12)
     # The all-bounds corner is one of the starts, so the returned
     # objective can never fall below it.
-    assert a.objective >= objective(prob, prob.bounds) - 1e-12
+    assert a.objective[0] >= objective(prob, prob.bounds[None])[0] - 1e-12
+
+
+def test_solver_needs_one_seed_per_trial():
+    prob = _problem(np.random.default_rng(13))
+    with pytest.raises(ValueError, match="one seed per trial"):
+        solve_projected_ascent(prob, [1, 2])
 
 
 def test_solver_matches_brute_force_on_small_instances():
     rng = np.random.default_rng(17)
     for _ in range(10):
-        gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
-        prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
-        sol = solve_projected_ascent(prob, seed=3)
+        prob = _problem(rng)
+        sol = solve_projected_ascent(prob, [3])
         ref = brute_force_oracle(prob, grid_points=40)
-        assert sol.objective >= 0.995 * ref.objective
+        assert sol.objective[0] >= 0.995 * ref.objective[0]
+
+
+def test_batched_solve_equals_per_trial_solves():
+    prob = _desk_problem(trials=6, seed=3)
+    seeds = [11, 12, 13, 14, 15, 16]
+    batch = solve_projected_ascent(prob, seeds)
+    for t, seed in enumerate(seeds):
+        single = RatioProblem(
+            a_diag=prob.a_diag[t:t + 1], b=prob.b[t:t + 1], c=prob.c, bounds=prob.bounds
+        )
+        alone = solve_projected_ascent(single, [seed])
+        assert np.array_equal(alone.q[0], batch.q[t])
+        assert alone.objective[0] == batch.objective[t]
+        assert alone.iterations <= batch.iterations
+
+
+def _ratio_sum(a, b, c, q):
+    total = 0.0
+    for m in range(c.size):
+        den = a[m] @ q**2 + c[m]
+        if den > 0:
+            total += (b[m] @ q) ** 2 / den
+    return total
+
+
+def _one_more_step(a, b, c, bounds, q):
+    """Quadratic-transform step written out per cluster and per device."""
+    y = np.zeros(c.size)
+    for m in range(c.size):
+        den = a[m] @ q**2 + c[m]
+        if den > 0:
+            y[m] = (b[m] @ q) / den
+    nxt = np.empty_like(q)
+    for k in range(q.size):
+        lin = sum(y[m] * b[m, k] for m in range(c.size))
+        quad = sum(y[m] ** 2 * a[m, k] for m in range(c.size))
+        if quad > 0:
+            nxt[k] = min(max(lin / quad, 0.0), bounds[k])
+        else:
+            nxt[k] = bounds[k] if lin > 0 else 0.0
+    return nxt
+
+
+def test_converged_means_convergence():
+    # Desk-scale gains span many orders of magnitude; converged must
+    # still mean that one more step gains (almost) nothing.
+    prob = _desk_problem(trials=10, seed=5)
+    converged = 0
+    for t in range(10):
+        single = RatioProblem(
+            a_diag=prob.a_diag[t:t + 1], b=prob.b[t:t + 1], c=prob.c, bounds=prob.bounds
+        )
+        sol = solve_projected_ascent(single, [100 + t])
+        if not sol.converged:
+            continue
+        converged += 1
+        a, b, q = prob.a_diag[t], prob.b[t], sol.q[0]
+        f = _ratio_sum(a, b, prob.c, q)
+        assert sol.objective[0] == pytest.approx(f, rel=1e-12)
+        f_next = _ratio_sum(a, b, prob.c, _one_more_step(a, b, prob.c, prob.bounds, q))
+        assert f_next - f <= 1e-9 * abs(f)
+    assert converged >= 9
 
 
 def test_brute_force_guards_dimension():
     prob = RatioProblem(
-        a_diag=np.ones((1, 5)),
-        b=np.ones((1, 5)),
+        a_diag=np.ones((1, 1, 5)),
+        b=np.ones((1, 1, 5)),
         c=np.ones(1),
         bounds=np.ones(5),
     )
@@ -159,9 +238,9 @@ def test_optimized_powers_do_not_lose_to_statistical_powers():
         gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
         beta = np.abs(gains) + 0.1
         design = unbiased_design(beta, sigmas[None], max_power, 12, 16, cluster_of)
-        prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
-        sol = solve_projected_ascent(prob, seed=23)
-        base = objective(prob, np.sqrt(design.powers[0]))
-        if sol.objective >= base - 1e-12:
+        prob = assemble_ratio_problem(gains[None], sigmas[None], noise_var, cluster_of, max_power)
+        sol = solve_projected_ascent(prob, [23])
+        base = objective(prob, np.sqrt(design.powers))[0]
+        if sol.objective[0] >= base - 1e-12:
             wins += 1
     assert wins >= 9

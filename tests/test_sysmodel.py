@@ -171,21 +171,11 @@ def test_json_tolerates_extra_keys():
 
 def test_replace_revalidates():
     cfg = small_config()
-    with pytest.raises(ConfigError):
-        make_config(**{**_as_kwargs(cfg), "noise_var": -1.0})
-
-
-def _as_kwargs(cfg):
-    return dict(
-        num_devices=cfg.num_devices,
-        num_clusters=cfg.num_clusters,
-        num_ris_elements=cfg.num_ris_elements,
-        model_dim=cfg.model_dim,
-        cluster_of=cfg.cluster_of,
-        max_power=cfg.max_power,
-        noise_var=cfg.noise_var,
-        master_seed=cfg.master_seed,
-    )
+    for changes in ({"noise_var": -1.0}, {"master_seed": -5}, {"num_ris_elements": 0},
+                    {"max_power": np.full(6, -1.0)}):
+        with pytest.raises(ConfigError):
+            cfg.replace(**changes)
+    assert cfg.replace(noise_var=2e-8).noise_var == 2e-8
 
 
 # ---------------------------------------------------------------------------
