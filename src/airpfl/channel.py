@@ -11,6 +11,13 @@ distance power law applied to the cascaded path amplitude,
 
 with d_ki the device-k-to-surface-i distance (clamped below at 1 m)
 and d_i the surface-i-to-PS distance.
+
+Every kernel takes a leading trial axis. A draw fills each complex
+array once from one planar normal draw (all real parts, then all
+imaginary parts), so the random stream is that of separate real and
+imaginary draws. Only the real part of a reflected path is ever used,
+so the gain kernels contract it as one real batched matmul over the
+interleaved (re, im) pairs of the N surface elements.
 """
 
 from __future__ import annotations
@@ -68,6 +75,20 @@ def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.nda
     return beta
 
 
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Unit-variance circular complex Gaussians: real parts drawn first, then imaginary.
+
+    The planar draw gives the same values in the same order as two
+    separate calls, and each part is written once, scaled by 1/sqrt(2),
+    into the complex result.
+    """
+    parts = rng.standard_normal((2,) + shape)
+    h = np.empty(shape, dtype=complex)
+    np.multiply(parts[0], 1.0 / np.sqrt(2.0), out=h.real)
+    np.multiply(parts[1], 1.0 / np.sqrt(2.0), out=h.imag)
+    return h
+
+
 def sample_small_scale(
     rng: np.random.Generator, trials: int, num_clusters: int, num_devices: int, num_elements: int
 ) -> ChannelSet:
@@ -76,20 +97,29 @@ def sample_small_scale(
     Draw order is fixed: real then imaginary parts of every
     surface-to-PS entry, then real then imaginary parts of every
     device-to-surface entry, each block in C order with the trial axis
-    first.
+    first. Each entry is real part * (1/sqrt(2)) + 1j * imaginary
+    part * (1/sqrt(2)).
     """
     T, M, K, N = trials, num_clusters, num_devices, num_elements
-    hp = rng.standard_normal((T, M, N, M)) + 1j * rng.standard_normal((T, M, N, M))
-    hd = rng.standard_normal((T, M, K, N)) + 1j * rng.standard_normal((T, M, K, N))
-    return ChannelSet(ris_to_ps=hp / np.sqrt(2.0), device_to_ris=hd / np.sqrt(2.0))
+    return ChannelSet(
+        ris_to_ps=_complex_normal(rng, (T, M, N, M)),
+        device_to_ris=_complex_normal(rng, (T, M, K, N)),
+    )
 
 
 def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
-    """inner[t, i, m, k] = h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k]."""
-    return np.einsum(
-        "tinm,tin,tikn->timk",
-        np.conj(ch.ris_to_ps), np.exp(1j * phases), ch.device_to_ris, optimize=True,
-    )
+    """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] }, shape (T, M, M, K).
+
+    With w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]}, the
+    real part of sum_n conj(w_n) h_dev_n is the real dot product of w and
+    h_dev viewed as interleaved (re, im) pairs, so one real batched
+    matmul over the 2N axis gives it.
+    """
+    T, M, N, M_ant = ch.ris_to_ps.shape
+    w = np.empty((T, M, M_ant, N), dtype=complex)
+    np.multiply(ch.ris_to_ps.transpose(0, 1, 3, 2), np.exp(-1j * phases)[:, :, None, :], out=w)
+    h = np.ascontiguousarray(ch.device_to_ris, dtype=complex)
+    return np.matmul(w.view(np.float64), h.view(np.float64).swapaxes(-1, -2))
 
 
 def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -99,13 +129,12 @@ def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> 
     beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] };
     phases has shape (T, M, N).
     """
-    return np.einsum("ik,timk->tmk", beta, np.real(_reflected(ch, phases)), optimize=True)
+    return cascaded_components(ch, beta, phases).sum(axis=1)
 
 
 def cascaded_components(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Per-surface terms of the cascaded gains, shape (T, M_surface, M_antenna, K).
 
-    Summing over the surface axis gives all_cascaded_gains up to
-    rounding.
+    Summing over the surface axis gives all_cascaded_gains.
     """
-    return beta[None, :, None, :] * np.real(_reflected(ch, phases))
+    return beta[None, :, None, :] * _reflected(ch, phases)

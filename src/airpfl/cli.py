@@ -97,9 +97,9 @@ def _cmd_sweep(args) -> int:
     doc = _load_json(args.config)
     cfg = config_from_json(json.dumps(doc["system"]))
     schemes = list(doc.get("schemes", harness.SWEEP_SCHEMES))
-    n_values = [int(v) for v in doc.get("n_values", harness.DESK_N_VALUES)]
+    n_values = list(doc.get("n_values", harness.DESK_N_VALUES))
     p_values = [float(v) for v in doc.get("p_values", harness.DESK_P_VALUES)]
-    trials = int(doc.get("trials", harness.DESK_TRIALS))
+    trials = doc.get("trials", harness.DESK_TRIALS)
     seed = cfg.master_seed if args.seed is None else args.seed
     result = harness.nmse_sweep(cfg, schemes, n_values, p_values, trials, seed)
     if args.out:

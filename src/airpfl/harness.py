@@ -109,19 +109,22 @@ def nmse_sweep(
     transmission), and fresh noise; reports mean NMSE and its standard
     error. Channel, gradient, and noise draws are shared across
     schemes within a cell so scheme comparisons are paired. Malformed
-    or repeated scheme labels, and repeated or invalid surface sizes
-    and power budgets, raise ConfigError before any trial runs.
+    or repeated scheme labels, repeated, non-integral or invalid surface
+    sizes, invalid power budgets, and a non-integral or too small trial
+    count raise ConfigError before any trial runs.
     """
+    trials = _integer("trials", trials)
     if trials < 2:
-        raise ValueError("need at least 2 trials for a standard error")
+        raise ConfigError("need at least 2 trials for a standard error")
     parsed = [parse_scheme(s) for s in schemes]
     names = [s.name for s in parsed]
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ConfigError(f"repeated sweep schemes {repeated}")
+    n_values = [_integer("surface size", n) for n in n_values]
     grid = {  # replace() validates every cell's surface size and power budget
-        (int(n), float(p)): cfg.replace(
-            num_ris_elements=int(n), max_power=np.full(cfg.num_devices, float(p))
+        (n, float(p)): cfg.replace(
+            num_ris_elements=n, max_power=np.full(cfg.num_devices, float(p))
         )
         for n in n_values
         for p in p_values
@@ -136,6 +139,13 @@ def nmse_sweep(
         cells += [SweepCell(n, p_max, s.name, trials, *stats[s.name]) for s in parsed]
     digest = hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
     return SweepResult(cells=cells, seed=seed, config_digest=digest)
+
+
+def _integer(name, value) -> int:
+    """value as an int; ConfigError unless it is an integer (bools and integral floats are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _sweep_cell(cfg, beta, p_max, schemes, trials, seed):

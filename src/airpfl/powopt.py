@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import rng_from_seed
+from .sysmodel import ConfigError
 
 STARTS = 8         # the all-bounds corner, then uniform-random feasible points
 MAX_ITERS = 2000
@@ -39,13 +40,13 @@ class RatioProblem:
     def __post_init__(self):
         shapes = (self.b.shape, self.a_diag.shape[1:])
         if shapes != (self.a_diag.shape, self.c.shape + self.bounds.shape):
-            raise ValueError("need shapes a_diag, b (T, M, K), c (M,) and bounds (K,)")
+            raise ConfigError("need shapes a_diag, b (T, M, K), c (M,) and bounds (K,)")
         if (self.a_diag < 0).any():
-            raise ValueError("ratio denominators need non-negative quadratic terms")
+            raise ConfigError("ratio denominators need non-negative quadratic terms")
         if (self.c < 0).any():
-            raise ValueError("ratio denominators need non-negative constants")
+            raise ConfigError("ratio denominators need non-negative constants")
         if (self.bounds <= 0).any():
-            raise ValueError("bounds must be positive")
+            raise ConfigError("bounds must be positive")
 
 
 @dataclass(frozen=True)

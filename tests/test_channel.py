@@ -5,6 +5,7 @@ import pytest
 
 from airpfl.channel import (
     MIN_DEVICE_RIS_DISTANCE,
+    ChannelSet,
     all_cascaded_gains,
     cascaded_components,
     large_scale_coefficients,
@@ -87,14 +88,18 @@ def test_small_scale_deterministic_in_round_seed():
 
 def test_small_scale_draw_order_is_documented_order():
     # Surface-to-PS real then imaginary parts, then device-to-surface
-    # real then imaginary parts, each scaled to unit complex variance.
-    M, K, N = 2, 3, 5
-    ch = sample_small_scale(rng_from_seed(21), 1, M, K, N)
-    rng = rng_from_seed(21)
-    hp_re, hp_im = rng.standard_normal((M, N, M)), rng.standard_normal((M, N, M))
-    hd_re, hd_im = rng.standard_normal((M, K, N)), rng.standard_normal((M, K, N))
-    assert np.array_equal(ch.ris_to_ps[0], (hp_re + 1j * hp_im) / np.sqrt(2.0))
-    assert np.array_equal(ch.device_to_ris[0], (hd_re + 1j * hd_im) / np.sqrt(2.0))
+    # real then imaginary parts, each part scaled by 1/sqrt(2); compared
+    # bit for bit, so the draw stream cannot move unnoticed. The last
+    # shape is one sweep chunk.
+    scale = 1 / np.sqrt(2)
+    for T, M, K, N in [(1, 2, 3, 5), (3, 2, 3, 5), (100, 4, 20, 16)]:
+        ch = sample_small_scale(rng_from_seed(21), T, M, K, N)
+        rng = rng_from_seed(21)
+        hp_re, hp_im = rng.standard_normal((T, M, N, M)), rng.standard_normal((T, M, N, M))
+        hd_re, hd_im = rng.standard_normal((T, M, K, N)), rng.standard_normal((T, M, K, N))
+        for got, re, im in [(ch.ris_to_ps, hp_re, hp_im), (ch.device_to_ris, hd_re, hd_im)]:
+            assert np.array_equal(got.real.view(np.uint64), (re * scale).view(np.uint64))
+            assert np.array_equal(got.imag.view(np.uint64), (im * scale).view(np.uint64))
 
 
 def test_small_scale_moments():
@@ -150,6 +155,34 @@ def test_all_cascaded_gains_matches_scalar_loop():
     for t in range(3):
         for m in range(2):
             for k in range(4):
+                ref = _cascaded_gain(ch, beta, phases, t, m, k)
+                assert grid[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+                assert comp_sum[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+
+def _awkward_channels():
+    ch = sample_small_scale(rng_from_seed(5), 6, 2, 3, 4)
+    # A trial-axis slice, and Fortran-order copies, whose last axes are
+    # not contiguous.
+    yield ChannelSet(ch.ris_to_ps[::2], ch.device_to_ris[::2])
+    yield ChannelSet(np.asfortranarray(ch.ris_to_ps), np.asfortranarray(ch.device_to_ris))
+    # One element per surface.
+    yield sample_small_scale(rng_from_seed(6), 2, 2, 3, 1)
+
+
+@pytest.mark.parametrize("ch", list(_awkward_channels()), ids=["trial-slice", "fortran", "N=1"])
+def test_gain_kernels_on_awkward_layouts(ch):
+    T, M, N = ch.num_trials, ch.num_surfaces, ch.num_elements
+    K = ch.device_to_ris.shape[2]
+    rng = np.random.default_rng(3)
+    beta = rng.uniform(0.1, 1.0, size=(M, K))
+    # A phase array whose last axis is strided.
+    phases = rng.uniform(0, 2 * np.pi, size=(T, M, 2 * N))[:, :, ::2]
+    grid = all_cascaded_gains(ch, beta, phases)
+    comp_sum = cascaded_components(ch, beta, phases).sum(axis=1)
+    for t in range(T):
+        for m in range(M):
+            for k in range(K):
                 ref = _cascaded_gain(ch, beta, phases, t, m, k)
                 assert grid[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
                 assert comp_sum[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)

@@ -133,6 +133,24 @@ def test_power_opt_happy_path(tmp_path, capsys):
     assert np.allclose(solution["q"], ref.q[0], rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("c", [0.5, 0.7, 0.1]), ("A", [[1.0, -0.5], [0.2, 1.0]])],
+    ids=["wrong-length-c", "negative-A"],
+)
+def test_power_opt_malformed_instance_exits_2(tmp_path, capsys, field, value):
+    doc = {
+        "A": [[1.0, 0.5], [0.2, 1.0]],
+        "b": [[1.0, 0.3], [0.4, 1.2]],
+        "c": [0.5, 0.7],
+        "bounds": [1.0, 1.0],
+        field: value,
+    }
+    cfg_path = tmp_path / "prob.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["power-opt", "--config", str(cfg_path)]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
 def test_train_happy_path(tmp_path, system_path, capsys):
     out = tmp_path / "train.csv"
     code = cli_main(
@@ -188,12 +206,16 @@ def test_sweep_with_malformed_schemes_exits_2(tmp_path, system_doc, capsys, sche
 
 
 @pytest.mark.parametrize(
-    "n_values, p_values", [([4, 4], [1.0]), ([0], [1.0]), ([4], [-1.0])],
-    ids=["repeated-N", "zero-N", "negative-P"],
+    "n_values, p_values, trials",
+    [([4, 4], [1.0], 10), ([0], [1.0], 10), ([4], [-1.0], 10), ([16.7], [1.0], 10),
+     (["16"], [1.0], 10), ([4], [1.0], 7.5)],
+    ids=["repeated-N", "zero-N", "negative-P", "fractional-N", "string-N", "fractional-trials"],
 )
-def test_sweep_with_malformed_grid_exits_2(tmp_path, system_doc, capsys, n_values, p_values):
+def test_sweep_with_malformed_grid_exits_2(
+    tmp_path, system_doc, capsys, n_values, p_values, trials
+):
     doc = {"system": system_doc, "schemes": ["mmse"], "n_values": n_values,
-           "p_values": p_values, "trials": 10}
+           "p_values": p_values, "trials": trials}
     cfg_path = tmp_path / "sweep.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["nmse-sweep", "--config", str(cfg_path)]) == 2

@@ -176,12 +176,14 @@ def test_sweep_rejects_bad_schemes_before_any_trial(schemes, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_values, p_values",
-    [([4, 4], [1.0]), ([4], [1.0, 1.0]), ([0], [1.0]), ([4], [1.0, -1.0]),
-     ([4], [float("nan")])],
-    ids=["repeated-N", "repeated-P", "zero-N", "negative-P", "nan-P"],
+    "n_values, p_values, trials",
+    [([4, 4], [1.0], 10), ([4], [1.0, 1.0], 10), ([0], [1.0], 10), ([4], [1.0, -1.0], 10),
+     ([4], [float("nan")], 10), ([16.7], [1.0], 10), ([16.0], [1.0], 10), (["16"], [1.0], 10),
+     ([4], [1.0], 7.5), ([4], [1.0], "16")],
+    ids=["repeated-N", "repeated-P", "zero-N", "negative-P", "nan-P", "fractional-N",
+         "float-N", "string-N", "fractional-trials", "string-trials"],
 )
-def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, monkeypatch):
+def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, trials, monkeypatch):
     import airpfl.harness as harness
 
     def no_trials(*args, **kwargs):
@@ -189,7 +191,7 @@ def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, monkeypatch
 
     monkeypatch.setattr(harness, "_sweep_cell", no_trials)
     with pytest.raises(ConfigError):
-        nmse_sweep(_config(), ["mmse"], n_values, p_values, 10, seed=0)
+        nmse_sweep(_config(), ["mmse"], n_values, p_values, trials, seed=0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
