@@ -43,9 +43,9 @@ def main():
     )
     geom = place_geometry(cfg, cfg.master_seed)
     beta = large_scale_coefficients(geom, cfg.pathloss_exponent)
-    M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
-    ch = sample_small_scale(rng_from_seed(5), 1, M, K, N)
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cfg.cluster_of))[0]
+    M, N = cfg.num_clusters, cfg.num_ris_elements
+    ch = sample_small_scale(rng_from_seed(5), 1, M, cfg.cluster_of, N)
+    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))[0]
 
     rng = np.random.default_rng(5)
     sigmas = rng.uniform(0.5, 1.5, size=cfg.num_devices)

@@ -12,12 +12,22 @@ distance power law applied to the cascaded path amplitude,
 with d_ki the device-k-to-surface-i distance (clamped below at 1 m)
 and d_i the surface-i-to-PS distance.
 
-Every kernel takes a leading trial axis. A draw fills each complex
-array once from one planar normal draw (all real parts, then all
-imaginary parts), so the random stream is that of separate real and
-imaginary draws. Only the real part of a reflected path is ever used,
-so the gain kernels contract it as one real batched matmul over the
-interleaved (re, im) pairs of the N surface elements.
+Every kernel takes a leading trial axis. Only the real part of a
+reflected path is ever used. For a device k outside cluster i, the path
+h_dev[i, k] to surface i is CN(0, I_N) and independent of everything
+else, surface i's phases included. With W_i = diag(e^{-j theta_i}) H_i,
+H_i[n, m] = h_ps[i, n, m], the foreign term Re{W_i^H h_dev[i, k]} is
+therefore, given H_i, exactly N(0, Re(W_i^H W_i) / 2), independently
+across such (i, k); and Re(W_i^H W_i) = Re(H_i^H H_i) for every theta_i,
+because the phases cancel. A draw therefore materializes only each
+device's path to its own surface, and draws one standard-normal
+M-vector u per (surface, device) pair, which it turns into the foreign
+term F_i u, with F_i the lower-triangular factor of Re(H_i^H H_i) / 2.
+Normals per trial drop from 2N(M^2 + MK) to 2N(M^2 + K) + M^2 K.
+Every phase configuration evaluated on one draw sees the same foreign
+terms, each under its exact law. The gain kernels take own-surface
+terms as one real batched matmul over the interleaved (re, im) pairs
+of the N surface elements.
 """
 
 from __future__ import annotations
@@ -35,15 +45,24 @@ MIN_DEVICE_RIS_DISTANCE = 1.0
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Block-fading realizations of every uplink path, one per trial.
+    """Block-fading realizations of the uplink, one per trial.
 
     ris_to_ps[t, i, n, m] is element n of the channel from surface i to
-    PS antenna m in trial t. device_to_ris[t, i, k, n] is element n of
-    the channel from device k to surface i.
+    PS antenna m in trial t. device_to_ris[t, k, n] is element n of the
+    channel from device k to its own surface cluster_of[k] only; paths
+    to foreign surfaces are never materialized. foreign_terms[t, i, m, k]
+    is, for i != cluster_of[k], device k's real reflected path off
+    surface i to antenna m, Re{h_ps[t, i, :, m]^H diag(e^{j theta}) h},
+    drawn from its exact law given ris_to_ps, which is the same for
+    every phase vector theta. Entries with i == cluster_of[k] are
+    computed but unused, which keeps the shapes regular for any
+    cluster sizes.
     """
 
     ris_to_ps: np.ndarray      # (T, M, N, M) complex
-    device_to_ris: np.ndarray  # (T, M, K, N) complex
+    device_to_ris: np.ndarray  # (T, K, N) complex, own-surface paths
+    foreign_terms: np.ndarray  # (T, M, M, K) real
+    cluster_of: np.ndarray     # (K,) int
 
     @property
     def num_trials(self) -> int:
@@ -90,21 +109,49 @@ def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def sample_small_scale(
-    rng: np.random.Generator, trials: int, num_clusters: int, num_devices: int, num_elements: int
+    rng: np.random.Generator, trials: int, num_clusters: int, cluster_of, num_elements: int
 ) -> ChannelSet:
     """Draw `trials` independent block-fading realizations from rng.
 
-    Draw order is fixed: real then imaginary parts of every
-    surface-to-PS entry, then real then imaginary parts of every
-    device-to-surface entry, each block in C order with the trial axis
-    first. Each entry is real part * (1/sqrt(2)) + 1j * imaginary
-    part * (1/sqrt(2)).
+    cluster_of (K,) names each device's own surface. Draw order is
+    fixed, each block in C order with the trial axis first: real then
+    imaginary parts of every surface-to-PS entry (T, M, N, M); real
+    then imaginary parts of every device's own-surface entry (T, K, N);
+    then one standard-normal M-vector u per (surface, device) pair
+    (T, M, M, K). Each complex entry is real part * (1/sqrt(2)) +
+    1j * imaginary part * (1/sqrt(2)); foreign_terms[t, i] is
+    foreign_factor(ris_to_ps)[t, i] @ u[t, i, :min(2N, M)].
     """
-    T, M, K, N = trials, num_clusters, num_devices, num_elements
+    cluster_of = np.asarray(cluster_of, dtype=int)
+    T, M, K, N = trials, num_clusters, cluster_of.size, num_elements
+    if cluster_of.ndim != 1 or cluster_of.min(initial=0) < 0 or cluster_of.max(initial=0) >= M:
+        raise ValueError(f"cluster_of must be a 1-D array of surfaces in [0, {M})")
+    ris_to_ps = _complex_normal(rng, (T, M, N, M))
+    device_to_ris = _complex_normal(rng, (T, K, N))
+    normals = rng.standard_normal((T, M, M, K))
+    factor = foreign_factor(ris_to_ps)
     return ChannelSet(
-        ris_to_ps=_complex_normal(rng, (T, M, N, M)),
-        device_to_ris=_complex_normal(rng, (T, M, K, N)),
+        ris_to_ps=ris_to_ps,
+        device_to_ris=device_to_ris,
+        foreign_terms=np.matmul(factor, normals[:, :, : factor.shape[-1]]),
+        cluster_of=cluster_of,
     )
+
+
+def foreign_factor(ris_to_ps: np.ndarray) -> np.ndarray:
+    """Lower-triangular F_i with F_i F_i^T = Re(H_i^H H_i) / 2, shape (T, M, M, min(2N, M)).
+
+    H_i = ris_to_ps[t, i] (N x M). F_i is the transposed R of the thin
+    QR of the real (2N x M) matrix [Re H_i; Im H_i], its rows signed so
+    the diagonal is non-negative, scaled by 1/sqrt(2). That needs no
+    positive definiteness, so it holds for 2N < M and for a zero
+    surface-to-PS column as well, and it equals the Cholesky factor
+    whenever the Gram matrix is positive definite.
+    """
+    r = np.linalg.qr(np.concatenate((ris_to_ps.real, ris_to_ps.imag), axis=2), mode="r")
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    r *= np.where(diag < 0.0, -1.0, 1.0)[..., None] * (1.0 / np.sqrt(2.0))
+    return r.swapaxes(-1, -2)
 
 
 def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
@@ -113,13 +160,17 @@ def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
     With w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]}, the
     real part of sum_n conj(w_n) h_dev_n is the real dot product of w and
     h_dev viewed as interleaved (re, im) pairs, so one real batched
-    matmul over the 2N axis gives it.
+    matmul over the 2N axis gives every device's term on every surface;
+    each device keeps its own surface's term and the foreign terms
+    elsewhere.
     """
     T, M, N, M_ant = ch.ris_to_ps.shape
     w = np.empty((T, M, M_ant, N), dtype=complex)
     np.multiply(ch.ris_to_ps.transpose(0, 1, 3, 2), np.exp(-1j * phases)[:, :, None, :], out=w)
-    h = np.ascontiguousarray(ch.device_to_ris, dtype=complex)
-    return np.matmul(w.view(np.float64), h.view(np.float64).swapaxes(-1, -2))
+    h = np.ascontiguousarray(ch.device_to_ris, dtype=complex).view(np.float64)
+    own = np.matmul(w.view(np.float64), h[:, None].swapaxes(-1, -2))
+    own_surface = ch.cluster_of[None, :] == np.arange(M)[:, None]  # (M, K)
+    return np.where(own_surface[None, :, None, :], own, ch.foreign_terms)
 
 
 def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:

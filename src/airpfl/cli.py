@@ -98,7 +98,7 @@ def _cmd_sweep(args) -> int:
     cfg = config_from_json(json.dumps(doc["system"]))
     schemes = list(doc.get("schemes", harness.SWEEP_SCHEMES))
     n_values = list(doc.get("n_values", harness.DESK_N_VALUES))
-    p_values = [float(v) for v in doc.get("p_values", harness.DESK_P_VALUES)]
+    p_values = list(doc.get("p_values", harness.DESK_P_VALUES))
     trials = doc.get("trials", harness.DESK_TRIALS)
     seed = cfg.master_seed if args.seed is None else args.seed
     result = harness.nmse_sweep(cfg, schemes, n_values, p_values, trials, seed)
@@ -131,10 +131,10 @@ def _cmd_verify(args) -> int:
 def _cmd_power(args) -> int:
     doc = _load_json(args.config)
     prob = RatioProblem(
-        a_diag=np.asarray(doc["A"], dtype=float)[None],
-        b=np.asarray(doc["b"], dtype=float)[None],
-        c=np.asarray(doc["c"], dtype=float),
-        bounds=np.asarray(doc["bounds"], dtype=float),
+        a_diag=_numeric_array(doc, "A")[None],
+        b=_numeric_array(doc, "b")[None],
+        c=_numeric_array(doc, "c"),
+        bounds=_numeric_array(doc, "bounds"),
     )
     sol = solve_projected_ascent(prob, [args.seed])
     payload = {
@@ -151,6 +151,14 @@ def _cmd_power(args) -> int:
         f"iterations={sol.iterations}, seed={args.seed}"
     )
     return 0
+
+
+def _numeric_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array; ConfigError if it is ragged or not numeric."""
+    try:
+        return np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"power problem {key!r} is not a numeric array: {exc}") from exc
 
 
 def _cmd_train(args) -> int:

@@ -254,8 +254,13 @@ def run_training(
     eta may be a scalar or a length-rounds sequence. All randomness is
     derived from cfg.master_seed and the round counter, and the round
     substreams do not depend on the scheme, so runs with different
-    schemes at the same seed see identical channels, noise, and
-    baseline phase draws (paired comparisons).
+    schemes at the same seed see identical own-surface and
+    surface-to-PS paths, foreign-surface reflections, noise, and
+    baseline phase draws (paired comparisons). Each phase scheme sees
+    the foreign-surface terms under their exact law, which does not
+    depend on the phases; with fully materialized paths they would
+    differ between phase schemes, so the joint law across schemes is
+    not that of a shared full channel.
     """
     scheme = parse_scheme(scheme)
     if rounds < 1:
@@ -308,12 +313,13 @@ def run_training(
 def _estimate_over_channel(cfg, beta, scheme, grads, t):
     """Draw round t's channel, phases and noise; returns the (1, M, D) estimates."""
     master = cfg.master_seed
-    M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
-    ch = sample_small_scale(rng_from_seed(derive_seed(master, "round-channel", t)), 1, M, K, N)
+    M, N = cfg.num_clusters, cfg.num_ris_elements
+    rng = rng_from_seed(derive_seed(master, "round-channel", t))
+    ch = sample_small_scale(rng, 1, M, cfg.cluster_of, N)
     if scheme.phases == "random":
         phases = baseline_phases(rng_from_seed(derive_seed(master, "round-phases", t)), 1, M, N)
     else:
-        phases = configure_aligned(ch, cfg.cluster_of)
+        phases = configure_aligned(ch)
     if scheme.bits is not None:
         phases = corrupt_phases(phases, scheme.bits)
     gains = all_cascaded_gains(ch, beta, phases)

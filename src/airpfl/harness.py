@@ -42,6 +42,51 @@ DESK_P_VALUES = (0.1, 10.0)
 DESK_TRIALS = 500
 
 
+class Moments:
+    """Count, mean and centred sum of squares of samples stacked along axis 0.
+
+    Each chunk's mean and centred sum of squares are taken in two passes
+    and merged into the running ones by the update of Chan, Golub &
+    LeVeque (1983), so the variance does not cancel when it is much
+    smaller than the squared mean, as a one-pass sum of squares does.
+    Samples are shifted by the first chunk's mean, so the merge
+    subtracts means of the spread's size rather than of the data's.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.shift = 0.0
+        self.shifted_mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, chunk: np.ndarray) -> None:
+        if self.count == 0:
+            self.shift = chunk.mean(axis=0)
+        chunk = chunk - self.shift
+        n = chunk.shape[0]
+        mean = chunk.mean(axis=0)
+        m2 = ((chunk - mean) ** 2).sum(axis=0)
+        total = self.count + n
+        delta = mean - self.shifted_mean
+        self.shifted_mean = self.shifted_mean + delta * (n / total)
+        self.m2 = self.m2 + m2 + delta**2 * (self.count * n / total)
+        self.count = total
+
+    @property
+    def mean(self):
+        return self.shift + self.shifted_mean
+
+    @property
+    def variance(self):
+        """Unbiased sample variance (needs at least 2 samples)."""
+        return self.m2 / (self.count - 1)
+
+    @property
+    def stderr(self):
+        """Standard error of the mean."""
+        return np.sqrt(self.variance / self.count)
+
+
 def desk_scale_config(master_seed: int = 7) -> SystemConfig:
     """Default 20-device, 4-cluster deployment used by the demos."""
     K, M = 20, 4
@@ -107,11 +152,15 @@ def nmse_sweep(
     with fresh channels, fresh synthetic gradients (i.i.d. standard
     normal entries per device, standardized exactly before
     transmission), and fresh noise; reports mean NMSE and its standard
-    error. Channel, gradient, and noise draws are shared across
-    schemes within a cell so scheme comparisons are paired. Malformed
+    error. Own-surface and surface-to-PS paths, foreign-surface
+    reflections, gradients and noise are shared across schemes within a
+    cell, so scheme comparisons are paired. The foreign-surface terms
+    follow their exact law, which does not depend on the phases, so
+    every phase scheme sees the same ones. Malformed
     or repeated scheme labels, repeated, non-integral or invalid surface
-    sizes, invalid power budgets, and a non-integral or too small trial
-    count raise ConfigError before any trial runs.
+    sizes, power budgets that are not numbers or are invalid, and a
+    non-integral or too small trial count raise ConfigError before any
+    trial runs.
     """
     trials = _integer("trials", trials)
     if trials < 2:
@@ -122,10 +171,9 @@ def nmse_sweep(
     if repeated:
         raise ConfigError(f"repeated sweep schemes {repeated}")
     n_values = [_integer("surface size", n) for n in n_values]
+    p_values = [_number("power budget", p) for p in p_values]
     grid = {  # replace() validates every cell's surface size and power budget
-        (n, float(p)): cfg.replace(
-            num_ris_elements=n, max_power=np.full(cfg.num_devices, float(p))
-        )
+        (n, p): cfg.replace(num_ris_elements=n, max_power=np.full(cfg.num_devices, p))
         for n in n_values
         for p in p_values
     }
@@ -148,15 +196,21 @@ def _integer(name, value) -> int:
     return int(value)
 
 
+def _number(name, value) -> float:
+    """value as a float; ConfigError unless it is a real number (bools and strings are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _sweep_cell(cfg, beta, p_max, schemes, trials, seed):
     M, K, D, n = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
     channel_schemes = [s for s in schemes if s.design != "ideal"]
-    sums = {s.name: 0.0 for s in channel_schemes}
-    sqsums = {s.name: 0.0 for s in channel_schemes}
+    moments = {s.name: Moments() for s in channel_schemes}
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "sweep-cell", n, repr(p_max), start))
-        ch = _sample_batch(rng, tc, M, K, n)
+        ch = _sample_batch(rng, tc, M, cfg.cluster_of, n)
         raw = rng.standard_normal((tc, K, D))
         noise = rng.standard_normal((tc, M, D))
         phases = {"random": baseline_phases(rng, tc, M, n)}
@@ -168,7 +222,7 @@ def _sweep_cell(cfg, beta, p_max, schemes, trials, seed):
             key = (s.phases, s.bits)
             if key not in gains_cache:
                 if s.phases not in phases:
-                    phases[s.phases] = _aligned_phases_batch(ch, cfg.cluster_of)
+                    phases[s.phases] = _aligned_phases_batch(ch)
                 theta = phases[s.phases]
                 if s.bits is not None:
                     theta = corrupt_phases(theta, s.bits)
@@ -179,15 +233,11 @@ def _sweep_cell(cfg, beta, p_max, schemes, trials, seed):
                 else ()
             )
             g_hat = aggregate_round(cfg, beta, s, gains_cache[key], grads, noise, seeds)
-            err = estimation_nmse(g_hat, g_true)
-            sums[s.name] += float(err.sum())
-            sqsums[s.name] += float((err**2).sum())
+            moments[s.name].add(estimation_nmse(g_hat, g_true))
 
     out = {s.name: (0.0, 0.0) for s in schemes if s.design == "ideal"}
     for s in channel_schemes:
-        mean = sums[s.name] / trials
-        var = max(sqsums[s.name] / trials - mean**2, 0.0) * trials / (trials - 1)
-        out[s.name] = (mean, float(np.sqrt(var / trials)))
+        out[s.name] = (float(moments[s.name].mean), float(moments[s.name].stderr))
     return out
 
 
@@ -250,46 +300,43 @@ def verify_elimination(
     pairs against zero, both at three standard errors. Foreign-surface
     components of own-cluster gains are checked against zero as well.
 
+    Own-surface terms come from materialized paths, so the pair checks
+    test the alignment; foreign-surface terms come from their exact
+    conditional law, so the correction checks test that the sampler's
+    foreign terms are zero mean.
+
     With phases="random" the run becomes a negative control: uniform
     random phases destroy the alignment, so every pair (own-cluster
-    included) is tested against a zero mean.
+    included) is tested against a zero mean. A trial count below 2 or
+    that is not an integer, and any other phases, raise ConfigError.
     """
+    trials = _integer("trials", trials)
     if trials < 2:
-        raise ValueError("need at least 2 trials")
+        raise ConfigError("need at least 2 trials")
     if phases not in ("aligned", "random"):
-        raise ValueError("phases must be 'aligned' or 'random'")
+        raise ConfigError(f"phases must be 'aligned' or 'random', got {phases!r}")
     M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
     geometry = place_geometry(cfg, seed)
     beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
     members = cfg.clusters()
     sizes = np.array([idx.size for idx in members])
 
-    s1 = np.zeros((M, K))
-    s2 = np.zeros((M, K))
-    c1 = np.zeros((M, M, K))
-    c2 = np.zeros((M, M, K))
+    pairs = Moments()  # (antenna, device)
+    parts = Moments()  # (antenna, surface, device)
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "elimination", start))
-        ch = _sample_batch(rng, tc, M, K, N)
+        ch = _sample_batch(rng, tc, M, cfg.cluster_of, N)
         if phases == "random":
             theta = baseline_phases(rng, tc, M, N)
         else:
-            theta = _aligned_phases_batch(ch, cfg.cluster_of)
+            theta = _aligned_phases_batch(ch)
         comp = _components_batch(ch, beta, theta)  # (tc, M_surface, M_antenna, K)
-        full = comp.sum(axis=1)  # (tc, M, K)
-        s1 += full.sum(axis=0)
-        s2 += (full**2).sum(axis=0)
-        c1 += comp.sum(axis=0).transpose(1, 0, 2)  # (antenna, surface, device)
-        c2 += (comp**2).sum(axis=0).transpose(1, 0, 2)
+        pairs.add(comp.sum(axis=1))
+        parts.add(comp.transpose(0, 2, 1, 3))
 
-    def stats(total, total_sq):
-        mean = total / trials
-        var = np.maximum(total_sq / trials - mean**2, 0.0) * trials / (trials - 1)
-        return mean, np.sqrt(var / trials)
-
-    mean, stderr = stats(s1, s2)
-    cmean, cstderr = stats(c1, c2)
+    mean, stderr = pairs.mean, pairs.stderr
+    cmean, cstderr = parts.mean, parts.stderr
 
     rows = []
     corrections = []

@@ -25,16 +25,17 @@ ZERO_SUM_TOL = 1e-15
 _TWO_PI = 2.0 * np.pi
 
 
-def configure_aligned(ch: ChannelSet, cluster_of: np.ndarray) -> np.ndarray:
+def configure_aligned(ch: ChannelSet) -> np.ndarray:
     """Per-element phases aligning each surface with its own cluster.
 
-    Returns a (T, M, N) array with entries in [0, 2*pi). If the summed
-    device channel of an element has magnitude below 1e-15 its angle
-    is taken as 0.
+    Reads each cluster's own-surface paths and ch.cluster_of. Returns a
+    (T, M, N) array with entries in [0, 2*pi). If the summed device
+    channel of an element has magnitude below 1e-15 its angle is taken
+    as 0.
     """
     theta = np.empty((ch.num_trials, ch.num_surfaces, ch.num_elements))
-    for m, idx in enumerate(cluster_members(cluster_of, ch.num_surfaces)):
-        summed = ch.device_to_ris[:, m, idx, :].sum(axis=1)  # (T, N)
+    for m, idx in enumerate(cluster_members(ch.cluster_of, ch.num_surfaces)):
+        summed = ch.device_to_ris[:, idx, :].sum(axis=1)  # (T, N)
         sum_angle = np.where(np.abs(summed) < ZERO_SUM_TOL, 0.0, np.angle(summed))
         own = ch.ris_to_ps[:, m, :, m]
         theta[:, m, :] = np.mod(np.angle(own) - sum_angle, _TWO_PI)

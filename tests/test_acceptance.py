@@ -137,9 +137,18 @@ def test_criterion_2_unbiased_aggregation():
         total += est.sum(axis=0)
 
         if not spot_checked:
-            # The math above must agree with the public kernels.
-            ch = ChannelSet(ris_to_ps=hp[:1], device_to_ris=hd[:1])
-            theta_ref = configure_aligned(ch, cfg.cluster_of)
+            # The math above must agree with the public kernels. Trial
+            # 0's kernel input keeps each device's own row of hd, and
+            # its foreign terms are this full channel's reflections
+            # under the aligned phases, Re{W_i^H h_dev[i, k]}.
+            foreign = np.einsum("inm,in,ikn->imk", np.conj(hp[0]), phase[0], hd[0]).real
+            ch = ChannelSet(
+                ris_to_ps=hp[:1],
+                device_to_ris=hd[:1, cfg.cluster_of, np.arange(K)],
+                foreign_terms=foreign[None],
+                cluster_of=cfg.cluster_of,
+            )
+            theta_ref = configure_aligned(ch)
             gains_ref = all_cascaded_gains(ch, beta, theta_ref)
             received = uplink(
                 gains_ref, design.powers, normalized, 0.0, np.zeros((1, M, D))

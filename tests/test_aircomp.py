@@ -13,6 +13,7 @@ from airpfl.channel import all_cascaded_gains, sample_small_scale
 from airpfl.ris import configure_aligned
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import make_config
+from full_channel import channel_set, draw_full
 
 # Population statistics of [0, 1, 2]: mean 1, std sqrt(2/3). The std
 # and the standardized entries below are 40-digit evaluations rounded
@@ -79,11 +80,14 @@ def _normalized_batch(rng, T, K, D):
 
 
 def test_noiseless_uplink_matches_direct_superposition():
+    # The kernels run on the channel set of a fully materialized draw;
+    # the reference superposes that full channel element by element.
     T, M, K, N, D = 2, 2, 4, 6, 5
-    ch = sample_small_scale(rng_from_seed(3), T, M, K, N)
+    hp, hd = draw_full(rng_from_seed(3), T, M, K, N)
     rng = np.random.default_rng(1)
     beta = rng.uniform(0.1, 1.0, size=(M, K))
     phases = rng.uniform(0, 2 * np.pi, size=(T, M, N))
+    ch = channel_set(hp, hd, [0, 0, 1, 1], phases)
     powers = rng.uniform(0.0, 2.0, size=(T, K))
     grads = _normalized_batch(rng, T, K, D)
 
@@ -100,9 +104,7 @@ def test_noiseless_uplink_matches_direct_superposition():
                 for k in range(K):
                     gain = 0.0 + 0.0j
                     for i in range(M):
-                        gain += beta[i, k] * np.vdot(
-                            ch.ris_to_ps[t, i, :, m], phase[t, i] * ch.device_to_ris[t, i, k]
-                        )
+                        gain += beta[i, k] * np.vdot(hp[t, i, :, m], phase[t, i] * hd[t, i, k])
                     acc += np.sqrt(powers[t, k]) * gain * grads.values[t, k, d]
                 assert received[t, m, d] == pytest.approx(acc.real, rel=1e-11, abs=1e-12)
 
@@ -161,10 +163,10 @@ def test_noiseless_estimate_equals_weighted_sum():
     # gradients plus the mean term.
     M, K, N, D = 2, 4, 6, 5
     cluster_of = np.array([0, 0, 1, 1])
-    ch = sample_small_scale(rng_from_seed(9), 1, M, K, N)
+    ch = sample_small_scale(rng_from_seed(9), 1, M, cluster_of, N)
     rng = np.random.default_rng(3)
     beta = rng.uniform(0.1, 1.0, size=(M, K))
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cluster_of))
+    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))
     powers = rng.uniform(0.1, 1.0, size=(1, K))
     denoisers = np.array([[2.0, 0.7]])
     grads = _normalized_batch(rng, 1, K, D)

@@ -61,6 +61,12 @@ def test_invalid_config_values_exit_2(tmp_path, system_doc):
     assert cli_main(["verify-elimination", "--config", str(path), "--trials", "50"]) == 2
 
 
+@pytest.mark.parametrize("trials", ["1", "0"])
+def test_verify_elimination_with_too_few_trials_exits_2(system_path, capsys, trials):
+    assert cli_main(["verify-elimination", "--config", system_path, "--trials", trials]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
 def test_verify_elimination_happy_path(tmp_path, system_path, capsys):
     out = tmp_path / "elim.csv"
     code = cli_main(
@@ -134,8 +140,10 @@ def test_power_opt_happy_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("c", [0.5, 0.7, 0.1]), ("A", [[1.0, -0.5], [0.2, 1.0]])],
-    ids=["wrong-length-c", "negative-A"],
+    "field, value",
+    [("c", [0.5, 0.7, 0.1]), ("A", [[1.0, -0.5], [0.2, 1.0]]), ("A", [[1.0, 0.5], [0.2]]),
+     ("bounds", ["one", 1.0])],
+    ids=["wrong-length-c", "negative-A", "ragged-A", "text-bounds"],
 )
 def test_power_opt_malformed_instance_exits_2(tmp_path, capsys, field, value):
     doc = {
@@ -208,8 +216,10 @@ def test_sweep_with_malformed_schemes_exits_2(tmp_path, system_doc, capsys, sche
 @pytest.mark.parametrize(
     "n_values, p_values, trials",
     [([4, 4], [1.0], 10), ([0], [1.0], 10), ([4], [-1.0], 10), ([16.7], [1.0], 10),
-     (["16"], [1.0], 10), ([4], [1.0], 7.5)],
-    ids=["repeated-N", "zero-N", "negative-P", "fractional-N", "string-N", "fractional-trials"],
+     (["16"], [1.0], 10), ([4], [1.0], 7.5), ([4], ["0.5"], 10), ([4], ["abc"], 10),
+     ([4], [True], 10)],
+    ids=["repeated-N", "zero-N", "negative-P", "fractional-N", "string-N", "fractional-trials",
+         "string-P", "text-P", "bool-P"],
 )
 def test_sweep_with_malformed_grid_exits_2(
     tmp_path, system_doc, capsys, n_values, p_values, trials

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from airpfl.channel import ChannelSet, all_cascaded_gains
+from airpfl.channel import all_cascaded_gains
 from airpfl.control import (
     ClusterSignalVanished,
     adaptive_denoisers,
@@ -13,6 +13,7 @@ from airpfl.control import (
     unbiased_design,
 )
 from airpfl.ris import configure_aligned
+from full_channel import channel_set, draw_full
 
 # pi * 8 * sqrt(2) * 0.25 / 4, evaluated with mpmath at 40 digits.
 LAMBDA_FROZEN = 2.221441469079183
@@ -108,10 +109,9 @@ def test_unbiased_link_weights_average_to_share():
     acc = np.zeros(K)
     acc_sq = np.zeros(K)
     for _ in range(draws):
-        hp = (rng.standard_normal((M, N, M)) + 1j * rng.standard_normal((M, N, M))) / np.sqrt(2)
-        hd = (rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
-        ch = ChannelSet(ris_to_ps=hp[None], device_to_ris=hd[None])
-        gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cluster_of))[0]
+        hp, hd = draw_full(rng, 1, M, K, N)
+        ch = channel_set(hp, hd, cluster_of, np.zeros((1, M, N)))
+        gains = all_cascaded_gains(ch, beta, configure_aligned(ch))[0]
         w = np.sqrt(design.powers[0]) * gains[0] / design.denoisers[0, 0]
         acc += w
         acc_sq += w**2

@@ -12,13 +12,14 @@ from airpfl.harness import (
     DESK_N_VALUES,
     DESK_P_VALUES,
     EliminationReport,
+    Moments,
     SweepResult,
     desk_scale_config,
     export_csv,
     nmse_sweep,
     verify_elimination,
 )
-from airpfl.ris import configure_aligned
+from airpfl.ris import baseline_phases, configure_aligned
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import ConfigError, make_config
 
@@ -84,10 +85,10 @@ def test_malformed_scheme_rejected(name):
 def test_batched_kernels_match_independent_oracles():
     cfg = _config(K=5, M=2, N=6)
     T, noise_var = 4, 1e-3
-    ch = sample_small_scale(rng_from_seed(17), T, 2, 5, 6)
+    ch = sample_small_scale(rng_from_seed(17), T, 2, cfg.cluster_of, 6)
     rng = np.random.default_rng(17)
     beta = rng.uniform(0.2, 1.5, size=(2, 5))
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cfg.cluster_of))
+    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))
     sigmas = rng.uniform(0.5, 1.5, size=(T, 5))
     design = unbiased_design(beta, sigmas, cfg.max_power, 4, 6, cfg.cluster_of)
     lam = adaptive_denoisers(
@@ -179,9 +180,9 @@ def test_sweep_rejects_bad_schemes_before_any_trial(schemes, monkeypatch):
     "n_values, p_values, trials",
     [([4, 4], [1.0], 10), ([4], [1.0, 1.0], 10), ([0], [1.0], 10), ([4], [1.0, -1.0], 10),
      ([4], [float("nan")], 10), ([16.7], [1.0], 10), ([16.0], [1.0], 10), (["16"], [1.0], 10),
-     ([4], [1.0], 7.5), ([4], [1.0], "16")],
+     ([4], [1.0], 7.5), ([4], [1.0], "16"), ([4], ["0.5"], 10), ([4], [True], 10)],
     ids=["repeated-N", "repeated-P", "zero-N", "negative-P", "nan-P", "fractional-N",
-         "float-N", "string-N", "fractional-trials", "string-trials"],
+         "float-N", "string-N", "fractional-trials", "string-trials", "string-P", "bool-P"],
 )
 def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, trials, monkeypatch):
     import airpfl.harness as harness
@@ -211,6 +212,27 @@ def test_sweep_requires_multiple_trials():
     cfg = _config()
     with pytest.raises(ValueError):
         nmse_sweep(cfg, ["unbiased"], [4], [1.0], 1, seed=0)
+
+
+def test_moments_merge_is_numerically_sound():
+    # Mean 1e8 and unit spread: a one-pass sum of squares cancels
+    # catastrophically here, the chunked merge does not.
+    data = 1e8 + np.random.default_rng(5).standard_normal((1000, 3))
+    moments = Moments()
+    for start in range(0, 1000, 128):  # uneven last chunk
+        moments.add(data[start:start + 128])
+    reference = np.var(data, axis=0, ddof=1)
+    assert moments.count == 1000
+    assert np.allclose(moments.mean, data.mean(axis=0), rtol=1e-14, atol=0)
+    assert np.allclose(moments.variance, reference, rtol=1e-9, atol=0)
+    assert np.allclose(moments.stderr, np.sqrt(reference / 1000), rtol=1e-9, atol=0)
+    one_pass = ((data**2).sum(axis=0) / 1000 - data.mean(axis=0) ** 2) * 1000 / 999
+    assert not np.allclose(one_pass, reference, rtol=1e-9, atol=0)
+
+    scalar = Moments()
+    for chunk in (data[:1, 0], data[1:700, 0], data[700:, 0]):
+        scalar.add(chunk)
+    assert scalar.variance == pytest.approx(reference[0], rel=1e-9)
 
 
 def test_adaptive_error_never_exceeds_unbiased():
@@ -272,10 +294,42 @@ def test_elimination_random_phase_control_centers_on_zero():
 
 def test_elimination_argument_validation():
     cfg = _config()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         verify_elimination(cfg, trials=1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
+        verify_elimination(cfg, trials=100.0, seed=0)
+    with pytest.raises(ConfigError):
         verify_elimination(cfg, trials=100, seed=0, phases="fourier")
+
+
+def _random_design(ch):
+    """Uniform random phases in place of the aligned design."""
+    return baseline_phases(np.random.default_rng(0), ch.num_trials, ch.num_surfaces,
+                           ch.num_elements)
+
+
+def _conjugate_dropped(ch):
+    """The aligned design with the conjugate on the surface-to-PS phase dropped."""
+    theta = np.empty((ch.num_trials, ch.num_surfaces, ch.num_elements))
+    for m in range(ch.num_surfaces):
+        summed = ch.device_to_ris[:, ch.cluster_of == m, :].sum(axis=1)
+        theta[:, m, :] = np.mod(-np.angle(ch.ris_to_ps[:, m, :, m]) - np.angle(summed), 2 * np.pi)
+    return theta
+
+
+@pytest.mark.parametrize("design", [_random_design, _conjugate_dropped],
+                         ids=["random-phases", "conjugate-dropped"])
+def test_elimination_rejects_a_broken_alignment(design, monkeypatch):
+    # The pair checks test the alignment: a phase design that does not
+    # align each surface with its own cluster must fail them.
+    import airpfl.harness as harness
+
+    cfg = _config(K=6, M=2, N=8)
+    assert verify_elimination(cfg, trials=2000, seed=7).all_pass
+    monkeypatch.setattr(harness, "_aligned_phases_batch", design)
+    report = verify_elimination(cfg, trials=2000, seed=7)
+    assert not report.pairs_pass and not report.all_pass
+    assert not any(r.passed for r in report.rows if r.same_cluster)
 
 
 def test_elimination_report_shape():

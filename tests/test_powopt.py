@@ -44,8 +44,8 @@ def _desk_problem(trials, seed):
     M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
     beta = large_scale_coefficients(place_geometry(cfg, seed), cfg.pathloss_exponent)
     rng = rng_from_seed(seed)
-    ch = sample_small_scale(rng, trials, M, K, N)
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch, cfg.cluster_of))
+    ch = sample_small_scale(rng, trials, M, cfg.cluster_of, N)
+    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))
     sigmas = normalize_gradient(rng.standard_normal((trials, K, cfg.model_dim))).std
     return assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
 

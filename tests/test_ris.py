@@ -6,6 +6,7 @@ import pytest
 from airpfl.channel import ChannelSet, all_cascaded_gains
 from airpfl.ris import baseline_phases, configure_aligned, corrupt_phases
 from airpfl.seeding import rng_from_seed
+from full_channel import channel_set, draw_full
 
 TWO_PI = 2.0 * np.pi
 
@@ -14,7 +15,9 @@ def _single_link(hp_value, hd_value):
     """One trial, one surface, one element, one device, one antenna."""
     return ChannelSet(
         ris_to_ps=np.array([[[[hp_value]]]], dtype=complex),
-        device_to_ris=np.array([[[[hd_value]]]], dtype=complex),
+        device_to_ris=np.array([[[hd_value]]], dtype=complex),
+        foreign_terms=np.zeros((1, 1, 1, 1)),
+        cluster_of=np.array([0]),
     )
 
 
@@ -24,7 +27,7 @@ def test_single_element_alignment_is_exact():
     hp = 2.0 * np.exp(1j * 0.7)
     hd = 3.0 * np.exp(1j * 2.1)
     ch = _single_link(hp, hd)
-    theta = configure_aligned(ch, np.array([0]))
+    theta = configure_aligned(ch)
     assert theta.shape == (1, 1, 1)
     assert theta[0, 0, 0] == pytest.approx(np.mod(0.7 - 2.1, TWO_PI), abs=1e-12)
     gain = all_cascaded_gains(ch, np.ones((1, 1)), theta)[0, 0, 0]
@@ -33,18 +36,16 @@ def test_single_element_alignment_is_exact():
 
 def test_alignment_with_vanishing_sum_falls_back_to_backhaul_angle():
     ch = _single_link(np.exp(1j * 1.3), 0.0)
-    theta = configure_aligned(ch, np.array([0]))
+    theta = configure_aligned(ch)
     assert theta[0, 0, 0] == pytest.approx(1.3, abs=1e-12)
 
 
 def test_phases_land_in_canonical_interval():
-    rng = np.random.default_rng(3)
     T, M, K, N = 4, 3, 6, 10
-    hp = (rng.standard_normal((T, M, N, M)) + 1j * rng.standard_normal((T, M, N, M))) / np.sqrt(2)
-    hd = (rng.standard_normal((T, M, K, N)) + 1j * rng.standard_normal((T, M, K, N))) / np.sqrt(2)
-    ch = ChannelSet(ris_to_ps=hp, device_to_ris=hd)
     cluster_of = np.repeat(np.arange(3), 2)
-    theta = configure_aligned(ch, cluster_of)
+    hp, hd = draw_full(np.random.default_rng(3), T, M, K, N)
+    ch = channel_set(hp, hd, cluster_of, np.zeros((T, M, N)))
+    theta = configure_aligned(ch)
     assert theta.shape == (T, M, N)
     assert np.all(theta >= 0.0)
     assert np.all(theta < TWO_PI)
@@ -70,10 +71,9 @@ def test_own_cluster_mean_gain_matches_closed_form():
     acc = np.zeros(K)
     acc_sq = np.zeros(K)
     for _ in range(draws):
-        hp = (rng.standard_normal((M, N, M)) + 1j * rng.standard_normal((M, N, M))) / np.sqrt(2)
-        hd = (rng.standard_normal((M, K, N)) + 1j * rng.standard_normal((M, K, N))) / np.sqrt(2)
-        ch = ChannelSet(ris_to_ps=hp[None], device_to_ris=hd[None])
-        theta = configure_aligned(ch, cluster_of)
+        hp, hd = draw_full(rng, 1, M, K, N)
+        ch = channel_set(hp, hd, cluster_of, np.zeros((1, M, N)))
+        theta = configure_aligned(ch)
         g = all_cascaded_gains(ch, beta, theta)[0, 0]
         acc += g
         acc_sq += g**2
