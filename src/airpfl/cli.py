@@ -17,7 +17,7 @@ import numpy as np
 
 from . import flsim, harness
 from .powopt import RatioProblem, solve_projected_ascent
-from .sysmodel import ConfigError, config_from_json, place_geometry
+from .sysmodel import ConfigError, as_seed, config_from_json, place_geometry
 
 
 def _scheme(text: str) -> flsim.Scheme:
@@ -136,7 +136,7 @@ def _cmd_power(args) -> int:
         c=_numeric_array(doc, "c"),
         bounds=_numeric_array(doc, "bounds"),
     )
-    sol = solve_projected_ascent(prob, [args.seed])
+    sol = solve_projected_ascent(prob, [as_seed("seed", args.seed)])
     payload = {
         "q": [float(v) for v in sol.q[0]],
         "objective": float(sol.objective[0]),
@@ -169,8 +169,8 @@ def _cmd_train(args) -> int:
     geometry = place_geometry(cfg, seed)
     datasets, _ = flsim.synth_clustered_tasks(
         cfg,
-        samples_per_device=int(doc.get("samples_per_device", 50)),
-        label_noise=float(doc.get("label_noise", 0.1)),
+        samples_per_device=doc.get("samples_per_device", 50),
+        label_noise=doc.get("label_noise", 0.1),
         task_seed=seed,
     )
     history = flsim.run_training(cfg, geometry, datasets, args.scheme, args.rounds, args.eta)

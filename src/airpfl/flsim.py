@@ -7,9 +7,10 @@ the superposed analog uplink before taking a gradient step. Scheme
 "ideal" bypasses the channel entirely and serves as the noise-free
 reference.
 
-`aggregate_round` is the one design-and-estimate step of the package:
-training calls it with a batch of one trial per round, and the NMSE
-sweep in `harness` calls it with a batch of Monte Carlo trials.
+`aggregate_round` is the one aggregate-and-estimate step of the
+package: training calls it with a batch of one trial and that round's
+statistical design, and the NMSE sweep in `harness` calls it with a
+batch of Monte Carlo trials and one design per power budget.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ from .aircomp import (
     uplink,
 )
 from .channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
-from .control import adaptive_denoisers, unbiased_design
+from .control import AggregationDesign, adaptive_denoisers, unbiased_design
 from .powopt import assemble_ratio_problem, solve_projected_ascent
 from .ris import baseline_phases, configure_aligned, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
-from .sysmodel import ConfigError, Geometry, SystemConfig
+from .sysmodel import ConfigError, Geometry, SystemConfig, as_integer, as_number
 
 DEFAULT_LEARNING_RATE = 0.05
 
@@ -148,11 +149,15 @@ def synth_clustered_tasks(
     normal in R^D, last coordinate acting as a bias), then gives each
     device standard-normal features and noisy linear labels from its
     cluster's weights. Returns the datasets and the (M, D) truth.
+    samples_per_device must be an integer >= 1 and label_noise a finite
+    number >= 0; anything else raises ConfigError.
     """
+    samples_per_device = as_integer("samples_per_device", samples_per_device)
+    label_noise = as_number("label_noise", label_noise)
     if samples_per_device < 1:
-        raise ValueError("samples_per_device must be >= 1")
-    if label_noise < 0:
-        raise ValueError("label_noise must be >= 0")
+        raise ConfigError(f"samples_per_device must be >= 1, got {samples_per_device}")
+    if not 0 <= label_noise < np.inf:
+        raise ConfigError(f"label_noise must be finite and >= 0, got {label_noise!r}")
     D = cfg.model_dim
     rng = rng_from_seed(derive_seed(task_seed, "tasks"))
     truth = rng.standard_normal((cfg.num_clusters, D))
@@ -193,8 +198,8 @@ def sgd_step(weights: np.ndarray, grad_estimate: np.ndarray, eta: float) -> np.n
 
 def aggregate_round(
     cfg: SystemConfig,
-    beta: np.ndarray,
     scheme: Scheme,
+    design: AggregationDesign,
     gains: np.ndarray,
     grads: NormalizedGradient,
     noise: np.ndarray,
@@ -202,14 +207,19 @@ def aggregate_round(
 ) -> np.ndarray:
     """One round of analog aggregation for T independent trials.
 
-    Statistical design, then (mmse+powopt) power optimization, trial t
-    seeded by powopt_seeds[t], then (mmse, mmse+powopt) the adaptive
-    denoiser, then the uplink and the per-cluster estimate. gains
-    (T, M, K) are the real cascaded gains under the round's phases,
-    grads the normalized (T, K, D) gradients and noise (T, M, D)
-    standard normal receiver draws. cfg supplies the clusters, power
-    budgets, surface size and noise level. Returns the (T, M, D)
-    cluster gradient estimates.
+    design is the statistical design of the round (`unbiased_design` of
+    the large-scale coefficients, grads.std and cfg's power budgets,
+    model size, surface size and clusters). It depends on neither the
+    scheme nor the phases, so callers compute it once and pass it to
+    every scheme of the round. Its powers and denoisers are used as they
+    are by "unbiased"; (mmse+powopt) optimizes the powers instead, trial
+    t seeded by powopt_seeds[t]; then (mmse, mmse+powopt) the adaptive
+    denoiser replaces the denoisers; then the uplink and the per-cluster
+    estimate. gains (T, M, K) are the real cascaded gains under the
+    round's phases, grads the normalized (T, K, D) gradients and noise
+    (T, M, D) standard normal receiver draws. cfg supplies the clusters,
+    power budgets and noise level. Returns the (T, M, D) cluster
+    gradient estimates.
 
     A cluster whose devices all report zero std has no analog signal:
     the statistical design gives it an infinite denoiser, the adaptive
@@ -218,9 +228,6 @@ def aggregate_round(
     infinite denoiser as well, the estimate the power solver scored.
     """
     sigmas = grads.std
-    design = unbiased_design(
-        beta, sigmas, cfg.max_power, cfg.model_dim, cfg.num_ris_elements, cfg.cluster_of
-    )
     powers, denoisers, fallback = design.powers, design.denoisers, design.denoisers
     if scheme.powopt:
         prob = assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
@@ -251,7 +258,8 @@ def run_training(
 ) -> TrainingHistory:
     """Run one federated training job under the given uplink scheme.
 
-    eta may be a scalar or a length-rounds sequence. All randomness is
+    rounds must be an integer >= 1 (ConfigError otherwise). eta may be
+    a scalar or a length-rounds sequence. All randomness is
     derived from cfg.master_seed and the round counter, and the round
     substreams do not depend on the scheme, so runs with different
     schemes at the same seed see identical own-surface and
@@ -263,8 +271,9 @@ def run_training(
     not that of a shared full channel.
     """
     scheme = parse_scheme(scheme)
+    rounds = as_integer("rounds", rounds)
     if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+        raise ConfigError(f"rounds must be >= 1, got {rounds}")
     if len(datasets) != cfg.num_devices:
         raise ValueError("one dataset per device is required")
     etas = np.asarray(eta, dtype=float)
@@ -326,4 +335,5 @@ def _estimate_over_channel(cfg, beta, scheme, grads, t):
     noise_rng = rng_from_seed(derive_seed(master, "round-noise", t))
     noise = noise_rng.standard_normal((1, M, cfg.model_dim))
     seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
-    return aggregate_round(cfg, beta, scheme, gains, grads, noise, seeds)
+    design = unbiased_design(beta, grads.std, cfg.max_power, cfg.model_dim, N, cfg.cluster_of)
+    return aggregate_round(cfg, scheme, design, gains, grads, noise, seeds)

@@ -23,14 +23,22 @@ from .channel import large_scale_coefficients
 from .flsim import aggregate_round, estimation_nmse, parse_scheme
 from .ris import baseline_phases, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
-from .sysmodel import ConfigError, SystemConfig, make_config, place_geometry
+from .sysmodel import (
+    ConfigError,
+    SystemConfig,
+    as_integer,
+    as_number,
+    as_seed,
+    make_config,
+    place_geometry,
+)
 
 # perfbench/tracing.py WRAPS still looks these kernels up under their former harness names.
 from .channel import all_cascaded_gains as _gains_batch
 from .channel import cascaded_components as _components_batch
 from .channel import sample_small_scale as _sample_batch
 from .control import adaptive_denoisers as _adaptive_lambda_batch  # noqa: F401 - called via flsim
-from .control import unbiased_design as _unbiased_batch  # noqa: F401 - called via flsim
+from .control import unbiased_design as _unbiased_batch
 from .ris import configure_aligned as _aligned_phases_batch
 
 CHUNK = 100
@@ -152,17 +160,26 @@ def nmse_sweep(
     with fresh channels, fresh synthetic gradients (i.i.d. standard
     normal entries per device, standardized exactly before
     transmission), and fresh noise; reports mean NMSE and its standard
-    error. Own-surface and surface-to-PS paths, foreign-surface
-    reflections, gradients and noise are shared across schemes within a
-    cell, so scheme comparisons are paired. The foreign-surface terms
-    follow their exact law, which does not depend on the phases, so
-    every phase scheme sees the same ones. Malformed
-    or repeated scheme labels, repeated, non-integral or invalid surface
-    sizes, power budgets that are not numbers or are invalid, and a
-    non-integral or too small trial count raise ConfigError before any
-    trial runs.
+    error. Rows are ordered by N, then P, then scheme.
+
+    The power budget changes only the statistical design and the
+    aggregation, so the draws of one surface size serve all of its
+    cells: own-surface and surface-to-PS paths, foreign-surface
+    reflections, random phases, gradients, noise and power-solver starts
+    are shared across every scheme and power budget of one N, and both
+    scheme and budget comparisons are paired. Different surface sizes
+    draw independently. The foreign-surface terms follow their exact
+    law, which does not depend on the phases, so every phase scheme sees
+    the same ones. A cell's statistics do not depend on which other
+    budgets or schemes run beside it.
+
+    Malformed or repeated scheme labels, repeated, non-integral or
+    invalid surface sizes, power budgets that are not numbers or are
+    invalid, a non-integral or too small trial count, and a seed outside
+    [0, 2**64) raise ConfigError before any trial runs.
     """
-    trials = _integer("trials", trials)
+    seed = as_seed("seed", seed)
+    trials = as_integer("trials", trials)
     if trials < 2:
         raise ConfigError("need at least 2 trials for a standard error")
     parsed = [parse_scheme(s) for s in schemes]
@@ -170,8 +187,8 @@ def nmse_sweep(
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
         raise ConfigError(f"repeated sweep schemes {repeated}")
-    n_values = [_integer("surface size", n) for n in n_values]
-    p_values = [_number("power budget", p) for p in p_values]
+    n_values = [as_integer("surface size", n) for n in n_values]
+    p_values = [as_number("power budget", p) for p in p_values]
     grid = {  # replace() validates every cell's surface size and power budget
         (n, p): cfg.replace(num_ris_elements=n, max_power=np.full(cfg.num_devices, p))
         for n in n_values
@@ -182,62 +199,66 @@ def nmse_sweep(
     geometry = place_geometry(cfg, seed)
     beta_full = large_scale_coefficients(geometry, cfg.pathloss_exponent)
     cells = []
-    for (n, p_max), cell_cfg in grid.items():
-        stats = _sweep_cell(cell_cfg, beta_full, p_max, parsed, trials, seed)
-        cells += [SweepCell(n, p_max, s.name, trials, *stats[s.name]) for s in parsed]
+    for n in n_values:
+        stats = _sweep_cell({p: grid[n, p] for p in p_values}, beta_full, parsed, trials, seed)
+        cells += [
+            SweepCell(n, p_max, s.name, trials, *stats[p_max, s.name])
+            for p_max in p_values
+            for s in parsed
+        ]
     digest = hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
     return SweepResult(cells=cells, seed=seed, config_digest=digest)
 
 
-def _integer(name, value) -> int:
-    """value as an int; ConfigError unless it is an integer (bools and integral floats are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _sweep_cell(cfgs, beta, schemes, trials, seed):
+    """Every power budget of one surface size: {P: config} -> {(P, scheme name): stats}.
 
-
-def _number(name, value) -> float:
-    """value as a float; ConfigError unless it is a real number (bools and strings are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _sweep_cell(cfg, beta, p_max, schemes, trials, seed):
+    Each chunk draws its channel, gradients, noise and random phases
+    once, and computes each phase key's gains once; the channel is then
+    released, and only the statistical design (once per budget) and the
+    aggregation (once per budget and scheme) run per budget.
+    """
+    cfg = next(iter(cfgs.values()))
     M, K, D, n = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
     channel_schemes = [s for s in schemes if s.design != "ideal"]
-    moments = {s.name: Moments() for s in channel_schemes}
+    moments = {(p, s.name): Moments() for p in cfgs for s in channel_schemes}
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
-        rng = rng_from_seed(derive_seed(seed, "sweep-cell", n, repr(p_max), start))
+        rng = rng_from_seed(derive_seed(seed, "sweep-cell", n, start))
         ch = _sample_batch(rng, tc, M, cfg.cluster_of, n)
         raw = rng.standard_normal((tc, K, D))
         noise = rng.standard_normal((tc, M, D))
         phases = {"random": baseline_phases(rng, tc, M, n)}
         grads = normalize_gradient(raw)
         g_true = cluster_average(raw, cfg.cluster_of, M)
-        gains_cache: dict = {}
-
+        gains = {}
         for s in channel_schemes:
             key = (s.phases, s.bits)
-            if key not in gains_cache:
+            if key not in gains:
                 if s.phases not in phases:
                     phases[s.phases] = _aligned_phases_batch(ch)
                 theta = phases[s.phases]
                 if s.bits is not None:
                     theta = corrupt_phases(theta, s.bits)
-                gains_cache[key] = _gains_batch(ch, beta, theta)
-            seeds = (
-                [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
-                if s.powopt
-                else ()
-            )
-            g_hat = aggregate_round(cfg, beta, s, gains_cache[key], grads, noise, seeds)
-            moments[s.name].add(estimation_nmse(g_hat, g_true))
+                gains[key] = _gains_batch(ch, beta, theta)
+        del ch, phases, raw
+        seeds = (
+            [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
+            if any(s.powopt for s in channel_schemes)
+            else ()
+        )
 
-    out = {s.name: (0.0, 0.0) for s in schemes if s.design == "ideal"}
-    for s in channel_schemes:
-        out[s.name] = (float(moments[s.name].mean), float(moments[s.name].stderr))
+        for p, cell_cfg in cfgs.items():
+            design = _unbiased_batch(beta, grads.std, cell_cfg.max_power, D, n, cfg.cluster_of)
+            for s in channel_schemes:
+                g_hat = aggregate_round(
+                    cell_cfg, s, design, gains[s.phases, s.bits], grads, noise, seeds
+                )
+                moments[p, s.name].add(estimation_nmse(g_hat, g_true))
+
+    out = {(p, s.name): (0.0, 0.0) for p in cfgs for s in schemes if s.design == "ideal"}
+    for key, stats in moments.items():
+        out[key] = (float(stats.mean), float(stats.stderr))
     return out
 
 
@@ -308,9 +329,11 @@ def verify_elimination(
     With phases="random" the run becomes a negative control: uniform
     random phases destroy the alignment, so every pair (own-cluster
     included) is tested against a zero mean. A trial count below 2 or
-    that is not an integer, and any other phases, raise ConfigError.
+    that is not an integer, any other phases, and a seed outside
+    [0, 2**64) raise ConfigError.
     """
-    trials = _integer("trials", trials)
+    seed = as_seed("seed", seed)
+    trials = as_integer("trials", trials)
     if trials < 2:
         raise ConfigError("need at least 2 trials")
     if phases not in ("aligned", "random"):

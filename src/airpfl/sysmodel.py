@@ -23,6 +23,28 @@ class ConfigError(ValueError):
     """Raised when a system configuration violates an invariant."""
 
 
+def as_integer(name, value) -> int:
+    """value as an int; ConfigError unless it is an integer (bools and integral floats are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_number(name, value) -> float:
+    """value as a float; ConfigError unless it is a real number (bools and strings are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_seed(name, value) -> int:
+    """value as a seed; ConfigError unless it is an integer in [0, 2**64)."""
+    seed = as_integer(name, value)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Static description of one simulated deployment.
@@ -180,8 +202,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(f"ps_ris_distance must be > 0, got {cfg.ps_ris_distance!r}")
     if not np.isfinite(cfg.device_disk_radius) or cfg.device_disk_radius <= 0:
         raise ConfigError(f"device_disk_radius must be > 0, got {cfg.device_disk_radius!r}")
-    if not (0 <= cfg.master_seed < 2**64):
-        raise ConfigError("master_seed must fit in an unsigned 64-bit integer")
+    as_seed("master_seed", cfg.master_seed)
     return cfg
 
 

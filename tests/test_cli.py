@@ -191,6 +191,55 @@ def test_train_rejects_negative_seed(system_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_train_with_too_few_rounds_exits_2(system_path, capsys, rounds):
+    assert cli_main(["train", "--config", system_path, "--rounds", rounds]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("samples_per_device", 0), ("label_noise", -1), ("samples_per_device", 7.5),
+     ("samples_per_device", "8"), ("label_noise", "0.1"), ("samples_per_device", True),
+     ("label_noise", True)],
+    ids=["zero-samples", "negative-noise", "fractional-samples", "string-samples",
+         "string-noise", "bool-samples", "bool-noise"],
+)
+def test_train_with_malformed_task_exits_2(tmp_path, system_doc, capsys, field, value):
+    system_doc[field] = value
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_doc))
+    assert cli_main(["train", "--config", str(path), "--rounds", "2"]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_verify_elimination_rejects_out_of_range_seed(system_path, capsys, seed):
+    argv = ["verify-elimination", "--config", system_path, "--trials", "10", "--seed", seed]
+    assert cli_main(argv) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_power_opt_rejects_out_of_range_seed(tmp_path, capsys, seed):
+    doc = {"A": [[1.0, 0.5], [0.2, 1.0]], "b": [[1.0, 0.3], [0.4, 1.2]], "c": [0.5, 0.7],
+           "bounds": [1.0, 1.0]}
+    cfg_path = tmp_path / "prob.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["power-opt", "--config", str(cfg_path), "--seed", seed]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sweep_rejects_out_of_range_seed(tmp_path, system_doc, capsys, seed):
+    doc = {"system": system_doc, "schemes": ["mmse"], "n_values": [4], "p_values": [1.0],
+           "trials": 10}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["nmse-sweep", "--config", str(cfg_path), "--seed", seed]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
 def test_train_accepts_quantized_scheme(tmp_path, system_path, capsys):
     out = tmp_path / "train.csv"
     argv = ["train", "--config", system_path, "--scheme", "unbiased-1bit", "--rounds", "3",

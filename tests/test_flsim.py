@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import airpfl.flsim as flsim
+from airpfl.control import unbiased_design
 from airpfl.flsim import (
     DeviceDataset,
     cluster_loss,
@@ -192,7 +193,10 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
     grads = flsim.normalize_gradient(rng.standard_normal((T, K, D)))
     noise = rng.standard_normal((T, M, D))
     scheme = flsim.parse_scheme("mmse+powopt")
-    est = flsim.aggregate_round(cfg, np.ones((M, K)), scheme, gains, grads, noise, [1, 2])
+    design = unbiased_design(
+        np.ones((M, K)), grads.std, cfg.max_power, D, cfg.num_ris_elements, cfg.cluster_of
+    )
+    est = flsim.aggregate_round(cfg, scheme, design, gains, grads, noise, [1, 2])
     mean_term = flsim.cluster_average(grads.mean, cfg.cluster_of, M)
     assert np.array_equal(est[:, 1], np.repeat(mean_term[:, 1, None], D, axis=1))
     assert np.all(np.isfinite(est))

@@ -214,6 +214,67 @@ def test_sweep_requires_multiple_trials():
         nmse_sweep(cfg, ["unbiased"], [4], [1.0], 1, seed=0)
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Append name to calls on every call of module.name."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_draws_once_per_surface_size_and_chunk(monkeypatch):
+    # 2 surface sizes x 3 chunks (100 + 100 + 50 trials): every power
+    # budget of a surface size reuses the chunk's channel, phases and gains.
+    import airpfl.harness as harness
+
+    calls = []
+    for name in ("_sample_batch", "_aligned_phases_batch", "_gains_batch"):
+        _count_calls(monkeypatch, calls, harness, name)
+    schemes = ["unbiased", "mmse", "unbiased-1bit", "random-phase"]
+    nmse_sweep(_config(), schemes, [4, 8], [0.5, 2.0, 8.0], 250, seed=5)
+    assert calls.count("_sample_batch") == 2 * 3
+    assert calls.count("_aligned_phases_batch") == 2 * 3
+    assert calls.count("_gains_batch") == 2 * 3 * 3  # aligned, aligned-1bit, random
+
+
+def test_sweep_designs_once_per_chunk_and_budget(monkeypatch):
+    import airpfl.flsim as flsim
+    import airpfl.harness as harness
+
+    designs = []
+    _count_calls(monkeypatch, designs, harness, "_unbiased_batch")
+    _count_calls(monkeypatch, designs, flsim, "unbiased_design")
+    schemes = ["unbiased", "mmse", "unbiased-1bit", "random-phase"]
+    nmse_sweep(_config(), schemes, [4, 8], [0.5, 2.0, 8.0], 250, seed=5)
+    assert len(designs) == 2 * 3 * 3  # (N, chunk, P), not also per scheme
+
+
+def test_sweep_cell_does_not_depend_on_the_other_budgets(monkeypatch):
+    # Budgets of one surface size share their draws, yet each cell is
+    # bit for bit what it is alone or beside budgets in another order.
+    import airpfl.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
+    cfg = _config()
+    schemes = ["unbiased", "mmse", "mmse+powopt-1bit", "random-phase"]
+
+    def stats(p_values):
+        res = nmse_sweep(cfg, schemes, [4, 8], p_values, 40, seed=5)
+        return {(c.num_elements, c.p_max, c.scheme): (c.nmse_mean, c.nmse_stderr)
+                for c in res.cells}
+
+    together = stats([0.5, 2.0, 8.0])
+    alone = stats([2.0])
+    reordered = stats([8.0, 0.5])
+    assert alone == {key: v for key, v in together.items() if key[1] == 2.0}
+    assert reordered == {key: v for key, v in together.items() if key[1] != 2.0}
+    # Rows stay N-major, then P in the given order, then scheme.
+    assert list(reordered) == [(n, p, s) for n in (4, 8) for p in (8.0, 0.5) for s in schemes]
+
+
 def test_moments_merge_is_numerically_sound():
     # Mean 1e8 and unit spread: a one-pass sum of squares cancels
     # catastrophically here, the chunked merge does not.
