@@ -6,6 +6,10 @@ designed schemes ride down a power law as the surface grows, the
 adaptive denoiser tracks or beats the statistical one, one-bit phase
 quantization costs a modest constant factor, and random phases stay
 flat no matter how many elements are added.
+
+The sweep draws every surface size from one nested surface per trial
+(size n is its first n elements), so the octave slope printed last
+compares paired, nested surfaces rather than independent draws.
 """
 
 import math

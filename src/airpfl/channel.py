@@ -28,6 +28,16 @@ Every phase configuration evaluated on one draw sees the same foreign
 terms, each under its exact law. The gain kernels take own-surface
 terms as one real batched matmul over the interleaved (re, im) pairs
 of the N surface elements.
+
+One draw can also serve a grid of B increasing surface sizes
+n_1 < ... < n_B = N_max, as nested surfaces: the size-n surface is the
+first n elements of the N_max one. Paths are drawn once at N_max; the
+foreign terms are drawn per block of elements [n_{b-1}, n_b) (n_0 = 0),
+whose contributions are independent given the paths, and a size's
+foreign terms are the sum of its blocks' increments. Each size then has
+exactly its own law, and the joint law across sizes is that of one
+fully materialized surface, for 2 N_max (M^2 + K) + B M^2 K normals per
+trial.
 """
 
 from __future__ import annotations
@@ -56,13 +66,16 @@ class ChannelSet:
     drawn from its exact law given ris_to_ps, which is the same for
     every phase vector theta. Entries with i == cluster_of[k] are
     computed but unused, which keeps the shapes regular for any
-    cluster sizes.
+    cluster sizes. smaller_foreign holds, for each smaller nested size n
+    drawn alongside (ascending), the foreign terms of the surface made of
+    the first n elements; see prefix.
     """
 
     ris_to_ps: np.ndarray      # (T, M, N, M) complex
     device_to_ris: np.ndarray  # (T, K, N) complex, own-surface paths
     foreign_terms: np.ndarray  # (T, M, M, K) real
     cluster_of: np.ndarray     # (K,) int
+    smaller_foreign: tuple = ()  # ((n, (T, M, M, K) real), ...) for nested sizes n < N
 
     @property
     def num_trials(self) -> int:
@@ -75,6 +88,21 @@ class ChannelSet:
     @property
     def num_elements(self) -> int:
         return self.ris_to_ps.shape[2]
+
+    def prefix(self, n: int) -> "ChannelSet":
+        """The nested surface of the first n elements of every surface, as views.
+
+        n must be num_elements or one of the smaller sizes drawn with
+        this set (KeyError otherwise).
+        """
+        if n == self.num_elements:
+            return self
+        return ChannelSet(
+            ris_to_ps=self.ris_to_ps[:, :, :n],
+            device_to_ris=self.device_to_ris[:, :, :n],
+            foreign_terms=dict(self.smaller_foreign)[n],
+            cluster_of=self.cluster_of,
+        )
 
 
 def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.ndarray:
@@ -109,32 +137,45 @@ def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def sample_small_scale(
-    rng: np.random.Generator, trials: int, num_clusters: int, cluster_of, num_elements: int
+    rng: np.random.Generator, trials: int, num_clusters: int, cluster_of, num_elements
 ) -> ChannelSet:
     """Draw `trials` independent block-fading realizations from rng.
 
-    cluster_of (K,) names each device's own surface. Draw order is
+    cluster_of (K,) names each device's own surface. num_elements is a
+    surface size N, or an increasing sequence of nested sizes
+    n_1 < ... < n_B = N served by one draw (see prefix). Draw order is
     fixed, each block in C order with the trial axis first: real then
     imaginary parts of every surface-to-PS entry (T, M, N, M); real
     then imaginary parts of every device's own-surface entry (T, K, N);
-    then one standard-normal M-vector u per (surface, device) pair
-    (T, M, M, K). Each complex entry is real part * (1/sqrt(2)) +
-    1j * imaginary part * (1/sqrt(2)); foreign_terms[t, i] is
-    foreign_factor(ris_to_ps)[t, i] @ u[t, i, :min(2N, M)].
+    then, for each size b in turn, one standard-normal M-vector u_b per
+    (surface, device) pair (T, M, M, K). Each complex entry is real
+    part * (1/sqrt(2)) + 1j * imaginary part * (1/sqrt(2)). With F_b =
+    foreign_factor(ris_to_ps[:, :, n_{b-1}:n_b]) (n_0 = 0), the
+    foreign terms of size n_b are the running sum over blocks c <= b of
+    F_c @ u_c[..., :min(2 (n_c - n_{c-1}), M)]; those of size N are
+    foreign_terms.
     """
     cluster_of = np.asarray(cluster_of, dtype=int)
-    T, M, K, N = trials, num_clusters, cluster_of.size, num_elements
+    sizes = tuple(int(n) for n in np.atleast_1d(num_elements))
+    T, M, K, N = trials, num_clusters, cluster_of.size, sizes[-1]
     if cluster_of.ndim != 1 or cluster_of.min(initial=0) < 0 or cluster_of.max(initial=0) >= M:
         raise ValueError(f"cluster_of must be a 1-D array of surfaces in [0, {M})")
+    if any(b <= a for a, b in zip((0,) + sizes, sizes)):
+        raise ValueError(f"surface sizes must be positive and increasing, got {sizes}")
     ris_to_ps = _complex_normal(rng, (T, M, N, M))
     device_to_ris = _complex_normal(rng, (T, K, N))
-    normals = rng.standard_normal((T, M, M, K))
-    factor = foreign_factor(ris_to_ps)
+    normals = rng.standard_normal((len(sizes), T, M, M, K))
+    foreign = []
+    for b, (lo, hi) in enumerate(zip((0,) + sizes, sizes)):
+        factor = foreign_factor(ris_to_ps[:, :, lo:hi])
+        step = np.matmul(factor, normals[b, :, :, : factor.shape[-1]])
+        foreign.append(step if b == 0 else foreign[-1] + step)
     return ChannelSet(
         ris_to_ps=ris_to_ps,
         device_to_ris=device_to_ris,
-        foreign_terms=np.matmul(factor, normals[:, :, : factor.shape[-1]]),
+        foreign_terms=foreign[-1],
         cluster_of=cluster_of,
+        smaller_foreign=tuple(zip(sizes[:-1], foreign[:-1])),
     )
 
 

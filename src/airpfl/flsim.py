@@ -259,7 +259,8 @@ def run_training(
     """Run one federated training job under the given uplink scheme.
 
     rounds must be an integer >= 1 (ConfigError otherwise). eta may be
-    a scalar or a length-rounds sequence. All randomness is
+    a scalar or a length-rounds sequence; every learning rate must be a
+    finite number > 0 (ConfigError otherwise). All randomness is
     derived from cfg.master_seed and the round counter, and the round
     substreams do not depend on the scheme, so runs with different
     schemes at the same seed see identical own-surface and
@@ -281,6 +282,8 @@ def run_training(
         etas = np.full(rounds, float(etas))
     if etas.shape != (rounds,):
         raise ValueError(f"eta must be scalar or length {rounds}")
+    if not np.all(np.isfinite(etas) & (etas > 0)):
+        raise ConfigError(f"every learning rate must be a finite number > 0, got eta={eta!r}")
 
     M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
     members = cfg.clusters()

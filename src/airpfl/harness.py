@@ -160,18 +160,23 @@ def nmse_sweep(
     with fresh channels, fresh synthetic gradients (i.i.d. standard
     normal entries per device, standardized exactly before
     transmission), and fresh noise; reports mean NMSE and its standard
-    error. Rows are ordered by N, then P, then scheme.
+    error. Rows are ordered by N in the given order, then P, then
+    scheme.
 
-    The power budget changes only the statistical design and the
-    aggregation, so the draws of one surface size serve all of its
-    cells: own-surface and surface-to-PS paths, foreign-surface
-    reflections, random phases, gradients, noise and power-solver starts
-    are shared across every scheme and power budget of one N, and both
-    scheme and budget comparisons are paired. Different surface sizes
-    draw independently. The foreign-surface terms follow their exact
-    law, which does not depend on the phases, so every phase scheme sees
-    the same ones. A cell's statistics do not depend on which other
-    budgets or schemes run beside it.
+    Every cell of the grid shares each chunk's draw. The surface sizes
+    are nested surfaces: paths are drawn once at the largest N, and the
+    size-n surface is the first n elements of every surface, with its
+    foreign-surface reflections drawn block by block so that every size
+    sees them under its exact law (see airpfl.channel). The power budget
+    changes only the statistical design and the aggregation. Paths,
+    foreign-surface reflections, random phases, gradients and noise are
+    therefore shared by every scheme, budget and surface size, so
+    comparisons along each of the three axes are paired, while each
+    cell's law is exactly that of an independent run of its own. The
+    foreign-surface terms do not depend on the phases, so every phase
+    scheme sees the same ones. The draws depend on the sorted distinct
+    surface sizes, so a cell's statistics do not depend on the other
+    budgets or schemes beside it, nor on the order of the sizes.
 
     Malformed or repeated scheme labels, repeated, non-integral or
     invalid surface sizes, power budgets that are not numbers or are
@@ -198,65 +203,72 @@ def nmse_sweep(
         raise ConfigError(f"repeated sweep values in N={list(n_values)} or P={list(p_values)}")
     geometry = place_geometry(cfg, seed)
     beta_full = large_scale_coefficients(geometry, cfg.pathloss_exponent)
-    cells = []
-    for n in n_values:
-        stats = _sweep_cell({p: grid[n, p] for p in p_values}, beta_full, parsed, trials, seed)
-        cells += [
-            SweepCell(n, p_max, s.name, trials, *stats[p_max, s.name])
-            for p_max in p_values
-            for s in parsed
-        ]
+    stats = _sweep_cell(grid, beta_full, parsed, trials, seed)
+    cells = [
+        SweepCell(n, p, s.name, trials, *stats[n, p, s.name])
+        for n in n_values
+        for p in p_values
+        for s in parsed
+    ]
     digest = hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
     return SweepResult(cells=cells, seed=seed, config_digest=digest)
 
 
 def _sweep_cell(cfgs, beta, schemes, trials, seed):
-    """Every power budget of one surface size: {P: config} -> {(P, scheme name): stats}.
+    """Every cell of the grid: {(N, P): config} -> {(N, P, scheme name): stats}.
 
-    Each chunk draws its channel, gradients, noise and random phases
-    once, and computes each phase key's gains once; the channel is then
-    released, and only the statistical design (once per budget) and the
-    aggregation (once per budget and scheme) run per budget.
+    Each chunk draws one channel at the largest surface size, with the
+    foreign terms of every smaller nested size, and its gradients, noise
+    and random phases once. Aligned, quantized and random phases are per
+    element, so they are computed once at the largest size and sliced.
+    Each (size, phase key) then gets its gains, the channel is released,
+    and only the statistical design (once per size and budget) and the
+    aggregation (once per size, budget and scheme) run per cell.
     """
     cfg = next(iter(cfgs.values()))
-    M, K, D, n = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
+    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
+    sizes = sorted({n for n, _ in cfgs})
     channel_schemes = [s for s in schemes if s.design != "ideal"]
-    moments = {(p, s.name): Moments() for p in cfgs for s in channel_schemes}
+    moments = {(n, p, s.name): Moments() for n, p in cfgs for s in channel_schemes}
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
-        rng = rng_from_seed(derive_seed(seed, "sweep-cell", n, start))
-        ch = _sample_batch(rng, tc, M, cfg.cluster_of, n)
+        rng = rng_from_seed(derive_seed(seed, "sweep-cell", sizes[-1], start))
+        ch = _sample_batch(rng, tc, M, cfg.cluster_of, sizes)
         raw = rng.standard_normal((tc, K, D))
         noise = rng.standard_normal((tc, M, D))
-        phases = {"random": baseline_phases(rng, tc, M, n)}
+        phases = {"random": baseline_phases(rng, tc, M, sizes[-1])}
         grads = normalize_gradient(raw)
         g_true = cluster_average(raw, cfg.cluster_of, M)
-        gains = {}
+        thetas = {}
         for s in channel_schemes:
             key = (s.phases, s.bits)
-            if key not in gains:
+            if key not in thetas:
                 if s.phases not in phases:
                     phases[s.phases] = _aligned_phases_batch(ch)
                 theta = phases[s.phases]
-                if s.bits is not None:
-                    theta = corrupt_phases(theta, s.bits)
-                gains[key] = _gains_batch(ch, beta, theta)
-        del ch, phases, raw
-        seeds = (
-            [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
+                thetas[key] = theta if s.bits is None else corrupt_phases(theta, s.bits)
+        gains = {
+            (n, key): _gains_batch(ch.prefix(n), beta, theta[:, :, :n])
+            for n in sizes
+            for key, theta in thetas.items()
+        }
+        del ch, phases, thetas, raw
+
+        seeds = {
+            n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
             if any(s.powopt for s in channel_schemes)
             else ()
-        )
-
-        for p, cell_cfg in cfgs.items():
+            for n in sizes
+        }
+        for (n, p), cell_cfg in cfgs.items():
             design = _unbiased_batch(beta, grads.std, cell_cfg.max_power, D, n, cfg.cluster_of)
             for s in channel_schemes:
                 g_hat = aggregate_round(
-                    cell_cfg, s, design, gains[s.phases, s.bits], grads, noise, seeds
+                    cell_cfg, s, design, gains[n, (s.phases, s.bits)], grads, noise, seeds[n]
                 )
-                moments[p, s.name].add(estimation_nmse(g_hat, g_true))
+                moments[n, p, s.name].add(estimation_nmse(g_hat, g_true))
 
-    out = {(p, s.name): (0.0, 0.0) for p in cfgs for s in schemes if s.design == "ideal"}
+    out = {(n, p, s.name): (0.0, 0.0) for n, p in cfgs for s in schemes if s.design == "ideal"}
     for key, stats in moments.items():
         out[key] = (float(stats.mean), float(stats.stderr))
     return out

@@ -83,8 +83,9 @@ class SystemConfig:
         return cluster_members(self.cluster_of, self.num_clusters)
 
     def replace(self, **changes) -> "SystemConfig":
-        """A copy with the given fields changed, validated like make_config."""
-        return validate_config(dataclasses.replace(self, **changes))
+        """A copy with the given fields changed, built and validated by make_config."""
+        fields = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        return make_config(**{**fields, **changes})
 
     def to_json(self) -> str:
         doc = {
@@ -121,25 +122,35 @@ def make_config(
     device_disk_radius: float = 300.0,
     master_seed: int = 0,
 ) -> SystemConfig:
-    """Build and validate a SystemConfig; scalar max_power broadcasts."""
-    cluster_of = np.asarray(cluster_of, dtype=int).copy()
-    power = np.asarray(max_power, dtype=float)
-    if power.ndim == 0:
-        power = np.full(int(num_devices), float(power))
+    """Build and validate a SystemConfig; scalar max_power broadcasts.
+
+    Counts, cluster labels and the seed must be integers and the other
+    fields numbers (bools and strings are neither); nothing is rounded.
+    """
+    num_devices = as_integer("num_devices", num_devices)
+    power = _entries("max_power", max_power, as_number)
+    if power.ndim == 0 and num_devices > 0:
+        power = np.full(num_devices, float(power))
     cfg = SystemConfig(
-        num_devices=int(num_devices),
-        num_clusters=int(num_clusters),
-        num_ris_elements=int(num_ris_elements),
-        model_dim=int(model_dim),
-        cluster_of=cluster_of,
-        max_power=power.copy(),
-        noise_var=float(noise_var),
-        pathloss_exponent=float(pathloss_exponent),
-        ps_ris_distance=float(ps_ris_distance),
-        device_disk_radius=float(device_disk_radius),
-        master_seed=int(master_seed),
+        num_devices=num_devices,
+        num_clusters=as_integer("num_clusters", num_clusters),
+        num_ris_elements=as_integer("num_ris_elements", num_ris_elements),
+        model_dim=as_integer("model_dim", model_dim),
+        cluster_of=_entries("cluster_of", cluster_of, as_integer),
+        max_power=power,
+        noise_var=as_number("noise_var", noise_var),
+        pathloss_exponent=as_number("pathloss_exponent", pathloss_exponent),
+        ps_ris_distance=as_number("ps_ris_distance", ps_ris_distance),
+        device_disk_radius=as_number("device_disk_radius", device_disk_radius),
+        master_seed=as_seed("master_seed", master_seed),
     )
     return validate_config(cfg)
+
+
+def _entries(name, value, convert) -> np.ndarray:
+    """value as an array of convert(entry) (as_integer or as_number) for every entry."""
+    array = np.array(value, dtype=object)
+    return np.array([convert(f"{name} entry", v) for v in array.ravel()]).reshape(array.shape)
 
 
 def config_from_json(text: str) -> SystemConfig:

@@ -128,6 +128,60 @@ def test_small_scale_draw_order_is_documented_order():
         assert rng_kernel.random() == rng.random()
 
 
+def test_nested_draw_is_documented_order_and_prefixes_are_views():
+    # Sizes 1 < 3 < 7 in one draw: paths at the largest size, then one
+    # block of foreign normals per size; each prefix views the first n
+    # elements and carries the running sum of its blocks' increments.
+    T, M, K, sizes = 3, 4, 6, (1, 3, 7)
+    scale = 1 / np.sqrt(2)
+    cluster_of = np.arange(K) % M
+    rng_kernel = rng_from_seed(8)
+    ch = sample_small_scale(rng_kernel, T, M, cluster_of, sizes)
+    rng = rng_from_seed(8)
+    hp = (rng.standard_normal((T, M, 7, M)) + 1j * rng.standard_normal((T, M, 7, M))) * scale
+    hd = (rng.standard_normal((T, K, 7)) + 1j * rng.standard_normal((T, K, 7))) * scale
+    u = rng.standard_normal((len(sizes), T, M, M, K))
+    assert rng_kernel.random() == rng.random()
+    assert np.array_equal(ch.ris_to_ps, hp) and np.array_equal(ch.device_to_ris, hd)
+    running = 0.0
+    for b, (lo, hi) in enumerate(zip((0,) + sizes, sizes)):
+        factor = foreign_factor(hp[:, :, lo:hi])
+        running = running + np.matmul(factor, u[b, :, :, : factor.shape[-1]])
+        sub = ch.prefix(hi)
+        assert sub.num_elements == hi
+        assert np.shares_memory(sub.ris_to_ps, ch.ris_to_ps)
+        assert np.shares_memory(sub.device_to_ris, ch.device_to_ris)
+        assert np.array_equal(sub.ris_to_ps, hp[:, :, :hi])
+        assert np.array_equal(sub.device_to_ris, hd[:, :, :hi])
+        assert np.array_equal(sub.foreign_terms, running)
+    assert ch.prefix(7) is ch
+    with pytest.raises(KeyError):
+        ch.prefix(5)
+
+
+@pytest.mark.parametrize("sizes", [(3, 1), (2, 2), (0, 4)], ids=["decreasing", "repeated", "zero"])
+def test_small_scale_rejects_bad_nested_sizes(sizes):
+    with pytest.raises(ValueError):
+        sample_small_scale(rng_from_seed(1), 1, 2, [0, 1, 1], sizes)
+
+
+def test_nested_foreign_blocks_compose_the_prefix_gram():
+    # Sum over blocks of F_b F_b^T is Re(H_:n^H H_:n) / 2 for every
+    # prefix n. With M = 4 antennas the first block (one element, two
+    # real rows) and the second (two elements) have 2 * size <= M, so
+    # their factors are rank deficient or square.
+    T, M, sizes = 5, 4, (1, 3, 4, 9)
+    hp = sample_small_scale(rng_from_seed(12), T, M, np.arange(8) % M, sizes).ris_to_ps
+    total = 0.0
+    for lo, hi in zip((0,) + sizes, sizes):
+        factor = foreign_factor(hp[:, :, lo:hi])
+        assert factor.shape[-1] == min(2 * (hi - lo), M)
+        total = total + factor @ factor.swapaxes(-1, -2)
+        head = hp[:, :, :hi]
+        gram = (head.conj().swapaxes(-1, -2) @ head).real / 2
+        assert np.abs(total - gram).max() <= 1e-12 * np.abs(gram).max()
+
+
 def test_small_scale_moments():
     # Entries are circularly symmetric with unit second moment, so
     # E|h| = sqrt(pi)/2 (folded-Gaussian mean scaled by 1/sqrt(2)).
@@ -282,18 +336,29 @@ def test_kernels_reproduce_the_full_channel():
     assert np.allclose(np.mod(phases, 2 * np.pi), configure_aligned(ch), rtol=0, atol=1e-12)
 
 
-def _aligned_components(name, trials, M, K, N, chunk=1000):
-    """Per-surface terms under aligned phases, unit beta, shape (trials, M, M, K)."""
+def _nested_components(name, trials, M, K, sizes, seed, chunk):
+    """Per-surface terms of each nested size under aligned phases, unit beta.
+
+    The phases are aligned at the largest size and sliced; shape
+    (trials, len(sizes), M, M, K).
+    """
     cluster_of = np.repeat(np.arange(M), K // M)
     parts = []
     for start in range(0, trials, chunk):
-        rng = rng_from_seed(derive_seed(77, name, start))
+        rng = rng_from_seed(derive_seed(seed, name, start))
         if name == "sampler":
-            ch = sample_small_scale(rng, chunk, M, cluster_of, N)
-            parts.append(cascaded_components(ch, np.ones((M, K)), configure_aligned(ch)))
+            ch = sample_small_scale(rng, chunk, M, cluster_of, sizes)
+            theta = configure_aligned(ch)
+            terms = [
+                cascaded_components(ch.prefix(n), np.ones((M, K)), theta[:, :, :n]) for n in sizes
+            ]
         else:
-            hp, hd = draw_full(rng, chunk, M, K, N)
-            parts.append(reflected(hp, hd, aligned_phases(hp, hd, cluster_of)))
+            hp, hd = draw_full(rng, chunk, M, K, sizes[-1])
+            theta = aligned_phases(hp, hd, cluster_of)
+            terms = [
+                reflected(hp[:, :, :n], hd[..., :n], theta[:, :, :n]) for n in sizes
+            ]
+        parts.append(np.stack(terms, axis=1))
     return np.concatenate(parts)
 
 
@@ -309,8 +374,8 @@ def test_conditional_sampler_matches_full_materialization():
     # pair. Bonferroni over the whole family at a family-wise
     # false-alarm rate of 1e-4.
     trials, M, K, N = 20_000, 4, 20, 16
-    x = _aligned_components("sampler", trials, M, K, N)
-    y = _aligned_components("full", trials, M, K, N)
+    x, y = (_nested_components(name, trials, M, K, (N,), 77, 1000)[:, 0]
+            for name in ("sampler", "full"))
     z = []
     (mx, sx), (my, sy) = _mean_and_stderr(x), _mean_and_stderr(y)
     z.append((mx - my) / np.hypot(sx, sy))
@@ -323,6 +388,36 @@ def test_conditional_sampler_matches_full_materialization():
             z.append((cx - cy) / np.hypot(sx, sy))
     z = np.concatenate([v.ravel() for v in z])
     assert z.size == M * M * K + M * K * M * (M + 1) // 2
+    family_alpha = 1e-4
+    z_crit = NormalDist().inv_cdf(1 - family_alpha / (2 * z.size))
+    assert np.max(np.abs(z)) <= z_crit
+
+
+def test_nested_prefixes_match_one_materialized_surface():
+    # Two-sample z-tests between nested prefixes of one sampler draw and
+    # the prefixes of one fully materialized surface, under aligned
+    # phases computed at the largest size and sliced: the mean of every
+    # (size, surface, antenna, device) component, and every covariance
+    # between two (size, antenna) components of one (surface, device)
+    # pair, which ties the sizes' foreign terms together. Bonferroni over
+    # the whole family at a family-wise false-alarm rate of 1e-4.
+    trials, M, K, sizes = 20_000, 3, 6, (2, 5)
+    x, y = (_nested_components(name, trials, M, K, sizes, 78, 5000)
+            for name in ("sampler", "full"))
+    V = len(sizes) * M  # (size, antenna) variables per (surface, device) pair
+    x, y = (v.transpose(0, 2, 4, 1, 3).reshape(trials, M, K, V) for v in (x, y))
+    z = []
+    (mx, sx), (my, sy) = _mean_and_stderr(x), _mean_and_stderr(y)
+    z.append((mx - my) / np.hypot(sx, sy))
+    for a in range(V):
+        for b in range(a, V):
+            (cx, sx), (cy, sy) = (
+                _mean_and_stderr((v[..., a] - v[..., a].mean(0)) * (v[..., b] - v[..., b].mean(0)))
+                for v in (x, y)
+            )
+            z.append((cx - cy) / np.hypot(sx, sy))
+    z = np.concatenate([v.ravel() for v in z])
+    assert z.size == M * K * V + M * K * V * (V + 1) // 2
     family_alpha = 1e-4
     z_crit = NormalDist().inv_cdf(1 - family_alpha / (2 * z.size))
     assert np.max(np.abs(z)) <= z_crit

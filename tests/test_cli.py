@@ -61,6 +61,22 @@ def test_invalid_config_values_exit_2(tmp_path, system_doc):
     assert cli_main(["verify-elimination", "--config", str(path), "--trials", "50"]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("num_ris_elements", "16"), ("model_dim", 4.9), ("master_seed", 3.7),
+     ("num_ris_elements", True), ("cluster_of", [0, 0, 0.5, 1, 1, 1]),
+     ("noise_var", "1e-9"), ("max_power", [1.0] * 5 + [True])],
+    ids=["string-N", "fractional-model-dim", "fractional-seed", "bool-N",
+         "fractional-cluster", "string-noise", "bool-power"],
+)
+def test_config_values_are_not_coerced(tmp_path, system_doc, capsys, field, value):
+    system_doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(system_doc))
+    assert cli_main(["verify-elimination", "--config", str(path), "--trials", "50"]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["1", "0"])
 def test_verify_elimination_with_too_few_trials_exits_2(system_path, capsys, trials):
     assert cli_main(["verify-elimination", "--config", system_path, "--trials", trials]) == 2
@@ -189,6 +205,12 @@ def test_train_rejects_unknown_scheme(system_path):
 def test_train_rejects_negative_seed(system_path, capsys):
     assert cli_main(["train", "--config", system_path, "--rounds", "2", "--seed", "-5"]) == 2
     assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-0.05", "0"])
+def test_train_rejects_a_learning_rate_that_is_not_positive_and_finite(system_path, capsys, eta):
+    assert cli_main(["train", "--config", system_path, "--rounds", "2", "--eta", eta]) == 2
+    assert "learning rate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rounds", ["0", "-3"])

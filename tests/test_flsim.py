@@ -14,7 +14,7 @@ from airpfl.flsim import (
     sgd_step,
     synth_clustered_tasks,
 )
-from airpfl.sysmodel import make_config, place_geometry
+from airpfl.sysmodel import ConfigError, make_config, place_geometry
 
 
 def _config(K=6, M=2, N=32, D=8, noise_var=1e-9, seed=2):
@@ -255,6 +255,9 @@ def test_training_rejects_bad_arguments():
         run_training(cfg, geom, datasets[:-1], "ideal", rounds=3)
     with pytest.raises(ValueError):
         run_training(cfg, geom, datasets, "ideal", rounds=3, eta=[0.1, 0.1])
+    for eta in ([0.1, 0.0, 0.1], [0.1, 0.1, np.nan], -0.05):
+        with pytest.raises(ConfigError, match="learning rate"):
+            run_training(cfg, geom, datasets, "ideal", rounds=3, eta=eta)
 
 
 def test_training_divergence_raises():

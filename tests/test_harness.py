@@ -225,9 +225,10 @@ def _count_calls(monkeypatch, calls, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_sweep_draws_once_per_surface_size_and_chunk(monkeypatch):
-    # 2 surface sizes x 3 chunks (100 + 100 + 50 trials): every power
-    # budget of a surface size reuses the chunk's channel, phases and gains.
+def test_sweep_draws_once_per_chunk(monkeypatch):
+    # 2 nested surface sizes x 3 chunks (100 + 100 + 50 trials): one draw
+    # and one alignment per chunk serve every size and power budget; the
+    # gains still run per (size, phase key).
     import airpfl.harness as harness
 
     calls = []
@@ -235,8 +236,8 @@ def test_sweep_draws_once_per_surface_size_and_chunk(monkeypatch):
         _count_calls(monkeypatch, calls, harness, name)
     schemes = ["unbiased", "mmse", "unbiased-1bit", "random-phase"]
     nmse_sweep(_config(), schemes, [4, 8], [0.5, 2.0, 8.0], 250, seed=5)
-    assert calls.count("_sample_batch") == 2 * 3
-    assert calls.count("_aligned_phases_batch") == 2 * 3
+    assert calls.count("_sample_batch") == 3
+    assert calls.count("_aligned_phases_batch") == 3
     assert calls.count("_gains_batch") == 2 * 3 * 3  # aligned, aligned-1bit, random
 
 
@@ -273,6 +274,41 @@ def test_sweep_cell_does_not_depend_on_the_other_budgets(monkeypatch):
     assert reordered == {key: v for key, v in together.items() if key[1] != 2.0}
     # Rows stay N-major, then P in the given order, then scheme.
     assert list(reordered) == [(n, p, s) for n in (4, 8) for p in (8.0, 0.5) for s in schemes]
+
+
+def test_sweep_cell_does_not_depend_on_the_order_of_surface_sizes(monkeypatch):
+    # Draws depend on the sorted sizes, so reordering them moves rows only.
+    import airpfl.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
+    cfg = _config()
+    schemes = ["unbiased", "mmse", "mmse+powopt-1bit", "random-phase"]
+
+    def stats(n_values):
+        res = nmse_sweep(cfg, schemes, n_values, [0.5, 2.0], 40, seed=5)
+        return {(c.num_elements, c.p_max, c.scheme): (c.nmse_mean, c.nmse_stderr)
+                for c in res.cells}
+
+    ascending, shuffled = stats([2, 4, 8]), stats([8, 2, 4])
+    assert shuffled == ascending
+    assert [key[0] for key in shuffled][:: 2 * len(schemes)] == [8, 2, 4]
+
+
+def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
+    # With one surface size the nested draw is the one-block draw, so
+    # the CSV is the byte stream of the per-size sweep it replaced.
+    import hashlib
+
+    import airpfl.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK", 16)
+    schemes = ["unbiased", "mmse", "mmse+powopt-1bit", "random-phase"]
+    res = nmse_sweep(_config(), schemes, [8], [0.5, 2.0], 40, seed=5)
+    path = tmp_path / "sweep.csv"
+    export_csv(res, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "de0f002d6ddf9688aa2b11f11627fe7b76d4cf80ed8a2478c9371a7af33cf415"
+    )
 
 
 def test_moments_merge_is_numerically_sound():

@@ -176,6 +176,9 @@ def test_replace_revalidates():
         with pytest.raises(ConfigError):
             cfg.replace(**changes)
     assert cfg.replace(noise_var=2e-8).noise_var == 2e-8
+    assert cfg.replace(cluster_of=[0, 0, 0, 1, 1, 1]) == cfg
+    with pytest.raises(ConfigError, match="cluster_of entry"):
+        cfg.replace(cluster_of=[0, 0, 0, 1, 1, True])
 
 
 # ---------------------------------------------------------------------------
