@@ -18,16 +18,13 @@ from airpfl.sysmodel import make_config, place_geometry
 
 
 def total_mse(cfg, powers, gains, sigmas, fallback):
+    powers, gains, sigmas = powers[None], gains[None], sigmas[None]
     lams = adaptive_denoisers(
-        powers[None], gains[None], sigmas[None], cfg.noise_var, cfg.cluster_of, fallback[None]
-    )[0]
-    return sum(
-        conditional_mse(
-            powers, lams[m], gains[m], sigmas, cfg.noise_var, cfg.model_dim,
-            cfg.cluster_of, m,
-        )
-        for m in range(cfg.num_clusters)
+        powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, fallback[None]
     )
+    return conditional_mse(
+        powers, lams, gains, sigmas, cfg.noise_var, cfg.model_dim, cfg.cluster_of
+    ).sum()
 
 
 def main():

@@ -24,10 +24,8 @@ from .channel import (
 )
 from .control import (
     AggregationDesign,
-    ClusterSignalVanished,
     adaptive_denoisers,
     conditional_mse,
-    mmse_denoising,
     unbiased_design,
 )
 from .flsim import (

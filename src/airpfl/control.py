@@ -6,7 +6,9 @@ pairs them with a denoiser computed from channel statistics alone; the
 resulting cluster estimates are unbiased. The adaptive denoiser
 instead uses the realized cascaded gains of the current round and
 minimizes the conditional mean-squared error of the cluster estimate
-for whatever powers are in force.
+for whatever powers are in force. That error, `conditional_mse`, and
+the adaptive denoiser read the same per-cluster terms, for T trials
+at once.
 """
 
 from __future__ import annotations
@@ -20,17 +22,12 @@ from .sysmodel import cluster_members
 DENOISER_UNDERFLOW_TOL = 1e-15
 
 
-class ClusterSignalVanished(ArithmeticError):
-    """The aligned signal of a cluster underflowed; no adaptive denoiser exists."""
-
-
 @dataclass(frozen=True)
 class AggregationDesign:
     """Per-device transmit powers and per-cluster denoising factors."""
 
-    powers: np.ndarray     # (K,)
-    denoisers: np.ndarray  # (M,)
-    scheme: str
+    powers: np.ndarray     # (T, K)
+    denoisers: np.ndarray  # (T, M)
 
 
 def unbiased_design(
@@ -80,85 +77,60 @@ def unbiased_design(
         p = (sigmas[:, idx] / beta[m, idx]) ** 2 * scale[:, None] ** 2
         powers[:, idx] = np.minimum(p, max_power[idx])
         denoisers[:, m] = np.pi * num_elements * np.sqrt(idx.size) * zeta / 4.0
-    return AggregationDesign(powers=powers, denoisers=denoisers, scheme="unbiased")
+    return AggregationDesign(powers=powers, denoisers=denoisers)
 
 
-def mmse_denoising(
-    powers: np.ndarray,
-    gains_row: np.ndarray,
-    sigmas: np.ndarray,
-    noise_var: float,
-    cluster_of: np.ndarray,
-    m: int,
-) -> float:
-    """Conditionally MSE-optimal denoiser for cluster m, given powers.
+def _error_terms(powers, gains, sigmas, noise_var, cluster_of):
+    """Terms of every cluster's conditional MSE under realized gains.
 
-    With realized real cascaded gains h (row m of the gain matrix),
-
-        lambda_m = |cluster m| * (sum_k p_k h_k^2 sigma_k^2 + noise_var / 2)
-                   / (sum_{k in cluster m} sqrt(p_k) h_k sigma_k^3).
-
-    Raises ClusterSignalVanished when the denominator magnitude falls
-    below 1e-15; callers then fall back to the statistical denoiser.
-    The returned value can be negative when the realized own-cluster
-    signal is anti-aligned, in which case no positive minimizer exists.
+    Returns num[t, m] = sum_k p_k h_{m,k}^2 sigma_k^2 + noise_var / 2
+    and cross[t, m] = sum_{k in m} sqrt(p_k) h_{m,k} sigma_k^3, both
+    (T, M), and the (M,) cluster sizes.
     """
-    powers = np.asarray(powers, dtype=float)
-    gains_row = np.asarray(gains_row, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    members = np.flatnonzero(np.asarray(cluster_of) == m)
-    size = members.size
-    if size == 0:
-        raise ValueError(f"empty cluster {m}")
-    num = float(np.sum(powers * gains_row**2 * sigmas**2)) + noise_var / 2.0
-    den = float(np.sum(np.sqrt(powers[members]) * gains_row[members] * sigmas[members] ** 3))
-    if abs(den) < DENOISER_UNDERFLOW_TOL:
-        raise ClusterSignalVanished(
-            f"cluster {m} aligned signal underflowed (denominator {den!r})"
+    M = gains.shape[1]
+    num = np.einsum("tk,tmk->tm", powers * sigmas**2, gains**2, optimize=True) + noise_var / 2.0
+    cross = np.empty(num.shape)
+    members = cluster_members(cluster_of, M)
+    for m, idx in enumerate(members):
+        if idx.size == 0:
+            raise ValueError(f"empty cluster {m}")
+        cross[:, m] = np.einsum(
+            "tk,tk->t", np.sqrt(powers[:, idx]) * sigmas[:, idx] ** 3, gains[:, m, idx]
         )
-    return size * num / den
+    return num, cross, np.array([idx.size for idx in members])
 
 
 def conditional_mse(
     powers: np.ndarray,
-    denoiser: float,
-    gains_row: np.ndarray,
+    denoisers: np.ndarray,
+    gains: np.ndarray,
     sigmas: np.ndarray,
     noise_var: float,
     model_dim: int,
     cluster_of: np.ndarray,
-    m: int,
-) -> float:
-    """Closed-form MSE of cluster m's estimate given realized gains.
+) -> np.ndarray:
+    """Closed-form MSE of every cluster's estimate given realized gains.
 
-    Treats the standardized gradients as zero-mean vectors with
-    per-entry variance sigma_k^2 and the extracted real noise with
-    per-entry variance noise_var / 2:
+    powers and sigmas have shape (T, K), denoisers (T, M) and gains
+    (T, M, K); returns (T, M). Treats the standardized gradients as
+    zero-mean vectors with per-entry variance sigma_k^2 and the
+    extracted real noise with per-entry variance noise_var / 2:
 
-        (sum_k p_k h_k^2 sigma_k^2 D + D noise_var / 2) / lambda^2
-        - 2 (sum_own sqrt(p_k) h_k sigma_k^3 D / |cluster|) / lambda
-        + sum_own sigma_k^4 D / |cluster|^2.
+        D * (num_m / lambda_m^2 - 2 cross_m / (|cluster m| lambda_m)
+             + sum_{k in m} sigma_k^4 / |cluster m|^2),
 
-    An infinite denoiser yields the signal-free floor (last term).
+    with num_m = sum_k p_k h_{m,k}^2 sigma_k^2 + noise_var / 2 and
+    cross_m = sum_{k in m} sqrt(p_k) h_{m,k} sigma_k^3. An infinite
+    denoiser yields the signal-free floor (last term); a non-positive
+    one raises ValueError.
     """
-    if not denoiser > 0:
-        raise ValueError(f"denoiser must be positive, got {denoiser!r}")
-    powers = np.asarray(powers, dtype=float)
-    gains_row = np.asarray(gains_row, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    members = np.flatnonzero(np.asarray(cluster_of) == m)
-    size = members.size
-    if size == 0:
-        raise ValueError(f"empty cluster {m}")
-    D = float(model_dim)
-    quad = float(np.sum(powers * gains_row**2 * sigmas**2)) * D + D * noise_var / 2.0
-    lin = 2.0 * float(
-        np.sum(np.sqrt(powers[members]) * gains_row[members] * sigmas[members] ** 3)
-    ) * D / size
-    floor = float(np.sum(sigmas[members] ** 4)) * D / size**2
-    if np.isinf(denoiser):
-        return floor
-    return quad / denoiser**2 - lin / denoiser + floor
+    if not (denoisers > 0).all():
+        raise ValueError(f"denoisers must be positive, got {denoisers!r}")
+    num, cross, sizes = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
+    own = np.asarray(cluster_of)[:, None] == np.arange(sizes.size)  # (K, M)
+    floor = sigmas**4 @ own / sizes**2
+    inv = 1.0 / denoisers
+    return model_dim * (num * inv**2 - 2.0 * cross / sizes * inv + floor)
 
 
 def adaptive_denoisers(
@@ -172,21 +144,19 @@ def adaptive_denoisers(
     """Per-trial, per-cluster adaptive denoisers with explicit degraded modes.
 
     powers and sigmas have shape (T, K), gains (T, M, K) and fallback
-    (T, M). For each cluster take the conditional-MSE minimizer of
-    mmse_denoising when it is positive; substitute fallback[t, m] when
-    the denominator magnitude falls below 1e-15 (a cluster with no
-    analog signal); and return +inf (discard the analog signal, keep
-    the mean term) when the minimizer is non-positive, since the
-    constrained optimum over positive denoisers is then attained in the
-    limit.
+    (T, M). The conditional-MSE minimizer over lambda is
+
+        lambda_m = |cluster m| * num_m / cross_m
+
+    (terms as in conditional_mse). It is taken when positive;
+    fallback[t, m] is substituted when |cross_m| falls below 1e-15 (a
+    cluster with no analog signal); and +inf (discard the analog
+    signal, keep the mean term) is returned when the minimizer is
+    non-positive, since the constrained optimum over positive denoisers
+    is then attained in the limit.
     """
-    M = gains.shape[1]
-    num = np.einsum("tk,tmk->tm", powers * sigmas**2, gains**2, optimize=True) + noise_var / 2.0
-    out = np.empty(fallback.shape)
-    for m, idx in enumerate(cluster_members(cluster_of, M)):
-        den = np.einsum("tk,tk->t", np.sqrt(powers[:, idx]) * sigmas[:, idx] ** 3, gains[:, m, idx])
-        vanished = np.abs(den) < DENOISER_UNDERFLOW_TOL
-        raw = idx.size * num[:, m] / np.where(vanished, 1.0, den)
-        lam = np.where(vanished, fallback[:, m], raw)
-        out[:, m] = np.where(lam > 0, lam, np.inf)
-    return out
+    num, cross, sizes = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
+    vanished = np.abs(cross) < DENOISER_UNDERFLOW_TOL
+    raw = sizes * num / np.where(vanished, 1.0, cross)
+    lam = np.where(vanished, fallback, raw)
+    return np.where(lam > 0, lam, np.inf)

@@ -3,15 +3,19 @@
 Substituting the adaptive denoiser into each cluster's conditional MSE
 leaves, up to a constant, a sum of ratios in q = sqrt(p):
 
-    maximize  sum_m (q^T b_m)^2 / (q^T diag(a_m) q + c_m)
+    maximize  sum_m max(q^T b_m, 0)^2 / (q^T diag(a_m) q + c_m)
     subject to 0 <= q_k <= sqrt(P_k),
 
 with a_m[k] = |cluster m|^2 * h_{m,k}^2 * sigma_k^2,
 b_m[k] = h_{m,k} * sigma_k^3 on cluster m's support (0 elsewhere), and
-c_m = |cluster m|^2 * noise_var / 2, for T trials at once. The problem
-is non-convex, so the solver runs the quadratic transform of Shen & Yu
-(IEEE TSP 2018) from several starts per trial and keeps the best. A
-dense grid search is provided as an oracle for small K.
+c_m = |cluster m|^2 * noise_var / 2, for T trials at once. Each ratio
+is the error reduction, per model coordinate, that the adaptive
+denoiser recovers below cluster m's signal-free floor. A cluster whose
+own signal q^T b_m is negative gets the infinite denoiser and recovers
+nothing, so it scores zero. The problem is non-convex, so the solver
+runs the quadratic transform of Shen & Yu (IEEE TSP 2018) from several
+starts per trial and keeps the best. A dense grid search is provided
+as an oracle for small K.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ def assemble_ratio_problem(
 
 
 def _numerators_denominators(prob: RatioProblem, q: np.ndarray):
-    """b_m . q and q^T diag(a_m) q + c_m, both (T, S, M), at points q (T, S, K) or (S, K)."""
-    num = q @ prob.b.transpose(0, 2, 1)
+    """max(b_m . q, 0) and q^T diag(a_m) q + c_m, both (T, S, M), at q (T, S, K) or (S, K)."""
+    num = np.maximum(q @ prob.b.transpose(0, 2, 1), 0.0)
     den = q**2 @ prob.a_diag.transpose(0, 2, 1) + prob.c
     return num, den
 
@@ -94,9 +98,12 @@ def _sum_of_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def objective(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
-    """Sum over clusters of (q^T b_m)^2 / (q^T diag(a_m) q + c_m), per trial.
+    """Sum over clusters of max(q^T b_m, 0)^2 / (q^T diag(a_m) q + c_m), per trial.
 
-    q is (T, K); returns (T,).
+    q is (T, K); returns (T,). At p = q^2 this is the summed floor minus
+    the summed conditional MSE under the adaptive denoiser (infinite
+    where a cluster's signal vanishes or is anti-aligned), divided by
+    the model size.
     """
     q = np.asarray(q, dtype=float)
     return _sum_of_ratios(*_numerators_denominators(prob, q[:, None, :]))[:, 0]
@@ -105,10 +112,12 @@ def objective(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
 def _transform_step(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
     """Next points (T, S, K) of the quadratic-transform iteration from q (T, S, K).
 
-    With y_m = (b_m . q) / (q^T diag(a_m) q + c_m) fixed, the surrogate
-    sum_m 2 y_m (b_m . p) - y_m^2 (p^T diag(a_m) p + c_m) is at most the
-    objective at p, equals it at p = q and is separable in p, so its box
-    maximizer (closed-form per device) never lowers the objective.
+    With y_m = max(b_m . q, 0) / (q^T diag(a_m) q + c_m) fixed, the
+    surrogate sum_m 2 y_m (b_m . p) - y_m^2 (p^T diag(a_m) p + c_m) is
+    at most the objective at p (with y_m >= 0, each term is at most
+    max(b_m . p, 0)^2 / den_m(p)), equals it at p = q (y_m = 0 matches
+    an anti-aligned cluster's score 0) and is separable in p, so its
+    box maximizer (closed-form per device) never lowers the objective.
     """
     num, den = _numerators_denominators(prob, q)
     y = np.divide(num, den, out=np.zeros_like(num), where=den > 0)

@@ -16,7 +16,7 @@ from scipy import optimize
 from airpfl.aircomp import estimate_cluster_gradient, normalize_gradient, uplink
 from airpfl.channel import ChannelSet, all_cascaded_gains, large_scale_coefficients
 from airpfl.cli import cli_main
-from airpfl.control import conditional_mse, mmse_denoising, unbiased_design
+from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import cluster_loss, run_training, synth_clustered_tasks
 from airpfl.harness import (
     DESK_N_VALUES,
@@ -191,20 +191,39 @@ def _random_mse_instance(rng, live_own=True):
     return powers, gains, sigmas, noise_var, cluster_of
 
 
+def _cluster0_denoiser(powers, gains, sigmas, noise_var, cluster_of):
+    """Cluster 0's adaptive denoiser, one trial; cluster 1's gain row is constant."""
+    rows = np.stack([gains, np.ones_like(gains)])[None]
+    lam = adaptive_denoisers(
+        powers[None], rows, sigmas[None], noise_var, cluster_of, np.full((1, 2), np.inf)
+    )
+    return float(lam[0, 0])
+
+
+def _cluster0_mse(powers, lams, gains, sigmas, noise_var, D, cluster_of):
+    """Cluster 0's conditional MSE under each denoiser of lams, one trial each."""
+    lams = np.atleast_1d(lams)
+    S, K = lams.size, powers.size
+    rows = np.broadcast_to(np.stack([gains, np.ones_like(gains)]), (S, 2, K))
+    mse = conditional_mse(
+        np.broadcast_to(powers, (S, K)), np.stack([lams, np.ones(S)], axis=1), rows,
+        np.broadcast_to(sigmas, (S, K)), noise_var, D, cluster_of,
+    )
+    return mse[:, 0]
+
+
 def test_criterion_3_denoiser_matches_numeric_minimum():
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(100):
         powers, gains, sigmas, noise_var, cluster_of = _random_mse_instance(rng)
-        lam = mmse_denoising(powers, gains, sigmas, noise_var, cluster_of, 0)
+        lam = _cluster0_denoiser(powers, gains, sigmas, noise_var, cluster_of)
 
         def f(x):
-            return conditional_mse(
-                powers, x, gains, sigmas, noise_var, 6, cluster_of, 0
-            )
+            return _cluster0_mse(powers, x, gains, sigmas, noise_var, 6, cluster_of)[0]
 
         grid = np.logspace(-4, 4, 400)
-        values = [f(x) for x in grid]
+        values = _cluster0_mse(powers, grid, gains, sigmas, noise_var, 6, cluster_of)
         i = int(np.argmin(values))
         assert 0 < i < len(grid) - 1
         res = optimize.minimize_scalar(
@@ -223,7 +242,7 @@ def test_criterion_3_denoiser_matches_numeric_minimum():
         arng = np.random.default_rng(9000 + trial)
         powers, gains, sigmas, _, cluster_of = _random_mse_instance(arng)
         noise_var = 2.0
-        lam = mmse_denoising(powers, gains, sigmas, noise_var, cluster_of, 0)
+        lam = _cluster0_denoiser(powers, gains, sigmas, noise_var, cluster_of)
         own = cluster_of == 0
         ell = np.sqrt(powers) * gains / lam
         w = np.where(own, ell - sigmas / own.sum(), ell) * sigmas
@@ -236,7 +255,7 @@ def test_criterion_3_denoiser_matches_numeric_minimum():
         D = 6
         sq = D * err**2
         mc, se = sq.mean(), sq.std(ddof=1) / np.sqrt(draws)
-        closed = conditional_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of, 0)
+        closed = _cluster0_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of)[0]
         alt = closed + D * (noise_var - noise_var / 2.0) / lam**2
         half_ok &= abs(mc - closed) <= 3 * se
         full_rejected &= abs(mc - alt) > 3 * se
@@ -263,7 +282,7 @@ def test_criterion_4_error_formula_matches_simulation():
     ok = True
     for trial in range(20):
         powers, gains, sigmas, noise_var, cluster_of = _random_mse_instance(rng)
-        lam_star = mmse_denoising(powers, gains, sigmas, noise_var, cluster_of, 0)
+        lam_star = _cluster0_denoiser(powers, gains, sigmas, noise_var, cluster_of)
         lam = lam_star if trial % 2 == 0 else float(rng.uniform(0.2, 5.0))
         own = cluster_of == 0
         ell = np.sqrt(powers) * gains / lam
@@ -276,7 +295,7 @@ def test_criterion_4_error_formula_matches_simulation():
         err = xi @ w + z.real / lam
         sq = D * err**2
         mc, se = sq.mean(), sq.std(ddof=1) / np.sqrt(draws)
-        closed = conditional_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of, 0)
+        closed = _cluster0_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of)[0]
         gap = abs(mc - closed) / se
         worst_sigma_gap = max(worst_sigma_gap, gap)
         ok &= gap <= 3.0

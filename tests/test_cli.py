@@ -1,10 +1,15 @@
 """Command-line interface contract: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import airpfl
 from airpfl.cli import cli_main
 from airpfl.powopt import RatioProblem, solve_projected_ascent
 
@@ -28,6 +33,22 @@ def system_path(tmp_path, system_doc):
     path = tmp_path / "system.json"
     path.write_text(json.dumps(system_doc))
     return str(path)
+
+
+def test_runtime_imports_no_scipy():
+    # numpy is the only runtime dependency. scipy is installed next to
+    # the tests, so only a fresh interpreter shows a stray import of it.
+    src = str(Path(airpfl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, airpfl, airpfl.cli; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_requires_subcommand():

@@ -5,13 +5,7 @@ import pytest
 from scipy import optimize
 
 from airpfl.channel import all_cascaded_gains
-from airpfl.control import (
-    ClusterSignalVanished,
-    adaptive_denoisers,
-    conditional_mse,
-    mmse_denoising,
-    unbiased_design,
-)
+from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.ris import configure_aligned
 from full_channel import channel_set, draw_full
 
@@ -38,7 +32,6 @@ def test_unbiased_design_frozen_instance():
     assert design.powers[0, 0] == pytest.approx(0.0625, rel=1e-15)
     assert design.powers[0, 1] == pytest.approx(0.015625, rel=1e-15)
     assert design.denoisers[0, 0] == pytest.approx(LAMBDA_FROZEN, rel=1e-14)
-    assert design.scheme == "unbiased"
 
 
 def test_binding_device_transmits_at_budget():
@@ -124,107 +117,110 @@ def test_unbiased_link_weights_average_to_share():
 # adaptive denoising
 # ---------------------------------------------------------------------------
 
+def _denoisers(powers, gains, sigmas, noise_var, cluster_of):
+    """Adaptive denoisers (M,) of one trial with (M, K) gains, infinite fallback."""
+    fallback = np.full((1, gains.shape[0]), np.inf)
+    return adaptive_denoisers(
+        powers[None], gains[None], sigmas[None], noise_var, cluster_of, fallback
+    )[0]
+
+
+def _mse(powers, denoisers, gains, sigmas, noise_var, model_dim, cluster_of):
+    """Conditional MSE (M,) of one trial with (M, K) gains and (M,) denoisers."""
+    return conditional_mse(
+        powers[None], denoisers[None], gains[None], sigmas[None], noise_var, model_dim,
+        cluster_of,
+    )[0]
+
+
 def test_mmse_denoiser_single_device_unit_instance():
-    lam = mmse_denoising(
+    lam = _denoisers(
         powers=np.array([1.0]),
-        gains_row=np.array([1.0]),
+        gains=np.array([[1.0]]),
         sigmas=np.array([1.0]),
         noise_var=0.0,
         cluster_of=np.array([0]),
-        m=0,
-    )
+    )[0]
     assert lam == pytest.approx(1.0, rel=1e-15)
 
 
 def test_mmse_denoiser_noise_shifts_factor():
-    lam = mmse_denoising(
+    lam = _denoisers(
         powers=np.array([1.0]),
-        gains_row=np.array([1.0]),
+        gains=np.array([[1.0]]),
         sigmas=np.array([1.0]),
         noise_var=2.0,
         cluster_of=np.array([0]),
-        m=0,
-    )
+    )[0]
     assert lam == pytest.approx(2.0, rel=1e-15)
 
 
 def test_mmse_denoiser_two_device_instance():
     # num = 2 * (1*1 + 4*0.25) = 4, den = 1 + 2*0.5 = 2.
-    lam = mmse_denoising(
+    lam = _denoisers(
         powers=np.array([1.0, 4.0]),
-        gains_row=np.array([1.0, 0.5]),
+        gains=np.array([[1.0, 0.5]]),
         sigmas=np.array([1.0, 1.0]),
         noise_var=0.0,
         cluster_of=np.array([0, 0]),
-        m=0,
     )
-    assert lam == pytest.approx(2.0, rel=1e-15)
+    assert lam[0] == pytest.approx(2.0, rel=1e-15)
     # That factor zeroes the error in this noiseless instance.
-    mse = conditional_mse(
-        np.array([1.0, 4.0]), lam, np.array([1.0, 0.5]), np.array([1.0, 1.0]),
-        0.0, 8, np.array([0, 0]), 0,
+    mse = _mse(
+        np.array([1.0, 4.0]), lam, np.array([[1.0, 0.5]]), np.array([1.0, 1.0]),
+        0.0, 8, np.array([0, 0]),
     )
-    assert mse == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mmse_denoiser_raises_when_signal_vanishes():
-    with pytest.raises(ClusterSignalVanished):
-        mmse_denoising(
-            powers=np.array([1.0, 1.0]),
-            gains_row=np.array([0.0, 2.0]),
-            sigmas=np.array([1.0, 1.0]),
-            noise_var=0.1,
-            cluster_of=np.array([0, 1]),
-            m=0,
-        )
+    assert mse[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_conditional_mse_zero_power_is_noise_plus_floor():
     mse = conditional_mse(
-        powers=np.array([0.0]),
-        denoiser=2.0,
-        gains_row=np.array([1.0]),
-        sigmas=np.array([1.0]),
+        powers=np.array([[0.0]]),
+        denoisers=np.array([[2.0]]),
+        gains=np.array([[[1.0]]]),
+        sigmas=np.array([[1.0]]),
         noise_var=2.0,
         model_dim=4,
         cluster_of=np.array([0]),
-        m=0,
     )
-    assert mse == pytest.approx(5.0, rel=1e-15)
+    assert mse.shape == (1, 1)
+    assert mse[0, 0] == pytest.approx(5.0, rel=1e-15)
 
 
 def test_conditional_mse_exact_link_is_zero():
     mse = conditional_mse(
-        powers=np.array([1.0]),
-        denoiser=1.0,
-        gains_row=np.array([1.0]),
-        sigmas=np.array([1.0]),
+        powers=np.array([[1.0]]),
+        denoisers=np.array([[1.0]]),
+        gains=np.array([[[1.0]]]),
+        sigmas=np.array([[1.0]]),
         noise_var=0.0,
         model_dim=7,
         cluster_of=np.array([0]),
-        m=0,
     )
-    assert mse == 0.0
+    assert mse[0, 0] == 0.0
 
 
 def test_conditional_mse_infinite_denoiser_hits_floor():
     sigmas = np.array([1.0, 2.0, 0.5])
     cluster_of = np.array([0, 0, 1])
     floor = np.sum(sigmas[:2] ** 4) * 6 / 4
-    mse = conditional_mse(
-        np.ones(3), np.inf, np.array([0.3, -0.2, 1.0]), sigmas, 0.7, 6, cluster_of, 0
-    )
-    assert mse == pytest.approx(floor, rel=1e-14)
+    gains = np.array([[0.3, -0.2, 1.0], [1.0, 1.0, 1.0]])
+    mse = _mse(np.ones(3), np.array([np.inf, 1.0]), gains, sigmas, 0.7, 6, cluster_of)
+    assert mse[0] == pytest.approx(floor, rel=1e-14)
 
 
 def test_conditional_mse_rejects_nonpositive_denoiser():
-    with pytest.raises(ValueError):
-        conditional_mse(
-            np.ones(1), 0.0, np.ones(1), np.ones(1), 0.0, 4, np.zeros(1, dtype=int), 0
-        )
+    # One bad denoiser anywhere in the batch rejects the call.
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            conditional_mse(
+                np.ones((2, 1)), np.array([[1.0], [bad]]), np.ones((2, 1, 1)),
+                np.ones((2, 1)), 0.0, 4, np.zeros(1, dtype=int),
+            )
 
 
 def _random_instance(rng, K=5):
+    """Cluster 0's gain row is drawn; cluster 1's row is a constant."""
     cluster_of = np.array([0, 0, 0, 1, 1])
     powers = rng.uniform(0.1, 2.0, size=K)
     sigmas = rng.uniform(0.4, 1.8, size=K)
@@ -232,23 +228,27 @@ def _random_instance(rng, K=5):
     own = np.flatnonzero(cluster_of == 0)
     gains[own] = rng.uniform(0.3, 1.5, size=own.size)  # keep the signal alive
     noise_var = rng.uniform(0.0, 0.5)
-    return powers, gains, sigmas, noise_var, cluster_of
+    return powers, np.stack([gains, np.ones(K)]), sigmas, noise_var, cluster_of
 
 
 def test_mmse_denoiser_is_the_conditional_minimizer():
     rng = np.random.default_rng(31)
     for _ in range(25):
         powers, gains, sigmas, noise_var, cluster_of = _random_instance(rng)
-        lam = mmse_denoising(powers, gains, sigmas, noise_var, cluster_of, 0)
-        assert lam > 0
+        lam = _denoisers(powers, gains, sigmas, noise_var, cluster_of)[0]
+        assert 0 < lam < np.inf
 
         def f(x):
-            return conditional_mse(powers, x, gains, sigmas, noise_var, 6, cluster_of, 0)
+            return _mse(powers, np.array([x, 1.0]), gains, sigmas, noise_var, 6, cluster_of)[0]
 
         # Grid bracket plus golden refinement, independent of the
         # closed form.
         grid = np.logspace(-4, 4, 400)
-        values = [f(x) for x in grid]
+        values = conditional_mse(
+            np.broadcast_to(powers, (400, 5)), np.stack([grid, np.ones(400)], axis=1),
+            np.broadcast_to(gains, (400, 2, 5)), np.broadcast_to(sigmas, (400, 5)),
+            noise_var, 6, cluster_of,
+        )[:, 0]
         i = int(np.argmin(values))
         assert 0 < i < len(grid) - 1
         res = optimize.minimize_scalar(
@@ -269,10 +269,10 @@ def test_conditional_mse_matches_error_model_simulation():
     for _ in range(4):
         powers, gains, sigmas, noise_var, cluster_of = _random_instance(rng)
         noise_var = 0.3
-        lam = mmse_denoising(powers, gains, sigmas, noise_var, cluster_of, 0)
+        lam = _denoisers(powers, gains, sigmas, noise_var, cluster_of)[0]
         for factor in (1.0, 0.35, 3.0):
             lam_t = lam * factor
-            ell = np.sqrt(powers) * gains / lam_t
+            ell = np.sqrt(powers) * gains[0] / lam_t
             own = cluster_of == 0
             # Own-cluster weight per unit standard draw is
             # ell*sigma - sigma^2 / cluster size.
@@ -285,25 +285,26 @@ def test_conditional_mse_matches_error_model_simulation():
             sq = D * err**2
             mc = sq.mean()
             se = sq.std(ddof=1) / np.sqrt(draws)
-            closed = conditional_mse(
-                powers, lam_t, gains, sigmas, noise_var, D, cluster_of, 0
-            )
+            closed = _mse(
+                powers, np.array([lam_t, 1.0]), gains, sigmas, noise_var, D, cluster_of
+            )[0]
             assert abs(mc - closed) <= 3 * se
 
 
 def test_adaptive_denoisers_follow_closed_form():
     rng = np.random.default_rng(71)
-    powers, gains_row, sigmas, noise_var, cluster_of = _random_instance(rng)
-    gains = np.stack([gains_row, rng.uniform(0.2, 1.0, size=5)])
+    powers, gains, sigmas, noise_var, cluster_of = _random_instance(rng)
+    gains = np.stack([gains[0], rng.uniform(0.2, 1.0, size=5)])
     fallback = np.array([[10.0, 20.0]])
     lam = adaptive_denoisers(powers[None], gains[None], sigmas[None], noise_var, cluster_of,
                              fallback)[0]
-    assert lam[0] == pytest.approx(
-        mmse_denoising(powers, gains[0], sigmas, noise_var, cluster_of, 0), rel=1e-14
-    )
-    assert lam[1] == pytest.approx(
-        mmse_denoising(powers, gains[1], sigmas, noise_var, cluster_of, 1), rel=1e-14
-    )
+    for m in range(2):
+        # lambda_m = |m| (sum_k p_k h_k^2 sigma_k^2 + noise_var / 2)
+        #            / sum_{k in m} sqrt(p_k) h_k sigma_k^3, term by term.
+        own = np.flatnonzero(cluster_of == m)
+        num = sum(powers[k] * gains[m, k] ** 2 * sigmas[k] ** 2 for k in range(5))
+        den = sum(np.sqrt(powers[k]) * gains[m, k] * sigmas[k] ** 3 for k in own)
+        assert lam[m] == pytest.approx(own.size * (num + noise_var / 2) / den, rel=1e-14)
 
 
 def test_adaptive_denoisers_fallback_on_vanished_signal():
@@ -333,12 +334,10 @@ def test_discard_mode_mse_not_worse_than_tail():
     # When the minimizer is negative the error decreases toward the
     # floor as the denoiser grows; any finite positive factor is worse.
     cluster_of = np.array([0, 1])
-    gains_row = np.array([-0.8, 0.2])
-    floor = conditional_mse(
-        np.ones(2), np.inf, gains_row, np.ones(2), 0.1, 4, cluster_of, 0
-    )
-    for lam in [0.5, 2.0, 50.0, 5000.0]:
-        assert (
-            conditional_mse(np.ones(2), lam, gains_row, np.ones(2), 0.1, 4, cluster_of, 0)
-            >= floor - 1e-12
-        )
+    gains = np.array([[-0.8, 0.2], [1.0, 1.0]])
+    lams = np.array([np.inf, 0.5, 2.0, 50.0, 5000.0])
+    mse = conditional_mse(
+        np.ones((5, 2)), np.stack([lams, np.ones(5)], axis=1), np.broadcast_to(gains, (5, 2, 2)),
+        np.ones((5, 2)), 0.1, 4, cluster_of,
+    )[:, 0]
+    assert np.all(mse[1:] >= mse[0] - 1e-12)

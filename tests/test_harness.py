@@ -5,8 +5,10 @@ import csv
 import numpy as np
 import pytest
 
+import airpfl.flsim as flsim
+from airpfl.aircomp import normalize_gradient
 from airpfl.channel import all_cascaded_gains, sample_small_scale
-from airpfl.control import adaptive_denoisers, conditional_mse, mmse_denoising, unbiased_design
+from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import Scheme, parse_scheme
 from airpfl.harness import (
     DESK_N_VALUES,
@@ -95,36 +97,91 @@ def test_batched_kernels_match_independent_oracles():
         design.powers, gains, sigmas, noise_var, cfg.cluster_of, design.denoisers
     )
     for t in range(T):
-        # Each trial of the batch is the design of that trial alone.
+        # Each trial of the batch is the design of that trial alone ...
         single = unbiased_design(beta, sigmas[t:t + 1], cfg.max_power, 4, 6, cfg.cluster_of)
         assert np.array_equal(single.powers[0], design.powers[t])
         assert np.array_equal(single.denoisers[0], design.denoisers[t])
+        row = (design.powers[t:t + 1], gains[t:t + 1], sigmas[t:t + 1], noise_var)
+        ref = adaptive_denoisers(*row, cfg.cluster_of, design.denoisers[t:t + 1])[0]
         for m in range(2):
-            args = (design.powers[t], gains[t, m], sigmas[t], noise_var, cfg.cluster_of, m)
-            ref = mmse_denoising(*args)
-            if ref <= 0:
+            if ref[m] == np.inf:
                 assert lam[t, m] == np.inf  # no positive minimizer: discard
                 continue
-            assert lam[t, m] == pytest.approx(ref, rel=1e-12)
+            assert lam[t, m] == pytest.approx(ref[m], rel=1e-12)
 
-            # ... and it minimizes the closed-form conditional error.
-            def mse(x):
-                return conditional_mse(
-                    design.powers[t], x, gains[t, m], sigmas[t], noise_var, 4, cfg.cluster_of, m
-                )
-            assert mse(lam[t, m]) <= min(mse(lam[t, m] * 0.99), mse(lam[t, m] * 1.01))
+        # ... and it minimizes the closed-form conditional error.
+        factors = np.array([1.0, 0.99, 1.01])[:, None]
+        mse = conditional_mse(
+            np.repeat(design.powers[t:t + 1], 3, axis=0), lam[t] * factors,
+            np.repeat(gains[t:t + 1], 3, axis=0), np.repeat(sigmas[t:t + 1], 3, axis=0),
+            noise_var, 4, cfg.cluster_of,
+        )
+        finite = np.isfinite(lam[t])
+        assert np.all(mse[0, finite] <= mse[1:, finite].min(axis=0))
 
 
-def test_batched_adaptive_lambda_degraded_modes():
-    cluster_of = np.array([0, 1])
-    gains = np.array([[[0.0, 0.4], [0.5, 0.6]], [[-0.7, 0.4], [0.5, 0.6]]])
-    powers = np.ones((2, 2))
-    sigmas = np.ones((2, 2))
-    fallback = np.array([[3.0, 4.0], [3.0, 4.0]])
-    lam = adaptive_denoisers(powers, gains, sigmas, 0.1, cluster_of, fallback)
-    assert lam[0, 0] == 3.0          # vanished own signal, fallback
-    assert lam[1, 0] == np.inf       # negative minimizer, discard
-    assert np.isfinite(lam[:, 1]).all()
+def _degraded_round(mode):
+    """Four trials of one round; trial 1's cluster 0 is in the given degraded mode.
+
+    Returns the config, scheme, (T, M, K) gains, raw (T, K, D)
+    gradients, (T, M, D) noise and the per-trial solver seeds.
+    """
+    cfg = _config(K=4, M=2, N=8, D=4)
+    rng = np.random.default_rng(29)
+    gains = rng.uniform(0.1, 1.0, size=(4, 2, 4))
+    raw = rng.standard_normal((4, 4, 4))
+    noise = rng.standard_normal((4, 2, 4))
+    own = cfg.cluster_of == 0
+    if mode in ("vanished", "switched-off"):
+        gains[1, 0, own] = 0.0
+    elif mode == "non-positive":
+        gains[1, 0, own] *= -1.0
+    elif mode == "zero-std":
+        raw[1, own] = 3.0
+    scheme = parse_scheme("mmse+powopt" if mode == "switched-off" else "mmse")
+    return cfg, scheme, gains, raw, noise, [5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("mode", ["vanished", "non-positive", "zero-std", "switched-off"])
+def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
+    # Every degraded mode gives a trial the same denoisers, conditional
+    # errors and estimates alone (T = 1) as inside a batch of four.
+    cfg, scheme, gains, raw, noise, seeds = _degraded_round(mode)
+    beta = np.ones((2, 4))
+    calls = []
+
+    def record(*args):
+        calls.append((args, adaptive_denoisers(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(flsim, "adaptive_denoisers", record)
+
+    def run(rows):
+        grads = normalize_gradient(raw[rows])
+        design = unbiased_design(beta, grads.std, cfg.max_power, 4, 8, cfg.cluster_of)
+        est = flsim.aggregate_round(
+            cfg, scheme, design, gains[rows], grads, noise[rows], seeds[rows]
+        )
+        (powers, _, sigmas, *_), lam = calls[-1]
+        mse = conditional_mse(powers, lam, gains[rows], sigmas, cfg.noise_var, 4, cfg.cluster_of)
+        return design, lam, mse, est
+
+    design, lam, mse, est = run(slice(None))
+    if mode == "vanished":
+        assert lam[1, 0] == design.denoisers[1, 0] < np.inf  # the statistical fallback
+    else:
+        assert lam[1, 0] == np.inf
+    assert np.isfinite(lam[1, 1])
+    if mode == "zero-std":
+        assert design.denoisers[1, 0] == np.inf
+    if mode == "switched-off":
+        powers = calls[-1][0][0]
+        assert np.all(powers[1, cfg.cluster_of == 0] == 0.0)
+    for t in range(4):
+        _, lam_t, mse_t, est_t = run(slice(t, t + 1))
+        assert np.array_equal(lam_t[0], lam[t])
+        assert np.array_equal(mse_t[0], mse[t])
+        assert np.array_equal(est_t[0], est[t])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +364,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "de0f002d6ddf9688aa2b11f11627fe7b76d4cf80ed8a2478c9371a7af33cf415"
+        "9a1231b0d41e81af4b3f99a64c0c7cd7cd599fdf988484f0c78da6a7ef8857fe"
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from airpfl.aircomp import normalize_gradient
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
-from airpfl.control import conditional_mse, mmse_denoising
+from airpfl.control import adaptive_denoisers, conditional_mse
 from airpfl.harness import desk_scale_config
 from airpfl.powopt import (
     RatioProblem,
@@ -100,26 +100,49 @@ def test_objective_at_zero_is_zero():
 
 
 def test_objective_equals_recovered_error_reduction():
-    # For any positive transmit amplitudes, each ratio equals the gap
-    # between the error floor and the adaptively denoised error, per
-    # model coordinate. The objective is therefore the summed gap.
+    # For any transmit amplitudes, each ratio equals the gap between the
+    # error floor and the adaptively denoised error, per model
+    # coordinate, so the summed error is the summed floor minus D times
+    # the objective. Each instance is checked as drawn (trial 0), with
+    # cluster 0 anti-aligned (trial 1: infinite denoiser, nothing
+    # recovered) and with cluster 1 switched off (trial 2: no signal,
+    # infinite fallback).
     rng = np.random.default_rng(7)
     D = 12
     for _ in range(25):
         gains, sigmas, noise_var, cluster_of, max_power = _instance(rng)
-        prob = assemble_ratio_problem(gains[None], sigmas[None], noise_var, cluster_of, max_power)
-        q = rng.uniform(0.05, 1.0, size=3) * prob.bounds
+        q = rng.uniform(0.05, 1.0, size=3) * np.sqrt(max_power)
+        gains = np.stack([gains, gains, gains])
+        gains[1, 0, cluster_of == 0] *= -1.0
+        q = np.stack([q, q, np.where(cluster_of == 1, 0.0, q)])
+        sigmas = np.stack([sigmas] * 3)
+        prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
         powers = q**2
-        total = 0.0
-        for m in range(2):
-            own = np.flatnonzero(cluster_of == m)
-            lam = mmse_denoising(powers, gains[m], sigmas, noise_var, cluster_of, m)
-            mse = conditional_mse(
-                powers, lam, gains[m], sigmas, noise_var, D, cluster_of, m
-            )
-            floor = np.sum(sigmas[own] ** 4) * D / own.size**2
-            total += (floor - mse) / D
-        assert objective(prob, q[None])[0] == pytest.approx(total, rel=1e-9)
+        lam = adaptive_denoisers(
+            powers, gains, sigmas, noise_var, cluster_of, np.full((3, 2), np.inf)
+        )
+        assert lam[1, 0] == np.inf and lam[2, 1] == np.inf
+        mse = conditional_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of)
+        floor = sum(
+            np.sum(sigmas[0, own] ** 4) * D / own.size**2
+            for own in (np.flatnonzero(cluster_of == m) for m in range(2))
+        )
+        assert mse.sum(axis=1) == pytest.approx(floor - D * objective(prob, q), rel=1e-12)
+
+
+def test_anti_aligned_cluster_is_scored_zero_and_switched_off():
+    # One device per cluster; device 1's own gain is negative, so its
+    # adaptive denoiser is infinite whatever its power and it recovers
+    # nothing. Its power only interferes with cluster 0, so the solver
+    # switches it off instead of crediting (q b_1)^2.
+    prob = assemble_ratio_problem(
+        np.array([[[1.0, 0.3], [0.4, -0.8]]]), np.ones((1, 2)), 0.1, np.array([0, 1]), np.ones(2)
+    )
+    assert objective(prob, np.array([[0.0, 1.0]]))[0] == 0.0
+    sol = solve_projected_ascent(prob, [1])
+    assert sol.q[0, 1] == 0.0
+    assert sol.objective[0] == pytest.approx(1.0 / 1.05, rel=1e-12)
+    assert brute_force_oracle(prob, grid_points=11).q[0].tolist() == [1.0, 0.0]
 
 
 def test_solver_stays_feasible_and_deterministic():
