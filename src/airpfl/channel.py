@@ -13,31 +13,48 @@ with d_ki the device-k-to-surface-i distance (clamped below at 1 m)
 and d_i the surface-i-to-PS distance.
 
 Every kernel takes a leading trial axis. Only the real part of a
-reflected path is ever used. For a device k outside cluster i, the path
-h_dev[i, k] to surface i is CN(0, I_N) and independent of everything
-else, surface i's phases included. With W_i = diag(e^{-j theta_i}) H_i,
-H_i[n, m] = h_ps[i, n, m], the foreign term Re{W_i^H h_dev[i, k]} is
-therefore, given H_i, exactly N(0, Re(W_i^H W_i) / 2), independently
-across such (i, k); and Re(W_i^H W_i) = Re(H_i^H H_i) for every theta_i,
-because the phases cancel. A draw therefore materializes only each
-device's path to its own surface, and draws one standard-normal
-M-vector u per (surface, device) pair, which it turns into the foreign
-term F_i u, with F_i the lower-triangular factor of Re(H_i^H H_i) / 2.
-Normals per trial drop from 2N(M^2 + MK) to 2N(M^2 + K) + M^2 K.
-Every phase configuration evaluated on one draw sees the same foreign
-terms, each under its exact law. The gain kernels take own-surface
-terms as one real batched matmul over the interleaved (re, im) pairs
-of the N surface elements.
+reflected path is ever used, and the phases of surface i may depend on
+the device paths to it only through the cluster sum
+s_i = sum_{k in C_i} h_dev[i, k] (the aligned design reads nothing
+else). Under that contract no device's own N-element path needs to be
+materialized. With W_i = diag(e^{-j theta_i}) H_i, H_i[n, m] =
+h_ps[i, n, m]:
+
+- For a device k outside cluster i, the path h_dev[i, k] is CN(0, I_N)
+  and independent of everything else, surface i's phases included, so
+  the foreign term Re{W_i^H h_dev[i, k]} is, given H_i, exactly
+  N(0, Re(W_i^H W_i) / 2), independently across such (i, k); and
+  Re(W_i^H W_i) = Re(H_i^H H_i) for every theta_i, because the phases
+  cancel.
+- For a device k in cluster i, h_dev[i, k] = s_i / |C_i| + r_k. The
+  centred residuals r_k have covariance (I - J / |C_i|) (x) I_N and are
+  independent of s_i, of H_i and so of any theta_i that keeps the
+  contract. Re{W_i^H h_dev[i, k]} is therefore Re{W_i^H s_i} / |C_i|
+  plus a residual term that is, given H_i, exactly Gaussian with
+  covariance Re(H_i^H H_i) / 2 (x) (I - J / |C_i|) over the cluster's
+  devices.
+
+A draw therefore materializes the surface-to-PS paths and each
+cluster's sum s_i ~ CN(0, |C_i| I_N), and draws one standard-normal
+M-vector u per (surface, device) pair. With F_i the lower-triangular
+factor of Re(H_i^H H_i) / 2, a foreign term is F_i u, and an own
+residual term is F_i u~, where u~ is u centred over the cluster's
+devices (exactly 0 for a singleton cluster). Normals per trial are
+2N(M^2 + M) + M^2 K, against 2N(M^2 + MK) for every path. Every phase
+configuration evaluated on one draw sees the same drawn terms, each
+under its exact law. The gain kernels take the cluster-sum terms as one
+real batched matmul over the interleaved (re, im) pairs of the N
+surface elements.
 
 One draw can also serve a grid of B increasing surface sizes
 n_1 < ... < n_B = N_max, as nested surfaces: the size-n surface is the
-first n elements of the N_max one. Paths are drawn once at N_max; the
-foreign terms are drawn per block of elements [n_{b-1}, n_b) (n_0 = 0),
-whose contributions are independent given the paths, and a size's
-foreign terms are the sum of its blocks' increments. Each size then has
-exactly its own law, and the joint law across sizes is that of one
-fully materialized surface, for 2 N_max (M^2 + K) + B M^2 K normals per
-trial.
+first n elements of the N_max one. Paths and sums are drawn once at
+N_max; the drawn terms are drawn per block of elements
+[n_{b-1}, n_b) (n_0 = 0), whose contributions are independent given the
+paths, and a size's drawn terms are the sum of its blocks' increments.
+Each size then has exactly its own law, and the joint law across sizes
+is that of one fully materialized surface, for 2 N_max (M^2 + M) +
+B M^2 K normals per trial.
 """
 
 from __future__ import annotations
@@ -48,7 +65,7 @@ import numpy as np
 
 # perfbench/tracing.py WRAPS times channel.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
-from .sysmodel import Geometry
+from .sysmodel import Geometry, cluster_members
 
 MIN_DEVICE_RIS_DISTANCE = 1.0
 
@@ -58,24 +75,31 @@ class ChannelSet:
     """Block-fading realizations of the uplink, one per trial.
 
     ris_to_ps[t, i, n, m] is element n of the channel from surface i to
-    PS antenna m in trial t. device_to_ris[t, k, n] is element n of the
-    channel from device k to its own surface cluster_of[k] only; paths
-    to foreign surfaces are never materialized. foreign_terms[t, i, m, k]
-    is, for i != cluster_of[k], device k's real reflected path off
-    surface i to antenna m, Re{h_ps[t, i, :, m]^H diag(e^{j theta}) h},
-    drawn from its exact law given ris_to_ps, which is the same for
-    every phase vector theta. Entries with i == cluster_of[k] are
-    computed but unused, which keeps the shapes regular for any
-    cluster sizes. smaller_foreign holds, for each smaller nested size n
-    drawn alongside (ascending), the foreign terms of the surface made of
-    the first n elements; see prefix.
+    PS antenna m in trial t. cluster_sums[t, i, n] is element n of the
+    summed channel from surface i's own cluster to it,
+    sum_{k in C_i} h_dev[t, i, k, n]; no device's own path is
+    materialized, and neither is any path to a foreign surface.
+    drawn_terms[t, i, m, k] is the part of device k's real reflected
+    path off surface i to antenna m, Re{h_ps[t, i, :, m]^H
+    diag(e^{j theta}) h_dev[t, i, k]}, that is drawn from its exact law
+    given ris_to_ps, which is the same for every phase vector theta that
+    reads the device paths only through cluster_sums: the whole term for
+    i != cluster_of[k], and the residual about the cluster-mean term
+    Re{... s_i} / |C_i| for i == cluster_of[k]. smaller_drawn holds, for
+    each smaller nested size n drawn alongside (ascending), the drawn
+    terms of the surface made of the first n elements; see prefix.
     """
 
     ris_to_ps: np.ndarray      # (T, M, N, M) complex
-    device_to_ris: np.ndarray  # (T, K, N) complex, own-surface paths
-    foreign_terms: np.ndarray  # (T, M, M, K) real
+    cluster_sums: np.ndarray   # (T, M, N) complex, each cluster's summed own-surface paths
+    drawn_terms: np.ndarray    # (T, M, M, K) real
     cluster_of: np.ndarray     # (K,) int
-    smaller_foreign: tuple = ()  # ((n, (T, M, M, K) real), ...) for nested sizes n < N
+    smaller_drawn: tuple = ()  # ((n, (T, M, M, K) real), ...) for nested sizes n < N
+
+    # perfbench/tracing.py counts draw and gain bytes from ris_to_ps and device_to_ris.
+    @property
+    def device_to_ris(self) -> np.ndarray:
+        return self.cluster_sums
 
     @property
     def num_trials(self) -> int:
@@ -99,8 +123,8 @@ class ChannelSet:
             return self
         return ChannelSet(
             ris_to_ps=self.ris_to_ps[:, :, :n],
-            device_to_ris=self.device_to_ris[:, :, :n],
-            foreign_terms=dict(self.smaller_foreign)[n],
+            cluster_sums=self.cluster_sums[:, :, :n],
+            drawn_terms=dict(self.smaller_drawn)[n],
             cluster_of=self.cluster_of,
         )
 
@@ -122,17 +146,18 @@ def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.nda
     return beta
 
 
-def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Unit-variance circular complex Gaussians: real parts drawn first, then imaginary.
+def _complex_normal(rng: np.random.Generator, shape: tuple, scale=1.0 / np.sqrt(2.0)):
+    """Circular complex Gaussians: real parts drawn first, then imaginary, times scale.
 
     The planar draw gives the same values in the same order as two
-    separate calls, and each part is written once, scaled by 1/sqrt(2),
-    into the complex result.
+    separate calls, and each part is written once, multiplied by scale
+    (broadcast against shape; 1/sqrt(2) gives unit variance), into the
+    complex result.
     """
     parts = rng.standard_normal((2,) + shape)
     h = np.empty(shape, dtype=complex)
-    np.multiply(parts[0], 1.0 / np.sqrt(2.0), out=h.real)
-    np.multiply(parts[1], 1.0 / np.sqrt(2.0), out=h.imag)
+    np.multiply(parts[0], scale, out=h.real)
+    np.multiply(parts[1], scale, out=h.imag)
     return h
 
 
@@ -145,15 +170,17 @@ def sample_small_scale(
     surface size N, or an increasing sequence of nested sizes
     n_1 < ... < n_B = N served by one draw (see prefix). Draw order is
     fixed, each block in C order with the trial axis first: real then
-    imaginary parts of every surface-to-PS entry (T, M, N, M); real
-    then imaginary parts of every device's own-surface entry (T, K, N);
-    then, for each size b in turn, one standard-normal M-vector u_b per
-    (surface, device) pair (T, M, M, K). Each complex entry is real
-    part * (1/sqrt(2)) + 1j * imaginary part * (1/sqrt(2)). With F_b =
-    foreign_factor(ris_to_ps[:, :, n_{b-1}:n_b]) (n_0 = 0), the
-    foreign terms of size n_b are the running sum over blocks c <= b of
-    F_c @ u_c[..., :min(2 (n_c - n_{c-1}), M)]; those of size N are
-    foreign_terms.
+    imaginary parts of every surface-to-PS entry (T, M, N, M), each
+    times 1/sqrt(2); real then imaginary parts of every cluster-sum
+    entry (T, M, N), each times sqrt(|C_i| / 2); then, for each size b
+    in turn, one standard-normal M-vector u_b per (surface, device)
+    pair (T, M, M, K). On each surface i, the vectors of its own
+    devices C_i are then replaced by their differences from their mean
+    over C_i (u_b[..., C_i] minus its numpy mean over the device axis).
+    With F_b = foreign_factor(ris_to_ps[:, :, n_{b-1}:n_b]) (n_0 = 0),
+    the drawn terms of size n_b are the running sum over blocks c <= b
+    of F_c @ u_c[..., :min(2 (n_c - n_{c-1}), M), :]; those of size N
+    are drawn_terms.
     """
     cluster_of = np.asarray(cluster_of, dtype=int)
     sizes = tuple(int(n) for n in np.atleast_1d(num_elements))
@@ -162,56 +189,79 @@ def sample_small_scale(
         raise ValueError(f"cluster_of must be a 1-D array of surfaces in [0, {M})")
     if any(b <= a for a, b in zip((0,) + sizes, sizes)):
         raise ValueError(f"surface sizes must be positive and increasing, got {sizes}")
+    members = cluster_members(cluster_of, M)
+    counts = np.array([idx.size for idx in members])
     ris_to_ps = _complex_normal(rng, (T, M, N, M))
-    device_to_ris = _complex_normal(rng, (T, K, N))
+    cluster_sums = _complex_normal(rng, (T, M, N), np.sqrt(counts / 2.0)[:, None])
     normals = rng.standard_normal((len(sizes), T, M, M, K))
-    foreign = []
+    for i, idx in enumerate(members):
+        if idx.size == 0:
+            continue
+        surface = normals[:, :, i]  # a view: (B, T, M, K)
+        own = surface[..., idx]
+        surface[..., idx] = own - own.mean(axis=-1, keepdims=True)
+    drawn = []
     for b, (lo, hi) in enumerate(zip((0,) + sizes, sizes)):
         factor = foreign_factor(ris_to_ps[:, :, lo:hi])
         step = np.matmul(factor, normals[b, :, :, : factor.shape[-1]])
-        foreign.append(step if b == 0 else foreign[-1] + step)
+        drawn.append(step if b == 0 else drawn[-1] + step)
     return ChannelSet(
         ris_to_ps=ris_to_ps,
-        device_to_ris=device_to_ris,
-        foreign_terms=foreign[-1],
+        cluster_sums=cluster_sums,
+        drawn_terms=drawn[-1],
         cluster_of=cluster_of,
-        smaller_foreign=tuple(zip(sizes[:-1], foreign[:-1])),
+        smaller_drawn=tuple(zip(sizes[:-1], drawn[:-1])),
     )
 
 
 def foreign_factor(ris_to_ps: np.ndarray) -> np.ndarray:
     """Lower-triangular F_i with F_i F_i^T = Re(H_i^H H_i) / 2, shape (T, M, M, min(2N, M)).
 
-    H_i = ris_to_ps[t, i] (N x M). F_i is the transposed R of the thin
-    QR of the real (2N x M) matrix [Re H_i; Im H_i], its rows signed so
-    the diagonal is non-negative, scaled by 1/sqrt(2). That needs no
-    positive definiteness, so it holds for 2N < M and for a zero
-    surface-to-PS column as well, and it equals the Cholesky factor
-    whenever the Gram matrix is positive definite.
+    H_i = ris_to_ps[t, i] (N x M). When every Gram matrix of the batch
+    is positive definite, F_i is its Cholesky factor. Otherwise (always
+    for 2N < M; also for a zero surface-to-PS column) F_i is the
+    transposed R of the thin QR of the real (2N x M) matrix
+    [Re H_i; Im H_i], its rows signed so the diagonal is non-negative,
+    scaled by 1/sqrt(2), which needs no positive definiteness and equals
+    the Cholesky factor wherever that exists.
     """
+    if 2 * ris_to_ps.shape[-2] >= ris_to_ps.shape[-1]:
+        gram = np.matmul(ris_to_ps.conj().swapaxes(-1, -2), ris_to_ps).real
+        gram *= 0.5
+        try:
+            return np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            pass  # a singular Gram matrix somewhere in the batch
     r = np.linalg.qr(np.concatenate((ris_to_ps.real, ris_to_ps.imag), axis=2), mode="r")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     r *= np.where(diag < 0.0, -1.0, 1.0)[..., None] * (1.0 / np.sqrt(2.0))
     return r.swapaxes(-1, -2)
 
 
+def _own_weights(cluster_of: np.ndarray, num_surfaces: int) -> np.ndarray:
+    """(M, K): 1 / |C_i| where device k is in surface i's cluster C_i, else 0."""
+    own = cluster_of[None, :] == np.arange(num_surfaces)[:, None]
+    return own / np.maximum(own.sum(axis=1, keepdims=True), 1)
+
+
 def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
     """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] }, shape (T, M, M, K).
 
-    With w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]}, the
-    real part of sum_n conj(w_n) h_dev_n is the real dot product of w and
-    h_dev viewed as interleaved (re, im) pairs, so one real batched
-    matmul over the 2N axis gives every device's term on every surface;
-    each device keeps its own surface's term and the foreign terms
-    elsewhere.
+    phases are real angles, or the complex phasors e^{-j phases}. With
+    w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]}, the real
+    part of sum_n conj(w_n) s_n is the real dot product of w and the
+    cluster sum s viewed as interleaved (re, im) pairs, so one real
+    batched matmul over the 2N axis gives every surface's cluster-sum
+    term; each own device adds its share 1/|C_i| of it to its drawn
+    residual, and foreign devices keep their drawn terms.
     """
     T, M, N, M_ant = ch.ris_to_ps.shape
+    phasors = phases if np.iscomplexobj(phases) else np.exp(-1j * phases)
     w = np.empty((T, M, M_ant, N), dtype=complex)
-    np.multiply(ch.ris_to_ps.transpose(0, 1, 3, 2), np.exp(-1j * phases)[:, :, None, :], out=w)
-    h = np.ascontiguousarray(ch.device_to_ris, dtype=complex).view(np.float64)
-    own = np.matmul(w.view(np.float64), h[:, None].swapaxes(-1, -2))
-    own_surface = ch.cluster_of[None, :] == np.arange(M)[:, None]  # (M, K)
-    return np.where(own_surface[None, :, None, :], own, ch.foreign_terms)
+    np.multiply(ch.ris_to_ps.transpose(0, 1, 3, 2), phasors[:, :, None, :], out=w)
+    s = np.ascontiguousarray(ch.cluster_sums, dtype=complex).view(np.float64)
+    summed = np.matmul(w.view(np.float64), s[..., None])  # (T, M, M_ant, 1)
+    return ch.drawn_terms + summed * _own_weights(ch.cluster_of, M)[:, None, :]
 
 
 def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -219,7 +269,9 @@ def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> 
 
     Sums over every surface i the attenuated reflected path
     beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] };
-    phases has shape (T, M, N).
+    phases has shape (T, M, N). A complex phases array is taken as the
+    phasors e^{-j phases} themselves, which a caller evaluating several
+    nested sizes computes once at the largest size and slices.
     """
     return cascaded_components(ch, beta, phases).sum(axis=1)
 
@@ -227,6 +279,7 @@ def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> 
 def cascaded_components(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Per-surface terms of the cascaded gains, shape (T, M_surface, M_antenna, K).
 
-    Summing over the surface axis gives all_cascaded_gains.
+    Summing over the surface axis gives all_cascaded_gains; phases as
+    there.
     """
     return beta[None, :, None, :] * _reflected(ch, phases)

@@ -263,13 +263,13 @@ def run_training(
     finite number > 0 (ConfigError otherwise). All randomness is
     derived from cfg.master_seed and the round counter, and the round
     substreams do not depend on the scheme, so runs with different
-    schemes at the same seed see identical own-surface and
-    surface-to-PS paths, foreign-surface reflections, noise, and
-    baseline phase draws (paired comparisons). Each phase scheme sees
-    the foreign-surface terms under their exact law, which does not
-    depend on the phases; with fully materialized paths they would
-    differ between phase schemes, so the joint law across schemes is
-    not that of a shared full channel.
+    schemes at the same seed see identical cluster sums, surface-to-PS
+    paths, drawn terms (foreign-surface reflections and own-cluster
+    residuals), noise, and baseline phase draws (paired comparisons).
+    Each phase scheme sees the drawn terms under their exact law, which
+    does not depend on the phases; with fully materialized paths they
+    would differ between phase schemes, so the joint law across schemes
+    is not that of a shared full channel.
     """
     scheme = parse_scheme(scheme)
     rounds = as_integer("rounds", rounds)

@@ -166,17 +166,18 @@ def nmse_sweep(
     Every cell of the grid shares each chunk's draw. The surface sizes
     are nested surfaces: paths are drawn once at the largest N, and the
     size-n surface is the first n elements of every surface, with its
-    foreign-surface reflections drawn block by block so that every size
-    sees them under its exact law (see airpfl.channel). The power budget
-    changes only the statistical design and the aggregation. Paths,
-    foreign-surface reflections, random phases, gradients and noise are
-    therefore shared by every scheme, budget and surface size, so
-    comparisons along each of the three axes are paired, while each
-    cell's law is exactly that of an independent run of its own. The
-    foreign-surface terms do not depend on the phases, so every phase
-    scheme sees the same ones. The draws depend on the sorted distinct
-    surface sizes, so a cell's statistics do not depend on the other
-    budgets or schemes beside it, nor on the order of the sizes.
+    drawn terms (foreign-surface reflections and own-cluster residuals)
+    drawn block by block so that every size sees them under its exact
+    law (see airpfl.channel). The power budget changes only the
+    statistical design and the aggregation. Paths, cluster sums, drawn
+    terms, random phases, gradients and noise are therefore shared by
+    every scheme, budget and surface size, so comparisons along each of
+    the three axes are paired, while each cell's law is exactly that of
+    an independent run of its own. The drawn terms do not depend on the
+    phases, so every phase scheme sees the same ones. The draws depend
+    on the sorted distinct surface sizes, so a cell's statistics do not
+    depend on the other budgets or schemes beside it, nor on the order
+    of the sizes.
 
     Malformed or repeated scheme labels, repeated, non-integral or
     invalid surface sizes, power budgets that are not numbers or are
@@ -218,12 +219,13 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
     """Every cell of the grid: {(N, P): config} -> {(N, P, scheme name): stats}.
 
     Each chunk draws one channel at the largest surface size, with the
-    foreign terms of every smaller nested size, and its gradients, noise
+    drawn terms of every smaller nested size, and its gradients, noise
     and random phases once. Aligned, quantized and random phases are per
-    element, so they are computed once at the largest size and sliced.
-    Each (size, phase key) then gets its gains, the channel is released,
-    and only the statistical design (once per size and budget) and the
-    aggregation (once per size, budget and scheme) run per cell.
+    element, so they and their phasors e^{-j theta} are computed once at
+    the largest size and sliced. Each (size, phase key) then gets its
+    gains, the channel is released, and only the statistical design
+    (once per size and budget) and the aggregation (once per size,
+    budget and scheme) run per cell.
     """
     cfg = next(iter(cfgs.values()))
     M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
@@ -247,12 +249,13 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
                     phases[s.phases] = _aligned_phases_batch(ch)
                 theta = phases[s.phases]
                 thetas[key] = theta if s.bits is None else corrupt_phases(theta, s.bits)
+        phasors = {key: np.exp(-1j * theta) for key, theta in thetas.items()}
         gains = {
-            (n, key): _gains_batch(ch.prefix(n), beta, theta[:, :, :n])
+            (n, key): _gains_batch(ch.prefix(n), beta, phasor[:, :, :n])
             for n in sizes
-            for key, theta in thetas.items()
+            for key, phasor in phasors.items()
         }
-        del ch, phases, thetas, raw
+        del ch, phases, thetas, phasors, raw
 
         seeds = {
             n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
@@ -333,10 +336,11 @@ def verify_elimination(
     pairs against zero, both at three standard errors. Foreign-surface
     components of own-cluster gains are checked against zero as well.
 
-    Own-surface terms come from materialized paths, so the pair checks
-    test the alignment; foreign-surface terms come from their exact
-    conditional law, so the correction checks test that the sampler's
-    foreign terms are zero mean.
+    A device's own-surface term is its share of the materialized
+    cluster sum under the designed phases plus an exact zero-mean
+    residual, so the pair checks test the alignment; foreign-surface
+    terms come from their exact conditional law, so the correction
+    checks test that the sampler's foreign terms are zero mean.
 
     With phases="random" the run becomes a negative control: uniform
     random phases destroy the alignment, so every pair (own-cluster

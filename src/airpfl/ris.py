@@ -18,7 +18,6 @@ import numpy as np
 from .channel import ChannelSet
 # perfbench/tracing.py WRAPS times ris.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
-from .sysmodel import cluster_members
 
 ZERO_SUM_TOL = 1e-15
 
@@ -28,18 +27,20 @@ _TWO_PI = 2.0 * np.pi
 def configure_aligned(ch: ChannelSet) -> np.ndarray:
     """Per-element phases aligning each surface with its own cluster.
 
-    Reads each cluster's own-surface paths and ch.cluster_of. Returns a
+    Reads ch.ris_to_ps and each cluster's summed own-surface paths
+    ch.cluster_sums, and no device's own path: the sampler's own-cluster
+    residual terms are exact only for phase designs that read the device
+    paths through these sums alone (see airpfl.channel). Returns a
     (T, M, N) array with entries in [0, 2*pi). If the summed device
-    channel of an element has magnitude below 1e-15 its angle is taken
-    as 0.
+    channel of an element has magnitude below 1e-15 (an empty cluster's
+    sum is exactly 0) its angle is taken as 0.
     """
-    theta = np.empty((ch.num_trials, ch.num_surfaces, ch.num_elements))
-    for m, idx in enumerate(cluster_members(ch.cluster_of, ch.num_surfaces)):
-        summed = ch.device_to_ris[:, idx, :].sum(axis=1)  # (T, N)
-        sum_angle = np.where(np.abs(summed) < ZERO_SUM_TOL, 0.0, np.angle(summed))
-        own = ch.ris_to_ps[:, m, :, m]
-        theta[:, m, :] = np.mod(np.angle(own) - sum_angle, _TWO_PI)
-    return theta
+    summed = ch.cluster_sums
+    sum_angle = np.where(np.abs(summed) < ZERO_SUM_TOL, 0.0, np.angle(summed))
+    own = np.angle(np.diagonal(ch.ris_to_ps, axis1=1, axis2=3))  # (T, N, M)
+    theta = np.empty(summed.shape)
+    np.subtract(own.swapaxes(1, 2), sum_angle, out=theta)
+    return np.mod(theta, _TWO_PI, out=theta)
 
 
 def baseline_phases(

@@ -1,9 +1,10 @@
 """Fully materialized uplink fading, kept as a test oracle.
 
-The simulator materializes only each device's path to its own surface
-and draws every foreign-surface reflection from its exact conditional
-law (see airpfl.channel). These helpers draw every device-to-surface
-path and contract it element by element instead.
+The simulator materializes only each cluster's summed path to its own
+surface and draws every foreign-surface reflection and own-cluster
+residual from its exact conditional law (see airpfl.channel). These
+helpers draw every device-to-surface path and contract it element by
+element instead.
 """
 
 import numpy as np
@@ -20,7 +21,8 @@ def draw_full(rng, T, M, K, N):
 
 def reflected(hp, hd, phases):
     """Re{hp[t, i, :, m]^H diag(e^{j phases[t, i]}) hd[t, i, k]}, shape (T, M, M, K)."""
-    return np.einsum("tinm,tin,tikn->timk", np.conj(hp), np.exp(1j * phases), hd).real
+    return np.einsum("tinm,tin,tikn->timk", np.conj(hp), np.exp(1j * phases), hd,
+                     optimize=True).real
 
 
 def aligned_phases(hp, hd, cluster_of):
@@ -36,13 +38,22 @@ def aligned_phases(hp, hd, cluster_of):
 def channel_set(hp, hd, cluster_of, phases):
     """The ChannelSet on which the gain kernels reproduce the full channel under phases.
 
-    device_to_ris keeps each device's own row of hd, and the foreign
-    terms are the full channel's reflections under phases.
+    cluster_sums are each cluster's summed own rows of hd. The drawn
+    terms are the full channel's reflections under phases, with each
+    own device's path replaced by its residual about the cluster mean,
+    so the kernels add back the cluster-mean term.
     """
     cluster_of = np.asarray(cluster_of, dtype=int)
+    sums = np.zeros(hp.shape[:3], dtype=complex)
+    centred = hd.copy()
+    for i in range(hp.shape[1]):
+        own = cluster_of == i
+        if own.any():
+            sums[:, i] = hd[:, i, own].sum(axis=1)
+            centred[:, i, own] -= sums[:, i, None] / own.sum()
     return ChannelSet(
         ris_to_ps=hp,
-        device_to_ris=hd[:, cluster_of, np.arange(cluster_of.size)],
-        foreign_terms=reflected(hp, hd, phases),
+        cluster_sums=sums,
+        drawn_terms=reflected(hp, centred, phases),
         cluster_of=cluster_of,
     )

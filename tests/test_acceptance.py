@@ -14,7 +14,7 @@ import pytest
 from scipy import optimize
 
 from airpfl.aircomp import estimate_cluster_gradient, normalize_gradient, uplink
-from airpfl.channel import ChannelSet, all_cascaded_gains, large_scale_coefficients
+from airpfl.channel import all_cascaded_gains, large_scale_coefficients
 from airpfl.cli import cli_main
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import cluster_loss, run_training, synth_clustered_tasks
@@ -33,6 +33,7 @@ from airpfl.powopt import (
 from airpfl.ris import configure_aligned
 from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import make_config, place_geometry
+from full_channel import channel_set
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -137,17 +138,9 @@ def test_criterion_2_unbiased_aggregation():
         total += est.sum(axis=0)
 
         if not spot_checked:
-            # The math above must agree with the public kernels. Trial
-            # 0's kernel input keeps each device's own row of hd, and
-            # its foreign terms are this full channel's reflections
-            # under the aligned phases, Re{W_i^H h_dev[i, k]}.
-            foreign = np.einsum("inm,in,ikn->imk", np.conj(hp[0]), phase[0], hd[0]).real
-            ch = ChannelSet(
-                ris_to_ps=hp[:1],
-                device_to_ris=hd[:1, cfg.cluster_of, np.arange(K)],
-                foreign_terms=foreign[None],
-                cluster_of=cfg.cluster_of,
-            )
+            # The math above must agree with the public kernels, run on
+            # trial 0's full channel under the aligned phases.
+            ch = channel_set(hp[:1], hd[:1], cfg.cluster_of, theta[:1])
             theta_ref = configure_aligned(ch)
             gains_ref = all_cascaded_gains(ch, beta, theta_ref)
             received = uplink(

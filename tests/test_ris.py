@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from airpfl.channel import ChannelSet, all_cascaded_gains
+from airpfl.channel import all_cascaded_gains
 from airpfl.ris import baseline_phases, configure_aligned, corrupt_phases
 from airpfl.seeding import rng_from_seed
 from full_channel import channel_set, draw_full
@@ -13,12 +13,8 @@ TWO_PI = 2.0 * np.pi
 
 def _single_link(hp_value, hd_value):
     """One trial, one surface, one element, one device, one antenna."""
-    return ChannelSet(
-        ris_to_ps=np.array([[[[hp_value]]]], dtype=complex),
-        device_to_ris=np.array([[[hd_value]]], dtype=complex),
-        foreign_terms=np.zeros((1, 1, 1, 1)),
-        cluster_of=np.array([0]),
-    )
+    full = np.array([[[[hp_value]]]], dtype=complex), np.array([[[[hd_value]]]], dtype=complex)
+    return channel_set(*full, [0], np.zeros((1, 1, 1)))
 
 
 def test_single_element_alignment_is_exact():
