@@ -18,12 +18,14 @@ def show(report, title):
     print(f"\n{title}")
     print(f"{'antenna':>7} {'device':>6} {'own?':>5} {'mean':>12} {'target':>12} {'|z|':>6}")
     for row in report.rows:
-        z = abs(row.mean - row.target) / row.stderr
         print(
             f"{row.antenna:>7d} {row.device:>6d} {str(row.same_cluster):>5} "
-            f"{row.mean:>12.3e} {row.target:>12.3e} {z:>6.2f}"
+            f"{row.mean:>12.3e} {row.target:>12.3e} {abs(row.z):>6.2f}"
         )
-    print(f"all pairs within 3 standard errors: {report.pairs_pass}")
+    print(
+        f"all pairs pass (Holm, family-wise alpha {report.alpha:g}): {report.pairs_pass}; "
+        f"smallest adjusted p {report.family_p:.3g}"
+    )
 
 
 def main():

@@ -42,9 +42,9 @@ residual term is F_i u~, where u~ is u centred over the cluster's
 devices (exactly 0 for a singleton cluster). Normals per trial are
 2N(M^2 + M) + M^2 K, against 2N(M^2 + MK) for every path. Every phase
 configuration evaluated on one draw sees the same drawn terms, each
-under its exact law. The gain kernels take the cluster-sum terms as one
-real batched matmul over the interleaved (re, im) pairs of the N
-surface elements.
+under its exact law. The gain kernels and the elimination verifier take
+the cluster-sum terms from cluster_sum_terms, one real batched matmul
+over the interleaved (re, im) pairs of the N surface elements.
 
 One draw can also serve a grid of B increasing surface sizes
 n_1 < ... < n_B = N_max, as nested surfaces: the size-n surface is the
@@ -244,24 +244,34 @@ def _own_weights(cluster_of: np.ndarray, num_surfaces: int) -> np.ndarray:
     return own / np.maximum(own.sum(axis=1, keepdims=True), 1)
 
 
-def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
-    """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] }, shape (T, M, M, K).
+def cluster_sum_terms(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
+    """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) s[t, i] }, shape (T, M_surface, M_antenna).
 
-    phases are real angles, or the complex phasors e^{-j phases}. With
-    w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]}, the real
-    part of sum_n conj(w_n) s_n is the real dot product of w and the
-    cluster sum s viewed as interleaved (re, im) pairs, so one real
-    batched matmul over the 2N axis gives every surface's cluster-sum
-    term; each own device adds its share 1/|C_i| of it to its drawn
-    residual, and foreign devices keep their drawn terms.
+    The cluster-sum term of surface i at antenna m: each own device of
+    surface i reflects its share 1/|C_i| of it, on top of its drawn
+    residual. phases are real angles, or the complex phasors
+    e^{-j phases}. With w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]},
+    the real part of sum_n conj(w_n) s_n is the real dot product of w
+    and the cluster sum s viewed as interleaved (re, im) pairs, so one
+    real batched matmul over the 2N axis gives every term.
     """
     T, M, N, M_ant = ch.ris_to_ps.shape
     phasors = phases if np.iscomplexobj(phases) else np.exp(-1j * phases)
     w = np.empty((T, M, M_ant, N), dtype=complex)
     np.multiply(ch.ris_to_ps.transpose(0, 1, 3, 2), phasors[:, :, None, :], out=w)
     s = np.ascontiguousarray(ch.cluster_sums, dtype=complex).view(np.float64)
-    summed = np.matmul(w.view(np.float64), s[..., None])  # (T, M, M_ant, 1)
-    return ch.drawn_terms + summed * _own_weights(ch.cluster_of, M)[:, None, :]
+    return np.matmul(w.view(np.float64), s[..., None])[..., 0]
+
+
+def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
+    """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] }, shape (T, M, M, K).
+
+    Each own device adds its share 1/|C_i| of its surface's
+    cluster_sum_terms to its drawn residual; foreign devices keep their
+    drawn terms. phases as in cluster_sum_terms.
+    """
+    summed = cluster_sum_terms(ch, phases)[..., None]  # (T, M, M_ant, 1)
+    return ch.drawn_terms + summed * _own_weights(ch.cluster_of, ch.num_surfaces)[:, None, :]
 
 
 def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:

@@ -122,7 +122,8 @@ def _cmd_verify(args) -> int:
     cpass = sum(c.passed for c in report.corrections)
     print(
         f"verify-elimination: {npass}/{len(report.rows)} pair checks passed, "
-        f"{cpass}/{len(report.corrections)} correction checks passed, "
+        f"{cpass}/{len(report.corrections)} correction checks passed "
+        f"(Holm, alpha={report.alpha:g}, smallest adjusted p={report.family_p:.3g}), "
         f"trials={report.trials}, N={report.num_elements}, seed={seed}"
     )
     return 0 if report.all_pass else 1

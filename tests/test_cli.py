@@ -121,7 +121,7 @@ def test_verify_elimination_happy_path(tmp_path, system_path, capsys):
     assert captured.out.count("\n") == 1
     assert out.exists()
     header = out.read_text().splitlines()[0]
-    assert header == "m,k,same_cluster,mean,stderr,target,pass"
+    assert header == "m,k,same_cluster,mean,stderr,target,pass,z"
 
 
 def test_nmse_sweep_happy_path(tmp_path, system_doc, capsys):

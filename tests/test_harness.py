@@ -1,13 +1,15 @@
 """Experiment drivers: sweeps, alignment checks, CSV export."""
 
 import csv
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 import airpfl.flsim as flsim
 from airpfl.aircomp import normalize_gradient
-from airpfl.channel import all_cascaded_gains, sample_small_scale
+from airpfl.channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import Scheme, parse_scheme
 from airpfl.harness import (
@@ -22,8 +24,8 @@ from airpfl.harness import (
     verify_elimination,
 )
 from airpfl.ris import baseline_phases, configure_aligned
-from airpfl.seeding import rng_from_seed
-from airpfl.sysmodel import ConfigError, make_config
+from airpfl.seeding import derive_seed, rng_from_seed
+from airpfl.sysmodel import ConfigError, make_config, place_geometry
 
 
 def _config(K=6, M=2, N=8, D=4, seed=3):
@@ -434,7 +436,8 @@ def test_elimination_single_cluster_has_no_cross_pairs():
     report = verify_elimination(cfg, trials=4000, seed=1)
     assert len(report.rows) == 3
     assert all(r.same_cluster for r in report.rows)
-    assert report.corrections == []
+    # The only drawn terms are the own residuals on the one surface.
+    assert [(c.antenna, c.surface) for c in report.corrections] == [(0, 0)] * 3
     assert report.pairs_pass
     assert report.all_pass
 
@@ -479,22 +482,139 @@ def test_elimination_rejects_a_broken_alignment(design, monkeypatch):
     import airpfl.harness as harness
 
     cfg = _config(K=6, M=2, N=8)
-    assert verify_elimination(cfg, trials=2000, seed=7).all_pass
+    assert verify_elimination(cfg, trials=200, seed=7).all_pass
     monkeypatch.setattr(harness, "_aligned_phases_batch", design)
-    report = verify_elimination(cfg, trials=2000, seed=7)
+    report = verify_elimination(cfg, trials=200, seed=7)
     assert not report.pairs_pass and not report.all_pass
     assert not any(r.passed for r in report.rows if r.same_cluster)
+
+
+def test_elimination_rejects_biased_drawn_terms(monkeypatch):
+    # The correction checks test the sampler: drawn terms that are not
+    # zero mean must fail them, although the pair checks never read them.
+    import airpfl.harness as harness
+
+    def offset(*args):
+        ch = sample_small_scale(*args)
+        return dataclasses.replace(ch, drawn_terms=ch.drawn_terms + 1.0)
+
+    cfg = _config(K=6, M=2, N=8)
+    honest = verify_elimination(cfg, trials=500, seed=7)
+    assert honest.all_pass
+    monkeypatch.setattr(harness, "_sample_batch", offset)
+    report = verify_elimination(cfg, trials=500, seed=7)
+    assert report.pairs_pass
+    assert [r.mean for r in report.rows] == [r.mean for r in honest.rows]
+    assert not report.corrections_pass and not report.all_pass
+    assert not any(c.passed for c in report.corrections)
+
+
+def test_elimination_singleton_cluster_residual_is_an_exact_pass():
+    # A singleton cluster's own residual is exactly 0 in every trial; its
+    # check scores z = 0 without a 0/0 division.
+    cfg = make_config(
+        num_devices=3,
+        num_clusters=2,
+        num_ris_elements=8,
+        model_dim=2,
+        cluster_of=[0, 0, 1],
+        max_power=1.0,
+        noise_var=0.0,
+        master_seed=1,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_elimination(cfg, trials=400, seed=1)
+    residual = [c for c in report.corrections if c.device == 2 and c.surface == 1]
+    assert len(residual) == 2
+    assert all(c.mean == 0.0 and c.stderr == 0.0 and c.z == 0.0 and c.passed for c in residual)
+    assert sum(c.stderr == 0.0 for c in report.corrections) == 2
+    assert report.all_pass
+
+
+def test_holm_decisions_follow_the_adjusted_p_values():
+    # Reference: Holm-adjusted p_(j) = max_{i <= j} min(1, (n - i) p_(i))
+    # over ascending p, from the standard normal tail; a check passes
+    # when its adjusted p exceeds alpha.
+    from statistics import NormalDist
+
+    from airpfl.harness import _holm
+
+    z = np.array([0.3, -4.6, 4.4, np.inf, 2.9, -0.0, 4.25, -3.0])
+    p = np.array([2.0 * NormalDist().cdf(-abs(v)) for v in z])
+    order = np.argsort(p, kind="stable")
+    adjusted = np.empty_like(p)
+    adjusted[order] = np.maximum.accumulate(
+        np.minimum((p.size - np.arange(p.size)) * p[order], 1.0))
+    for alpha in (1e-5, 1e-4, 1e-3, 0.05):
+        passed, family_p = _holm(z, alpha)
+        assert passed.tolist() == (adjusted > alpha).tolist()
+        assert family_p == pytest.approx(adjusted.min(), rel=1e-9, abs=1e-300)
+    assert _holm(z, 1e-3)[0].tolist() == [True, False, False, False, True, True, False, True]
+
+
+def test_elimination_false_alarms_are_calibrated(monkeypatch):
+    # Holm's rule keeps the family-wise false-alarm rate at alpha. At
+    # alpha = 1e-2, 40 runs of correct code fail at most 3 times but with
+    # probability about 7e-4 (binomial tail, independent seeds); the
+    # unadjusted 3-sigma AND over these 36 checks failed about 9% of runs.
+    import airpfl.harness as harness
+
+    monkeypatch.setattr(harness, "VERIFY_ALPHA", 1e-2)
+    cfg = _config(K=6, M=2, N=8)
+    failed = 0
+    for seed in range(40):
+        report = verify_elimination(cfg, trials=500, seed=seed)
+        assert report.alpha == 1e-2
+        assert len(report.rows) + len(report.corrections) == 36
+        failed += not report.all_pass
+    assert failed <= 3
+
+
+def _full_pair_moments(cfg, trials, seed):
+    """Pair moments of the whole effective gain on the verifier's own draws."""
+    import airpfl.harness as harness
+
+    geometry = place_geometry(cfg, seed)
+    beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
+    pairs = Moments()
+    for start in range(0, trials, harness.CHUNK):
+        tc = min(harness.CHUNK, trials - start)
+        rng = rng_from_seed(derive_seed(seed, "elimination", start))
+        ch = sample_small_scale(rng, tc, cfg.num_clusters, cfg.cluster_of, cfg.num_ris_elements)
+        pairs.add(all_cascaded_gains(ch, beta, configure_aligned(ch)))
+    return pairs.mean, pairs.stderr
+
+
+@pytest.mark.parametrize("shape", [dict(K=6, M=2, N=8), dict(K=8, M=2, N=16)],
+                         ids=["small", "criterion-1"])
+def test_conditioned_pairs_agree_with_the_full_gain_and_are_tighter(shape):
+    # The pair estimate is the conditional expectation of the whole gain
+    # given the paths the phases read: on the same draws its means agree
+    # with the whole gain's, and its stderr is smaller.
+    cfg = _config(**shape)
+    report = verify_elimination(cfg, trials=4000, seed=3)
+    mean, stderr = _full_pair_moments(cfg, 4000, 3)
+    for r in report.rows:
+        full_mean, full_se = mean[r.antenna, r.device], stderr[r.antenna, r.device]
+        assert abs(r.mean - full_mean) <= 4.0 * np.hypot(r.stderr, full_se)
+        assert r.stderr < full_se
+    if shape["N"] == 16:
+        assert all(stderr[r.antenna, r.device] >= 2.0 * r.stderr
+                   for r in report.rows if r.same_cluster)
 
 
 def test_elimination_report_shape():
     cfg = _config(K=4, M=2, N=4)
     report = verify_elimination(cfg, trials=500, seed=9)
     assert len(report.rows) == 2 * 4
-    own_rows = [r for r in report.rows if r.same_cluster]
-    assert len(report.corrections) == len(own_rows) * (2 - 1)
-    assert report.csv_header() == [
-        "m", "k", "same_cluster", "mean", "stderr", "target", "pass",
+    assert [(c.antenna, c.surface, c.device) for c in report.corrections] == [
+        (m, i, k) for m in range(2) for i in range(2) for k in range(4)
     ]
+    assert report.csv_header() == [
+        "m", "k", "same_cluster", "mean", "stderr", "target", "pass", "z",
+    ]
+    assert report.alpha == 1e-3
     assert report.trials == 500
     assert report.num_elements == 4
 

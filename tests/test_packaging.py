@@ -34,3 +34,12 @@ def test_pyproject_version_is_the_package_version():
 def test_console_script_names_the_cli_entry_point():
     assert _string_field(_table("project.scripts"), "airpfl") == "airpfl.cli:main"
     assert callable(airpfl.cli.main)
+
+
+def test_build_requirements_include_wheel():
+    # setuptools older than 70.1 builds the editable wheel only when the
+    # separate `wheel` package is installed.
+    match = re.search(r"^requires = \[(.*)\]$", _table("build-system"), re.M)
+    assert match, "no build requirements"
+    requires = [r.strip().strip('"') for r in match.group(1).split(",")]
+    assert requires == ["setuptools>=68", "wheel"]
