@@ -52,7 +52,6 @@ from .powopt import (
     AscentResult,
     RatioProblem,
     assemble_ratio_problem,
-    brute_force_oracle,
     objective,
     solve_projected_ascent,
 )
@@ -64,6 +63,7 @@ from .sysmodel import (
     SystemConfig,
     config_from_json,
     make_config,
+    membership,
     place_geometry,
     validate_config,
 )

@@ -23,7 +23,7 @@ import numpy as np
 
 # perfbench/tracing.py WRAPS times aircomp.rng_from_seed; nothing here draws.
 from .seeding import rng_from_seed  # noqa: F401
-from .sysmodel import cluster_members
+from .sysmodel import membership
 
 DEGENERATE_STD_TOL = 1e-12
 
@@ -92,9 +92,8 @@ def uplink(
 
 def cluster_average(x: np.ndarray, cluster_of: np.ndarray, num_clusters: int) -> np.ndarray:
     """Average of x (T, K, ...) over each cluster's devices, shape (T, M, ...)."""
-    return np.stack(
-        [x[:, idx].mean(axis=1) for idx in cluster_members(cluster_of, num_clusters)], axis=1
-    )
+    own = membership(cluster_of, num_clusters)
+    return np.einsum("mk,tk...->tm...", own / own.sum(axis=1, keepdims=True), x)
 
 
 def estimate_cluster_gradient(

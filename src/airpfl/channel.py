@@ -42,9 +42,9 @@ residual term is F_i u~, where u~ is u centred over the cluster's
 devices (exactly 0 for a singleton cluster). Normals per trial are
 2N(M^2 + M) + M^2 K, against 2N(M^2 + MK) for every path. Every phase
 configuration evaluated on one draw sees the same drawn terms, each
-under its exact law. The gain kernels and the elimination verifier take
-the cluster-sum terms from cluster_sum_terms, one real batched matmul
-over the interleaved (re, im) pairs of the N surface elements.
+under its exact law. cascaded_components and the elimination verifier
+take the cluster-sum terms from cluster_sum_terms, one real batched
+matmul over the interleaved (re, im) pairs of the N surface elements.
 
 One draw can also serve a grid of B increasing surface sizes
 n_1 < ... < n_B = N_max, as nested surfaces: the size-n surface is the
@@ -65,7 +65,7 @@ import numpy as np
 
 # perfbench/tracing.py WRAPS times channel.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
-from .sysmodel import Geometry, cluster_members
+from .sysmodel import Geometry, membership
 
 MIN_DEVICE_RIS_DISTANCE = 1.0
 
@@ -182,24 +182,20 @@ def sample_small_scale(
     of F_c @ u_c[..., :min(2 (n_c - n_{c-1}), M), :]; those of size N
     are drawn_terms.
     """
+    own = membership(cluster_of, num_clusters)
     cluster_of = np.asarray(cluster_of, dtype=int)
     sizes = tuple(int(n) for n in np.atleast_1d(num_elements))
     T, M, K, N = trials, num_clusters, cluster_of.size, sizes[-1]
-    if cluster_of.ndim != 1 or cluster_of.min(initial=0) < 0 or cluster_of.max(initial=0) >= M:
-        raise ValueError(f"cluster_of must be a 1-D array of surfaces in [0, {M})")
     if any(b <= a for a, b in zip((0,) + sizes, sizes)):
         raise ValueError(f"surface sizes must be positive and increasing, got {sizes}")
-    members = cluster_members(cluster_of, M)
-    counts = np.array([idx.size for idx in members])
+    counts = own.sum(axis=1)
     ris_to_ps = _complex_normal(rng, (T, M, N, M))
     cluster_sums = _complex_normal(rng, (T, M, N), np.sqrt(counts / 2.0)[:, None])
     normals = rng.standard_normal((len(sizes), T, M, M, K))
-    for i, idx in enumerate(members):
-        if idx.size == 0:
-            continue
+    for i in np.flatnonzero(counts):
         surface = normals[:, :, i]  # a view: (B, T, M, K)
-        own = surface[..., idx]
-        surface[..., idx] = own - own.mean(axis=-1, keepdims=True)
+        residual = surface[..., own[i]]
+        surface[..., own[i]] = residual - residual.mean(axis=-1, keepdims=True)
     drawn = []
     for b, (lo, hi) in enumerate(zip((0,) + sizes, sizes)):
         factor = foreign_factor(ris_to_ps[:, :, lo:hi])
@@ -238,18 +234,13 @@ def foreign_factor(ris_to_ps: np.ndarray) -> np.ndarray:
     return r.swapaxes(-1, -2)
 
 
-def _own_weights(cluster_of: np.ndarray, num_surfaces: int) -> np.ndarray:
-    """(M, K): 1 / |C_i| where device k is in surface i's cluster C_i, else 0."""
-    own = cluster_of[None, :] == np.arange(num_surfaces)[:, None]
-    return own / np.maximum(own.sum(axis=1, keepdims=True), 1)
-
-
 def cluster_sum_terms(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
     """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) s[t, i] }, shape (T, M_surface, M_antenna).
 
     The cluster-sum term of surface i at antenna m: each own device of
     surface i reflects its share 1/|C_i| of it, on top of its drawn
-    residual. phases are real angles, or the complex phasors
+    residual (cascaded_components), and the elimination verifier reads
+    it directly. phases are real angles, or the complex phasors
     e^{-j phases}. With w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]},
     the real part of sum_n conj(w_n) s_n is the real dot product of w
     and the cluster sum s viewed as interleaved (re, im) pairs, so one
@@ -261,17 +252,6 @@ def cluster_sum_terms(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
     np.multiply(ch.ris_to_ps.transpose(0, 1, 3, 2), phasors[:, :, None, :], out=w)
     s = np.ascontiguousarray(ch.cluster_sums, dtype=complex).view(np.float64)
     return np.matmul(w.view(np.float64), s[..., None])[..., 0]
-
-
-def _reflected(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
-    """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] }, shape (T, M, M, K).
-
-    Each own device adds its share 1/|C_i| of its surface's
-    cluster_sum_terms to its drawn residual; foreign devices keep their
-    drawn terms. phases as in cluster_sum_terms.
-    """
-    summed = cluster_sum_terms(ch, phases)[..., None]  # (T, M, M_ant, 1)
-    return ch.drawn_terms + summed * _own_weights(ch.cluster_of, ch.num_surfaces)[:, None, :]
 
 
 def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -289,7 +269,13 @@ def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> 
 def cascaded_components(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Per-surface terms of the cascaded gains, shape (T, M_surface, M_antenna, K).
 
-    Summing over the surface axis gives all_cascaded_gains; phases as
-    there.
+    Term [t, i, m, k] is beta[i, k] times device k's reflected path off
+    surface i at antenna m: its drawn term, plus, for a device of
+    surface i's own cluster C_i, its share 1 / |C_i| of the cluster-sum
+    term cluster_sum_terms[t, i, m]. Summing over the surface axis gives
+    all_cascaded_gains; phases as there.
     """
-    return beta[None, :, None, :] * _reflected(ch, phases)
+    own = membership(ch.cluster_of, ch.num_surfaces)
+    share = beta * own / np.maximum(own.sum(axis=1, keepdims=True), 1)  # (M, K)
+    summed = cluster_sum_terms(ch, phases)[..., None]  # (T, M, M_ant, 1)
+    return beta[None, :, None, :] * ch.drawn_terms + summed * share[:, None, :]

@@ -8,7 +8,9 @@ instead uses the realized cascaded gains of the current round and
 minimizes the conditional mean-squared error of the cluster estimate
 for whatever powers are in force. That error, `conditional_mse`, and
 the adaptive denoiser read the same per-cluster terms, for T trials
-at once.
+at once. Every per-cluster minimum and sum is a masked reduction over
+the (M, K) cluster membership matrix `sysmodel.membership`, with no
+loop over clusters.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import cluster_members
+from .sysmodel import membership
 
 DENOISER_UNDERFLOW_TOL = 1e-15
 
@@ -55,7 +57,7 @@ def unbiased_design(
     """
     sigmas = np.asarray(sigmas, dtype=float)
     max_power = np.asarray(max_power, dtype=float)
-    T, K = sigmas.shape
+    K = sigmas.shape[1]
     M = beta.shape[0]
     if beta.shape != (M, K):
         raise ValueError(f"beta must have shape ({M}, {K}), got {beta.shape}")
@@ -63,20 +65,15 @@ def unbiased_design(
         raise ValueError("gradient stds must be non-negative")
     if (max_power <= 0).any():
         raise ValueError("power budgets must be positive")
+    own = membership(cluster_of, M)
+    own_beta = beta[cluster_of, np.arange(K)]  # beta[m, k] for k's own cluster m
     live = sigmas > 0.0
     safe = np.where(live, sigmas, 1.0)
-    root_d = np.sqrt(model_dim)
-    powers = np.empty((T, K))
-    denoisers = np.empty((T, M))
-    for m, idx in enumerate(cluster_members(cluster_of, M)):
-        if idx.size == 0:
-            raise ValueError(f"empty cluster {m}")
-        ratio = np.sqrt(max_power[idx]) * beta[m, idx] / (safe[:, idx] * root_d)
-        zeta = np.where(live[:, idx], ratio, np.inf).min(axis=1)  # (T,)
-        scale = np.where(np.isfinite(zeta), zeta, 0.0)
-        p = (sigmas[:, idx] / beta[m, idx]) ** 2 * scale[:, None] ** 2
-        powers[:, idx] = np.minimum(p, max_power[idx])
-        denoisers[:, m] = np.pi * num_elements * np.sqrt(idx.size) * zeta / 4.0
+    ratio = np.sqrt(max_power) * own_beta / (safe * np.sqrt(model_dim))
+    zeta = np.where(own & live[:, None, :], ratio[:, None, :], np.inf).min(axis=2)  # (T, M)
+    scale = np.where(np.isfinite(zeta), zeta, 0.0)[:, cluster_of]  # (T, K)
+    powers = np.minimum((sigmas / own_beta) ** 2 * scale**2, max_power)
+    denoisers = np.pi * num_elements * np.sqrt(own.sum(axis=1)) * zeta / 4.0
     return AggregationDesign(powers=powers, denoisers=denoisers)
 
 
@@ -85,19 +82,12 @@ def _error_terms(powers, gains, sigmas, noise_var, cluster_of):
 
     Returns num[t, m] = sum_k p_k h_{m,k}^2 sigma_k^2 + noise_var / 2
     and cross[t, m] = sum_{k in m} sqrt(p_k) h_{m,k} sigma_k^3, both
-    (T, M), and the (M,) cluster sizes.
+    (T, M), and the (M, K) cluster membership.
     """
-    M = gains.shape[1]
+    own = membership(cluster_of, gains.shape[1])
     num = np.einsum("tk,tmk->tm", powers * sigmas**2, gains**2, optimize=True) + noise_var / 2.0
-    cross = np.empty(num.shape)
-    members = cluster_members(cluster_of, M)
-    for m, idx in enumerate(members):
-        if idx.size == 0:
-            raise ValueError(f"empty cluster {m}")
-        cross[:, m] = np.einsum(
-            "tk,tk->t", np.sqrt(powers[:, idx]) * sigmas[:, idx] ** 3, gains[:, m, idx]
-        )
-    return num, cross, np.array([idx.size for idx in members])
+    cross = np.einsum("tk,tmk->tm", np.sqrt(powers) * sigmas**3, np.where(own, gains, 0.0))
+    return num, cross, own
 
 
 def conditional_mse(
@@ -126,9 +116,9 @@ def conditional_mse(
     """
     if not (denoisers > 0).all():
         raise ValueError(f"denoisers must be positive, got {denoisers!r}")
-    num, cross, sizes = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
-    own = np.asarray(cluster_of)[:, None] == np.arange(sizes.size)  # (K, M)
-    floor = sigmas**4 @ own / sizes**2
+    num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
+    sizes = own.sum(axis=1)
+    floor = sigmas**4 @ own.T / sizes**2
     inv = 1.0 / denoisers
     return model_dim * (num * inv**2 - 2.0 * cross / sizes * inv + floor)
 
@@ -155,7 +145,8 @@ def adaptive_denoisers(
     non-positive, since the constrained optimum over positive denoisers
     is then attained in the limit.
     """
-    num, cross, sizes = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
+    num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
+    sizes = own.sum(axis=1)
     vanished = np.abs(cross) < DENOISER_UNDERFLOW_TOL
     raw = sizes * num / np.where(vanished, 1.0, cross)
     lam = np.where(vanished, fallback, raw)

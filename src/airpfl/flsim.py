@@ -118,7 +118,7 @@ class DeviceDataset:
 class TrainingHistory:
     """Per-round records of one training run."""
 
-    losses: np.ndarray  # (T, M) cluster losses after each round's update
+    losses: np.ndarray  # (T, M) mean device loss per cluster after each round's update
     nmse: np.ndarray    # (T,) per-round gradient estimation NMSE
     scheme: str
     seed: int
@@ -186,10 +186,6 @@ def local_loss(weights: np.ndarray, ds: DeviceDataset) -> float:
     xa = _augment(ds.features)
     residual = xa @ weights - ds.targets
     return float(0.5 * np.mean(residual**2))
-
-
-def cluster_loss(weights: np.ndarray, datasets: list[DeviceDataset], members: np.ndarray) -> float:
-    return float(np.mean([local_loss(weights, datasets[k]) for k in members]))
 
 
 def sgd_step(weights: np.ndarray, grad_estimate: np.ndarray, eta: float) -> np.ndarray:
@@ -286,7 +282,6 @@ def run_training(
         raise ConfigError(f"every learning rate must be a finite number > 0, got eta={eta!r}")
 
     M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
-    members = cfg.clusters()
     beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
     weights = np.zeros((M, D))
     losses = np.empty((rounds, M))
@@ -310,8 +305,8 @@ def run_training(
                 f"training diverged at round {t} under scheme {scheme.name!r} "
                 f"(non-finite weights); reduce eta or noise"
             )
-        for m in range(M):
-            losses[t, m] = cluster_loss(weights[m], datasets, members[m])
+        local = [local_loss(weights[cfg.cluster_of[k]], datasets[k]) for k in range(K)]
+        losses[t] = cluster_average(np.array([local]), cfg.cluster_of, M)[0]
 
     return TrainingHistory(
         losses=losses,

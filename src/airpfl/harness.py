@@ -33,6 +33,7 @@ from .sysmodel import (
     as_number,
     as_seed,
     make_config,
+    membership,
     place_geometry,
 )
 
@@ -443,11 +444,11 @@ def verify_elimination(
         drawn.add(ch.drawn_terms)
 
     cluster_of = cfg.cluster_of
-    sizes = np.bincount(cluster_of, minlength=M)
+    same = membership(cluster_of, M)
+    sizes = same.sum(axis=1)
     share = beta[cluster_of, np.arange(K)] / sizes[cluster_of]  # (K,)
     mean = share * summed.mean[cluster_of].T  # (antenna, device)
     stderr = share * summed.stderr[cluster_of].T
-    same = cluster_of[None, :] == np.arange(M)[:, None]
     target = np.zeros((M, K))
     if phases == "aligned":
         aligned_mean = beta * (np.pi * N / 4.0) / np.sqrt(sizes)[:, None]

@@ -14,8 +14,7 @@ denoiser recovers below cluster m's signal-free floor. A cluster whose
 own signal q^T b_m is negative gets the infinite denoiser and recovers
 nothing, so it scores zero. The problem is non-convex, so the solver
 runs the quadratic transform of Shen & Yu (IEEE TSP 2018) from several
-starts per trial and keeps the best. A dense grid search is provided
-as an oracle for small K.
+starts per trial and keeps the best.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seeding import rng_from_seed
-from .sysmodel import ConfigError
+from .sysmodel import ConfigError, membership
 
 STARTS = 8         # the all-bounds corner, then uniform-random feasible points
 MAX_ITERS = 2000
@@ -71,12 +70,8 @@ def assemble_ratio_problem(
     """Build the T ratio programs from realized (T, M, K) gains and (T, K) stds."""
     gains = np.asarray(gains, dtype=float)
     sigmas = np.asarray(sigmas, dtype=float)
-    cluster_of = np.asarray(cluster_of, dtype=int)
-    M = gains.shape[1]
-    sizes = np.bincount(cluster_of, minlength=M)
-    if (sizes == 0).any():
-        raise ValueError(f"empty cluster {int(np.flatnonzero(sizes == 0)[0])}")
-    own = cluster_of[None, :] == np.arange(M)[:, None]  # (M, K)
+    own = membership(cluster_of, gains.shape[1])
+    sizes = own.sum(axis=1)
     a_diag = (sizes**2)[:, None] * gains**2 * (sigmas**2)[:, None, :]
     b = np.where(own, gains * (sigmas**3)[:, None, :], 0.0)
     c = sizes**2 * noise_var / 2.0
@@ -161,26 +156,4 @@ def solve_projected_ascent(prob: RatioProblem, seeds) -> AscentResult:
     best = (np.arange(T), np.argmax(f, axis=1))
     return AscentResult(
         q=q[best], objective=f[best], converged=not active.any(), iterations=iterations
-    )
-
-
-def brute_force_oracle(prob: RatioProblem, grid_points: int = 60) -> AscentResult:
-    """Exhaustive box-grid search per trial; only viable for K <= 4.
-
-    Evaluates the objective on a uniform grid (endpoints included) of
-    grid_points values per device and returns each trial's best grid
-    point.
-    """
-    T, _, K = prob.a_diag.shape
-    if K > 4:
-        raise ValueError(f"grid search over {K} devices is too large (limit 4)")
-    if grid_points < 2:
-        raise ValueError("need at least 2 grid points per dimension")
-    axes = [np.linspace(0.0, b, grid_points) for b in prob.bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    qs = np.stack([g.reshape(-1) for g in mesh], axis=1)  # (grid_points**K, K)
-    vals = _sum_of_ratios(*_numerators_denominators(prob, qs))  # (T, grid_points**K)
-    best = np.argmax(vals, axis=1)
-    return AscentResult(
-        q=qs[best], objective=vals[np.arange(T), best], converged=True, iterations=qs.shape[0]
     )

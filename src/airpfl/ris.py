@@ -32,8 +32,8 @@ def configure_aligned(ch: ChannelSet) -> np.ndarray:
     residual terms are exact only for phase designs that read the device
     paths through these sums alone (see airpfl.channel). Returns a
     (T, M, N) array with entries in [0, 2*pi). If the summed device
-    channel of an element has magnitude below 1e-15 (an empty cluster's
-    sum is exactly 0) its angle is taken as 0.
+    channel of an element has magnitude below 1e-15 (the sum over a
+    cluster without devices is exactly 0) its angle is taken as 0.
     """
     summed = ch.cluster_sums
     sum_angle = np.where(np.abs(summed) < ZERO_SUM_TOL, 0.0, np.angle(summed))

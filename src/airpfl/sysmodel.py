@@ -11,6 +11,7 @@ from a disk of radius ``device_disk_radius`` centered on surface m.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from dataclasses import dataclass
 
@@ -78,35 +79,34 @@ class SystemConfig:
                 return False
         return True
 
-    def clusters(self) -> list[np.ndarray]:
-        """Device indices per cluster, ascending within each cluster."""
-        return cluster_members(self.cluster_of, self.num_clusters)
-
     def replace(self, **changes) -> "SystemConfig":
         """A copy with the given fields changed, built and validated by make_config."""
         fields = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
         return make_config(**{**fields, **changes})
 
     def to_json(self) -> str:
-        doc = {
-            "num_devices": self.num_devices,
-            "num_clusters": self.num_clusters,
-            "num_ris_elements": self.num_ris_elements,
-            "model_dim": self.model_dim,
-            "cluster_of": [int(m) for m in self.cluster_of],
-            "max_power": [float(p) for p in self.max_power],
-            "noise_var": self.noise_var,
-            "pathloss_exponent": self.pathloss_exponent,
-            "ps_ris_distance": self.ps_ris_distance,
-            "device_disk_radius": self.device_disk_radius,
-            "master_seed": self.master_seed,
-        }
+        """Every field in declaration order; arrays as lists of Python scalars."""
+        values = ((field.name, getattr(self, field.name)) for field in dataclasses.fields(self))
+        doc = {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values}
         return json.dumps(doc, indent=2)
 
 
-def cluster_members(cluster_of: np.ndarray, num_clusters: int) -> list[np.ndarray]:
-    cluster_of = np.asarray(cluster_of, dtype=int)
-    return [np.flatnonzero(cluster_of == m) for m in range(num_clusters)]
+def membership(cluster_of, num_clusters: int) -> np.ndarray:
+    """(M, K) boolean matrix: entry [m, k] is True when device k belongs to cluster m.
+
+    Row m masks cluster m's devices and its row sum is the cluster size;
+    every per-cluster sum in the package is a contraction with it. A
+    cluster may be empty (an all-False row). cluster_of must be a 1-D
+    integer array with labels in [0, num_clusters); anything else raises
+    ConfigError, so no device is silently dropped or wrapped around.
+    """
+    labels = np.asarray(cluster_of)
+    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
+            or labels.min(initial=0) < 0 or labels.max(initial=0) >= num_clusters):
+        raise ConfigError(
+            f"cluster_of must be a 1-D integer array whose entries lie in [0, {num_clusters})"
+        )
+    return labels == np.arange(num_clusters)[:, None]
 
 
 def make_config(
@@ -154,32 +154,16 @@ def _entries(name, value, convert) -> np.ndarray:
 
 
 def config_from_json(text: str) -> SystemConfig:
+    """make_config of a JSON object; its parameters without a default are required.
+
+    Keys that are not parameters of make_config are ignored.
+    """
     doc = json.loads(text)
-    required = [
-        "num_devices",
-        "num_clusters",
-        "num_ris_elements",
-        "model_dim",
-        "cluster_of",
-        "max_power",
-        "noise_var",
-    ]
-    missing = [name for name in required if name not in doc]
+    params = inspect.signature(make_config).parameters
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in doc]
     if missing:
         raise ConfigError(f"config missing fields: {', '.join(missing)}")
-    return make_config(
-        num_devices=doc["num_devices"],
-        num_clusters=doc["num_clusters"],
-        num_ris_elements=doc["num_ris_elements"],
-        model_dim=doc["model_dim"],
-        cluster_of=doc["cluster_of"],
-        max_power=doc["max_power"],
-        noise_var=doc["noise_var"],
-        pathloss_exponent=doc.get("pathloss_exponent", 2.2),
-        ps_ris_distance=doc.get("ps_ris_distance", 200.0),
-        device_disk_radius=doc.get("device_disk_radius", 300.0),
-        master_seed=doc.get("master_seed", 0),
-    )
+    return make_config(**{name: doc[name] for name in params if name in doc})
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
@@ -193,9 +177,7 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(
             f"cluster_of must have one entry per device ({K}), got shape {cfg.cluster_of.shape}"
         )
-    if cfg.cluster_of.min(initial=0) < 0 or cfg.cluster_of.max(initial=0) >= M:
-        raise ConfigError("cluster_of entries must lie in [0, num_clusters)")
-    sizes = np.bincount(cfg.cluster_of, minlength=M)
+    sizes = membership(cfg.cluster_of, M).sum(axis=1)
     if (sizes == 0).any():
         empty = int(np.flatnonzero(sizes == 0)[0])
         raise ConfigError(f"empty cluster: cluster {empty} has no devices (cluster_of)")

@@ -17,7 +17,7 @@ from airpfl.aircomp import estimate_cluster_gradient, normalize_gradient, uplink
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients
 from airpfl.cli import cli_main
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
-from airpfl.flsim import cluster_loss, run_training, synth_clustered_tasks
+from airpfl.flsim import local_loss, run_training, synth_clustered_tasks
 from airpfl.harness import (
     DESK_N_VALUES,
     DESK_P_VALUES,
@@ -25,15 +25,12 @@ from airpfl.harness import (
     nmse_sweep,
     verify_elimination,
 )
-from airpfl.powopt import (
-    assemble_ratio_problem,
-    brute_force_oracle,
-    solve_projected_ascent,
-)
+from airpfl.powopt import assemble_ratio_problem, solve_projected_ascent
 from airpfl.ris import configure_aligned
 from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import make_config, place_geometry
 from full_channel import channel_set
+from power_oracle import brute_force_oracle
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -93,7 +90,7 @@ def test_criterion_1_interference_elimination():
 def test_criterion_2_unbiased_aggregation():
     K, M, N, D = 8, 2, 32, 24
     cfg = _two_cluster_config(N=N, D=D, noise_var=1e-8)
-    members = cfg.clusters()
+    members = [np.flatnonzero(cfg.cluster_of == m) for m in range(M)]
     geometry = place_geometry(cfg, cfg.master_seed)
     beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
 
@@ -425,8 +422,9 @@ def test_criterion_7_personalized_training():
         cfg_global, geom_global, datasets, "ideal", rounds=rounds, eta=eta
     )
     w_global = hist_global.final_weights[0]
+    members = [np.flatnonzero(cfg.cluster_of == m) for m in range(cfg.num_clusters)]
     summed_global = sum(
-        cluster_loss(w_global, datasets, idx) for idx in cfg.clusters()
+        float(np.mean([local_loss(w_global, datasets[k]) for k in idx])) for idx in members
     )
     improvement = 1.0 - final_unb / summed_global
     personalization_ok = improvement > 0.20

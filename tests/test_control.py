@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from airpfl.aircomp import cluster_average
 from airpfl.channel import all_cascaded_gains
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.ris import configure_aligned
@@ -341,3 +342,77 @@ def test_discard_mode_mse_not_worse_than_tail():
         np.ones((5, 2)), 0.1, 4, cluster_of,
     )[:, 0]
     assert np.all(mse[1:] >= mse[0] - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# masked contractions against per-cluster loops
+# ---------------------------------------------------------------------------
+
+def _per_cluster_reference(beta, sigmas, max_power, model_dim, num_elements, cluster_of, gains):
+    """The design, error terms and averages computed one cluster at a time.
+
+    Returns powers (T, K), denoisers (T, M), num and cross (T, M), the
+    (M,) sizes and a function averaging (T, K, ...) over each cluster.
+    """
+    T, K = sigmas.shape
+    M = beta.shape[0]
+    live = sigmas > 0.0
+    safe = np.where(live, sigmas, 1.0)
+    powers, denoisers = np.empty((T, K)), np.empty((T, M))
+    members = [np.flatnonzero(cluster_of == m) for m in range(M)]
+    for m, idx in enumerate(members):
+        ratio = np.sqrt(max_power[idx]) * beta[m, idx] / (safe[:, idx] * np.sqrt(model_dim))
+        zeta = np.where(live[:, idx], ratio, np.inf).min(axis=1)
+        scale = np.where(np.isfinite(zeta), zeta, 0.0)
+        p = (sigmas[:, idx] / beta[m, idx]) ** 2 * scale[:, None] ** 2
+        powers[:, idx] = np.minimum(p, max_power[idx])
+        denoisers[:, m] = np.pi * num_elements * np.sqrt(idx.size) * zeta / 4.0
+    num = (powers[:, None, :] * gains**2 * sigmas[:, None, :] ** 2).sum(axis=2) + 1e-3 / 2.0
+    cross = np.stack(
+        [(np.sqrt(powers[:, idx]) * gains[:, m, idx] * sigmas[:, idx] ** 3).sum(axis=1)
+         for m, idx in enumerate(members)], axis=1
+    )
+    sizes = np.array([idx.size for idx in members])
+
+    def average(x):
+        return np.stack([x[:, idx].mean(axis=1) for idx in members], axis=1)
+
+    return powers, denoisers, num, cross, sizes, average
+
+
+def test_masked_kernels_match_per_cluster_loops():
+    # Unequal clusters (2, 2 and 4 devices, labels not sorted), a device
+    # that reports zero std and a cluster whose devices all do. The
+    # design takes the same operations per element as the loop, so it is
+    # bit-identical; the sums over a cluster only change their order, so
+    # they agree to a few float64 ulps.
+    rng = np.random.default_rng(41)
+    cluster_of = np.array([2, 0, 1, 2, 2, 0, 1, 2])
+    T, M, K, D, N = 6, 3, 8, 16, 32
+    beta = rng.uniform(0.2, 2.0, (M, K))
+    sigmas = rng.uniform(0.5, 1.5, (T, K))
+    sigmas[1, 1] = 0.0
+    sigmas[2, [2, 6]] = 0.0
+    max_power = rng.uniform(0.5, 2.0, K)
+    gains = rng.uniform(0.1, 1.0, (T, M, K))
+    powers, denoisers, num, cross, sizes, average = _per_cluster_reference(
+        beta, sigmas, max_power, D, N, cluster_of, gains
+    )
+    design = unbiased_design(beta, sigmas, max_power, D, N, cluster_of)
+    assert np.array_equal(design.powers, powers)
+    assert np.array_equal(design.denoisers, denoisers)
+
+    tol = 16 * np.finfo(float).eps
+    live = np.isfinite(denoisers)
+    lam = np.where(live, denoisers, 1.0)
+    mse = conditional_mse(powers, lam, gains, sigmas, 1e-3, D, cluster_of)
+    floor = average(sigmas**4) / sizes
+    expected = D * (num / lam**2 - 2.0 * cross / (sizes * lam) + floor)
+    assert np.allclose(mse, expected, rtol=tol, atol=0)
+    fallback = np.full((T, M), 7.0)
+    adaptive = adaptive_denoisers(powers, gains, sigmas, 1e-3, cluster_of, fallback)
+    assert np.array_equal(live, adaptive != fallback)  # only the silent cluster falls back
+    minimizer = sizes * num / np.where(live, cross, 1.0)
+    assert np.allclose(adaptive[live], minimizer[live], rtol=tol, atol=0)
+    x = rng.standard_normal((T, K, 5))
+    assert np.allclose(cluster_average(x, cluster_of, M), average(x), rtol=tol, atol=tol)

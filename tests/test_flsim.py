@@ -7,7 +7,6 @@ import airpfl.flsim as flsim
 from airpfl.control import unbiased_design
 from airpfl.flsim import (
     DeviceDataset,
-    cluster_loss,
     local_gradient,
     local_loss,
     run_training,
@@ -59,20 +58,26 @@ def test_gradient_matches_finite_differences():
         assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-def test_cluster_loss_is_member_average():
-    rng = np.random.default_rng(5)
-    datasets = [
-        DeviceDataset(
-            features=rng.standard_normal((10, 2)),
-            targets=rng.standard_normal(10),
-            owner=k,
-        )
-        for k in range(3)
-    ]
-    w = rng.standard_normal(3)
-    members = np.array([0, 2])
-    expected = 0.5 * (local_loss(w, datasets[0]) + local_loss(w, datasets[2]))
-    assert cluster_loss(w, datasets, members) == pytest.approx(expected, rel=1e-12)
+def test_training_losses_are_member_averages(monkeypatch):
+    # Unequal clusters of 3 and 2 devices; each cluster's recorded loss is
+    # the mean local loss of its devices under its updated model, with
+    # one local_loss call per device and round through the module.
+    cfg = _config(K=5)
+    geom = place_geometry(cfg, cfg.master_seed)
+    datasets, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=5)
+    calls = []
+
+    def counted(weights, ds):
+        calls.append(ds.owner)
+        return local_loss(weights, ds)
+
+    monkeypatch.setattr(flsim, "local_loss", counted)
+    hist = run_training(cfg, geom, datasets, "unbiased", rounds=2)
+    assert calls == list(range(5)) * 2
+    for m, w in enumerate(hist.final_weights):
+        members = np.flatnonzero(cfg.cluster_of == m)
+        expected = np.mean([local_loss(w, datasets[k]) for k in members])
+        assert hist.losses[-1, m] == pytest.approx(expected, rel=1e-12)
 
 
 def test_sgd_step():

@@ -10,13 +10,13 @@ from airpfl.harness import desk_scale_config
 from airpfl.powopt import (
     RatioProblem,
     assemble_ratio_problem,
-    brute_force_oracle,
     objective,
     solve_projected_ascent,
 )
 from airpfl.ris import configure_aligned
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import place_geometry
+from power_oracle import brute_force_oracle
 
 
 def _instance(rng, K=3, M=2, noise_var=None):

@@ -1,16 +1,23 @@
-"""Configuration validation and deployment geometry."""
+"""Configuration validation, cluster membership and deployment geometry."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from airpfl.aircomp import cluster_average, estimate_cluster_gradient
+from airpfl.channel import sample_small_scale
+from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
+from airpfl.harness import desk_scale_config
+from airpfl.powopt import assemble_ratio_problem
+from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import (
     ConfigError,
-    cluster_members,
     config_from_json,
     make_config,
+    membership,
     place_geometry,
 )
 
@@ -38,16 +45,56 @@ def test_scalar_power_broadcasts():
 
 def test_clusters_partition_devices():
     cfg = small_config()
-    members = cfg.clusters()
-    assert [list(idx) for idx in members] == [[0, 1, 2], [3, 4, 5]]
-    flat = np.concatenate(members)
-    assert sorted(flat) == list(range(6))
+    own = membership(cfg.cluster_of, cfg.num_clusters)
+    assert [np.flatnonzero(row).tolist() for row in own] == [[0, 1, 2], [3, 4, 5]]
+    assert own.sum(axis=0).tolist() == [1] * 6
 
 
-def test_cluster_members_standalone():
-    members = cluster_members([1, 0, 1], 2)
-    assert list(members[0]) == [1]
-    assert list(members[1]) == [0, 2]
+def test_membership_standalone():
+    own = membership([1, 0, 1], 2)
+    assert own.dtype == bool
+    assert own.tolist() == [[False, True, False], [True, False, True]]
+    # A cluster without devices is an all-False row, not an error.
+    assert membership(np.array([0, 2]), 3).sum(axis=1).tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("labels", [[0, 2], [0, -1], [[0, 1]], [0.0, 1.0], [True, False]])
+def test_membership_rejects_malformed_labels(labels):
+    with pytest.raises(ConfigError, match="lie in"):
+        membership(labels, 2)
+
+
+def _label_consumers():
+    """Every kernel that takes cluster labels, as a function of the labels (K=3, M=2)."""
+    T, M, K, N, D = 2, 2, 3, 4, 3
+    rng = np.random.default_rng(0)
+    beta = rng.uniform(0.5, 1.0, (M, K))
+    sigmas = rng.uniform(0.5, 1.5, (T, K))
+    powers = rng.uniform(0.1, 1.0, (T, K))
+    gains = rng.standard_normal((T, M, K))
+    lam = np.ones((T, M))
+    x = rng.standard_normal((T, K, D))
+    received, means = rng.standard_normal((T, M, D)), rng.standard_normal((T, K))
+    return {
+        "sample_small_scale": lambda c: sample_small_scale(rng_from_seed(1), T, M, c, N),
+        "unbiased_design": lambda c: unbiased_design(beta, sigmas, np.ones(K), D, N, c),
+        "conditional_mse": lambda c: conditional_mse(powers, lam, gains, sigmas, 1e-3, D, c),
+        "adaptive_denoisers": lambda c: adaptive_denoisers(powers, gains, sigmas, 1e-3, c, lam),
+        "assemble_ratio_problem": lambda c: assemble_ratio_problem(
+            gains, sigmas, 1e-3, c, np.ones(K)
+        ),
+        "cluster_average": lambda c: cluster_average(x, c, M),
+        "estimate_cluster_gradient": lambda c: estimate_cluster_gradient(received, lam, means, c),
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(_label_consumers()))
+def test_kernels_reject_out_of_range_labels(kernel):
+    call = _label_consumers()[kernel]
+    call(np.array([0, 1, 1]))  # well-formed labels run
+    for labels in ([0, 1, 2], [0, -1, 1]):
+        with pytest.raises(ValueError):
+            call(np.array(labels))
 
 
 @pytest.mark.parametrize(
@@ -161,6 +208,12 @@ def test_json_defaults_fill_in():
     assert cfg.ps_ris_distance == 200.0
     assert cfg.device_disk_radius == 300.0
     assert cfg.master_seed == 0
+
+
+def test_desk_config_json_bytes_are_pinned():
+    text = desk_scale_config().to_json()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "b403c21b342357504377a86e6bb4acb93be6bece5f2346072e481398fce4a057"
 
 
 def test_json_tolerates_extra_keys():
