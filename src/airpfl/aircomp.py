@@ -86,14 +86,14 @@ def uplink(
     if noise_var < 0:
         raise ValueError("noise_var must be >= 0")
     weights = np.sqrt(powers)[:, None, :] * gains
-    signal = np.einsum("tmk,tkd->tmd", weights, grads.values, optimize=True)
+    signal = np.matmul(weights, grads.values)
     return signal + np.sqrt(noise_var / 2.0) * noise
 
 
 def cluster_average(x: np.ndarray, cluster_of: np.ndarray, num_clusters: int) -> np.ndarray:
-    """Average of x (T, K, ...) over each cluster's devices, shape (T, M, ...)."""
+    """Average of x (T, K, ...) over each cluster's devices, shape (T, M, ...); 0 for no devices."""
     own = membership(cluster_of, num_clusters)
-    return np.einsum("mk,tk...->tm...", own / own.sum(axis=1, keepdims=True), x)
+    return np.einsum("mk,tk...->tm...", own / np.maximum(own.sum(axis=1, keepdims=True), 1), x)
 
 
 def estimate_cluster_gradient(

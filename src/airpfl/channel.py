@@ -43,8 +43,9 @@ devices (exactly 0 for a singleton cluster). Normals per trial are
 2N(M^2 + M) + M^2 K, against 2N(M^2 + MK) for every path. Every phase
 configuration evaluated on one draw sees the same drawn terms, each
 under its exact law. cascaded_components and the elimination verifier
-take the cluster-sum terms from cluster_sum_terms, one real batched
-matmul over the interleaved (re, im) pairs of the N surface elements.
+take the cluster-sum terms from cluster_sum_terms, one small complex
+product per (trial, surface) of the phasor-weighted cluster sum with
+the surface-to-PS paths.
 
 One draw can also serve a grid of B increasing surface sizes
 n_1 < ... < n_B = N_max, as nested surfaces: the size-n surface is the
@@ -234,48 +235,47 @@ def foreign_factor(ris_to_ps: np.ndarray) -> np.ndarray:
     return r.swapaxes(-1, -2)
 
 
-def cluster_sum_terms(ch: ChannelSet, phases: np.ndarray) -> np.ndarray:
-    """Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) s[t, i] }, shape (T, M_surface, M_antenna).
+def cluster_sum_terms(ch: ChannelSet, phasors: np.ndarray) -> np.ndarray:
+    """Re{ h_ps[t, i, :, m]^H diag(conj(phasors[t, i])) s[t, i] }, shape (T, M_surface, M_antenna).
 
     The cluster-sum term of surface i at antenna m: each own device of
     surface i reflects its share 1/|C_i| of it, on top of its drawn
     residual (cascaded_components), and the elimination verifier reads
-    it directly. phases are real angles, or the complex phasors
-    e^{-j phases}. With w[t, i, m, n] = h_ps[t, i, n, m] e^{-j phases[t, i, n]},
-    the real part of sum_n conj(w_n) s_n is the real dot product of w
-    and the cluster sum s viewed as interleaved (re, im) pairs, so one
-    real batched matmul over the 2N axis gives every term.
+    it directly. phasors (T, M, N) are the unit phasors e^{-j theta} of
+    the surface phases (airpfl.ris); a real array raises ValueError.
+    Since Re{z} = Re{conj z}, the term is the real part of
+    sum_n phasors[n] conj(s[n]) h_ps[n, m]: one (1 x N) by (N x M_antenna)
+    complex product per (trial, surface), on the (T, M, N) phasor-weighted
+    conjugate cluster sums.
     """
-    T, M, N, M_ant = ch.ris_to_ps.shape
-    phasors = phases if np.iscomplexobj(phases) else np.exp(-1j * phases)
-    w = np.empty((T, M, M_ant, N), dtype=complex)
-    np.multiply(ch.ris_to_ps.transpose(0, 1, 3, 2), phasors[:, :, None, :], out=w)
-    s = np.ascontiguousarray(ch.cluster_sums, dtype=complex).view(np.float64)
-    return np.matmul(w.view(np.float64), s[..., None])[..., 0]
+    if not np.iscomplexobj(phasors):
+        raise ValueError("phases must be complex unit phasors e^{-j theta}, not real angles")
+    weighted = phasors * np.conj(ch.cluster_sums)
+    return np.matmul(weighted[..., None, :], ch.ris_to_ps)[..., 0, :].real
 
 
-def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, phasors: np.ndarray) -> np.ndarray:
     """Real cascaded gains for every (trial t, antenna m, device k), shape (T, M, K).
 
     Sums over every surface i the attenuated reflected path
-    beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(e^{j phases[t, i]}) h_dev[t, i, k] };
-    phases has shape (T, M, N). A complex phases array is taken as the
-    phasors e^{-j phases} themselves, which a caller evaluating several
-    nested sizes computes once at the largest size and slices.
+    beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(conj(phasors[t, i])) h_dev[t, i, k] };
+    phasors are the (T, M, N) unit phasors e^{-j theta} of the surface
+    phases, which a caller evaluating several nested sizes computes
+    once at the largest size and slices.
     """
-    return cascaded_components(ch, beta, phases).sum(axis=1)
+    return cascaded_components(ch, beta, phasors).sum(axis=1)
 
 
-def cascaded_components(ch: ChannelSet, beta: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def cascaded_components(ch: ChannelSet, beta: np.ndarray, phasors: np.ndarray) -> np.ndarray:
     """Per-surface terms of the cascaded gains, shape (T, M_surface, M_antenna, K).
 
     Term [t, i, m, k] is beta[i, k] times device k's reflected path off
     surface i at antenna m: its drawn term, plus, for a device of
     surface i's own cluster C_i, its share 1 / |C_i| of the cluster-sum
     term cluster_sum_terms[t, i, m]. Summing over the surface axis gives
-    all_cascaded_gains; phases as there.
+    all_cascaded_gains; phasors as there.
     """
     own = membership(ch.cluster_of, ch.num_surfaces)
     share = beta * own / np.maximum(own.sum(axis=1, keepdims=True), 1)  # (M, K)
-    summed = cluster_sum_terms(ch, phases)[..., None]  # (T, M, M_ant, 1)
+    summed = cluster_sum_terms(ch, phasors)[..., None]  # (T, M, M_ant, 1)
     return beta[None, :, None, :] * ch.drawn_terms + summed * share[:, None, :]

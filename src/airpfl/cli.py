@@ -10,6 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,9 @@ def _scheme(text: str) -> flsim.Scheme:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="airpfl",
         description="Surface-assisted over-the-air personalized FL simulator",

@@ -51,9 +51,10 @@ def unbiased_design(
     (so the weakest device runs at its full per-symbol budget P_k / D),
     and the denoiser is lambda_m = pi * N * sqrt(|cluster m|) * zeta_m / 4.
     Devices reporting sigma = 0 are excluded from the minimum and get
-    zero power. A cluster whose devices all report sigma = 0 carries no
-    analog signal: the minimum over no devices is +inf, so its devices
-    get zero power and its denoiser is +inf (estimate = mean term).
+    zero power. A cluster whose devices all report sigma = 0, or that
+    has no devices, carries no analog signal: the minimum over no
+    devices is +inf, so its devices get zero power and its denoiser is
+    +inf (estimate = mean term).
     """
     sigmas = np.asarray(sigmas, dtype=float)
     max_power = np.asarray(max_power, dtype=float)
@@ -71,10 +72,11 @@ def unbiased_design(
     safe = np.where(live, sigmas, 1.0)
     ratio = np.sqrt(max_power) * own_beta / (safe * np.sqrt(model_dim))
     zeta = np.where(own & live[:, None, :], ratio[:, None, :], np.inf).min(axis=2)  # (T, M)
-    scale = np.where(np.isfinite(zeta), zeta, 0.0)[:, cluster_of]  # (T, K)
-    powers = np.minimum((sigmas / own_beta) ** 2 * scale**2, max_power)
+    signal = np.isfinite(zeta)
+    zeta = np.where(signal, zeta, 0.0)
+    powers = np.minimum((sigmas / own_beta) ** 2 * zeta[:, cluster_of] ** 2, max_power)
     denoisers = np.pi * num_elements * np.sqrt(own.sum(axis=1)) * zeta / 4.0
-    return AggregationDesign(powers=powers, denoisers=denoisers)
+    return AggregationDesign(powers=powers, denoisers=np.where(signal, denoisers, np.inf))
 
 
 def _error_terms(powers, gains, sigmas, noise_var, cluster_of):
@@ -85,7 +87,7 @@ def _error_terms(powers, gains, sigmas, noise_var, cluster_of):
     (T, M), and the (M, K) cluster membership.
     """
     own = membership(cluster_of, gains.shape[1])
-    num = np.einsum("tk,tmk->tm", powers * sigmas**2, gains**2, optimize=True) + noise_var / 2.0
+    num = np.matmul(gains**2, (powers * sigmas**2)[..., None])[..., 0] + noise_var / 2.0
     cross = np.einsum("tk,tmk->tm", np.sqrt(powers) * sigmas**3, np.where(own, gains, 0.0))
     return num, cross, own
 
@@ -112,12 +114,13 @@ def conditional_mse(
     with num_m = sum_k p_k h_{m,k}^2 sigma_k^2 + noise_var / 2 and
     cross_m = sum_{k in m} sqrt(p_k) h_{m,k} sigma_k^3. An infinite
     denoiser yields the signal-free floor (last term); a non-positive
-    one raises ValueError.
+    one raises ValueError. A cluster without devices has zero cross
+    and floor terms, so its MSE under the infinite denoiser is 0.
     """
     if not (denoisers > 0).all():
         raise ValueError(f"denoisers must be positive, got {denoisers!r}")
     num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
-    sizes = own.sum(axis=1)
+    sizes = np.maximum(own.sum(axis=1), 1)  # an empty cluster's sums are 0
     floor = sigmas**4 @ own.T / sizes**2
     inv = 1.0 / denoisers
     return model_dim * (num * inv**2 - 2.0 * cross / sizes * inv + floor)
@@ -143,11 +146,13 @@ def adaptive_denoisers(
     cluster with no analog signal); and +inf (discard the analog
     signal, keep the mean term) is returned when the minimizer is
     non-positive, since the constrained optimum over positive denoisers
-    is then attained in the limit.
+    is then attained in the limit. A cluster without devices takes no
+    fallback: its minimizer is 0, so it gets +inf, as its MSE
+    D * num_m / lambda^2 falls toward 0 as lambda grows.
     """
     num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
     sizes = own.sum(axis=1)
     vanished = np.abs(cross) < DENOISER_UNDERFLOW_TOL
     raw = sizes * num / np.where(vanished, 1.0, cross)
-    lam = np.where(vanished, fallback, raw)
+    lam = np.where(vanished & (sizes > 0), fallback, raw)
     return np.where(lam > 0, lam, np.inf)

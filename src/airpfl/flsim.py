@@ -324,12 +324,12 @@ def _estimate_over_channel(cfg, beta, scheme, grads, t):
     rng = rng_from_seed(derive_seed(master, "round-channel", t))
     ch = sample_small_scale(rng, 1, M, cfg.cluster_of, N)
     if scheme.phases == "random":
-        phases = baseline_phases(rng_from_seed(derive_seed(master, "round-phases", t)), 1, M, N)
+        phasors = baseline_phases(rng_from_seed(derive_seed(master, "round-phases", t)), 1, M, N)
     else:
-        phases = configure_aligned(ch)
+        phasors = configure_aligned(ch)
     if scheme.bits is not None:
-        phases = corrupt_phases(phases, scheme.bits)
-    gains = all_cascaded_gains(ch, beta, phases)
+        phasors = corrupt_phases(phasors, scheme.bits)
+    gains = all_cascaded_gains(ch, beta, phasors)
     noise_rng = rng_from_seed(derive_seed(master, "round-noise", t))
     noise = noise_rng.standard_normal((1, M, cfg.model_dim))
     seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()

@@ -228,10 +228,10 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
 
     Each chunk draws one channel at the largest surface size, with the
     drawn terms of every smaller nested size, and its gradients, noise
-    and random phases once. Aligned, quantized and random phases are per
-    element, so they and their phasors e^{-j theta} are computed once at
-    the largest size and sliced. Each (size, phase key) then gets its
-    gains, the channel is released, and only the statistical design
+    and random phases once. Aligned, quantized and random phasors are
+    per element, so they are computed once at the largest size and
+    sliced. Each (size, phase key) then gets its gains, the channel is
+    released, and only the statistical design
     (once per size and budget) and the aggregation (once per size,
     budget and scheme) run per cell.
     """
@@ -249,21 +249,20 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
         phases = {"random": baseline_phases(rng, tc, M, sizes[-1])}
         grads = normalize_gradient(raw)
         g_true = cluster_average(raw, cfg.cluster_of, M)
-        thetas = {}
+        phasors = {}
         for s in channel_schemes:
             key = (s.phases, s.bits)
-            if key not in thetas:
+            if key not in phasors:
                 if s.phases not in phases:
                     phases[s.phases] = _aligned_phases_batch(ch)
-                theta = phases[s.phases]
-                thetas[key] = theta if s.bits is None else corrupt_phases(theta, s.bits)
-        phasors = {key: np.exp(-1j * theta) for key, theta in thetas.items()}
+                phasor = phases[s.phases]
+                phasors[key] = phasor if s.bits is None else corrupt_phases(phasor, s.bits)
         gains = {
             (n, key): _gains_batch(ch.prefix(n), beta, phasor[:, :, :n])
             for n in sizes
             for key, phasor in phasors.items()
         }
-        del ch, phases, thetas, phasors, raw
+        del ch, phases, phasors, raw
 
         seeds = {
             n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
@@ -437,10 +436,10 @@ def verify_elimination(
         rng = rng_from_seed(derive_seed(seed, "elimination", start))
         ch = _sample_batch(rng, tc, M, cfg.cluster_of, N)
         if phases == "random":
-            theta = baseline_phases(rng, tc, M, N)
+            phasors = baseline_phases(rng, tc, M, N)
         else:
-            theta = _aligned_phases_batch(ch)
-        summed.add(cluster_sum_terms(ch, theta))
+            phasors = _aligned_phases_batch(ch)
+        summed.add(cluster_sum_terms(ch, phasors))
         drawn.add(ch.drawn_terms)
 
     cluster_of = cfg.cluster_of
@@ -494,7 +493,16 @@ def verify_elimination(
 # CSV export
 # ---------------------------------------------------------------------------
 
+# Exact types of the values csv_rows produces; format(v, ".17g") of a
+# float equals format(float(v), ".17g"), and str of an int or bool is
+# str(int(v)) or str(bool(v)).
+_FORMATS = {float: lambda v: format(v, ".17g"), int: str, bool: str, str: str}
+
+
 def _format_value(v) -> str:
+    exact = _FORMATS.get(type(v))
+    if exact is not None:
+        return exact(v)
     if isinstance(v, (bool, np.bool_)):
         return str(bool(v))
     if isinstance(v, (int, np.integer)):

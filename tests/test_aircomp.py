@@ -91,7 +91,7 @@ def test_noiseless_uplink_matches_direct_superposition():
     powers = rng.uniform(0.0, 2.0, size=(T, K))
     grads = _normalized_batch(rng, T, K, D)
 
-    gains = all_cascaded_gains(ch, beta, phases)
+    gains = all_cascaded_gains(ch, beta, np.exp(-1j * phases))
     received = uplink(gains, powers, grads, 0.0, np.zeros((T, M, D)))
     assert received.shape == (T, M, D)
 

@@ -10,6 +10,7 @@ from airpfl.channel import (
     ChannelSet,
     all_cascaded_gains,
     cascaded_components,
+    cluster_sum_terms,
     foreign_factor,
     large_scale_coefficients,
     sample_small_scale,
@@ -227,14 +228,14 @@ def test_own_residuals_are_centred_and_vanish_for_a_singleton():
         assert np.abs(drawn[:, 0][..., cluster_of != 0].sum(axis=-1)).min() > 1e-6
     # The singleton's own term is the cluster-sum term alone.
     beta = np.ones((3, 6))
-    phases = configure_aligned(ch)
-    comp = cascaded_components(ch, beta, phases)
-    assert np.allclose(comp[:, 0, :, 1], _reflected_sums(ch, phases)[:, 0], rtol=1e-12, atol=0)
+    phasors = configure_aligned(ch)
+    comp = cascaded_components(ch, beta, phasors)
+    assert np.allclose(comp[:, 0, :, 1], _reflected_sums(ch, phasors)[:, 0], rtol=1e-12, atol=0)
 
 
-def _reflected_sums(ch, phases):
-    """Re{h_ps[t, i, :, m]^H diag(e^{j phases}) s_i}, shape (T, M, M), by einsum."""
-    return np.einsum("tinm,tin,tin->tim", np.conj(ch.ris_to_ps), np.exp(1j * phases),
+def _reflected_sums(ch, phasors):
+    """Re{h_ps[t, i, :, m]^H diag(conj(phasors)) s_i}, shape (T, M, M), by einsum."""
+    return np.einsum("tinm,tin,tin->tim", np.conj(ch.ris_to_ps), np.conj(phasors),
                      ch.cluster_sums).real
 
 
@@ -343,14 +344,14 @@ def test_unequal_clusters_give_finite_gains():
     cluster_of = np.array([0, 1, 1, 1, 1, 1, 1, 1])  # sizes 1 and 7
     ch = sample_small_scale(rng_from_seed(8), 5, 2, cluster_of, 6)
     beta = np.random.default_rng(8).uniform(0.1, 1.0, size=(2, 8))
-    phases = configure_aligned(ch)
-    gains = all_cascaded_gains(ch, beta, phases)
+    phasors = configure_aligned(ch)
+    gains = all_cascaded_gains(ch, beta, phasors)
     assert gains.shape == (5, 2, 8)
     assert np.all(np.isfinite(gains))
     for t in range(5):
         for m in range(2):
             for k in range(8):
-                ref = _cascaded_gain(ch, beta, phases, t, m, k)
+                ref = _cascaded_gain(ch, beta, phasors, t, m, k)
                 assert gains[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
@@ -358,14 +359,14 @@ def test_unequal_clusters_give_finite_gains():
 # gain kernels
 # ---------------------------------------------------------------------------
 
-def _cascaded_gain(ch, beta, phases, t, m, k):
+def _cascaded_gain(ch, beta, phasors, t, m, k):
     """Scalar reference: real cascaded device-k-to-antenna-m gain of trial t."""
     own = ch.cluster_of[k]
     total = 0.0
     for i in range(ch.num_surfaces):
         term = ch.drawn_terms[t, i, m, k]
         if i == own:
-            reflected = np.exp(1j * phases[t, i]) * ch.cluster_sums[t, i]
+            reflected = np.conj(phasors[t, i]) * ch.cluster_sums[t, i]
             share = np.count_nonzero(ch.cluster_of == own)
             term += float(np.real(np.vdot(ch.ris_to_ps[t, i, :, m], reflected))) / share
         total += beta[i, k] * term
@@ -381,7 +382,7 @@ def test_cascaded_gain_matches_direct_sum():
     rng = np.random.default_rng(0)
     beta = rng.uniform(0.5, 2.0, size=(2, 3))
     phases = rng.uniform(0, 2 * np.pi, size=(2, 2, 5))
-    comp = cascaded_components(ch, beta, phases)
+    comp = cascaded_components(ch, beta, np.exp(-1j * phases))
     assert comp.shape == (2, 2, 2, 3)
     for t in range(2):
         for i in range(2):
@@ -406,14 +407,14 @@ def test_all_cascaded_gains_matches_scalar_loop():
     ch = sample_small_scale(rng_from_seed(13), 3, 2, [0, 0, 1, 1], 6)
     rng = np.random.default_rng(2)
     beta = rng.uniform(0.1, 1.0, size=(2, 4))
-    phases = rng.uniform(0, 2 * np.pi, size=(3, 2, 6))
-    grid = all_cascaded_gains(ch, beta, phases)
+    phasors = np.exp(-1j * rng.uniform(0, 2 * np.pi, size=(3, 2, 6)))
+    grid = all_cascaded_gains(ch, beta, phasors)
     assert grid.shape == (3, 2, 4)
-    comp_sum = cascaded_components(ch, beta, phases).sum(axis=1)
+    comp_sum = cascaded_components(ch, beta, phasors).sum(axis=1)
     for t in range(3):
         for m in range(2):
             for k in range(4):
-                ref = _cascaded_gain(ch, beta, phases, t, m, k)
+                ref = _cascaded_gain(ch, beta, phasors, t, m, k)
                 assert grid[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
                 assert comp_sum[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
@@ -427,10 +428,11 @@ def test_kernels_reproduce_the_full_channel():
     phases = aligned_phases(hp, hd, cluster_of)
     ch = channel_set(hp, hd, cluster_of, phases)
     ref = beta[None, :, None, :] * reflected(hp, hd, phases)
-    assert np.allclose(cascaded_components(ch, beta, phases), ref, rtol=1e-12, atol=1e-14)
-    assert np.allclose(all_cascaded_gains(ch, beta, phases), ref.sum(axis=1), rtol=1e-12,
+    phasors = np.exp(-1j * phases)
+    assert np.allclose(cascaded_components(ch, beta, phasors), ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(all_cascaded_gains(ch, beta, phasors), ref.sum(axis=1), rtol=1e-12,
                        atol=1e-14)
-    assert np.allclose(np.mod(phases, 2 * np.pi), configure_aligned(ch), rtol=0, atol=1e-12)
+    assert np.allclose(phasors, configure_aligned(ch), rtol=0, atol=1e-12)
 
 
 PHASE_KINDS = ("aligned", "aligned-1bit", "random")
@@ -439,9 +441,10 @@ PHASE_KINDS = ("aligned", "aligned-1bit", "random")
 def _nested_components(name, trials, M, cluster_of, sizes, seed, chunk):
     """Per-surface terms of each nested size under each phase kind, unit beta.
 
-    On each draw the phases are aligned at the largest size, that
-    alignment quantized to one bit, or drawn uniformly after the
-    channel, and sliced per size. Returns {kind: (trials, sizes * M * M
+    On each draw the phasors are aligned at the largest size, that
+    alignment quantized to one bit, or of angles drawn uniformly after
+    the channel, and sliced per size; the full channel reads their
+    angles. Returns {kind: (trials, sizes * M * M
     * K)}, each row the raveled (size, surface, antenna, device) terms,
     kept in single precision to halve the memory: its rounding, 6e-8
     relative, is far below the Monte Carlo error of any statistic here.
@@ -455,13 +458,14 @@ def _nested_components(name, trials, M, cluster_of, sizes, seed, chunk):
             aligned = configure_aligned(ch)
         else:
             hp, hd = draw_full(rng, chunk, M, K, sizes[-1])
-            aligned = aligned_phases(hp, hd, cluster_of)
-        thetas = (aligned, corrupt_phases(aligned, 1), rng.uniform(0, 2 * np.pi, aligned.shape))
-        for kind, theta in zip(PHASE_KINDS, thetas):
+            aligned = np.exp(-1j * aligned_phases(hp, hd, cluster_of))
+        random = np.exp(-1j * rng.uniform(0, 2 * np.pi, aligned.shape))
+        for kind, phasors in zip(PHASE_KINDS, (aligned, corrupt_phases(aligned, 1), random)):
             if name == "sampler":
-                terms = [cascaded_components(ch.prefix(n), np.ones((M, K)), theta[:, :, :n])
+                terms = [cascaded_components(ch.prefix(n), np.ones((M, K)), phasors[:, :, :n])
                          for n in sizes]
             else:
+                theta = -np.angle(phasors)
                 terms = [reflected(hp[:, :, :n], hd[..., :n], theta[:, :, :n]) for n in sizes]
             parts[kind].append(np.stack(terms, axis=1).reshape(chunk, -1).astype(np.float32))
     return {kind: np.concatenate(p) for kind, p in parts.items()}
@@ -579,22 +583,27 @@ def _awkward_channels():
     )
     # One element per surface.
     yield sample_small_scale(rng_from_seed(6), 2, 2, cluster_of, 1)
+    # A nested prefix, whose element axis is a strided view.
+    yield sample_small_scale(rng_from_seed(7), 3, 2, cluster_of, (2, 5)).prefix(2)
 
 
-@pytest.mark.parametrize("ch", list(_awkward_channels()), ids=["trial-slice", "fortran", "N=1"])
+AWKWARD_IDS = ["trial-slice", "fortran", "N=1", "prefix"]
+
+
+@pytest.mark.parametrize("ch", list(_awkward_channels()), ids=AWKWARD_IDS)
 def test_gain_kernels_on_awkward_layouts(ch):
     T, M, N = ch.num_trials, ch.num_surfaces, ch.num_elements
     K = ch.cluster_of.size
     rng = np.random.default_rng(3)
     beta = rng.uniform(0.1, 1.0, size=(M, K))
-    # A phase array whose last axis is strided.
-    phases = rng.uniform(0, 2 * np.pi, size=(T, M, 2 * N))[:, :, ::2]
-    grid = all_cascaded_gains(ch, beta, phases)
-    comp_sum = cascaded_components(ch, beta, phases).sum(axis=1)
+    # A phasor array whose last axis is strided.
+    phasors = np.exp(-1j * rng.uniform(0, 2 * np.pi, size=(T, M, 2 * N)))[:, :, ::2]
+    grid = all_cascaded_gains(ch, beta, phasors)
+    comp_sum = cascaded_components(ch, beta, phasors).sum(axis=1)
     for t in range(T):
         for m in range(M):
             for k in range(K):
-                ref = _cascaded_gain(ch, beta, phases, t, m, k)
+                ref = _cascaded_gain(ch, beta, phasors, t, m, k)
                 assert grid[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
                 assert comp_sum[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
@@ -608,3 +617,35 @@ def test_geometry_to_channel_pipeline():
     # Own-cluster links are usually shorter, hence stronger on average.
     own = np.array([beta[cfg.cluster_of[k], k] for k in range(6)])
     assert np.all(own > 0)
+
+
+def _transposed_cluster_sum_terms(ch, phasors):
+    """Reference: real dot products of h_ps^T diag(phasors) and s as interleaved (re, im) pairs."""
+    w = ch.ris_to_ps.transpose(0, 1, 3, 2) * phasors[:, :, None, :]  # (T, M, M_ant, N)
+    s = np.ascontiguousarray(ch.cluster_sums).view(np.float64)
+    return np.matmul(np.ascontiguousarray(w).view(np.float64), s[..., None])[..., 0]
+
+
+@pytest.mark.parametrize("ch", list(_awkward_channels()), ids=AWKWARD_IDS)
+def test_cluster_sum_terms_match_the_transposed_formula(ch):
+    T, M, N = ch.num_trials, ch.num_surfaces, ch.num_elements
+    rng = np.random.default_rng(9)
+    for phasors in (
+        configure_aligned(ch),
+        np.exp(-1j * rng.uniform(0, 2 * np.pi, size=(T, M, 2 * N)))[:, :, ::2],
+    ):
+        got = cluster_sum_terms(ch, phasors)
+        ref = _transposed_cluster_sum_terms(ch, phasors)
+        assert got.shape == (T, M, M)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gain_kernels_reject_real_angles():
+    # Real angles are not phasors: a caller passing angles would
+    # otherwise get gains of the wrong phases.
+    ch = sample_small_scale(rng_from_seed(3), 2, 2, [0, 1, 1], 4)
+    theta = np.zeros((2, 2, 4))
+    for kernel in (cluster_sum_terms, lambda c, p: all_cascaded_gains(c, np.ones((2, 3)), p),
+                   lambda c, p: cascaded_components(c, np.ones((2, 3)), p)):
+        with pytest.raises(ValueError, match="phasors"):
+            kernel(ch, theta)

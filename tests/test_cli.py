@@ -344,3 +344,36 @@ def test_repeated_runs_are_byte_identical(tmp_path, system_path, capsys, argv_bu
     second = capsys.readouterr().out
     assert first == second
     assert (dir_a / "a.csv").read_bytes() == (dir_b / "a.csv").read_bytes()
+
+
+def test_reused_parser_behaves_as_a_fresh_one(tmp_path, system_path, capsys):
+    # The parser is built once per process. A successful call, then a
+    # usage error, then another subcommand give the same exit codes,
+    # stdout, stderr and files as each call does on a freshly built one.
+    import airpfl.cli as cli
+
+    def run(fresh):
+        out_dir = tmp_path / ("fresh" if fresh else "reused")
+        out_dir.mkdir()
+        calls = [
+            ["verify-elimination", "--config", system_path, "--trials", "50", "--seed", "1",
+             "--out", str(out_dir / "verify.csv")],
+            ["train", "--config", system_path, "--rounds", "many"],
+            ["train", "--config", system_path, "--rounds", "3", "--scheme", "mmse-1bit",
+             "--out", str(out_dir / "train.csv")],
+        ]
+        results = []
+        for call in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = cli_main(call)
+            results.append((code, *capsys.readouterr()))
+        return results, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    fresh = run(fresh=True)
+    cli._build_parser.cache_clear()
+    reused = run(fresh=False)
+    assert [r[0] for r in reused[0]] == [0, 2, 0]
+    assert "usage: airpfl train" in reused[0][1][2]
+    assert sorted(reused[1]) == ["train.csv", "verify.csv"]
+    assert reused == fresh

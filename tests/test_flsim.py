@@ -225,7 +225,7 @@ def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
     hist = run_training(cfg, geom, datasets, "random-phase-2bit", rounds=5, eta=0.04)
     assert len(seen) == 5
     for phases in seen:
-        assert np.all(np.isin(phases, np.arange(4) * (np.pi / 2)))
+        assert np.all(np.isin(phases, np.exp(-1j * (np.arange(4) * (np.pi / 2)))))
     plain = run_training(cfg, geom, datasets, "random-phase", rounds=5, eta=0.04)
     assert hist.scheme == "random-phase-2bit"
     assert not np.array_equal(hist.nmse, plain.nmse)

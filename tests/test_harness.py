@@ -368,7 +368,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "00b617b8efe01029b0c6e109acd13b14c93c5fb9c16c8f2b7718a48c1c8521c7"
+        "9dbb3946f1a7b1788d5ad5de2a785f872f0f6b7c256628b5a01932d485b49d05"
     )
 
 
@@ -473,7 +473,7 @@ def _conjugate_dropped(ch):
     for m in range(ch.num_surfaces):
         summed = ch.cluster_sums[:, m]
         theta[:, m, :] = np.mod(-np.angle(ch.ris_to_ps[:, m, :, m]) - np.angle(summed), 2 * np.pi)
-    return theta
+    return np.exp(-1j * theta)
 
 
 @pytest.mark.parametrize("design", [_random_design, _conjugate_dropped],
@@ -670,3 +670,31 @@ def test_export_error_mentions_path(tmp_path):
     bad = tmp_path / "no" / "such" / "dir" / "x.csv"
     with pytest.raises(OSError, match="x.csv"):
         export_csv(res, str(bad))
+
+
+class _Row:
+    def __init__(self, *values):
+        self.values = values
+
+    def csv_header(self):
+        return [f"c{i}" for i in range(len(self.values))]
+
+    def csv_rows(self):
+        return [self.values]
+
+
+def test_csv_cells_format_the_same_for_python_and_numpy_scalars(tmp_path):
+    # Python scalars take an exact-type fast path; numpy scalars and
+    # subclasses the general one. Both write the same bytes.
+    python = (0.1, 1 / 3, 1e-300, -0.0, float("inf"), 7, -3, True, False, "mmse")
+    numpy = (np.float64(0.1), np.float64(1 / 3), np.float64(1e-300), np.float64(-0.0),
+             np.float64(np.inf), np.int64(7), np.int32(-3), np.bool_(True), np.bool_(False),
+             np.str_("mmse"))
+    paths = [tmp_path / "python.csv", tmp_path / "numpy.csv"]
+    for values, path in zip((python, numpy), paths):
+        export_csv(_Row(*values), str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_text().splitlines()[1] == (
+        "0.10000000000000001,0.33333333333333331,1e-300,-0,inf,7,-3,"
+        "True,False,mmse"
+    )

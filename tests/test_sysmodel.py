@@ -8,10 +8,11 @@ import pytest
 from scipy import stats
 
 from airpfl.aircomp import cluster_average, estimate_cluster_gradient
-from airpfl.channel import sample_small_scale
+from airpfl.channel import cascaded_components, sample_small_scale
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.harness import desk_scale_config
 from airpfl.powopt import assemble_ratio_problem
+from airpfl.ris import configure_aligned
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import (
     ConfigError,
@@ -95,6 +96,41 @@ def test_kernels_reject_out_of_range_labels(kernel):
     for labels in ([0, 1, 2], [0, -1, 1]):
         with pytest.raises(ValueError):
             call(np.array(labels))
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_cluster_is_a_vanished_signal_in_every_kernel():
+    # Labels that leave cluster 1 without devices, which membership
+    # allows and validate_config does not: every kernel gives it the
+    # vanished-signal mode (zero power, +inf denoiser, zero average and
+    # MSE terms), with no NaN and no warning.
+    T, M, K, N, D = 2, 3, 3, 4, 3
+    labels = np.array([0, 0, 2])
+    rng = np.random.default_rng(0)
+    beta = rng.uniform(0.5, 1.0, (M, K))
+    sigmas = rng.uniform(0.5, 1.5, (T, K))
+    powers = rng.uniform(0.1, 1.0, (T, K))
+    gains = rng.standard_normal((T, M, K))
+
+    design = unbiased_design(beta, sigmas, np.ones(K), D, N, labels)
+    assert np.all(design.powers > 0) and np.all(np.isfinite(design.powers))
+    assert np.all(design.denoisers[:, 1] == np.inf)
+    assert np.all(np.isfinite(design.denoisers[:, [0, 2]]))
+    lam = adaptive_denoisers(powers, gains, sigmas, 1e-3, labels, np.ones((T, M)))
+    assert np.all(lam[:, 1] == np.inf)
+    mse = conditional_mse(powers, lam, gains, sigmas, 1e-3, D, labels)
+    assert np.all(mse[:, 1] == 0.0) and np.all(np.isfinite(mse))
+    x = rng.standard_normal((T, K, D))
+    average = cluster_average(x, labels, M)
+    assert np.all(average[:, 1] == 0.0)
+    assert np.allclose(average[:, 0], x[:, :2].mean(axis=1), rtol=1e-15, atol=0)
+    prob = assemble_ratio_problem(gains, sigmas, 1e-3, labels, np.ones(K))
+    assert np.all(prob.a_diag[:, 1] == 0.0) and np.all(prob.b[:, 1] == 0.0) and prob.c[1] == 0.0
+    ch = sample_small_scale(rng_from_seed(1), T, M, labels, N)
+    comp = cascaded_components(ch, beta, configure_aligned(ch))
+    assert np.all(np.isfinite(comp))
+    # Surface 1 reflects every device as a foreign one: drawn terms only.
+    assert np.array_equal(comp[:, 1], beta[None, 1, None, :] * ch.drawn_terms[:, 1])
 
 
 @pytest.mark.parametrize(
