@@ -41,8 +41,12 @@ def main():
     geom = place_geometry(cfg, cfg.master_seed)
     beta = large_scale_coefficients(geom, cfg.pathloss_exponent)
     M, N = cfg.num_clusters, cfg.num_ris_elements
-    ch = sample_small_scale(rng_from_seed(5), 1, M, cfg.cluster_of, N)
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))[0]
+    def aligned(draw):
+        """The draw's one phase configuration: aligned on its own paths and cluster sums."""
+        return [configure_aligned(draw)]
+
+    ch = sample_small_scale(rng_from_seed(5), 1, M, cfg.cluster_of, N, aligned)
+    gains = all_cascaded_gains(ch, beta, 0)[0]
 
     rng = np.random.default_rng(5)
     sigmas = rng.uniform(0.5, 1.5, size=cfg.num_devices)

@@ -17,6 +17,7 @@ from .aircomp import (
 )
 from .channel import (
     ChannelSet,
+    PartialDraw,
     all_cascaded_gains,
     cascaded_components,
     large_scale_coefficients,

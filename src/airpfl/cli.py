@@ -99,9 +99,9 @@ def cli_main(argv: list[str]) -> int:
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.config)
     cfg = config_from_json(json.dumps(doc["system"]))
-    schemes = list(doc.get("schemes", harness.SWEEP_SCHEMES))
-    n_values = list(doc.get("n_values", harness.DESK_N_VALUES))
-    p_values = list(doc.get("p_values", harness.DESK_P_VALUES))
+    schemes = _list_field(doc, "schemes", harness.SWEEP_SCHEMES)
+    n_values = _list_field(doc, "n_values", harness.DESK_N_VALUES)
+    p_values = _list_field(doc, "p_values", harness.DESK_P_VALUES)
     trials = doc.get("trials", harness.DESK_TRIALS)
     seed = cfg.master_seed if args.seed is None else args.seed
     result = harness.nmse_sweep(cfg, schemes, n_values, p_values, trials, seed)
@@ -113,6 +113,14 @@ def _cmd_sweep(args) -> int:
         f"trials={trials}, seed={seed}, config={result.config_digest}"
     )
     return 0
+
+
+def _list_field(doc: dict, key: str, default) -> list:
+    """doc[key], or default when absent, as a list; ConfigError unless it is a JSON list."""
+    value = doc.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"sweep field {key!r} must be a list, got {value!r}")
+    return list(value)
 
 
 def _cmd_verify(args) -> int:
@@ -148,7 +156,7 @@ def _cmd_power(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     print(
         f"power-opt: objective={sol.objective[0]:.12g}, converged={sol.converged}, "

@@ -259,13 +259,14 @@ def run_training(
     finite number > 0 (ConfigError otherwise). All randomness is
     derived from cfg.master_seed and the round counter, and the round
     substreams do not depend on the scheme, so runs with different
-    schemes at the same seed see identical cluster sums, surface-to-PS
-    paths, drawn terms (foreign-surface reflections and own-cluster
-    residuals), noise, and baseline phase draws (paired comparisons).
-    Each phase scheme sees the drawn terms under their exact law, which
-    does not depend on the phases; with fully materialized paths they
-    would differ between phase schemes, so the joint law across schemes
-    is not that of a shared full channel.
+    schemes at the same seed share each round's own-antenna paths,
+    cluster sums, residual normals (those of the foreign-surface
+    reflections and own-cluster residuals), noise and random phase
+    draws (paired comparisons). They do not share the foreign-antenna
+    statistics: each run draws the cluster-sum terms toward the other
+    antennas given its own phases (see airpfl.channel). Each scheme's
+    law is exact, while the joint law across schemes is not that of a
+    shared full channel.
     """
     scheme = parse_scheme(scheme)
     rounds = as_integer("rounds", rounds)
@@ -322,14 +323,18 @@ def _estimate_over_channel(cfg, beta, scheme, grads, t):
     master = cfg.master_seed
     M, N = cfg.num_clusters, cfg.num_ris_elements
     rng = rng_from_seed(derive_seed(master, "round-channel", t))
-    ch = sample_small_scale(rng, 1, M, cfg.cluster_of, N)
-    if scheme.phases == "random":
-        phasors = baseline_phases(rng_from_seed(derive_seed(master, "round-phases", t)), 1, M, N)
-    else:
-        phasors = configure_aligned(ch)
-    if scheme.bits is not None:
-        phasors = corrupt_phases(phasors, scheme.bits)
-    gains = all_cascaded_gains(ch, beta, phasors)
+
+    def phases(draw):
+        if scheme.phases == "random":
+            phasors = baseline_phases(
+                rng_from_seed(derive_seed(master, "round-phases", t)), 1, M, N
+            )
+        else:
+            phasors = configure_aligned(draw)
+        return [phasors if scheme.bits is None else corrupt_phases(phasors, scheme.bits)]
+
+    ch = sample_small_scale(rng, 1, M, cfg.cluster_of, N, phases)
+    gains = all_cascaded_gains(ch, beta, 0)
     noise_rng = rng_from_seed(derive_seed(master, "round-noise", t))
     noise = noise_rng.standard_normal((1, M, cfg.model_dim))
     seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aircomp import cluster_average, normalize_gradient
-from .channel import cluster_sum_terms, large_scale_coefficients
+from .channel import large_scale_coefficients
 from .flsim import aggregate_round, estimation_nmse, parse_scheme
 from .ris import baseline_phases, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
@@ -172,26 +172,32 @@ def nmse_sweep(
     scheme.
 
     Every cell of the grid shares each chunk's draw. The surface sizes
-    are nested surfaces: paths are drawn once at the largest N, and the
-    size-n surface is the first n elements of every surface, with its
-    drawn terms (foreign-surface reflections and own-cluster residuals)
-    drawn block by block so that every size sees them under its exact
-    law (see airpfl.channel). The power budget changes only the
-    statistical design and the aggregation. Paths, cluster sums, drawn
-    terms, random phases, gradients and noise are therefore shared by
-    every scheme, budget and surface size, so comparisons along each of
-    the three axes are paired, while each cell's law is exactly that of
-    an independent run of its own. The drawn terms do not depend on the
+    are nested surfaces: own paths and cluster sums are drawn once at
+    the largest N, and the size-n surface is the first n elements of
+    every surface, with its cluster-sum and drawn terms drawn block by
+    block so that every size sees them under its exact law (see
+    airpfl.channel). One draw serves every phase configuration of the
+    schemes. The power budget changes only the statistical design and
+    the aggregation. Own paths, cluster sums, drawn terms, random
+    phases, gradients and noise are therefore shared by every scheme,
+    budget and surface size, so comparisons along each of the three
+    axes are paired, while each cell's law is exactly that of an
+    independent run of its own. The drawn terms do not depend on the
     phases, so every phase scheme sees the same ones. The draws depend
-    on the sorted distinct surface sizes, so a cell's statistics do not
-    depend on the other budgets or schemes beside it, nor on the order
-    of the sizes.
+    on the sorted distinct surface sizes and on the set of phase
+    configurations of the schemes, so a cell's statistics do not depend
+    on the other budgets beside it, nor on the order of the sizes or of
+    the schemes.
 
     Malformed or repeated scheme labels, repeated, non-integral or
     invalid surface sizes, power budgets that are not numbers or are
-    invalid, a non-integral or too small trial count, and a seed outside
-    [0, 2**64) raise ConfigError before any trial runs.
+    invalid, an empty list of schemes, sizes or budgets, a non-integral
+    or too small trial count, and a seed outside [0, 2**64) raise
+    ConfigError before any trial runs.
     """
+    for name, values in (("schemes", schemes), ("n_values", n_values), ("p_values", p_values)):
+        if len(values) == 0:
+            raise ConfigError(f"the sweep needs at least one entry in {name}")
     seed = as_seed("seed", seed)
     trials = as_integer("trials", trials)
     if trials < 2:
@@ -227,42 +233,49 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
     """Every cell of the grid: {(N, P): config} -> {(N, P, scheme name): stats}.
 
     Each chunk draws one channel at the largest surface size, with the
-    drawn terms of every smaller nested size, and its gradients, noise
-    and random phases once. Aligned, quantized and random phasors are
-    per element, so they are computed once at the largest size and
-    sliced. Each (size, phase key) then gets its gains, the channel is
-    released, and only the statistical design
-    (once per size and budget) and the aggregation (once per size,
-    budget and scheme) run per cell.
+    summed and drawn terms of every smaller nested size and every phase
+    key (phases, bits), then its gradients and noise, once. The phase
+    keys' phasors are computed once per chunk, on the draw's own paths
+    and cluster sums, at the largest size: random phases from the
+    chunk's generator, aligned ones by the aligned design, quantized
+    ones from those. Each (size, phase key) then gets its gains, the
+    channel is released, and only the statistical design (once per size
+    and budget) and the aggregation (once per size, budget and scheme)
+    run per cell.
     """
     cfg = next(iter(cfgs.values()))
     M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
     sizes = sorted({n for n, _ in cfgs})
     channel_schemes = [s for s in schemes if s.design != "ideal"]
+    # Phase keys in a fixed order, so the draws do not depend on the order of the schemes.
+    keys = sorted({(s.phases, s.bits) for s in channel_schemes}, key=lambda k: (k[0], k[1] or 0))
     moments = {(n, p, s.name): Moments() for n, p in cfgs for s in channel_schemes}
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "sweep-cell", sizes[-1], start))
-        ch = _sample_batch(rng, tc, M, cfg.cluster_of, sizes)
+
+        def configurations(draw):
+            base = {}
+            for phases, _ in keys:
+                if phases not in base:
+                    base[phases] = (
+                        baseline_phases(rng, tc, M, sizes[-1])
+                        if phases == "random"
+                        else _aligned_phases_batch(draw)
+                    )
+            return [base[p] if bits is None else corrupt_phases(base[p], bits) for p, bits in keys]
+
+        ch = _sample_batch(rng, tc, M, cfg.cluster_of, sizes, configurations)
         raw = rng.standard_normal((tc, K, D))
         noise = rng.standard_normal((tc, M, D))
-        phases = {"random": baseline_phases(rng, tc, M, sizes[-1])}
         grads = normalize_gradient(raw)
         g_true = cluster_average(raw, cfg.cluster_of, M)
-        phasors = {}
-        for s in channel_schemes:
-            key = (s.phases, s.bits)
-            if key not in phasors:
-                if s.phases not in phases:
-                    phases[s.phases] = _aligned_phases_batch(ch)
-                phasor = phases[s.phases]
-                phasors[key] = phasor if s.bits is None else corrupt_phases(phasor, s.bits)
         gains = {
-            (n, key): _gains_batch(ch.prefix(n), beta, phasor[:, :, :n])
+            (n, key): _gains_batch(ch.prefix(n), beta, j)
             for n in sizes
-            for key, phasor in phasors.items()
+            for j, key in enumerate(keys)
         }
-        del ch, phases, phasors, raw
+        del ch, raw
 
         seeds = {
             n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
@@ -401,17 +414,22 @@ def verify_elimination(
 
     A pair's gain is sum_i beta[i, k] times device k's reflection off
     surface i: the drawn terms, plus beta[c, k] / |C_c| times the
-    cluster-sum term Re{W_c^H[:, m] s_c} of its own surface c. Given
-    the surface-to-PS paths H and the cluster sums s, which are all the
-    phases read, every drawn term has mean exactly 0 (see
+    cluster-sum term Re{W_c^H[:, m] s_c} of its own surface c (the
+    draw's summed_terms). Given the surface-to-PS paths H and the
+    cluster sums s, every drawn term has mean exactly 0 (see
     airpfl.channel). So the pair estimate is the Rao-Blackwell one, the
     conditional expectation of the gain given (H, s): beta[c, k] / |C_c|
     times the sample moments of the cluster-sum term. It has the same
-    mean as the full gain and a smaller variance, and the pair checks
-    test exactly the alignment. The drawn-term (correction) checks test
-    that the sampler's drawn terms are zero mean. A drawn term with zero
-    sample variance (the residual of a singleton cluster, exactly 0)
-    scores z = 0.
+    mean as the full gain and a smaller variance. An own-cluster pair
+    reads the term at surface c's own antenna, computed from its
+    materialized path, so those checks test exactly the alignment; a
+    cross-cluster pair reads it at a foreign antenna, where the sampler
+    draws it as a projection of the path it does not materialize, so
+    those checks test the sampler's projections and this function's
+    bookkeeping. The drawn-term (correction) checks test that the
+    sampler's drawn terms are zero mean. A drawn term with zero sample
+    variance (the residual of a singleton cluster, exactly 0) scores
+    z = 0.
 
     With phases="random" the run becomes a negative control: uniform
     random phases destroy the alignment, so every pair (own-cluster
@@ -434,13 +452,16 @@ def verify_elimination(
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "elimination", start))
-        ch = _sample_batch(rng, tc, M, cfg.cluster_of, N)
-        if phases == "random":
-            phasors = baseline_phases(rng, tc, M, N)
-        else:
-            phasors = _aligned_phases_batch(ch)
-        summed.add(cluster_sum_terms(ch, phasors))
+
+        def design(draw):
+            if phases == "random":
+                return [baseline_phases(rng, tc, M, N)]
+            return [_aligned_phases_batch(draw)]
+
+        ch = _sample_batch(rng, tc, M, cfg.cluster_of, N, design)
+        summed.add(ch.summed_terms[0])
         drawn.add(ch.drawn_terms)
+        del ch  # released before the next chunk is drawn
 
     cluster_of = cfg.cluster_of
     same = membership(cluster_of, M)

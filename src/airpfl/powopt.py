@@ -33,7 +33,11 @@ RTOL = 1e-12       # a start stops once an iteration raises its objective by at 
 
 @dataclass(frozen=True)
 class RatioProblem:
-    """Data of T sum-of-ratios programs in the q = sqrt(p) domain."""
+    """Data of T sum-of-ratios programs in the q = sqrt(p) domain.
+
+    Every entry must be finite, the quadratic terms and constants
+    non-negative and the bounds positive (ConfigError otherwise).
+    """
 
     a_diag: np.ndarray  # (T, M, K) non-negative
     b: np.ndarray       # (T, M, K), row m supported on cluster m
@@ -44,6 +48,9 @@ class RatioProblem:
         shapes = (self.b.shape, self.a_diag.shape[1:])
         if shapes != (self.a_diag.shape, self.c.shape + self.bounds.shape):
             raise ConfigError("need shapes a_diag, b (T, M, K), c (M,) and bounds (K,)")
+        for name in ("a_diag", "b", "c", "bounds"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"ratio problem {name} has a non-finite entry")
         if (self.a_diag < 0).any():
             raise ConfigError("ratio denominators need non-negative quadratic terms")
         if (self.c < 0).any():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ChannelSet
+from .channel import PartialDraw
 # perfbench/tracing.py WRAPS times ris.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
 
@@ -27,23 +27,23 @@ ZERO_SUM_TOL = 1e-15
 _TWO_PI = 2.0 * np.pi
 
 
-def configure_aligned(ch: ChannelSet) -> np.ndarray:
+def configure_aligned(draw: PartialDraw) -> np.ndarray:
     """Unit phasors aligning each surface with its own cluster, shape (T, M, N).
 
-    Reads ch.ris_to_ps and each cluster's summed own-surface paths
-    ch.cluster_sums, and no device's own path: the sampler's own-cluster
-    residual terms are exact only for phase designs that read the device
-    paths through these sums alone (see airpfl.channel). Returns
+    Reads each surface's path to its own antenna, draw.own_paths, and
+    each cluster's summed own-surface paths, draw.cluster_sums, and
+    nothing else: the sampler's drawn terms are exact only for phase
+    designs that read the paths through these alone (see
+    airpfl.channel). draw is a PartialDraw or a ChannelSet. Returns
     conj(h_ps / |h_ps|) * s / |s| per element, with h_ps the element's
     path to its own cluster's antenna and s the cluster sum. A factor
     whose path has magnitude below 1e-15 for the sum (the sum over a
     cluster without devices is exactly 0), or exactly 0 for h_ps, is
     taken as 1, the phasor of angle 0.
     """
-    summed = ch.cluster_sums
+    summed = draw.cluster_sums
     summed = np.where(np.abs(summed) < ZERO_SUM_TOL, 1.0, summed)
-    own = np.diagonal(ch.ris_to_ps, axis1=1, axis2=3).swapaxes(1, 2)  # h_ps[t, i, n, i]
-    phasors = np.conj(own) * summed
+    phasors = np.conj(draw.own_paths) * summed
     mag = np.abs(phasors)
     blocked = mag == 0.0  # h_ps = 0 here, as the sum factor has modulus >= ZERO_SUM_TOL
     phasors[blocked] = summed[blocked]

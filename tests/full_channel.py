@@ -1,15 +1,21 @@
 """Fully materialized uplink fading, kept as a test oracle.
 
-The simulator materializes only each cluster's summed path to its own
-surface and draws every foreign-surface reflection and own-cluster
-residual from its exact conditional law (see airpfl.channel). These
-helpers draw every device-to-surface path and contract it element by
-element instead.
+The simulator materializes only each surface's path to its own antenna
+and each cluster's summed path to its own surface, and draws every
+foreign-surface reflection, own-cluster residual and foreign-antenna
+statistic from its exact conditional law (see airpfl.channel). These
+helpers draw every path and contract it element by element instead.
 """
 
 import numpy as np
 
-from airpfl.channel import ChannelSet
+from airpfl.channel import ChannelSet, PartialDraw
+from airpfl.ris import configure_aligned
+
+
+def aligned(draw):
+    """The aligned design as the one configuration of a draw (a `phases` argument)."""
+    return [configure_aligned(draw)]
 
 
 def draw_full(rng, T, M, K, N):
@@ -35,13 +41,23 @@ def aligned_phases(hp, hd, cluster_of):
     return theta
 
 
-def channel_set(hp, hd, cluster_of, phases):
-    """The ChannelSet on which the gain kernels reproduce the full channel under phases.
+def summed_terms(hp, sums, phasors):
+    """Re{hp[t, i, :, m]^H diag(conj(phasors[t, i])) sums[t, i]}, shape (T, M, M)."""
+    return np.einsum("tinm,tin,tin->tim", np.conj(hp), np.conj(phasors), sums,
+                     optimize=True).real
 
-    cluster_sums are each cluster's summed own rows of hd. The drawn
-    terms are the full channel's reflections under phases, with each
-    own device's path replaced by its residual about the cluster mean,
-    so the kernels add back the cluster-mean term.
+
+def channel_set(hp, hd, cluster_of, phases):
+    """The ChannelSet on which the gain kernels reproduce the full channel.
+
+    phases is called, as by the sampler, on the PartialDraw of the own
+    antenna paths and the cluster sums, the summed own rows of hd, and
+    returns the phasors of each configuration. summed_terms holds each
+    configuration's cluster-sum terms, computed from the full hp. The
+    drawn terms are the full channel's reflections under the first
+    configuration, with each own device's path replaced by its residual
+    about the cluster mean, so the kernels add back the cluster-mean
+    term.
     """
     cluster_of = np.asarray(cluster_of, dtype=int)
     sums = np.zeros(hp.shape[:3], dtype=complex)
@@ -51,9 +67,12 @@ def channel_set(hp, hd, cluster_of, phases):
         if own.any():
             sums[:, i] = hd[:, i, own].sum(axis=1)
             centred[:, i, own] -= sums[:, i, None] / own.sum()
+    own_paths = np.diagonal(hp, axis1=1, axis2=3).swapaxes(1, 2).copy()
+    configs = list(phases(PartialDraw(own_paths, sums)))
     return ChannelSet(
-        ris_to_ps=hp,
+        own_paths=own_paths,
         cluster_sums=sums,
-        drawn_terms=reflected(hp, centred, phases),
+        summed_terms=np.stack([summed_terms(hp, sums, p) for p in configs]),
+        drawn_terms=reflected(hp, centred, -np.angle(configs[0])),
         cluster_of=cluster_of,
     )

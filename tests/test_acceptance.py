@@ -26,10 +26,9 @@ from airpfl.harness import (
     verify_elimination,
 )
 from airpfl.powopt import assemble_ratio_problem, solve_projected_ascent
-from airpfl.ris import configure_aligned
 from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import make_config, place_geometry
-from full_channel import channel_set
+from full_channel import aligned, channel_set
 from power_oracle import brute_force_oracle
 
 
@@ -137,9 +136,8 @@ def test_criterion_2_unbiased_aggregation():
         if not spot_checked:
             # The math above must agree with the public kernels, run on
             # trial 0's full channel under the aligned phases.
-            ch = channel_set(hp[:1], hd[:1], cfg.cluster_of, theta[:1])
-            theta_ref = configure_aligned(ch)
-            gains_ref = all_cascaded_gains(ch, beta, theta_ref)
+            ch = channel_set(hp[:1], hd[:1], cfg.cluster_of, aligned)
+            gains_ref = all_cascaded_gains(ch, beta, 0)
             received = uplink(
                 gains_ref, design.powers, normalized, 0.0, np.zeros((1, M, D))
             )

@@ -10,10 +10,9 @@ from airpfl.aircomp import (
     uplink,
 )
 from airpfl.channel import all_cascaded_gains, sample_small_scale
-from airpfl.ris import configure_aligned
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import make_config
-from full_channel import channel_set, draw_full
+from full_channel import aligned, channel_set, draw_full
 
 # Population statistics of [0, 1, 2]: mean 1, std sqrt(2/3). The std
 # and the standardized entries below are 40-digit evaluations rounded
@@ -87,11 +86,11 @@ def test_noiseless_uplink_matches_direct_superposition():
     rng = np.random.default_rng(1)
     beta = rng.uniform(0.1, 1.0, size=(M, K))
     phases = rng.uniform(0, 2 * np.pi, size=(T, M, N))
-    ch = channel_set(hp, hd, [0, 0, 1, 1], phases)
+    ch = channel_set(hp, hd, [0, 0, 1, 1], lambda draw: [np.exp(-1j * phases)])
     powers = rng.uniform(0.0, 2.0, size=(T, K))
     grads = _normalized_batch(rng, T, K, D)
 
-    gains = all_cascaded_gains(ch, beta, np.exp(-1j * phases))
+    gains = all_cascaded_gains(ch, beta, 0)
     received = uplink(gains, powers, grads, 0.0, np.zeros((T, M, D)))
     assert received.shape == (T, M, D)
 
@@ -163,10 +162,10 @@ def test_noiseless_estimate_equals_weighted_sum():
     # gradients plus the mean term.
     M, K, N, D = 2, 4, 6, 5
     cluster_of = np.array([0, 0, 1, 1])
-    ch = sample_small_scale(rng_from_seed(9), 1, M, cluster_of, N)
+    ch = sample_small_scale(rng_from_seed(9), 1, M, cluster_of, N, aligned)
     rng = np.random.default_rng(3)
     beta = rng.uniform(0.1, 1.0, size=(M, K))
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))
+    gains = all_cascaded_gains(ch, beta, 0)
     powers = rng.uniform(0.1, 1.0, size=(1, K))
     denoisers = np.array([[2.0, 0.7]])
     grads = _normalized_batch(rng, 1, K, D)

@@ -196,6 +196,32 @@ def test_power_opt_malformed_instance_exits_2(tmp_path, capsys, field, value):
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [{"A": [[1.0, float("nan")], [0.5, 0.5]], "bounds": [1.0, float("inf")]},
+     {"b": [[1.0, float("-inf")], [0.4, 1.2]]}, {"c": [0.5, float("nan")]}],
+    ids=["nan-A-inf-bounds", "inf-b", "nan-c"],
+)
+def test_power_opt_non_finite_instance_exits_2(tmp_path, capsys, changes):
+    # json.dumps writes NaN and Infinity tokens, which json.load reads
+    # back; the instance must be refused, not solved and reported as
+    # converged with a NaN objective.
+    doc = {
+        "A": [[1.0, 0.5], [0.2, 1.0]],
+        "b": [[1.0, 0.3], [0.4, 1.2]],
+        "c": [0.5, 0.7],
+        "bounds": [1.0, 1.0],
+        **changes,
+    }
+    cfg_path = tmp_path / "prob.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "solution.json"
+    assert cli_main(["power-opt", "--config", str(cfg_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "bad config" in captured.err and "non-finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_train_happy_path(tmp_path, system_path, capsys):
     out = tmp_path / "train.csv"
     code = cli_main(
@@ -303,6 +329,26 @@ def test_sweep_with_malformed_schemes_exits_2(tmp_path, system_doc, capsys, sche
     cfg_path.write_text(json.dumps(doc))
     assert cli_main(["nmse-sweep", "--config", str(cfg_path)]) == 2
     assert "bad config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("schemes", []), ("n_values", []), ("p_values", []), ("schemes", "mmse"), ("n_values", 4),
+     ("p_values", 1.0)],
+    ids=["empty-schemes", "empty-N", "empty-P", "text-schemes", "scalar-N", "scalar-P"],
+)
+def test_sweep_with_an_empty_or_scalar_list_exits_2(tmp_path, system_doc, capsys, field, value):
+    # An empty list once ran no cell (schemes) or died in the trials
+    # with a bare "airpfl: error:" (sizes, budgets); a scalar one died
+    # with exit 1, or was read letter by letter.
+    doc = {"system": system_doc, "schemes": ["mmse"], "n_values": [4], "p_values": [1.0],
+           "trials": 10, field: value}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli_main(["nmse-sweep", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert "bad config" in captured.err and field in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,7 @@ from scipy import optimize
 from airpfl.aircomp import cluster_average
 from airpfl.channel import all_cascaded_gains
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
-from airpfl.ris import configure_aligned
-from full_channel import channel_set, draw_full
+from full_channel import aligned, channel_set, draw_full
 
 # pi * 8 * sqrt(2) * 0.25 / 4, evaluated with mpmath at 40 digits.
 LAMBDA_FROZEN = 2.221441469079183
@@ -104,8 +103,8 @@ def test_unbiased_link_weights_average_to_share():
     acc_sq = np.zeros(K)
     for _ in range(draws):
         hp, hd = draw_full(rng, 1, M, K, N)
-        ch = channel_set(hp, hd, cluster_of, np.zeros((1, M, N)))
-        gains = all_cascaded_gains(ch, beta, configure_aligned(ch))[0]
+        ch = channel_set(hp, hd, cluster_of, aligned)
+        gains = all_cascaded_gains(ch, beta, 0)[0]
         w = np.sqrt(design.powers[0]) * gains[0] / design.denoisers[0, 0]
         acc += w
         acc_sq += w**2

@@ -215,17 +215,21 @@ def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
     geom = place_geometry(cfg, cfg.master_seed)
     datasets, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
     seen = []
-    gains_of = flsim.all_cascaded_gains
+    draw = flsim.sample_small_scale
 
-    def record(ch, beta, phases):
-        seen.append(phases)
-        return gains_of(ch, beta, phases)
+    def record(rng, trials, num_clusters, cluster_of, num_elements, phases):
+        def recorded(partial):
+            seen.append(phases(partial))
+            return seen[-1]
 
-    monkeypatch.setattr(flsim, "all_cascaded_gains", record)
+        return draw(rng, trials, num_clusters, cluster_of, num_elements, recorded)
+
+    monkeypatch.setattr(flsim, "sample_small_scale", record)
     hist = run_training(cfg, geom, datasets, "random-phase-2bit", rounds=5, eta=0.04)
     assert len(seen) == 5
-    for phases in seen:
-        assert np.all(np.isin(phases, np.exp(-1j * (np.arange(4) * (np.pi / 2)))))
+    for configs in seen:
+        assert len(configs) == 1
+        assert np.all(np.isin(configs[0], np.exp(-1j * (np.arange(4) * (np.pi / 2)))))
     plain = run_training(cfg, geom, datasets, "random-phase", rounds=5, eta=0.04)
     assert hist.scheme == "random-phase-2bit"
     assert not np.array_equal(hist.nmse, plain.nmse)

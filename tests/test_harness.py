@@ -23,9 +23,10 @@ from airpfl.harness import (
     nmse_sweep,
     verify_elimination,
 )
-from airpfl.ris import baseline_phases, configure_aligned
+from airpfl.ris import baseline_phases
 from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import ConfigError, make_config, membership, place_geometry
+from full_channel import aligned
 
 
 def _config(K=6, M=2, N=8, D=4, seed=3):
@@ -89,10 +90,10 @@ def test_malformed_scheme_rejected(name):
 def test_batched_kernels_match_independent_oracles():
     cfg = _config(K=5, M=2, N=6)
     T, noise_var = 4, 1e-3
-    ch = sample_small_scale(rng_from_seed(17), T, 2, cfg.cluster_of, 6)
+    ch = sample_small_scale(rng_from_seed(17), T, 2, cfg.cluster_of, 6, aligned)
     rng = np.random.default_rng(17)
     beta = rng.uniform(0.2, 1.5, size=(2, 5))
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))
+    gains = all_cascaded_gains(ch, beta, 0)
     sigmas = rng.uniform(0.5, 1.5, size=(T, 5))
     design = unbiased_design(beta, sigmas, cfg.max_power, 4, 6, cfg.cluster_of)
     lam = adaptive_denoisers(
@@ -254,6 +255,21 @@ def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, trials, mon
         nmse_sweep(_config(), ["mmse"], n_values, p_values, trials, seed=0)
 
 
+@pytest.mark.parametrize("field", ["schemes", "n_values", "p_values"])
+def test_sweep_rejects_empty_lists_before_any_trial(field, monkeypatch):
+    # An empty grid axis once ran no cell (schemes) or failed inside the
+    # trials with a bare StopIteration (sizes, budgets).
+    import airpfl.harness as harness
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_sweep_cell", no_trials)
+    grid = {"schemes": ["mmse"], "n_values": [4], "p_values": [1.0], field: []}
+    with pytest.raises(ConfigError, match=field):
+        nmse_sweep(_config(), grid["schemes"], grid["n_values"], grid["p_values"], 10, seed=0)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_all_zero_std_gradients_estimate_exactly():
     # With one model coordinate every standardized gradient is
@@ -353,11 +369,28 @@ def test_sweep_cell_does_not_depend_on_the_order_of_surface_sizes(monkeypatch):
     assert [key[0] for key in shuffled][:: 2 * len(schemes)] == [8, 2, 4]
 
 
+def test_sweep_cell_does_not_depend_on_the_order_of_schemes(monkeypatch):
+    # One draw serves every phase configuration of the schemes, in a
+    # fixed order, so reordering the schemes moves rows only.
+    import airpfl.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
+    schemes = ["unbiased", "mmse-1bit", "random-phase", "ideal"]
+
+    def stats(order):
+        res = nmse_sweep(_config(), order, [4, 8], [0.5], 40, seed=5)
+        return {(c.num_elements, c.p_max, c.scheme): (c.nmse_mean, c.nmse_stderr)
+                for c in res.cells}
+
+    assert stats(schemes) == stats(schemes[::-1])
+
+
 def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     # With one surface size the nested draw is the one-block draw. The
     # digest pins the CSV bytes, so any change to the arithmetic shows
     # here; a re-pin follows a field-by-field comparison with the old
-    # output, recorded in CHANGES.md.
+    # output or, when the draw stream changes, a two-sample z-test of
+    # every cell against it, recorded in CHANGES.md.
     import hashlib
 
     import airpfl.harness as harness
@@ -368,7 +401,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9dbb3946f1a7b1788d5ad5de2a785f872f0f6b7c256628b5a01932d485b49d05"
+        "e92b931525b4669235cc7f24a6b34b5319fb875167a11eb84d43cc26f5f75cd9"
     )
 
 
@@ -463,16 +496,12 @@ def test_elimination_argument_validation():
 
 def _random_design(ch):
     """Uniform random phases in place of the aligned design."""
-    return baseline_phases(np.random.default_rng(0), ch.num_trials, ch.num_surfaces,
-                           ch.num_elements)
+    return baseline_phases(np.random.default_rng(0), *ch.own_paths.shape)
 
 
 def _conjugate_dropped(ch):
     """The aligned design with the conjugate on the surface-to-PS phase dropped."""
-    theta = np.empty((ch.num_trials, ch.num_surfaces, ch.num_elements))
-    for m in range(ch.num_surfaces):
-        summed = ch.cluster_sums[:, m]
-        theta[:, m, :] = np.mod(-np.angle(ch.ris_to_ps[:, m, :, m]) - np.angle(summed), 2 * np.pi)
+    theta = np.mod(-np.angle(ch.own_paths) - np.angle(ch.cluster_sums), 2 * np.pi)
     return np.exp(-1j * theta)
 
 
@@ -583,8 +612,9 @@ def _full_pair_moments(cfg, trials, seed):
     for start in range(0, trials, harness.CHUNK):
         tc = min(harness.CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "elimination", start))
-        ch = sample_small_scale(rng, tc, cfg.num_clusters, cfg.cluster_of, cfg.num_ris_elements)
-        pairs.add(all_cascaded_gains(ch, beta, configure_aligned(ch)))
+        ch = sample_small_scale(rng, tc, cfg.num_clusters, cfg.cluster_of, cfg.num_ris_elements,
+                                aligned)
+        pairs.add(all_cascaded_gains(ch, beta, 0))
     return pairs.mean, pairs.stderr
 
 

@@ -13,9 +13,9 @@ from airpfl.powopt import (
     objective,
     solve_projected_ascent,
 )
-from airpfl.ris import configure_aligned
 from airpfl.seeding import rng_from_seed
-from airpfl.sysmodel import place_geometry
+from airpfl.sysmodel import ConfigError, place_geometry
+from full_channel import aligned
 from power_oracle import brute_force_oracle
 
 
@@ -44,8 +44,8 @@ def _desk_problem(trials, seed):
     M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
     beta = large_scale_coefficients(place_geometry(cfg, seed), cfg.pathloss_exponent)
     rng = rng_from_seed(seed)
-    ch = sample_small_scale(rng, trials, M, cfg.cluster_of, N)
-    gains = all_cascaded_gains(ch, beta, configure_aligned(ch))
+    ch = sample_small_scale(rng, trials, M, cfg.cluster_of, N, aligned)
+    gains = all_cascaded_gains(ch, beta, 0)
     sigmas = normalize_gradient(rng.standard_normal((trials, K, cfg.model_dim))).std
     return assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
 
@@ -78,6 +78,18 @@ def test_problem_rejects_negative_terms():
         RatioProblem(a_diag=ones, b=ones, c=np.array([-0.1]), bounds=np.ones(1))
     with pytest.raises(ValueError):
         RatioProblem(a_diag=ones, b=ones, c=np.zeros(1), bounds=np.zeros(1))
+
+
+@pytest.mark.parametrize("field", ["a_diag", "b", "c", "bounds"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_problem_rejects_non_finite_terms(field, value):
+    # A NaN passes every sign check, and an infinite bound or term makes
+    # the objective NaN; either would be solved and reported as converged.
+    terms = dict(a_diag=np.ones((1, 2, 2)), b=np.ones((1, 2, 2)), c=np.ones(2), bounds=np.ones(2))
+    terms[field] = terms[field].copy()
+    terms[field].flat[-1] = value
+    with pytest.raises(ConfigError, match=f"{field} has a non-finite entry"):
+        RatioProblem(**terms)
 
 
 def test_problem_rejects_bad_shapes():

@@ -6,7 +6,7 @@ import pytest
 from airpfl.channel import all_cascaded_gains, sample_small_scale
 from airpfl.ris import baseline_phases, configure_aligned, corrupt_phases
 from airpfl.seeding import rng_from_seed
-from full_channel import channel_set, draw_full
+from full_channel import aligned, channel_set, draw_full
 
 TWO_PI = 2.0 * np.pi
 
@@ -18,7 +18,7 @@ def _phasors(theta):
 def _single_link(hp_value, hd_value):
     """One trial, one surface, one element, one device, one antenna."""
     full = np.array([[[[hp_value]]]], dtype=complex), np.array([[[[hd_value]]]], dtype=complex)
-    return channel_set(*full, [0], np.zeros((1, 1, 1)))
+    return channel_set(*full, [0], aligned)
 
 
 def test_single_element_alignment_is_exact():
@@ -30,7 +30,7 @@ def test_single_element_alignment_is_exact():
     phasors = configure_aligned(ch)
     assert phasors.shape == (1, 1, 1)
     assert abs(phasors[0, 0, 0] - _phasors(0.7 - 2.1)) <= 1e-12
-    gain = all_cascaded_gains(ch, np.ones((1, 1)), phasors)[0, 0, 0]
+    gain = all_cascaded_gains(ch, np.ones((1, 1)), 0)[0, 0, 0]
     assert gain == pytest.approx(6.0, rel=1e-12)
 
 
@@ -49,7 +49,7 @@ def test_phases_land_in_canonical_interval():
     T, M, K, N = 4, 3, 6, 10
     cluster_of = np.repeat(np.arange(3), 2)
     hp, hd = draw_full(np.random.default_rng(3), T, M, K, N)
-    ch = channel_set(hp, hd, cluster_of, np.zeros((T, M, N)))
+    ch = channel_set(hp, hd, cluster_of, aligned)
     phasors = configure_aligned(ch)
     assert phasors.shape == (T, M, N)
     assert np.allclose(np.abs(phasors), 1.0, rtol=0, atol=1e-15)
@@ -76,8 +76,8 @@ def test_own_cluster_mean_gain_matches_closed_form():
     acc_sq = np.zeros(K)
     for _ in range(draws):
         hp, hd = draw_full(rng, 1, M, K, N)
-        ch = channel_set(hp, hd, cluster_of, np.zeros((1, M, N)))
-        g = all_cascaded_gains(ch, beta, configure_aligned(ch))[0, 0]
+        ch = channel_set(hp, hd, cluster_of, aligned)
+        g = all_cascaded_gains(ch, beta, 0)[0, 0]
         acc += g
         acc_sq += g**2
     mean = acc / draws
@@ -151,10 +151,10 @@ def test_quantization_reads_the_same_levels_on_a_grid_finer_than_the_input():
 
 def test_aligned_phasors_match_the_angle_formula():
     # Oracle: e^{-j (angle(h_ps[m, n, m]) - angle(s_m[n]))} element by element.
-    ch = sample_small_scale(rng_from_seed(12), 30, 3, [0, 0, 1, 2, 2, 2], 16)
+    ch = sample_small_scale(rng_from_seed(12), 30, 3, [0, 0, 1, 2, 2, 2], 16, aligned)
     theta = np.empty((30, 3, 16))
     for m in range(3):
-        theta[:, m] = np.angle(ch.ris_to_ps[:, m, :, m]) - np.angle(ch.cluster_sums[:, m])
+        theta[:, m] = np.angle(ch.own_paths[:, m]) - np.angle(ch.cluster_sums[:, m])
     assert np.max(np.abs(configure_aligned(ch) - _phasors(theta))) <= 1e-14
 
 

@@ -12,7 +12,6 @@ from airpfl.channel import cascaded_components, sample_small_scale
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.harness import desk_scale_config
 from airpfl.powopt import assemble_ratio_problem
-from airpfl.ris import configure_aligned
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import (
     ConfigError,
@@ -21,6 +20,7 @@ from airpfl.sysmodel import (
     membership,
     place_geometry,
 )
+from full_channel import aligned
 
 
 def small_config(**overrides):
@@ -77,7 +77,7 @@ def _label_consumers():
     x = rng.standard_normal((T, K, D))
     received, means = rng.standard_normal((T, M, D)), rng.standard_normal((T, K))
     return {
-        "sample_small_scale": lambda c: sample_small_scale(rng_from_seed(1), T, M, c, N),
+        "sample_small_scale": lambda c: sample_small_scale(rng_from_seed(1), T, M, c, N, aligned),
         "unbiased_design": lambda c: unbiased_design(beta, sigmas, np.ones(K), D, N, c),
         "conditional_mse": lambda c: conditional_mse(powers, lam, gains, sigmas, 1e-3, D, c),
         "adaptive_denoisers": lambda c: adaptive_denoisers(powers, gains, sigmas, 1e-3, c, lam),
@@ -126,8 +126,8 @@ def test_empty_cluster_is_a_vanished_signal_in_every_kernel():
     assert np.allclose(average[:, 0], x[:, :2].mean(axis=1), rtol=1e-15, atol=0)
     prob = assemble_ratio_problem(gains, sigmas, 1e-3, labels, np.ones(K))
     assert np.all(prob.a_diag[:, 1] == 0.0) and np.all(prob.b[:, 1] == 0.0) and prob.c[1] == 0.0
-    ch = sample_small_scale(rng_from_seed(1), T, M, labels, N)
-    comp = cascaded_components(ch, beta, configure_aligned(ch))
+    ch = sample_small_scale(rng_from_seed(1), T, M, labels, N, aligned)
+    comp = cascaded_components(ch, beta, 0)
     assert np.all(np.isfinite(comp))
     # Surface 1 reflects every device as a foreign one: drawn terms only.
     assert np.array_equal(comp[:, 1], beta[None, 1, None, :] * ch.drawn_terms[:, 1])
