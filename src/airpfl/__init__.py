@@ -30,7 +30,7 @@ from .control import (
     unbiased_design,
 )
 from .flsim import (
-    DeviceDataset,
+    DeviceTasks,
     Scheme,
     TrainingHistory,
     aggregate_round,

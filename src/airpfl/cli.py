@@ -179,13 +179,13 @@ def _cmd_train(args) -> int:
     seed = cfg.master_seed if args.seed is None else args.seed
     cfg = cfg.replace(master_seed=seed)
     geometry = place_geometry(cfg, seed)
-    datasets, _ = flsim.synth_clustered_tasks(
+    tasks, _ = flsim.synth_clustered_tasks(
         cfg,
         samples_per_device=doc.get("samples_per_device", 50),
         label_noise=doc.get("label_noise", 0.1),
         task_seed=seed,
     )
-    history = flsim.run_training(cfg, geometry, datasets, args.scheme, args.rounds, args.eta)
+    history = flsim.run_training(cfg, geometry, tasks, args.scheme, args.rounds, args.eta)
     if args.out:
         harness.export_csv(history, args.out)
     final = float(history.losses[-1].sum())

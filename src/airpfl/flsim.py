@@ -32,7 +32,7 @@ from .control import AggregationDesign, adaptive_denoisers, unbiased_design
 from .powopt import assemble_ratio_problem, solve_projected_ascent
 from .ris import baseline_phases, configure_aligned, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
-from .sysmodel import ConfigError, Geometry, SystemConfig, as_integer, as_number
+from .sysmodel import ConfigError, Geometry, SystemConfig, as_integer, as_number, as_seed
 
 DEFAULT_LEARNING_RATE = 0.05
 
@@ -106,12 +106,11 @@ def parse_scheme(name: str | Scheme) -> Scheme:
 
 
 @dataclass(frozen=True)
-class DeviceDataset:
-    """Local least-squares task: features (n, D-1) and targets (n,)."""
+class DeviceTasks:
+    """Least-squares tasks, device k in row k: features (K, n, D), last column 1; targets (K, n)."""
 
     features: np.ndarray
     targets: np.ndarray
-    owner: int
 
 
 @dataclass(frozen=True)
@@ -142,54 +141,53 @@ def synth_clustered_tasks(
     samples_per_device: int,
     label_noise: float,
     task_seed: int,
-) -> tuple[list[DeviceDataset], np.ndarray]:
+) -> tuple[DeviceTasks, np.ndarray]:
     """Clustered linear-regression tasks sharing a model per cluster.
 
     Draws one ground-truth weight vector per cluster (i.i.d. standard
     normal in R^D, last coordinate acting as a bias), then gives each
     device standard-normal features and noisy linear labels from its
-    cluster's weights. Returns the datasets and the (M, D) truth.
-    samples_per_device must be an integer >= 1 and label_noise a finite
-    number >= 0; anything else raises ConfigError.
+    cluster's weights, from one (K, n*D) standard-normal block: row k
+    holds device k's n(D-1) features, then its n label noises. Returns
+    the tasks and the (M, D) truth. samples_per_device must be an integer
+    >= 1, label_noise a finite number >= 0 and task_seed an integer in
+    [0, 2**64); anything else raises ConfigError.
     """
     samples_per_device = as_integer("samples_per_device", samples_per_device)
     label_noise = as_number("label_noise", label_noise)
+    task_seed = as_seed("task_seed", task_seed)
     if samples_per_device < 1:
         raise ConfigError(f"samples_per_device must be >= 1, got {samples_per_device}")
     if not 0 <= label_noise < np.inf:
         raise ConfigError(f"label_noise must be finite and >= 0, got {label_noise!r}")
-    D = cfg.model_dim
+    K, n, D = cfg.num_devices, samples_per_device, cfg.model_dim
     rng = rng_from_seed(derive_seed(task_seed, "tasks"))
     truth = rng.standard_normal((cfg.num_clusters, D))
-    datasets = []
-    for k in range(cfg.num_devices):
-        m = int(cfg.cluster_of[k])
-        x = rng.standard_normal((samples_per_device, D - 1))
-        xa = np.concatenate([x, np.ones((samples_per_device, 1))], axis=1)
-        y = xa @ truth[m] + label_noise * rng.standard_normal(samples_per_device)
-        datasets.append(DeviceDataset(features=x, targets=y, owner=k))
-    return datasets, truth
+    normals = rng.standard_normal((K, n * D))
+    features = np.ones((K, n, D))
+    features[..., :-1] = normals[:, : n * (D - 1)].reshape(K, n, D - 1)
+    labels = np.matmul(features, truth[cfg.cluster_of][..., None])[..., 0]
+    targets = labels + label_noise * normals[:, n * (D - 1) :]
+    return DeviceTasks(features=features, targets=targets), truth
 
 
-def _augment(features: np.ndarray) -> np.ndarray:
-    return np.concatenate([features, np.ones((features.shape[0], 1))], axis=1)
+def _residuals(weights: np.ndarray, tasks: DeviceTasks) -> np.ndarray:
+    return np.matmul(tasks.features, weights[..., None])[..., 0] - tasks.targets
 
 
-def local_gradient(weights: np.ndarray, ds: DeviceDataset) -> np.ndarray:
-    """Full-batch gradient of the device's half mean-squared error."""
-    xa = _augment(ds.features)
-    residual = xa @ weights - ds.targets
-    return xa.T @ residual / ds.targets.shape[0]
+def local_gradient(weights: np.ndarray, tasks: DeviceTasks) -> np.ndarray:
+    """(K, D) full-batch gradients of every device's half mean-squared error.
+
+    weights is (K, D), device k's model in row k, or one (D,) model
+    shared by every device.
+    """
+    residual = _residuals(weights, tasks)[..., None]
+    return np.matmul(tasks.features.transpose(0, 2, 1), residual)[..., 0] / tasks.targets.shape[1]
 
 
-def local_loss(weights: np.ndarray, ds: DeviceDataset) -> float:
-    xa = _augment(ds.features)
-    residual = xa @ weights - ds.targets
-    return float(0.5 * np.mean(residual**2))
-
-
-def sgd_step(weights: np.ndarray, grad_estimate: np.ndarray, eta: float) -> np.ndarray:
-    return weights - eta * grad_estimate
+def local_loss(weights: np.ndarray, tasks: DeviceTasks) -> np.ndarray:
+    """(K,) half mean-squared errors, weights as in `local_gradient`."""
+    return 0.5 * np.mean(_residuals(weights, tasks) ** 2, axis=1)
 
 
 def aggregate_round(
@@ -247,51 +245,50 @@ def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
 def run_training(
     cfg: SystemConfig,
     geometry: Geometry,
-    datasets: list[DeviceDataset],
+    tasks: DeviceTasks,
     scheme: str | Scheme,
     rounds: int,
     eta=DEFAULT_LEARNING_RATE,
 ) -> TrainingHistory:
     """Run one federated training job under the given uplink scheme.
 
-    rounds must be an integer >= 1 (ConfigError otherwise). eta may be
-    a scalar or a length-rounds sequence; every learning rate must be a
-    finite number > 0 (ConfigError otherwise). All randomness is
-    derived from cfg.master_seed and the round counter, and the round
-    substreams do not depend on the scheme, so runs with different
-    schemes at the same seed share each round's own-antenna paths,
-    cluster sums, residual normals (those of the foreign-surface
-    reflections and own-cluster residuals), noise and random phase
-    draws (paired comparisons). They do not share the foreign-antenna
-    statistics: each run draws the cluster-sum terms toward the other
-    antennas given its own phases (see airpfl.channel). Each scheme's
-    law is exact, while the joint law across schemes is not that of a
-    shared full channel.
+    tasks must be shaped for cfg's devices and model (ValueError
+    otherwise). rounds must be an integer >= 1 (ConfigError otherwise).
+    eta may be a number or a length-rounds sequence of numbers; every
+    learning rate must be a finite number > 0 (ConfigError otherwise).
+    All randomness is derived from cfg.master_seed and the round
+    counter, and the round substreams do not depend on the scheme, so
+    runs with different schemes at the same seed share each round's
+    own-antenna paths, cluster sums, residual normals (those of the
+    foreign-surface reflections and own-cluster residuals), noise and
+    random phase draws (paired comparisons). They do not share the
+    foreign-antenna statistics: each run draws the cluster-sum terms
+    toward the other antennas given its own phases (see airpfl.channel).
+    Each scheme's law is exact, while the joint law across schemes is
+    not that of a shared full channel.
     """
     scheme = parse_scheme(scheme)
     rounds = as_integer("rounds", rounds)
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    if len(datasets) != cfg.num_devices:
-        raise ValueError("one dataset per device is required")
-    etas = np.asarray(eta, dtype=float)
-    if etas.ndim == 0:
-        etas = np.full(rounds, float(etas))
+    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
+    shape = tasks.targets.shape
+    if len(shape) != 2 or shape[0] != K or tasks.features.shape != (*shape, D):
+        raise ValueError(f"tasks need (K={K}, n, D={D}) features and (K, n) targets")
+    per_round = eta if np.ndim(eta) else [eta] * rounds
+    etas = np.array([as_number("learning rate", e) for e in per_round])
     if etas.shape != (rounds,):
         raise ValueError(f"eta must be scalar or length {rounds}")
     if not np.all(np.isfinite(etas) & (etas > 0)):
         raise ConfigError(f"every learning rate must be a finite number > 0, got eta={eta!r}")
 
-    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
     beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
     weights = np.zeros((M, D))
     losses = np.empty((rounds, M))
     nmse = np.zeros(rounds)
 
     for t in range(rounds):
-        grads = np.stack(
-            [local_gradient(weights[cfg.cluster_of[k]], datasets[k]) for k in range(K)]
-        )[None]
+        grads = local_gradient(weights[cfg.cluster_of], tasks)[None]
         g_true = cluster_average(grads, cfg.cluster_of, M)
 
         if scheme.design == "ideal":
@@ -300,14 +297,14 @@ def run_training(
             g_hat = _estimate_over_channel(cfg, beta, scheme, normalize_gradient(grads), t)
             nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
-        weights = sgd_step(weights, g_hat[0], etas[t])
+        weights = weights - etas[t] * g_hat[0]
         if not np.all(np.isfinite(weights)):
             raise RuntimeError(
                 f"training diverged at round {t} under scheme {scheme.name!r} "
                 f"(non-finite weights); reduce eta or noise"
             )
-        local = [local_loss(weights[cfg.cluster_of[k]], datasets[k]) for k in range(K)]
-        losses[t] = cluster_average(np.array([local]), cfg.cluster_of, M)[0]
+        local = local_loss(weights[cfg.cluster_of], tasks)
+        losses[t] = cluster_average(local[None], cfg.cluster_of, M)[0]
 
     return TrainingHistory(
         losses=losses,

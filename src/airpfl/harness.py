@@ -250,7 +250,8 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
     # Phase keys in a fixed order, so the draws do not depend on the order of the schemes.
     keys = sorted({(s.phases, s.bits) for s in channel_schemes}, key=lambda k: (k[0], k[1] or 0))
     moments = {(n, p, s.name): Moments() for n, p in cfgs for s in channel_schemes}
-    for start in range(0, trials, CHUNK):
+    # Ideal cells are exactly 0: a grid of them alone draws nothing.
+    for start in range(0, trials if channel_schemes else 0, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "sweep-cell", sizes[-1], start))
 

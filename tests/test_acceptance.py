@@ -398,11 +398,11 @@ def test_criterion_6_sweep_trends():
 def test_criterion_7_personalized_training():
     cfg = _two_cluster_config(N=256, D=32, noise_var=1e-10, seed=11)
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 50, 0.1, task_seed=cfg.master_seed)
+    tasks, _ = synth_clustered_tasks(cfg, 50, 0.1, task_seed=cfg.master_seed)
     rounds, eta = 300, 0.08
 
-    hist_ideal = run_training(cfg, geom, datasets, "ideal", rounds=rounds, eta=eta)
-    hist_unb = run_training(cfg, geom, datasets, "unbiased", rounds=rounds, eta=eta)
+    hist_ideal = run_training(cfg, geom, tasks, "ideal", rounds=rounds, eta=eta)
+    hist_unb = run_training(cfg, geom, tasks, "unbiased", rounds=rounds, eta=eta)
 
     summed_ideal = hist_ideal.losses.sum(axis=1)
     mono_ok = bool(np.all(np.diff(summed_ideal) <= 1e-9))
@@ -417,13 +417,11 @@ def test_criterion_7_personalized_training():
     cfg_global = cfg.replace(num_clusters=1, cluster_of=np.zeros(8, dtype=int))
     geom_global = place_geometry(cfg_global, cfg_global.master_seed)
     hist_global = run_training(
-        cfg_global, geom_global, datasets, "ideal", rounds=rounds, eta=eta
+        cfg_global, geom_global, tasks, "ideal", rounds=rounds, eta=eta
     )
     w_global = hist_global.final_weights[0]
     members = [np.flatnonzero(cfg.cluster_of == m) for m in range(cfg.num_clusters)]
-    summed_global = sum(
-        float(np.mean([local_loss(w_global, datasets[k]) for k in idx])) for idx in members
-    )
+    summed_global = sum(float(local_loss(w_global, tasks)[idx].mean()) for idx in members)
     improvement = 1.0 - final_unb / summed_global
     personalization_ok = improvement > 0.20
 

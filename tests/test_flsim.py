@@ -6,13 +6,13 @@ import pytest
 import airpfl.flsim as flsim
 from airpfl.control import unbiased_design
 from airpfl.flsim import (
-    DeviceDataset,
+    DeviceTasks,
     local_gradient,
     local_loss,
     run_training,
-    sgd_step,
     synth_clustered_tasks,
 )
+from airpfl.harness import export_csv
 from airpfl.sysmodel import ConfigError, make_config, place_geometry
 
 
@@ -29,61 +29,89 @@ def _config(K=6, M=2, N=32, D=8, noise_var=1e-9, seed=2):
     )
 
 
+def _one_device(features, targets):
+    """One device's task, the bias column of ones appended to its features."""
+    features = np.asarray(features, dtype=float)
+    bias = np.ones((features.shape[0], 1))
+    return DeviceTasks(
+        features=np.concatenate([features, bias], axis=1)[None], targets=np.asarray(targets)[None]
+    )
+
+
 def test_gradient_bias_only_examples():
     # Model dimension one means a single bias coordinate.
-    ds = DeviceDataset(features=np.zeros((1, 0)), targets=np.array([0.0]), owner=0)
-    assert np.allclose(local_gradient(np.zeros(1), ds), [0.0])
-    ds2 = DeviceDataset(features=np.zeros((1, 0)), targets=np.array([2.0]), owner=0)
-    assert np.allclose(local_gradient(np.zeros(1), ds2), [-2.0])
+    ds = _one_device(np.zeros((1, 0)), [0.0])
+    assert np.allclose(local_gradient(np.zeros(1), ds)[0], [0.0])
+    ds2 = _one_device(np.zeros((1, 0)), [2.0])
+    assert np.allclose(local_gradient(np.zeros(1), ds2)[0], [-2.0])
 
 
 def test_gradient_single_feature_example():
-    ds = DeviceDataset(features=np.array([[1.0]]), targets=np.array([2.0]), owner=0)
-    grad = local_gradient(np.zeros(2), ds)
+    ds = _one_device([[1.0]], [2.0])
+    grad = local_gradient(np.zeros(2), ds)[0]
     assert np.allclose(grad, [-2.0, -2.0])
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    ds = DeviceDataset(
-        features=rng.standard_normal((20, 4)), targets=rng.standard_normal(20), owner=0
-    )
+    ds = _one_device(rng.standard_normal((20, 4)), rng.standard_normal(20))
     w = rng.standard_normal(5)
-    grad = local_gradient(w, ds)
+    grad = local_gradient(w, ds)[0]
     h = 1e-6
     for j in range(5):
         e = np.zeros(5)
         e[j] = h
-        fd = (local_loss(w + e, ds) - local_loss(w - e, ds)) / (2 * h)
+        fd = (local_loss(w + e, ds)[0] - local_loss(w - e, ds)[0]) / (2 * h)
         assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def _per_device_reference(weights, tasks):
+    """Gradients and losses device by device, the way a per-device loop computes them."""
+    grads, losses = [], []
+    for k in range(tasks.targets.shape[0]):
+        xa, y = tasks.features[k], tasks.targets[k]
+        residual = xa @ weights[k] - y
+        grads.append(xa.T @ residual / y.shape[0])
+        losses.append(float(0.5 * np.mean(residual**2)))
+    return np.stack(grads), np.array(losses)
+
+
+@pytest.mark.parametrize("K, n, D", [(8, 50, 64), (6, 12, 8), (5, 5, 1), (3, 1, 2)])
+def test_batched_kernels_match_per_device_loops(K, n, D):
+    # The stacked contractions are the per-device products bit for bit,
+    # for one model per device and for one model broadcast to every device.
+    cfg = _config(K=K, D=D)
+    tasks, _ = synth_clustered_tasks(cfg, n, 0.1, task_seed=7)
+    weights = np.random.default_rng(K + n + D).standard_normal((K, D))
+    grads, losses = _per_device_reference(weights, tasks)
+    assert np.array_equal(local_gradient(weights, tasks), grads)
+    assert np.array_equal(local_loss(weights, tasks), losses)
+    shared = np.broadcast_to(weights[0], (K, D))
+    grads, losses = _per_device_reference(shared, tasks)
+    assert np.array_equal(local_gradient(weights[0], tasks), grads)
+    assert np.array_equal(local_loss(weights[0], tasks), losses)
 
 
 def test_training_losses_are_member_averages(monkeypatch):
     # Unequal clusters of 3 and 2 devices; each cluster's recorded loss is
     # the mean local loss of its devices under its updated model, with
-    # one local_loss call per device and round through the module.
+    # one local_loss call per round, on every device's model, through the module.
     cfg = _config(K=5)
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=5)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=5)
     calls = []
 
-    def counted(weights, ds):
-        calls.append(ds.owner)
-        return local_loss(weights, ds)
+    def counted(weights, tasks):
+        calls.append(weights.shape)
+        return local_loss(weights, tasks)
 
     monkeypatch.setattr(flsim, "local_loss", counted)
-    hist = run_training(cfg, geom, datasets, "unbiased", rounds=2)
-    assert calls == list(range(5)) * 2
+    hist = run_training(cfg, geom, tasks, "unbiased", rounds=2)
+    assert calls == [(5, 8)] * 2
     for m, w in enumerate(hist.final_weights):
         members = np.flatnonzero(cfg.cluster_of == m)
-        expected = np.mean([local_loss(w, datasets[k]) for k in members])
+        expected = np.mean(local_loss(w, tasks)[members])
         assert hist.losses[-1, m] == pytest.approx(expected, rel=1e-12)
-
-
-def test_sgd_step():
-    w = np.array([1.0, -2.0])
-    g = np.array([0.5, 0.5])
-    assert np.allclose(sgd_step(w, g, 0.1), [0.95, -2.05])
 
 
 def test_synth_tasks_shapes_and_determinism():
@@ -93,22 +121,20 @@ def test_synth_tasks_shapes_and_determinism():
     ds_c, _ = synth_clustered_tasks(cfg, 12, 0.1, task_seed=5)
     assert truth_a.shape == (2, 8)
     assert np.array_equal(truth_a, truth_b)
-    assert len(ds_a) == 6
-    for k, d in enumerate(ds_a):
-        assert d.owner == k
-        assert d.features.shape == (12, 7)
-        assert d.targets.shape == (12,)
-        assert np.array_equal(d.features, ds_b[k].features)
-    assert not np.allclose(ds_a[0].targets, ds_c[0].targets)
+    assert ds_a.features.shape == (6, 12, 8)
+    assert ds_a.targets.shape == (6, 12)
+    assert np.all(ds_a.features[..., -1] == 1.0)
+    assert np.array_equal(ds_a.features, ds_b.features)
+    assert np.array_equal(ds_a.targets, ds_b.targets)
+    assert not np.allclose(ds_a.targets[0], ds_c.targets[0])
 
 
 def test_synth_tasks_noiseless_labels_follow_truth():
     cfg = _config()
-    datasets, truth = synth_clustered_tasks(cfg, 9, 0.0, task_seed=8)
-    for k, d in enumerate(datasets):
+    tasks, truth = synth_clustered_tasks(cfg, 9, 0.0, task_seed=8)
+    for k in range(cfg.num_devices):
         m = int(cfg.cluster_of[k])
-        xa = np.concatenate([d.features, np.ones((9, 1))], axis=1)
-        assert np.allclose(d.targets, xa @ truth[m], atol=1e-12)
+        assert np.allclose(tasks.targets[k], tasks.features[k] @ truth[m], atol=1e-12)
 
 
 def test_synth_tasks_validate_arguments():
@@ -117,6 +143,10 @@ def test_synth_tasks_validate_arguments():
         synth_clustered_tasks(cfg, 0, 0.1, 0)
     with pytest.raises(ValueError):
         synth_clustered_tasks(cfg, 5, -0.1, 0)
+    # -1 would alias 2**64 - 1 and 1.0 would open another stream than 1.
+    for seed in (True, 1.0, -1, 2**64):
+        with pytest.raises(ConfigError, match="task_seed"):
+            synth_clustered_tasks(cfg, 5, 0.1, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +156,8 @@ def test_synth_tasks_validate_arguments():
 def test_ideal_training_converges_monotonically():
     cfg = _config()
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 40, 0.05, task_seed=cfg.master_seed)
-    hist = run_training(cfg, geom, datasets, "ideal", rounds=150, eta=0.05)
+    tasks, _ = synth_clustered_tasks(cfg, 40, 0.05, task_seed=cfg.master_seed)
+    hist = run_training(cfg, geom, tasks, "ideal", rounds=150, eta=0.05)
     summed = hist.losses.sum(axis=1)
     assert np.all(np.diff(summed) <= 1e-9)
     assert summed[-1] < 0.05 * summed[0]
@@ -138,12 +168,38 @@ def test_ideal_training_converges_monotonically():
 def test_training_is_deterministic():
     cfg = _config()
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 20, 0.1, task_seed=cfg.master_seed)
-    a = run_training(cfg, geom, datasets, "unbiased", rounds=12, eta=0.05)
-    b = run_training(cfg, geom, datasets, "unbiased", rounds=12, eta=0.05)
+    tasks, _ = synth_clustered_tasks(cfg, 20, 0.1, task_seed=cfg.master_seed)
+    a = run_training(cfg, geom, tasks, "unbiased", rounds=12, eta=0.05)
+    b = run_training(cfg, geom, tasks, "unbiased", rounds=12, eta=0.05)
     assert np.array_equal(a.losses, b.losses)
     assert np.array_equal(a.nmse, b.nmse)
     assert np.array_equal(a.final_weights, b.final_weights)
+
+
+def test_training_bytes_are_pinned(tmp_path):
+    # The digests pin each scheme's CSV bytes, tasks and channel draws
+    # included, so any change to the arithmetic of a round shows here; a
+    # re-pin follows a field-by-field comparison with the old output,
+    # recorded in CHANGES.md.
+    import hashlib
+
+    cfg = _config(K=5, N=16, D=6)
+    geom = place_geometry(cfg, cfg.master_seed)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=5)
+    pinned = {
+        "ideal": "55ecf102066a0fa8a4a3b016a59202ce9dd15a3a2e413daae1e16ead2acdf179",
+        "unbiased": "5bd147821883361f4ee44725c90b8a9c1965119b55a9fdb60e6dc010bec03700",
+        "mmse": "014750d99586cfb8c29aaca763971077bd8f138006ba3ec06a5dd5113bedb9bf",
+        "mmse+powopt": "88aea617adb770ffa643e89af14c90167966cc4d2e741ea3fdd6ece5a4bff784",
+        "random-phase": "b6c8580e8c8bb85c4734304e6043edd2aa5a744a8d529687baa9bed077483489",
+        "mmse-1bit": "fec3d873d229f541c8a8166701df48392366abee5834e2af3eb93f62d2d4bca6",
+    }
+    digests = {}
+    for scheme in pinned:
+        path = tmp_path / f"{scheme}.csv"
+        export_csv(run_training(cfg, geom, tasks, scheme, rounds=3, eta=0.05), str(path))
+        digests[scheme] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == pinned
 
 
 @pytest.mark.parametrize(
@@ -152,8 +208,8 @@ def test_training_is_deterministic():
 def test_every_scheme_runs_and_records_nmse(scheme):
     cfg = _config(K=4, M=2, N=16, D=6)
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
-    hist = run_training(cfg, geom, datasets, scheme, rounds=6, eta=0.04)
+    tasks, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
+    hist = run_training(cfg, geom, tasks, scheme, rounds=6, eta=0.04)
     assert hist.losses.shape == (6, 2)
     assert hist.nmse.shape == (6,)
     assert np.all(np.isfinite(hist.losses))
@@ -176,11 +232,8 @@ def test_constant_gradient_cluster_transmits_mean_exactly():
         master_seed=9,
     )
     geom = place_geometry(cfg, 9)
-    datasets = [
-        DeviceDataset(features=np.zeros((5, 0)), targets=np.full(5, 3.0), owner=0),
-        DeviceDataset(features=np.zeros((5, 0)), targets=np.full(5, 3.0), owner=1),
-    ]
-    hist = run_training(cfg, geom, datasets, "unbiased", rounds=150, eta=0.1)
+    tasks = DeviceTasks(features=np.ones((2, 5, 1)), targets=np.full((2, 5), 3.0))
+    hist = run_training(cfg, geom, tasks, "unbiased", rounds=150, eta=0.1)
     assert np.allclose(hist.nmse, 0.0, atol=1e-24)
     assert hist.final_weights[0, 0] == pytest.approx(3.0, rel=1e-4)
 
@@ -213,7 +266,7 @@ def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
     # 2**b grid, and the run differs from the unquantized one.
     cfg = _config(K=4, M=2, N=16, D=6)
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
+    tasks, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
     seen = []
     draw = flsim.sample_small_scale
 
@@ -225,12 +278,12 @@ def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
         return draw(rng, trials, num_clusters, cluster_of, num_elements, recorded)
 
     monkeypatch.setattr(flsim, "sample_small_scale", record)
-    hist = run_training(cfg, geom, datasets, "random-phase-2bit", rounds=5, eta=0.04)
+    hist = run_training(cfg, geom, tasks, "random-phase-2bit", rounds=5, eta=0.04)
     assert len(seen) == 5
     for configs in seen:
         assert len(configs) == 1
         assert np.all(np.isin(configs[0], np.exp(-1j * (np.arange(4) * (np.pi / 2)))))
-    plain = run_training(cfg, geom, datasets, "random-phase", rounds=5, eta=0.04)
+    plain = run_training(cfg, geom, tasks, "random-phase", rounds=5, eta=0.04)
     assert hist.scheme == "random-phase-2bit"
     assert not np.array_equal(hist.nmse, plain.nmse)
 
@@ -242,10 +295,10 @@ def test_training_all_zero_std_gradients_estimate_exactly():
     # the exact mean, on every channel scheme.
     cfg = _config(D=1)
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=cfg.master_seed)
-    ideal = run_training(cfg, geom, datasets, "ideal", rounds=5)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=cfg.master_seed)
+    ideal = run_training(cfg, geom, tasks, "ideal", rounds=5)
     for scheme in ("unbiased", "mmse", "mmse+powopt", "random-phase"):
-        hist = run_training(cfg, geom, datasets, scheme, rounds=5)
+        hist = run_training(cfg, geom, tasks, scheme, rounds=5)
         assert np.all(hist.nmse == 0.0)
         assert np.array_equal(hist.losses, ideal.losses)
 
@@ -253,36 +306,40 @@ def test_training_all_zero_std_gradients_estimate_exactly():
 def test_training_rejects_bad_arguments():
     cfg = _config()
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
     with pytest.raises(ValueError, match="unknown scheme"):
-        run_training(cfg, geom, datasets, "analog", rounds=3)
+        run_training(cfg, geom, tasks, "analog", rounds=3)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, datasets, "ideal-1bit", rounds=3)
+        run_training(cfg, geom, tasks, "ideal-1bit", rounds=3)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, datasets, "ideal", rounds=0)
+        run_training(cfg, geom, tasks, "ideal", rounds=0)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, datasets[:-1], "ideal", rounds=3)
+        run_training(cfg, geom, DeviceTasks(tasks.features[:-1], tasks.targets[:-1]), "ideal", 3)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, datasets, "ideal", rounds=3, eta=[0.1, 0.1])
-    for eta in ([0.1, 0.0, 0.1], [0.1, 0.1, np.nan], -0.05):
+        run_training(cfg, geom, DeviceTasks(tasks.features[..., 1:], tasks.targets), "ideal", 3)
+    with pytest.raises(ValueError):
+        run_training(cfg, geom, tasks, "ideal", rounds=3, eta=[0.1, 0.1])
+    # Learning rates are numbers, not strings or bools that happen to convert.
+    bad = ([0.1, 0.0, 0.1], [0.1, 0.1, np.nan], -0.05, "0.05", True, [0.05, "0.05", 0.05])
+    for eta in bad:
         with pytest.raises(ConfigError, match="learning rate"):
-            run_training(cfg, geom, datasets, "ideal", rounds=3, eta=eta)
+            run_training(cfg, geom, tasks, "ideal", rounds=3, eta=eta)
 
 
 def test_training_divergence_raises():
     cfg = _config()
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 30, 0.05, task_seed=1)
+    tasks, _ = synth_clustered_tasks(cfg, 30, 0.05, task_seed=1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="diverged"):
-            run_training(cfg, geom, datasets, "ideal", rounds=400, eta=5.0)
+            run_training(cfg, geom, tasks, "ideal", rounds=400, eta=5.0)
 
 
 def test_history_csv_rows():
     cfg = _config()
     geom = place_geometry(cfg, cfg.master_seed)
-    datasets, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
-    hist = run_training(cfg, geom, datasets, "ideal", rounds=4, eta=0.05)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
+    hist = run_training(cfg, geom, tasks, "ideal", rounds=4, eta=0.05)
     rows = hist.csv_rows()
     assert len(rows) == 4 * 2
     assert hist.csv_header() == ["round", "cluster", "loss", "nmse", "scheme", "seed"]

@@ -316,6 +316,17 @@ def test_sweep_draws_once_per_chunk(monkeypatch):
     assert calls.count("_gains_batch") == 2 * 3 * 3  # aligned, aligned-1bit, random
 
 
+def test_ideal_only_sweep_draws_no_channel(monkeypatch):
+    # Ideal cells are exactly 0, so a grid of them alone draws nothing.
+    import airpfl.harness as harness
+
+    calls = []
+    _count_calls(monkeypatch, calls, harness, "_sample_batch")
+    res = nmse_sweep(desk_scale_config(), ["ideal"], [16, 256], [1.0], 500, 1)
+    assert calls == []
+    assert [(c.nmse_mean, c.nmse_stderr) for c in res.cells] == [(0.0, 0.0)] * 2
+
+
 def test_sweep_designs_once_per_chunk_and_budget(monkeypatch):
     import airpfl.flsim as flsim
     import airpfl.harness as harness
