@@ -154,10 +154,6 @@ class ChannelSet:
         return self.cluster_sums
 
     @property
-    def num_trials(self) -> int:
-        return self.own_paths.shape[0]
-
-    @property
     def num_surfaces(self) -> int:
         return self.own_paths.shape[1]
 

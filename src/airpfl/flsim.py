@@ -7,10 +7,12 @@ the superposed analog uplink before taking a gradient step. Scheme
 "ideal" bypasses the channel entirely and serves as the noise-free
 reference.
 
-`aggregate_round` is the one aggregate-and-estimate step of the
-package: training calls it with a batch of one trial and that round's
-statistical design, and the NMSE sweep in `harness` calls it with a
-batch of Monte Carlo trials and one design per power budget.
+`draw_gains` is the one channel-draw step of the package and
+`aggregate_round` its one aggregate-and-estimate step: training calls
+them with a batch of one trial, one surface size and its scheme's
+phases, and the NMSE sweep in `harness` calls them with a batch of
+Monte Carlo trials, every surface size and phase key of its grid, and
+one statistical design per power budget.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class Scheme:
     @property
     def powopt(self) -> bool:
         return self.design == "mmse+powopt"
+
+    @property
+    def key(self) -> tuple:
+        """The phase key (phases, bits): schemes with equal keys see the same gains."""
+        return (self.phases, self.bits)
 
 
 # base name -> (design, phases)
@@ -190,6 +197,49 @@ def local_loss(weights: np.ndarray, tasks: DeviceTasks) -> np.ndarray:
     return 0.5 * np.mean(_residuals(weights, tasks) ** 2, axis=1)
 
 
+def phase_configurations(draw, keys, phase_rng) -> list:
+    """The (T, M, N) unit phasors of each phase key (phases, bits) in keys, in their order.
+
+    Random phases are drawn once from phase_rng and aligned ones are the
+    aligned design of draw (a PartialDraw); keys with equal phases share
+    them, and bits, when set, quantizes them to 2**bits levels.
+    """
+    base = {}
+    for phases, _ in keys:
+        if phases not in base:
+            base[phases] = (
+                baseline_phases(phase_rng, *draw.own_paths.shape)
+                if phases == "random"
+                else configure_aligned(draw)
+            )
+    return [base[p] if bits is None else corrupt_phases(base[p], bits) for p, bits in keys]
+
+
+def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
+    """One channel draw for every surface size and phase key: {(n, key): (T, M, K) gains}.
+
+    Draws `trials` realizations from rng once (sample_small_scale), at
+    the largest size with each smaller one nested in it, for the
+    configurations of the keys (phase_configurations, random phases from
+    phase_rng), and attenuates them by beta (M, K). Sizes and keys are
+    sorted first, so the draw depends only on their sets. Every (size,
+    key) shares the own paths, cluster sums, drawn terms and random
+    phases, so comparisons across them are paired, while each has
+    exactly the law of an independent draw (see airpfl.channel).
+    """
+    sizes = sorted(set(sizes))
+    keys = sorted(set(keys), key=lambda k: (k[0], k[1] or 0))
+    ch = sample_small_scale(
+        rng, trials, beta.shape[0], cluster_of, sizes,
+        lambda draw: phase_configurations(draw, keys, phase_rng),
+    )
+    return {
+        (n, key): all_cascaded_gains(ch.prefix(n), beta, j)
+        for n in sizes
+        for j, key in enumerate(keys)
+    }
+
+
 def aggregate_round(
     cfg: SystemConfig,
     scheme: Scheme,
@@ -257,21 +307,20 @@ def run_training(
     eta may be a number or a length-rounds sequence of numbers; every
     learning rate must be a finite number > 0 (ConfigError otherwise).
     All randomness is derived from cfg.master_seed and the round
-    counter, and the round substreams do not depend on the scheme, so
-    runs with different schemes at the same seed share each round's
-    own-antenna paths, cluster sums, residual normals (those of the
-    foreign-surface reflections and own-cluster residuals), noise and
-    random phase draws (paired comparisons). They do not share the
-    foreign-antenna statistics: each run draws the cluster-sum terms
-    toward the other antennas given its own phases (see airpfl.channel).
-    Each scheme's law is exact, while the joint law across schemes is
-    not that of a shared full channel.
+    counter. Each round draws its gains with draw_gains, for its
+    scheme's phase key alone, and its noise, from round substreams that
+    do not depend on the scheme. Runs with different schemes at the
+    same seed therefore share what draw_gains draws before and apart
+    from the phases, and the noise, but not the statistics it draws
+    given them: each scheme's law is exact, while the joint law across
+    schemes is not the shared draw of one draw_gains call.
     """
     scheme = parse_scheme(scheme)
     rounds = as_integer("rounds", rounds)
     if rounds < 1:
         raise ConfigError(f"rounds must be >= 1, got {rounds}")
-    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
+    M, K, D, N = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
+    master = cfg.master_seed
     shape = tasks.targets.shape
     if len(shape) != 2 or shape[0] != K or tasks.features.shape != (*shape, D):
         raise ValueError(f"tasks need (K={K}, n, D={D}) features and (K, n) targets")
@@ -294,7 +343,17 @@ def run_training(
         if scheme.design == "ideal":
             g_hat = g_true
         else:
-            g_hat = _estimate_over_channel(cfg, beta, scheme, normalize_gradient(grads), t)
+            rng = rng_from_seed(derive_seed(master, "round-channel", t))
+            phase_rng = (rng_from_seed(derive_seed(master, "round-phases", t))
+                         if scheme.phases == "random" else None)
+            gains = draw_gains(rng, phase_rng, 1, cfg.cluster_of, beta, [N], [scheme.key])
+            noise = rng_from_seed(derive_seed(master, "round-noise", t)).standard_normal((1, M, D))
+            seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
+            normalized = normalize_gradient(grads)
+            design = unbiased_design(beta, normalized.std, cfg.max_power, D, N, cfg.cluster_of)
+            g_hat = aggregate_round(
+                cfg, scheme, design, gains[N, scheme.key], normalized, noise, seeds
+            )
             nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
         weights = weights - etas[t] * g_hat[0]
@@ -314,26 +373,3 @@ def run_training(
         final_weights=weights.copy(),
     )
 
-
-def _estimate_over_channel(cfg, beta, scheme, grads, t):
-    """Draw round t's channel, phases and noise; returns the (1, M, D) estimates."""
-    master = cfg.master_seed
-    M, N = cfg.num_clusters, cfg.num_ris_elements
-    rng = rng_from_seed(derive_seed(master, "round-channel", t))
-
-    def phases(draw):
-        if scheme.phases == "random":
-            phasors = baseline_phases(
-                rng_from_seed(derive_seed(master, "round-phases", t)), 1, M, N
-            )
-        else:
-            phasors = configure_aligned(draw)
-        return [phasors if scheme.bits is None else corrupt_phases(phasors, scheme.bits)]
-
-    ch = sample_small_scale(rng, 1, M, cfg.cluster_of, N, phases)
-    gains = all_cascaded_gains(ch, beta, 0)
-    noise_rng = rng_from_seed(derive_seed(master, "round-noise", t))
-    noise = noise_rng.standard_normal((1, M, cfg.model_dim))
-    seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
-    design = unbiased_design(beta, grads.std, cfg.max_power, cfg.model_dim, N, cfg.cluster_of)
-    return aggregate_round(cfg, scheme, design, gains, grads, noise, seeds)

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import flsim
 from .aircomp import cluster_average, normalize_gradient
 from .channel import large_scale_coefficients
-from .flsim import aggregate_round, estimation_nmse, parse_scheme
-from .ris import baseline_phases, corrupt_phases
+from .flsim import aggregate_round, draw_gains, estimation_nmse, parse_scheme, phase_configurations
 from .seeding import derive_seed, rng_from_seed
 from .sysmodel import (
     ConfigError,
@@ -37,13 +37,15 @@ from .sysmodel import (
     place_geometry,
 )
 
-# perfbench/tracing.py WRAPS still looks these kernels up under their former harness names.
-from .channel import all_cascaded_gains as _gains_batch
+# perfbench/tracing.py WRAPS still looks these kernels up under their former harness names;
+# of them only _sample_batch is called here, by the verifier.
+from .channel import all_cascaded_gains as _gains_batch  # noqa: F401
 from .channel import cascaded_components as _components_batch  # noqa: F401
 from .channel import sample_small_scale as _sample_batch
-from .control import adaptive_denoisers as _adaptive_lambda_batch  # noqa: F401 - called via flsim
-from .control import unbiased_design as _unbiased_batch
-from .ris import configure_aligned as _aligned_phases_batch
+from .control import adaptive_denoisers as _adaptive_lambda_batch  # noqa: F401
+from .control import unbiased_design as _unbiased_batch  # noqa: F401
+from .ris import configure_aligned as _aligned_phases_batch  # noqa: F401
+from .ris import corrupt_phases  # noqa: F401
 
 CHUNK = 100
 
@@ -171,23 +173,14 @@ def nmse_sweep(
     error. Rows are ordered by N in the given order, then P, then
     scheme.
 
-    Every cell of the grid shares each chunk's draw. The surface sizes
-    are nested surfaces: own paths and cluster sums are drawn once at
-    the largest N, and the size-n surface is the first n elements of
-    every surface, with its cluster-sum and drawn terms drawn block by
-    block so that every size sees them under its exact law (see
-    airpfl.channel). One draw serves every phase configuration of the
-    schemes. The power budget changes only the statistical design and
-    the aggregation. Own paths, cluster sums, drawn terms, random
-    phases, gradients and noise are therefore shared by every scheme,
-    budget and surface size, so comparisons along each of the three
-    axes are paired, while each cell's law is exactly that of an
-    independent run of its own. The drawn terms do not depend on the
-    phases, so every phase scheme sees the same ones. The draws depend
-    on the sorted distinct surface sizes and on the set of phase
-    configurations of the schemes, so a cell's statistics do not depend
-    on the other budgets beside it, nor on the order of the sizes or of
-    the schemes.
+    Every cell of the grid shares each chunk's draw: one draw_gains
+    call (airpfl.flsim) for every surface size and phase key, then the
+    gradients and noise. The power budget changes only the statistical
+    design and the aggregation. Comparisons along each of the three
+    axes are therefore paired, while each cell's law is exactly that of
+    an independent run of its own, and a cell's statistics do not
+    depend on the other budgets beside it, nor on the order of the
+    sizes or of the schemes (see draw_gains for what is shared).
 
     Malformed or repeated scheme labels, repeated, non-integral or
     invalid surface sizes, power budgets that are not numbers or are
@@ -232,51 +225,28 @@ def nmse_sweep(
 def _sweep_cell(cfgs, beta, schemes, trials, seed):
     """Every cell of the grid: {(N, P): config} -> {(N, P, scheme name): stats}.
 
-    Each chunk draws one channel at the largest surface size, with the
-    summed and drawn terms of every smaller nested size and every phase
-    key (phases, bits), then its gradients and noise, once. The phase
-    keys' phasors are computed once per chunk, on the draw's own paths
-    and cluster sums, at the largest size: random phases from the
-    chunk's generator, aligned ones by the aligned design, quantized
-    ones from those. Each (size, phase key) then gets its gains, the
-    channel is released, and only the statistical design (once per size
-    and budget) and the aggregation (once per size, budget and scheme)
-    run per cell.
+    Each chunk draws the gains of every size and phase key with one
+    draw_gains call, its generator serving for the random phases too,
+    then its gradients and noise, once. Only the statistical design
+    (once per size and budget) and the aggregation (once per size,
+    budget and scheme) run per cell.
     """
     cfg = next(iter(cfgs.values()))
-    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
-    sizes = sorted({n for n, _ in cfgs})
+    M, K, D, cluster_of = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.cluster_of
+    sizes = {n for n, _ in cfgs}
     channel_schemes = [s for s in schemes if s.design != "ideal"]
-    # Phase keys in a fixed order, so the draws do not depend on the order of the schemes.
-    keys = sorted({(s.phases, s.bits) for s in channel_schemes}, key=lambda k: (k[0], k[1] or 0))
+    keys = {s.key for s in channel_schemes}
     moments = {(n, p, s.name): Moments() for n, p in cfgs for s in channel_schemes}
     # Ideal cells are exactly 0: a grid of them alone draws nothing.
     for start in range(0, trials if channel_schemes else 0, CHUNK):
         tc = min(CHUNK, trials - start)
-        rng = rng_from_seed(derive_seed(seed, "sweep-cell", sizes[-1], start))
-
-        def configurations(draw):
-            base = {}
-            for phases, _ in keys:
-                if phases not in base:
-                    base[phases] = (
-                        baseline_phases(rng, tc, M, sizes[-1])
-                        if phases == "random"
-                        else _aligned_phases_batch(draw)
-                    )
-            return [base[p] if bits is None else corrupt_phases(base[p], bits) for p, bits in keys]
-
-        ch = _sample_batch(rng, tc, M, cfg.cluster_of, sizes, configurations)
+        rng = rng_from_seed(derive_seed(seed, "sweep-cell", max(sizes), start))
+        gains = draw_gains(rng, rng, tc, cluster_of, beta, sizes, keys)
         raw = rng.standard_normal((tc, K, D))
         noise = rng.standard_normal((tc, M, D))
         grads = normalize_gradient(raw)
-        g_true = cluster_average(raw, cfg.cluster_of, M)
-        gains = {
-            (n, key): _gains_batch(ch.prefix(n), beta, j)
-            for n in sizes
-            for j, key in enumerate(keys)
-        }
-        del ch, raw
+        g_true = cluster_average(raw, cluster_of, M)
+        del raw
 
         seeds = {
             n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
@@ -285,10 +255,10 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
             for n in sizes
         }
         for (n, p), cell_cfg in cfgs.items():
-            design = _unbiased_batch(beta, grads.std, cell_cfg.max_power, D, n, cfg.cluster_of)
+            design = flsim.unbiased_design(beta, grads.std, cell_cfg.max_power, D, n, cluster_of)
             for s in channel_schemes:
                 g_hat = aggregate_round(
-                    cell_cfg, s, design, gains[n, (s.phases, s.bits)], grads, noise, seeds[n]
+                    cell_cfg, s, design, gains[n, s.key], grads, noise, seeds[n]
                 )
                 moments[n, p, s.name].add(estimation_nmse(g_hat, g_true))
 
@@ -453,13 +423,8 @@ def verify_elimination(
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "elimination", start))
-
-        def design(draw):
-            if phases == "random":
-                return [baseline_phases(rng, tc, M, N)]
-            return [_aligned_phases_batch(draw)]
-
-        ch = _sample_batch(rng, tc, M, cfg.cluster_of, N, design)
+        ch = _sample_batch(rng, tc, M, cfg.cluster_of, N,
+                           lambda draw: phase_configurations(draw, [(phases, None)], rng))
         summed.add(ch.summed_terms[0])
         drawn.add(ch.drawn_terms)
         del ch  # released before the next chunk is drawn

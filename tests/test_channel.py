@@ -84,7 +84,7 @@ def test_small_scale_shapes():
     assert ch.summed_terms.shape == (1, 3, 2, 2)
     assert ch.drawn_terms.shape == (3, 2, 2, 5)
     assert np.array_equal(ch.cluster_of, CLUSTERS_5)
-    assert ch.num_trials == 3
+    assert ch.own_paths.shape[0] == 3
     assert ch.num_surfaces == 2
     assert ch.num_elements == 7
     # The byte counters of the benchmark read the two materialized path arrays.
@@ -810,7 +810,7 @@ AWKWARD_IDS = ["trial-slice", "fortran", "N=1", "prefix"]
 
 @pytest.mark.parametrize("ch, configs", list(_awkward_channels()), ids=AWKWARD_IDS)
 def test_gain_kernels_on_awkward_layouts(ch, configs):
-    T, M, K = ch.num_trials, ch.num_surfaces, ch.cluster_of.size
+    T, M, K = ch.own_paths.shape[0], ch.num_surfaces, ch.cluster_of.size
     beta = np.random.default_rng(3).uniform(0.1, 1.0, size=(M, K))
     for j in range(len(configs)):
         grid = all_cascaded_gains(ch, beta, j)
@@ -846,7 +846,7 @@ def test_cluster_sum_terms_match_the_transposed_formula(ch, configs):
     # The own-antenna cluster-sum terms are computed from the own paths:
     # Re{h_i^H diag(conj(phasors)) s_i} for every configuration; the
     # foreign-antenna ones are drawn.
-    T, M = ch.num_trials, ch.num_surfaces
+    T, M = ch.own_paths.shape[0], ch.num_surfaces
     assert ch.summed_terms.shape == (len(configs), T, M, M)
     for j, phasors in enumerate(configs):
         got = np.diagonal(ch.summed_terms[j], axis1=-2, axis2=-1)
