@@ -37,13 +37,13 @@ class NormalizedGradient:
     std: np.ndarray     # (T, K)
 
 
-def normalize_gradient(grad: np.ndarray, eps: float = DEGENERATE_STD_TOL) -> NormalizedGradient:
+def normalize_gradient(grad: np.ndarray) -> NormalizedGradient:
     """Shift each (T, K, D) gradient to zero mean and unit population variance.
 
-    A gradient whose population std falls below eps is reported as
-    degenerate: its normalized vector is all zeros and its std is
-    exactly 0.0, so the device transmits nothing and is reconstructed
-    from its mean alone.
+    A gradient whose population std falls below DEGENERATE_STD_TOL is
+    reported as degenerate: its normalized vector is all zeros and its
+    std is exactly 0.0, so the device transmits nothing and is
+    reconstructed from its mean alone.
     """
     grad = np.asarray(grad, dtype=float)
     if grad.ndim != 3 or grad.shape[2] == 0:
@@ -52,7 +52,7 @@ def normalize_gradient(grad: np.ndarray, eps: float = DEGENERATE_STD_TOL) -> Nor
         raise ValueError("gradient has non-finite entries")
     mean = grad.mean(axis=2)
     std = grad.std(axis=2)
-    degenerate = std < eps
+    degenerate = std < DEGENERATE_STD_TOL
     std[degenerate] = 0.0
     values = (grad - mean[:, :, None]) / np.where(degenerate, 1.0, std)[:, :, None]
     values[degenerate] = 0.0

@@ -66,7 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a config must be a JSON object, got {doc!r}")
+    return doc
 
 
 def cli_main(argv: list[str]) -> int:

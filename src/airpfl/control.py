@@ -7,10 +7,10 @@ resulting cluster estimates are unbiased. The adaptive denoiser
 instead uses the realized cascaded gains of the current round and
 minimizes the conditional mean-squared error of the cluster estimate
 for whatever powers are in force. That error, `conditional_mse`, and
-the adaptive denoiser read the same per-cluster terms, for T trials
-at once. Every per-cluster minimum and sum is a masked reduction over
-the (M, K) cluster membership matrix `sysmodel.membership`, with no
-loop over clusters.
+the adaptive denoiser read the same per-cluster terms, built from the
+per-device moments of `symbol_moments`, for T trials at once. Every
+per-cluster minimum and sum is a masked reduction over the (M, K)
+cluster membership matrix `sysmodel.membership`.
 """
 
 from __future__ import annotations
@@ -79,16 +79,24 @@ def unbiased_design(
     return AggregationDesign(powers=powers, denoisers=np.where(signal, denoisers, np.inf))
 
 
-def _error_terms(powers, gains, sigmas, noise_var, cluster_of):
-    """Terms of every cluster's conditional MSE under realized gains.
+def symbol_moments(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E[x^2], E[x g], E[g^2]), each (T, K): the MMSE error model's per-device moments.
 
-    Returns num[t, m] = sum_k p_k h_{m,k}^2 sigma_k^2 + noise_var / 2
-    and cross[t, m] = sum_{k in m} sqrt(p_k) h_{m,k} sigma_k^3, both
-    (T, M), and the (M, K) cluster membership.
+    The model has device k send x_k = sigma_k s_k toward the target
+    g_k = sigma_k^2 s_k (gradient minus its mean), s_k standardized and
+    independent across devices. The uplink of airpfl.aircomp sends s_k
+    toward sigma_k s_k, so the two agree only where sigma is near 1.
     """
+    sigmas = np.asarray(sigmas, dtype=float)
+    return sigmas**2, sigmas**3, sigmas**4
+
+
+def _error_terms(powers, gains, sigmas, noise_var, cluster_of):
+    """num and cross (T, M) of conditional_mse, and the (M, K) cluster membership."""
+    second, mixed, _ = symbol_moments(sigmas)
     own = membership(cluster_of, gains.shape[1])
-    num = np.matmul(gains**2, (powers * sigmas**2)[..., None])[..., 0] + noise_var / 2.0
-    cross = np.einsum("tk,tmk->tm", np.sqrt(powers) * sigmas**3, np.where(own, gains, 0.0))
+    num = np.matmul(gains**2, (powers * second)[..., None])[..., 0] + noise_var / 2.0
+    cross = np.einsum("tk,tmk->tm", np.sqrt(powers) * mixed, np.where(own, gains, 0.0))
     return num, cross, own
 
 
@@ -101,27 +109,26 @@ def conditional_mse(
     model_dim: int,
     cluster_of: np.ndarray,
 ) -> np.ndarray:
-    """Closed-form MSE of every cluster's estimate given realized gains.
+    """Expected squared error of every cluster's estimate given realized gains.
 
     powers and sigmas have shape (T, K), denoisers (T, M) and gains
-    (T, M, K); returns (T, M). Treats the standardized gradients as
-    zero-mean vectors with per-entry variance sigma_k^2 and the
-    extracted real noise with per-entry variance noise_var / 2:
+    (T, M, K); returns (T, M). It is the error of the symbol_moments
+    model (second, mixed, fourth), with real noise of per-entry variance
+    noise_var / 2:
 
-        D * (num_m / lambda_m^2 - 2 cross_m / (|cluster m| lambda_m)
-             + sum_{k in m} sigma_k^4 / |cluster m|^2),
+        D * (num_m / lambda_m^2 - 2 cross_m / (|cluster m| lambda_m) + floor_m),
 
-    with num_m = sum_k p_k h_{m,k}^2 sigma_k^2 + noise_var / 2 and
-    cross_m = sum_{k in m} sqrt(p_k) h_{m,k} sigma_k^3. An infinite
-    denoiser yields the signal-free floor (last term); a non-positive
-    one raises ValueError. A cluster without devices has zero cross
-    and floor terms, so its MSE under the infinite denoiser is 0.
+    with num_m = sum_k p_k h_{m,k}^2 second_k + noise_var / 2, cross_m =
+    sum_{k in m} sqrt(p_k) h_{m,k} mixed_k and floor_m = sum_{k in m}
+    fourth_k / |cluster m|^2. An infinite denoiser yields the floor, a
+    non-positive one ValueError. A cluster without devices has zero
+    cross and floor terms, so its MSE under the infinite denoiser is 0.
     """
     if not (denoisers > 0).all():
         raise ValueError(f"denoisers must be positive, got {denoisers!r}")
     num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
     sizes = np.maximum(own.sum(axis=1), 1)  # an empty cluster's sums are 0
-    floor = sigmas**4 @ own.T / sizes**2
+    floor = symbol_moments(sigmas)[2] @ own.T / sizes**2
     inv = 1.0 / denoisers
     return model_dim * (num * inv**2 - 2.0 * cross / sizes * inv + floor)
 

@@ -303,9 +303,8 @@ def run_training(
     """Run one federated training job under the given uplink scheme.
 
     tasks must be shaped for cfg's devices and model (ValueError
-    otherwise). rounds must be an integer >= 1 (ConfigError otherwise).
-    eta may be a number or a length-rounds sequence of numbers; every
-    learning rate must be a finite number > 0 (ConfigError otherwise).
+    otherwise). rounds must be an integer >= 1 and the learning rate eta
+    a finite number > 0 (ConfigError otherwise).
     All randomness is derived from cfg.master_seed and the round
     counter. Each round draws its gains with draw_gains, for its
     scheme's phase key alone, and its noise, from round substreams that
@@ -324,12 +323,9 @@ def run_training(
     shape = tasks.targets.shape
     if len(shape) != 2 or shape[0] != K or tasks.features.shape != (*shape, D):
         raise ValueError(f"tasks need (K={K}, n, D={D}) features and (K, n) targets")
-    per_round = eta if np.ndim(eta) else [eta] * rounds
-    etas = np.array([as_number("learning rate", e) for e in per_round])
-    if etas.shape != (rounds,):
-        raise ValueError(f"eta must be scalar or length {rounds}")
-    if not np.all(np.isfinite(etas) & (etas > 0)):
-        raise ConfigError(f"every learning rate must be a finite number > 0, got eta={eta!r}")
+    eta = as_number("learning rate", eta)
+    if not 0 < eta < np.inf:
+        raise ConfigError(f"learning rate must be a finite number > 0, got {eta!r}")
 
     beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
     weights = np.zeros((M, D))
@@ -356,7 +352,7 @@ def run_training(
             )
             nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
-        weights = weights - etas[t] * g_hat[0]
+        weights = weights - eta * g_hat[0]
         if not np.all(np.isfinite(weights)):
             raise RuntimeError(
                 f"training diverged at round {t} under scheme {scheme.name!r} "

@@ -6,15 +6,16 @@ leaves, up to a constant, a sum of ratios in q = sqrt(p):
     maximize  sum_m max(q^T b_m, 0)^2 / (q^T diag(a_m) q + c_m)
     subject to 0 <= q_k <= sqrt(P_k),
 
-with a_m[k] = |cluster m|^2 * h_{m,k}^2 * sigma_k^2,
-b_m[k] = h_{m,k} * sigma_k^3 on cluster m's support (0 elsewhere), and
-c_m = |cluster m|^2 * noise_var / 2, for T trials at once. Each ratio
-is the error reduction, per model coordinate, that the adaptive
-denoiser recovers below cluster m's signal-free floor. A cluster whose
-own signal q^T b_m is negative gets the infinite denoiser and recovers
-nothing, so it scores zero. The problem is non-convex, so the solver
-runs the quadratic transform of Shen & Yu (IEEE TSP 2018) from several
-starts per trial and keeps the best.
+with a_m[k] = |cluster m|^2 * h_{m,k}^2 * E[x_k^2],
+b_m[k] = h_{m,k} * E[x_k g_k] on cluster m's support (0 elsewhere), and
+c_m = |cluster m|^2 * noise_var / 2, for T trials at once, the moments
+being those of `control.symbol_moments`. Each ratio is the error
+reduction, per model coordinate, that the adaptive denoiser recovers
+below cluster m's signal-free floor. A cluster whose own signal q^T b_m
+is negative gets the infinite denoiser and recovers nothing, so it
+scores zero. The problem is non-convex, so the solver runs the
+quadratic transform of Shen & Yu (IEEE TSP 2018) from several starts
+per trial and keeps the best.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import symbol_moments
 from .seeding import rng_from_seed
 from .sysmodel import ConfigError, membership
 
@@ -76,11 +78,11 @@ def assemble_ratio_problem(
 ) -> RatioProblem:
     """Build the T ratio programs from realized (T, M, K) gains and (T, K) stds."""
     gains = np.asarray(gains, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
+    second, mixed, _ = symbol_moments(sigmas)
     own = membership(cluster_of, gains.shape[1])
     sizes = own.sum(axis=1)
-    a_diag = (sizes**2)[:, None] * gains**2 * (sigmas**2)[:, None, :]
-    b = np.where(own, gains * (sigmas**3)[:, None, :], 0.0)
+    a_diag = (sizes**2)[:, None] * gains**2 * second[:, None, :]
+    b = np.where(own, gains * mixed[:, None, :], 0.0)
     c = sizes**2 * noise_var / 2.0
     return RatioProblem(
         a_diag=a_diag, b=b, c=c, bounds=np.sqrt(np.asarray(max_power, dtype=float))

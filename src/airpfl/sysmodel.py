@@ -159,6 +159,8 @@ def config_from_json(text: str) -> SystemConfig:
     Keys that are not parameters of make_config are ignored.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a system config must be a JSON object, got {doc!r}")
     params = inspect.signature(make_config).parameters
     missing = [name for name, p in params.items() if p.default is p.empty and name not in doc]
     if missing:

@@ -83,6 +83,23 @@ def test_invalid_config_values_exit_2(tmp_path, system_doc):
 
 
 @pytest.mark.parametrize(
+    "command, document",
+    [(c, d) for c in ("verify-elimination", "train", "nmse-sweep", "power-opt")
+     for d in ("5", "null", "[1, 2]", '"config"')]
+    + [("nmse-sweep", f'{{"system": {d}}}') for d in ("5", "null", "[1, 2]")],
+)
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, command, document):
+    # These once stopped inside the config reader with exit 1 and a
+    # bare "airpfl: error: argument of type 'int' is not iterable".
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    assert cli_main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "bad config" in captured.err and "JSON object" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("num_ris_elements", "16"), ("model_dim", 4.9), ("master_seed", 3.7),
      ("num_ris_elements", True), ("cluster_of", [0, 0, 0.5, 1, 1, 1]),

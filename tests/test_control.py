@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from airpfl.aircomp import cluster_average
-from airpfl.channel import all_cascaded_gains
+from airpfl.aircomp import (
+    cluster_average,
+    estimate_cluster_gradient,
+    normalize_gradient,
+    uplink,
+)
+from airpfl.channel import all_cascaded_gains, large_scale_coefficients
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
+from airpfl.flsim import draw_gains
+from airpfl.sysmodel import make_config, place_geometry
 from full_channel import aligned, channel_set, draw_full
 
 # pi * 8 * sqrt(2) * 0.25 / 4, evaluated with mpmath at 40 digits.
@@ -289,6 +296,62 @@ def test_conditional_mse_matches_error_model_simulation():
                 powers, np.array([lam_t, 1.0]), gains, sigmas, noise_var, D, cluster_of
             )[0]
             assert abs(mc - closed) <= 3 * se
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [
+        pytest.param(np.ones(8), id="unit-std"),
+        pytest.param(
+            np.logspace(-3, 0, 8),
+            id="three-decade-std",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: the error model of control.symbol_moments takes "
+                "symbols of variance sigma^2, while the uplink sends unit-variance ones",
+            ),
+        ),
+    ],
+)
+def test_conditional_mse_matches_the_implemented_uplink(scales):
+    # The mmse pipeline as training runs it: normalize_gradient ->
+    # adaptive_denoisers -> uplink -> estimate_cluster_gradient, on
+    # draw_gains gains. Device k's gradient is a random mean plus
+    # scales[k] times a standardized random direction, so its reported
+    # std is scales[k]. Given the gains and stds, every trial's squared
+    # error has expectation conditional_mse, so each cluster's mean
+    # difference over the trials must lie within 4 of its standard
+    # errors (two-sided false-alarm rate 6e-5 per cluster).
+    K, M, N, D, T = 8, 2, 16, 32, 400
+    cfg = make_config(
+        num_devices=K, num_clusters=M, num_ris_elements=N, model_dim=D,
+        cluster_of=np.repeat(np.arange(M), K // M), max_power=1.0, noise_var=1e-2,
+        master_seed=3,
+    )
+    beta = large_scale_coefficients(place_geometry(cfg, 3), cfg.pathloss_exponent)
+    rng = np.random.default_rng(3)
+    key = ("aligned", None)
+    gains = draw_gains(rng, None, T, cfg.cluster_of, beta, [N], [key])[N, key]
+    direction = rng.standard_normal((T, K, D))
+    direction -= direction.mean(axis=2, keepdims=True)
+    direction /= direction.std(axis=2, keepdims=True)
+    grads = rng.standard_normal((T, K, 1)) + scales[:, None] * direction
+
+    normalized = normalize_gradient(grads)
+    sigmas = normalized.std
+    design = unbiased_design(beta, sigmas, cfg.max_power, D, N, cfg.cluster_of)
+    lam = adaptive_denoisers(
+        design.powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, design.denoisers
+    )
+    received = uplink(gains, design.powers, normalized, cfg.noise_var,
+                      rng.standard_normal((T, M, D)))
+    estimate = estimate_cluster_gradient(received, lam, normalized.mean, cfg.cluster_of)
+    realized = np.sum((estimate - cluster_average(grads, cfg.cluster_of, M)) ** 2, axis=2)
+    predicted = conditional_mse(
+        design.powers, lam, gains, sigmas, cfg.noise_var, D, cfg.cluster_of
+    )
+    diff = realized - predicted
+    assert np.all(np.abs(diff.mean(axis=0)) <= 4 * diff.std(axis=0, ddof=1) / np.sqrt(T))
 
 
 def test_adaptive_denoisers_follow_closed_form():

@@ -229,6 +229,12 @@ def test_json_missing_field_raises():
         config_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"config"'])
+def test_json_that_is_not_an_object_raises(text):
+    with pytest.raises(ConfigError, match="JSON object"):
+        config_from_json(text)
+
+
 def test_json_defaults_fill_in():
     doc = {
         "num_devices": 3,
