@@ -14,11 +14,9 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import flsim, harness
 from .powopt import RatioProblem, solve_projected_ascent
-from .sysmodel import ConfigError, as_seed, config_from_json, place_geometry
+from .sysmodel import ConfigError, as_array, as_number, as_seed, config_from_json, place_geometry
 
 
 def _scheme(text: str) -> flsim.Scheme:
@@ -41,17 +39,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--out", default=None)
+    p_sweep.set_defaults(run=_cmd_sweep)
 
     p_ver = sub.add_parser("verify-elimination", help="check statistical interference elimination")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--trials", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=None)
+    p_ver.set_defaults(run=_cmd_verify)
 
     p_pow = sub.add_parser("power-opt", help="solve a sum-of-ratios power control instance")
     p_pow.add_argument("--config", required=True)
     p_pow.add_argument("--seed", type=int, default=0)
     p_pow.add_argument("--out", default=None)
+    p_pow.set_defaults(run=_cmd_power)
 
     p_train = sub.add_parser("train", help="run federated training")
     p_train.add_argument("--config", required=True)
@@ -60,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--eta", type=float, default=flsim.DEFAULT_LEARNING_RATE)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", default=None)
+    p_train.set_defaults(run=_cmd_train)
 
     return parser
 
@@ -80,16 +82,7 @@ def cli_main(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command == "nmse-sweep":
-            return _cmd_sweep(args)
-        if args.command == "verify-elimination":
-            return _cmd_verify(args)
-        if args.command == "power-opt":
-            return _cmd_power(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        print(f"unknown subcommand {args.command!r}", file=sys.stderr)
-        return 2
+        return args.run(args)
     except (ConfigError, json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
         print(f"airpfl: bad config: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -145,12 +138,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_power(args) -> int:
     doc = _load_json(args.config)
-    prob = RatioProblem(
-        a_diag=_numeric_array(doc, "A")[None],
-        b=_numeric_array(doc, "b")[None],
-        c=_numeric_array(doc, "c"),
-        bounds=_numeric_array(doc, "bounds"),
+    a, b, c, bounds = (
+        as_array(f"power problem {key}", doc[key], as_number) for key in ("A", "b", "c", "bounds")
     )
+    prob = RatioProblem(a_diag=a[None], b=b[None], c=c, bounds=bounds)
     sol = solve_projected_ascent(prob, [as_seed("seed", args.seed)])
     payload = {
         "q": [float(v) for v in sol.q[0]],
@@ -166,14 +157,6 @@ def _cmd_power(args) -> int:
         f"iterations={sol.iterations}, seed={args.seed}"
     )
     return 0
-
-
-def _numeric_array(doc: dict, key: str) -> np.ndarray:
-    """doc[key] as a float array; ConfigError if it is ragged or not numeric."""
-    try:
-        return np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"power problem {key!r} is not a numeric array: {exc}") from exc
 
 
 def _cmd_train(args) -> int:

@@ -46,6 +46,12 @@ def as_seed(name, value) -> int:
     return seed
 
 
+def as_array(name, value, convert) -> np.ndarray:
+    """value as an array of convert(entry) (as_integer or as_number) for every entry."""
+    array = np.array(value, dtype=object)
+    return np.array([convert(f"{name} entry", v) for v in array.ravel()]).reshape(array.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Static description of one simulated deployment.
@@ -126,9 +132,11 @@ def make_config(
 
     Counts, cluster labels and the seed must be integers and the other
     fields numbers (bools and strings are neither); nothing is rounded.
+    Then every structural invariant is checked, and the first violation
+    raises ConfigError.
     """
     num_devices = as_integer("num_devices", num_devices)
-    power = _entries("max_power", max_power, as_number)
+    power = as_array("max_power", max_power, as_number)
     if power.ndim == 0 and num_devices > 0:
         power = np.full(num_devices, float(power))
     cfg = SystemConfig(
@@ -136,7 +144,7 @@ def make_config(
         num_clusters=as_integer("num_clusters", num_clusters),
         num_ris_elements=as_integer("num_ris_elements", num_ris_elements),
         model_dim=as_integer("model_dim", model_dim),
-        cluster_of=_entries("cluster_of", cluster_of, as_integer),
+        cluster_of=as_array("cluster_of", cluster_of, as_integer),
         max_power=power,
         noise_var=as_number("noise_var", noise_var),
         pathloss_exponent=as_number("pathloss_exponent", pathloss_exponent),
@@ -144,35 +152,9 @@ def make_config(
         device_disk_radius=as_number("device_disk_radius", device_disk_radius),
         master_seed=as_seed("master_seed", master_seed),
     )
-    return validate_config(cfg)
-
-
-def _entries(name, value, convert) -> np.ndarray:
-    """value as an array of convert(entry) (as_integer or as_number) for every entry."""
-    array = np.array(value, dtype=object)
-    return np.array([convert(f"{name} entry", v) for v in array.ravel()]).reshape(array.shape)
-
-
-def config_from_json(text: str) -> SystemConfig:
-    """make_config of a JSON object; its parameters without a default are required.
-
-    Keys that are not parameters of make_config are ignored.
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"a system config must be a JSON object, got {doc!r}")
-    params = inspect.signature(make_config).parameters
-    missing = [name for name, p in params.items() if p.default is p.empty and name not in doc]
-    if missing:
-        raise ConfigError(f"config missing fields: {', '.join(missing)}")
-    return make_config(**{name: doc[name] for name in params if name in doc})
-
-
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Check every structural invariant; report the first violation."""
     for name in ("num_devices", "num_clusters", "num_ris_elements", "model_dim"):
         value = getattr(cfg, name)
-        if not isinstance(value, (int, np.integer)) or value < 1:
+        if value < 1:
             raise ConfigError(f"{name} must be a positive integer, got {value!r}")
     K, M = cfg.num_devices, cfg.num_clusters
     if cfg.cluster_of.shape != (K,):
@@ -197,8 +179,22 @@ def validate_config(cfg: SystemConfig) -> SystemConfig:
         raise ConfigError(f"ps_ris_distance must be > 0, got {cfg.ps_ris_distance!r}")
     if not np.isfinite(cfg.device_disk_radius) or cfg.device_disk_radius <= 0:
         raise ConfigError(f"device_disk_radius must be > 0, got {cfg.device_disk_radius!r}")
-    as_seed("master_seed", cfg.master_seed)
     return cfg
+
+
+def config_from_json(text: str) -> SystemConfig:
+    """make_config of a JSON object; its parameters without a default are required.
+
+    Keys that are not parameters of make_config are ignored.
+    """
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a system config must be a JSON object, got {doc!r}")
+    params = inspect.signature(make_config).parameters
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in doc]
+    if missing:
+        raise ConfigError(f"config missing fields: {', '.join(missing)}")
+    return make_config(**{name: doc[name] for name in params if name in doc})
 
 
 @dataclass(frozen=True)

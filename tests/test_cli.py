@@ -196,8 +196,10 @@ def test_power_opt_happy_path(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("c", [0.5, 0.7, 0.1]), ("A", [[1.0, -0.5], [0.2, 1.0]]), ("A", [[1.0, 0.5], [0.2]]),
-     ("bounds", ["one", 1.0])],
-    ids=["wrong-length-c", "negative-A", "ragged-A", "text-bounds"],
+     ("bounds", ["one", 1.0]), ("A", [["1.0", 0.5], [0.2, 1.0]]), ("bounds", [1.0, True]),
+     ("bounds", ["1", "1"])],
+    ids=["wrong-length-c", "negative-A", "ragged-A", "text-bounds", "numeric-text-A",
+         "boolean-bounds", "numeric-text-bounds"],
 )
 def test_power_opt_malformed_instance_exits_2(tmp_path, capsys, field, value):
     doc = {

@@ -101,7 +101,7 @@ def test_kernels_reject_out_of_range_labels(kernel):
 @pytest.mark.filterwarnings("error")
 def test_empty_cluster_is_a_vanished_signal_in_every_kernel():
     # Labels that leave cluster 1 without devices, which membership
-    # allows and validate_config does not: every kernel gives it the
+    # allows and make_config does not: every kernel gives it the
     # vanished-signal mode (zero power, +inf denoiser, zero average and
     # MSE terms), with no NaN and no warning.
     T, M, K, N, D = 2, 3, 3, 4, 3
