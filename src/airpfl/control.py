@@ -82,13 +82,13 @@ def unbiased_design(
 def symbol_moments(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(E[x^2], E[x g], E[g^2]), each (T, K): the MMSE error model's per-device moments.
 
-    The model has device k send x_k = sigma_k s_k toward the target
-    g_k = sigma_k^2 s_k (gradient minus its mean), s_k standardized and
-    independent across devices. The uplink of airpfl.aircomp sends s_k
-    toward sigma_k s_k, so the two agree only where sigma is near 1.
+    These are the moments of the uplink of airpfl.aircomp: device k sends
+    its standardized gradient x_k = s_k, unit-variance and independent
+    across devices, and the target is its deviation g_k = sigma_k s_k
+    (gradient minus its mean), so they are (1, sigma_k, sigma_k^2).
     """
     sigmas = np.asarray(sigmas, dtype=float)
-    return sigmas**2, sigmas**3, sigmas**4
+    return np.ones_like(sigmas), sigmas, sigmas**2
 
 
 def _error_terms(powers, gains, sigmas, noise_var, cluster_of):

@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from airpfl.aircomp import estimate_cluster_gradient, normalize_gradient, uplink
+from airpfl.aircomp import (
+    cluster_average,
+    estimate_cluster_gradient,
+    normalize_gradient,
+    uplink,
+)
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients
 from airpfl.cli import cli_main
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
@@ -200,6 +205,33 @@ def _cluster0_mse(powers, lams, gains, sigmas, noise_var, D, cluster_of):
     return mse[:, 0]
 
 
+def _cluster0_sq_error(rng, powers, lam, gains, sigmas, noise_var, D, cluster_of, draws):
+    """Cluster 0's squared error per draw (draws,) through the implemented uplink.
+
+    normalize_gradient -> uplink -> estimate_cluster_gradient, with
+    denoisers (lam, 1) and cluster 1's gain row constant. Device k's
+    gradient is a random mean plus sigmas[k] times a standardized random
+    direction, so it reports std sigmas[k], and the expected squared
+    error given the gains is conditional_mse.
+    """
+    K = powers.size
+    direction = rng.standard_normal((draws, K, D))
+    direction -= direction.mean(axis=2, keepdims=True)
+    direction /= direction.std(axis=2, keepdims=True)
+    grads = rng.standard_normal((draws, K, 1)) + sigmas[:, None] * direction
+    normalized = normalize_gradient(grads)
+    rows = np.broadcast_to(np.stack([gains, np.ones_like(gains)]), (draws, 2, K))
+    received = uplink(
+        rows, np.broadcast_to(powers, (draws, K)), normalized, noise_var,
+        rng.standard_normal((draws, 2, D)),
+    )
+    estimate = estimate_cluster_gradient(
+        received, np.broadcast_to([lam, 1.0], (draws, 2)), normalized.mean, cluster_of
+    )
+    truth = cluster_average(grads, cluster_of, 2)
+    return np.sum((estimate[:, 0] - truth[:, 0]) ** 2, axis=1)
+
+
 def test_criterion_3_denoiser_matches_numeric_minimum():
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -221,8 +253,8 @@ def test_criterion_3_denoiser_matches_numeric_minimum():
         worst = max(worst, abs(lam - res.x) / abs(res.x))
     form_ok = worst < 1e-6
 
-    # Noise-term adjudication: the simulated error must side with the
-    # implemented half-variance real-noise constant and reject the
+    # Noise-term adjudication: the error of the implemented uplink must
+    # side with the half-variance real-noise constant and reject the
     # full-variance alternative.
     half_ok = True
     full_rejected = True
@@ -231,17 +263,9 @@ def test_criterion_3_denoiser_matches_numeric_minimum():
         powers, gains, sigmas, _, cluster_of = _random_mse_instance(arng)
         noise_var = 2.0
         lam = _cluster0_denoiser(powers, gains, sigmas, noise_var, cluster_of)
-        own = cluster_of == 0
-        ell = np.sqrt(powers) * gains / lam
-        w = np.where(own, ell - sigmas / own.sum(), ell) * sigmas
         draws = 200_000
-        xi = arng.standard_normal((draws, 5))
-        z = (arng.standard_normal(draws) + 1j * arng.standard_normal(draws)) * np.sqrt(
-            noise_var / 2.0
-        )
-        err = xi @ w + z.real / lam
         D = 6
-        sq = D * err**2
+        sq = _cluster0_sq_error(arng, powers, lam, gains, sigmas, noise_var, D, cluster_of, draws)
         mc, se = sq.mean(), sq.std(ddof=1) / np.sqrt(draws)
         closed = _cluster0_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of)[0]
         alt = closed + D * (noise_var - noise_var / 2.0) / lam**2
@@ -272,16 +296,8 @@ def test_criterion_4_error_formula_matches_simulation():
         powers, gains, sigmas, noise_var, cluster_of = _random_mse_instance(rng)
         lam_star = _cluster0_denoiser(powers, gains, sigmas, noise_var, cluster_of)
         lam = lam_star if trial % 2 == 0 else float(rng.uniform(0.2, 5.0))
-        own = cluster_of == 0
-        ell = np.sqrt(powers) * gains / lam
-        w = np.where(own, ell - sigmas / own.sum(), ell) * sigmas
         draws = 100_000
-        xi = rng.standard_normal((draws, 5))
-        z = (rng.standard_normal(draws) + 1j * rng.standard_normal(draws)) * np.sqrt(
-            noise_var / 2.0
-        )
-        err = xi @ w + z.real / lam
-        sq = D * err**2
+        sq = _cluster0_sq_error(rng, powers, lam, gains, sigmas, noise_var, D, cluster_of, draws)
         mc, se = sq.mean(), sq.std(ddof=1) / np.sqrt(draws)
         closed = _cluster0_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of)[0]
         gap = abs(mc - closed) / se

@@ -13,6 +13,7 @@ from airpfl.aircomp import (
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import draw_gains
+from airpfl.powopt import assemble_ratio_problem, solve_projected_ascent
 from airpfl.sysmodel import make_config, place_geometry
 from full_channel import aligned, channel_set, draw_full
 
@@ -210,7 +211,7 @@ def test_conditional_mse_exact_link_is_zero():
 def test_conditional_mse_infinite_denoiser_hits_floor():
     sigmas = np.array([1.0, 2.0, 0.5])
     cluster_of = np.array([0, 0, 1])
-    floor = np.sum(sigmas[:2] ** 4) * 6 / 4
+    floor = np.sum(sigmas[:2] ** 2) * 6 / 4
     gains = np.array([[0.3, -0.2, 1.0], [1.0, 1.0, 1.0]])
     mse = _mse(np.ones(3), np.array([np.inf, 1.0]), gains, sigmas, 0.7, 6, cluster_of)
     assert mse[0] == pytest.approx(floor, rel=1e-14)
@@ -267,7 +268,7 @@ def test_mmse_denoiser_is_the_conditional_minimizer():
 
 
 def test_conditional_mse_matches_error_model_simulation():
-    # Draw standardized gradients with per-entry variance sigma_k^2 and
+    # Draw unit-variance symbols (what normalize_gradient sends) and
     # real extracted noise with variance noise_var / 2, form the
     # estimation error directly, and compare its mean square against
     # the closed form.
@@ -281,9 +282,9 @@ def test_conditional_mse_matches_error_model_simulation():
             lam_t = lam * factor
             ell = np.sqrt(powers) * gains[0] / lam_t
             own = cluster_of == 0
-            # Own-cluster weight per unit standard draw is
-            # ell*sigma - sigma^2 / cluster size.
-            w = np.where(own, ell - sigmas / own.sum(), ell) * sigmas
+            # Own-cluster weight per unit symbol is ell - sigma / cluster
+            # size: the target deviation is sigma times the symbol.
+            w = np.where(own, ell - sigmas / own.sum(), ell)
             draws = 200000
             xi = rng.standard_normal((draws, len(powers)))
             err = xi @ w + rng.standard_normal(draws) * np.sqrt(
@@ -299,29 +300,24 @@ def test_conditional_mse_matches_error_model_simulation():
 
 
 @pytest.mark.parametrize(
-    "scales",
+    "scales, powopt",
     [
-        pytest.param(np.ones(8), id="unit-std"),
-        pytest.param(
-            np.logspace(-3, 0, 8),
-            id="three-decade-std",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 1: the error model of control.symbol_moments takes "
-                "symbols of variance sigma^2, while the uplink sends unit-variance ones",
-            ),
-        ),
+        pytest.param(np.ones(8), False, id="unit-std"),
+        pytest.param(np.logspace(-3, 0, 8), False, id="three-decade-std"),
+        pytest.param(np.ones(8), True, id="unit-std-mmse+powopt"),
+        pytest.param(np.logspace(-3, 0, 8), True, id="three-decade-std-mmse+powopt"),
     ],
 )
-def test_conditional_mse_matches_the_implemented_uplink(scales):
-    # The mmse pipeline as training runs it: normalize_gradient ->
-    # adaptive_denoisers -> uplink -> estimate_cluster_gradient, on
-    # draw_gains gains. Device k's gradient is a random mean plus
-    # scales[k] times a standardized random direction, so its reported
-    # std is scales[k]. Given the gains and stds, every trial's squared
-    # error has expectation conditional_mse, so each cluster's mean
-    # difference over the trials must lie within 4 of its standard
-    # errors (two-sided false-alarm rate 6e-5 per cluster).
+def test_conditional_mse_matches_the_implemented_uplink(scales, powopt):
+    # The mmse and mmse+powopt pipelines as training runs them:
+    # normalize_gradient -> (solve_projected_ascent powers, with the
+    # infinite fallback) -> adaptive_denoisers -> uplink ->
+    # estimate_cluster_gradient, on draw_gains gains. Device k's gradient
+    # is a random mean plus scales[k] times a standardized random
+    # direction, so its reported std is scales[k]. Given the gains and
+    # stds, every trial's squared error has expectation conditional_mse,
+    # so each cluster's mean difference over the trials must lie within 4
+    # of its standard errors (two-sided false-alarm rate 6e-5 per cluster).
     K, M, N, D, T = 8, 2, 16, 32, 400
     cfg = make_config(
         num_devices=K, num_clusters=M, num_ris_elements=N, model_dim=D,
@@ -340,16 +336,16 @@ def test_conditional_mse_matches_the_implemented_uplink(scales):
     normalized = normalize_gradient(grads)
     sigmas = normalized.std
     design = unbiased_design(beta, sigmas, cfg.max_power, D, N, cfg.cluster_of)
-    lam = adaptive_denoisers(
-        design.powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, design.denoisers
-    )
-    received = uplink(gains, design.powers, normalized, cfg.noise_var,
-                      rng.standard_normal((T, M, D)))
+    powers, fallback = design.powers, design.denoisers
+    if powopt:
+        prob = assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
+        powers = solve_projected_ascent(prob, range(T)).q ** 2
+        fallback = np.full_like(fallback, np.inf)
+    lam = adaptive_denoisers(powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, fallback)
+    received = uplink(gains, powers, normalized, cfg.noise_var, rng.standard_normal((T, M, D)))
     estimate = estimate_cluster_gradient(received, lam, normalized.mean, cfg.cluster_of)
     realized = np.sum((estimate - cluster_average(grads, cfg.cluster_of, M)) ** 2, axis=2)
-    predicted = conditional_mse(
-        design.powers, lam, gains, sigmas, cfg.noise_var, D, cfg.cluster_of
-    )
+    predicted = conditional_mse(powers, lam, gains, sigmas, cfg.noise_var, D, cfg.cluster_of)
     diff = realized - predicted
     assert np.all(np.abs(diff.mean(axis=0)) <= 4 * diff.std(axis=0, ddof=1) / np.sqrt(T))
 
@@ -362,11 +358,11 @@ def test_adaptive_denoisers_follow_closed_form():
     lam = adaptive_denoisers(powers[None], gains[None], sigmas[None], noise_var, cluster_of,
                              fallback)[0]
     for m in range(2):
-        # lambda_m = |m| (sum_k p_k h_k^2 sigma_k^2 + noise_var / 2)
-        #            / sum_{k in m} sqrt(p_k) h_k sigma_k^3, term by term.
+        # lambda_m = |m| (sum_k p_k h_k^2 + noise_var / 2)
+        #            / sum_{k in m} sqrt(p_k) h_k sigma_k, term by term.
         own = np.flatnonzero(cluster_of == m)
-        num = sum(powers[k] * gains[m, k] ** 2 * sigmas[k] ** 2 for k in range(5))
-        den = sum(np.sqrt(powers[k]) * gains[m, k] * sigmas[k] ** 3 for k in own)
+        num = sum(powers[k] * gains[m, k] ** 2 for k in range(5))
+        den = sum(np.sqrt(powers[k]) * gains[m, k] * sigmas[k] for k in own)
         assert lam[m] == pytest.approx(own.size * (num + noise_var / 2) / den, rel=1e-14)
 
 
@@ -429,9 +425,9 @@ def _per_cluster_reference(beta, sigmas, max_power, model_dim, num_elements, clu
         p = (sigmas[:, idx] / beta[m, idx]) ** 2 * scale[:, None] ** 2
         powers[:, idx] = np.minimum(p, max_power[idx])
         denoisers[:, m] = np.pi * num_elements * np.sqrt(idx.size) * zeta / 4.0
-    num = (powers[:, None, :] * gains**2 * sigmas[:, None, :] ** 2).sum(axis=2) + 1e-3 / 2.0
+    num = (powers[:, None, :] * gains**2).sum(axis=2) + 1e-3 / 2.0
     cross = np.stack(
-        [(np.sqrt(powers[:, idx]) * gains[:, m, idx] * sigmas[:, idx] ** 3).sum(axis=1)
+        [(np.sqrt(powers[:, idx]) * gains[:, m, idx] * sigmas[:, idx]).sum(axis=1)
          for m, idx in enumerate(members)], axis=1
     )
     sizes = np.array([idx.size for idx in members])
@@ -468,7 +464,7 @@ def test_masked_kernels_match_per_cluster_loops():
     live = np.isfinite(denoisers)
     lam = np.where(live, denoisers, 1.0)
     mse = conditional_mse(powers, lam, gains, sigmas, 1e-3, D, cluster_of)
-    floor = average(sigmas**4) / sizes
+    floor = average(sigmas**2) / sizes
     expected = D * (num / lam**2 - 2.0 * cross / (sizes * lam) + floor)
     assert np.allclose(mse, expected, rtol=tol, atol=0)
     fallback = np.full((T, M), 7.0)

@@ -189,10 +189,10 @@ def test_training_bytes_are_pinned(tmp_path):
     pinned = {
         "ideal": "55ecf102066a0fa8a4a3b016a59202ce9dd15a3a2e413daae1e16ead2acdf179",
         "unbiased": "5bd147821883361f4ee44725c90b8a9c1965119b55a9fdb60e6dc010bec03700",
-        "mmse": "014750d99586cfb8c29aaca763971077bd8f138006ba3ec06a5dd5113bedb9bf",
-        "mmse+powopt": "88aea617adb770ffa643e89af14c90167966cc4d2e741ea3fdd6ece5a4bff784",
-        "random-phase": "b6c8580e8c8bb85c4734304e6043edd2aa5a744a8d529687baa9bed077483489",
-        "mmse-1bit": "fec3d873d229f541c8a8166701df48392366abee5834e2af3eb93f62d2d4bca6",
+        "mmse": "e580bdc5a4203fe92f8a0139e3f8b92f72d65bc7c141c836ccc3c32e542e44d7",
+        "mmse+powopt": "deec373780e60943389bdb70cfdd384dfa871c4ba26fb0881a2c4ffb1f44ef49",
+        "random-phase": "3dee705b952fb4c9f5a9b4632cf089521851bc60eecfb3ecf3f8b86400f2476b",
+        "mmse-1bit": "005abbeab70dcb21aecf9d895ed34fdf94a1af299777935845c43db38d670d80",
     }
     digests = {}
     for scheme in pinned:

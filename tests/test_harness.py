@@ -408,7 +408,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "e92b931525b4669235cc7f24a6b34b5319fb875167a11eb84d43cc26f5f75cd9"
+        "0e7d346d1f7a2a63b94a3fe6c77c170a958241732e050b2dbe3ac61834fbbdc4"
     )
 
 
@@ -425,7 +425,7 @@ def test_nested_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "fa418164c1562ec0b8d7990abce216ef305a33dc8ccb70553fbb4ab94af60aec"
+        "1547a4210d9d1b9011e2ed01b611c7a6075ad438c5b539f482fd6854391059ab"
     )
 
 

@@ -59,10 +59,11 @@ def test_assemble_structure():
     prob = assemble_ratio_problem(gains, sigmas, noise_var, cluster_of, max_power)
     assert prob.a_diag.shape == prob.b.shape == (2, 2, 3)
     for t in range(2):
-        assert np.allclose(prob.a_diag[t, 0], 4 * gains[t, 0] ** 2 * sigmas[t] ** 2)
-        assert np.allclose(prob.a_diag[t, 1], 1 * gains[t, 1] ** 2 * sigmas[t] ** 2)
-        assert np.allclose(prob.b[t, 0, :2], gains[t, 0, :2] * sigmas[t, :2] ** 3)
-        assert np.allclose(prob.b[t, 1, 2], gains[t, 1, 2] * sigmas[t, 2] ** 3)
+        # Unit-variance symbols: a_m = |m|^2 h^2 and b_m = h sigma on cluster m.
+        assert np.allclose(prob.a_diag[t, 0], 4 * gains[t, 0] ** 2)
+        assert np.allclose(prob.a_diag[t, 1], 1 * gains[t, 1] ** 2)
+        assert np.allclose(prob.b[t, 0, :2], gains[t, 0, :2] * sigmas[t, :2])
+        assert np.allclose(prob.b[t, 1, 2], gains[t, 1, 2] * sigmas[t, 2])
         assert prob.b[t, 0, 2] == 0.0  # cross-cluster devices carry no signal term
         assert np.all(prob.b[t, 1, :2] == 0.0)
     assert prob.c[0] == pytest.approx(4 * noise_var / 2)
@@ -136,7 +137,7 @@ def test_objective_equals_recovered_error_reduction():
         assert lam[1, 0] == np.inf and lam[2, 1] == np.inf
         mse = conditional_mse(powers, lam, gains, sigmas, noise_var, D, cluster_of)
         floor = sum(
-            np.sum(sigmas[0, own] ** 4) * D / own.size**2
+            np.sum(sigmas[0, own] ** 2) * D / own.size**2
             for own in (np.flatnonzero(cluster_of == m) for m in range(2))
         )
         assert mse.sum(axis=1) == pytest.approx(floor - D * objective(prob, q), rel=1e-12)
