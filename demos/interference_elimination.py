@@ -39,10 +39,10 @@ def main():
         noise_var=1e-10,
         master_seed=21,
     )
-    aligned = verify_elimination(cfg, trials=20_000, seed=21)
+    aligned = verify_elimination(cfg, trials=20_000)
     show(aligned, "aligned phases: own-cluster means hit beta*pi*N/(4*sqrt(|cluster|))")
 
-    random = verify_elimination(cfg, trials=20_000, seed=21, phases="random")
+    random = verify_elimination(cfg, trials=20_000, phases="random")
     show(random, "random phases: every mean collapses to zero, signal included")
 
 

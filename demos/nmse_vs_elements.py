@@ -24,7 +24,7 @@ TRIALS = 300
 
 def main():
     cfg = desk_scale_config(master_seed=7)
-    res = nmse_sweep(cfg, SCHEMES, N_VALUES, [P_MAX], trials=TRIALS, seed=7)
+    res = nmse_sweep(cfg, SCHEMES, N_VALUES, [P_MAX], trials=TRIALS)
 
     header = "".join(f"{s:>14}" for s in SCHEMES)
     print(f"NMSE vs surface size (P_max = {P_MAX}, {TRIALS} trials)\n")

@@ -91,9 +91,9 @@ def uplink(
 
 
 def cluster_average(x: np.ndarray, cluster_of: np.ndarray, num_clusters: int) -> np.ndarray:
-    """Average of x (T, K, ...) over each cluster's devices, shape (T, M, ...); 0 for no devices."""
+    """Average of x (T, K, ...) over each cluster's devices, shape (T, M, ...)."""
     own = membership(cluster_of, num_clusters)
-    return np.einsum("mk,tk...->tm...", own / np.maximum(own.sum(axis=1, keepdims=True), 1), x)
+    return np.einsum("mk,tk...->tm...", own / own.sum(axis=1, keepdims=True), x)
 
 
 def estimate_cluster_gradient(

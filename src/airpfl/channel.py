@@ -249,7 +249,7 @@ def sample_small_scale(
     if not all(np.iscomplexobj(p) for p in configs):
         raise ValueError("phases must be complex unit phasors e^{-j theta}, not real angles")
     residuals = rng.standard_normal((len(sizes), T, M, M, K))
-    for i in np.flatnonzero(counts):
+    for i in range(M):
         surface = residuals[:, :, i]  # a view: (B, T, M, K)
         centred = surface[..., own[i]]
         surface[..., own[i]] = centred - centred.mean(axis=-1, keepdims=True)
@@ -404,6 +404,6 @@ def cascaded_components(ch: ChannelSet, beta: np.ndarray, config: int) -> np.nda
         raise ValueError("gain kernels take the index of a configuration drawn with the "
                          f"channel, not phases or phasors; got {type(config).__name__}")
     own = membership(ch.cluster_of, ch.num_surfaces)
-    share = beta * own / np.maximum(own.sum(axis=1, keepdims=True), 1)  # (M, K)
+    share = beta * own / own.sum(axis=1, keepdims=True)  # (M, K)
     summed = ch.summed_terms[config][..., None]  # (T, M, M_ant, 1)
     return beta[None, :, None, :] * ch.drawn_terms + summed * share[:, None, :]

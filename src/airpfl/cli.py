@@ -2,9 +2,10 @@
 
 Subcommands: nmse-sweep, verify-elimination, power-opt, train. Each
 reads a JSON config, honors --seed and --out, prints a one-line
-summary, and exits 0 on success. Usage problems and malformed configs
-exit 2; runtime failures exit 1. Identical invocations produce
-byte-identical outputs.
+summary, and exits 0 on success. For every command but power-opt,
+which has no system config, --seed replaces the config's master_seed.
+Usage problems and malformed configs exit 2; runtime failures exit 1.
+Identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -94,21 +95,25 @@ def cli_main(argv: list[str]) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    cfg = config_from_json(json.dumps(doc["system"]))
+    cfg = _seeded(config_from_json(json.dumps(doc["system"])), args)
     schemes = _list_field(doc, "schemes", harness.SWEEP_SCHEMES)
     n_values = _list_field(doc, "n_values", harness.DESK_N_VALUES)
     p_values = _list_field(doc, "p_values", harness.DESK_P_VALUES)
     trials = doc.get("trials", harness.DESK_TRIALS)
-    seed = cfg.master_seed if args.seed is None else args.seed
-    result = harness.nmse_sweep(cfg, schemes, n_values, p_values, trials, seed)
+    result = harness.nmse_sweep(cfg, schemes, n_values, p_values, trials)
     if args.out:
         harness.export_csv(result, args.out)
     print(
         f"nmse-sweep: {len(result.cells)} cells "
         f"({len(schemes)} schemes x {len(n_values)} N x {len(p_values)} P), "
-        f"trials={trials}, seed={seed}, config={result.config_digest}"
+        f"trials={trials}, seed={cfg.master_seed}, config={result.config_digest}"
     )
     return 0
+
+
+def _seeded(cfg, args):
+    """cfg with --seed, when given, as its master_seed: the one seed of the run."""
+    return cfg if args.seed is None else cfg.replace(master_seed=args.seed)
 
 
 def _list_field(doc: dict, key: str, default) -> list:
@@ -120,9 +125,8 @@ def _list_field(doc: dict, key: str, default) -> list:
 
 
 def _cmd_verify(args) -> int:
-    cfg = config_from_json(json.dumps(_load_json(args.config)))
-    seed = cfg.master_seed if args.seed is None else args.seed
-    report = harness.verify_elimination(cfg, args.trials, seed)
+    cfg = _seeded(config_from_json(json.dumps(_load_json(args.config))), args)
+    report = harness.verify_elimination(cfg, args.trials)
     if args.out:
         harness.export_csv(report, args.out)
     npass = sum(r.passed for r in report.rows)
@@ -131,7 +135,7 @@ def _cmd_verify(args) -> int:
         f"verify-elimination: {npass}/{len(report.rows)} pair checks passed, "
         f"{cpass}/{len(report.corrections)} correction checks passed "
         f"(Holm, alpha={report.alpha:g}, smallest adjusted p={report.family_p:.3g}), "
-        f"trials={report.trials}, N={report.num_elements}, seed={seed}"
+        f"trials={report.trials}, N={report.num_elements}, seed={cfg.master_seed}"
     )
     return 0 if report.all_pass else 1
 
@@ -161,9 +165,8 @@ def _cmd_power(args) -> int:
 
 def _cmd_train(args) -> int:
     doc = _load_json(args.config)
-    cfg = config_from_json(json.dumps(doc))
-    seed = cfg.master_seed if args.seed is None else args.seed
-    cfg = cfg.replace(master_seed=seed)
+    cfg = _seeded(config_from_json(json.dumps(doc)), args)
+    seed = cfg.master_seed
     geometry = place_geometry(cfg, seed)
     tasks, _ = flsim.synth_clustered_tasks(
         cfg,

@@ -51,10 +51,9 @@ def unbiased_design(
     (so the weakest device runs at its full per-symbol budget P_k / D),
     and the denoiser is lambda_m = pi * N * sqrt(|cluster m|) * zeta_m / 4.
     Devices reporting sigma = 0 are excluded from the minimum and get
-    zero power. A cluster whose devices all report sigma = 0, or that
-    has no devices, carries no analog signal: the minimum over no
-    devices is +inf, so its devices get zero power and its denoiser is
-    +inf (estimate = mean term).
+    zero power. A cluster whose devices all report sigma = 0 carries no
+    analog signal: the minimum over no devices is +inf, so its devices
+    get zero power and its denoiser is +inf (estimate = mean term).
     """
     sigmas = np.asarray(sigmas, dtype=float)
     max_power = np.asarray(max_power, dtype=float)
@@ -121,13 +120,12 @@ def conditional_mse(
     with num_m = sum_k p_k h_{m,k}^2 second_k + noise_var / 2, cross_m =
     sum_{k in m} sqrt(p_k) h_{m,k} mixed_k and floor_m = sum_{k in m}
     fourth_k / |cluster m|^2. An infinite denoiser yields the floor, a
-    non-positive one ValueError. A cluster without devices has zero
-    cross and floor terms, so its MSE under the infinite denoiser is 0.
+    non-positive one ValueError.
     """
     if not (denoisers > 0).all():
         raise ValueError(f"denoisers must be positive, got {denoisers!r}")
     num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
-    sizes = np.maximum(own.sum(axis=1), 1)  # an empty cluster's sums are 0
+    sizes = own.sum(axis=1)
     floor = symbol_moments(sigmas)[2] @ own.T / sizes**2
     inv = 1.0 / denoisers
     return model_dim * (num * inv**2 - 2.0 * cross / sizes * inv + floor)
@@ -153,13 +151,11 @@ def adaptive_denoisers(
     cluster with no analog signal); and +inf (discard the analog
     signal, keep the mean term) is returned when the minimizer is
     non-positive, since the constrained optimum over positive denoisers
-    is then attained in the limit. A cluster without devices takes no
-    fallback: its minimizer is 0, so it gets +inf, as its MSE
-    D * num_m / lambda^2 falls toward 0 as lambda grows.
+    is then attained in the limit.
     """
     num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
     sizes = own.sum(axis=1)
     vanished = np.abs(cross) < DENOISER_UNDERFLOW_TOL
     raw = sizes * num / np.where(vanished, 1.0, cross)
-    lam = np.where(vanished & (sizes > 0), fallback, raw)
+    lam = np.where(vanished, fallback, raw)
     return np.where(lam > 0, lam, np.inf)

@@ -8,8 +8,9 @@ match their closed-form mean and cross-cluster gains must average to
 zero within Monte Carlo error, under one family-wise test of stated
 false-alarm rate.
 
-Both drivers vectorize across trials in fixed-size chunks, so a run is
-a pure function of (config, arguments, seed).
+Both drivers draw from the config's master_seed and vectorize across
+trials in fixed-size chunks, so a run is a pure function of (config,
+arguments).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .sysmodel import (
     SystemConfig,
     as_integer,
     as_number,
-    as_seed,
     make_config,
     membership,
     place_geometry,
@@ -162,7 +162,6 @@ def nmse_sweep(
     n_values: list[int],
     p_values: list[float],
     trials: int,
-    seed: int,
 ) -> SweepResult:
     """Monte Carlo NMSE of the cluster gradient estimates.
 
@@ -182,16 +181,16 @@ def nmse_sweep(
     depend on the other budgets beside it, nor on the order of the
     sizes or of the schemes (see draw_gains for what is shared).
 
-    Malformed or repeated scheme labels, repeated, non-integral or
-    invalid surface sizes, power budgets that are not numbers or are
-    invalid, an empty list of schemes, sizes or budgets, a non-integral
-    or too small trial count, and a seed outside [0, 2**64) raise
-    ConfigError before any trial runs.
+    Every draw, the device placement included, derives from
+    cfg.master_seed, which the config digest covers. Malformed or
+    repeated scheme labels, repeated, non-integral or invalid surface
+    sizes, power budgets that are not numbers or are invalid, an empty
+    list of schemes, sizes or budgets, and a non-integral or too small
+    trial count raise ConfigError before any trial runs.
     """
     for name, values in (("schemes", schemes), ("n_values", n_values), ("p_values", p_values)):
         if len(values) == 0:
             raise ConfigError(f"the sweep needs at least one entry in {name}")
-    seed = as_seed("seed", seed)
     trials = as_integer("trials", trials)
     if trials < 2:
         raise ConfigError("need at least 2 trials for a standard error")
@@ -209,9 +208,9 @@ def nmse_sweep(
     }
     if len(grid) < len(n_values) * len(p_values):
         raise ConfigError(f"repeated sweep values in N={list(n_values)} or P={list(p_values)}")
-    geometry = place_geometry(cfg, seed)
+    geometry = place_geometry(cfg, cfg.master_seed)
     beta_full = large_scale_coefficients(geometry, cfg.pathloss_exponent)
-    stats = _sweep_cell(grid, beta_full, parsed, trials, seed)
+    stats = _sweep_cell(grid, beta_full, parsed, trials, cfg.master_seed)
     cells = [
         SweepCell(n, p, s.name, trials, *stats[n, p, s.name])
         for n in n_values
@@ -219,7 +218,7 @@ def nmse_sweep(
         for s in parsed
     ]
     digest = hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
-    return SweepResult(cells=cells, seed=seed, config_digest=digest)
+    return SweepResult(cells=cells, seed=cfg.master_seed, config_digest=digest)
 
 
 def _sweep_cell(cfgs, beta, schemes, trials, seed):
@@ -370,13 +369,13 @@ def _holm(z: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
 
 
 def verify_elimination(
-    cfg: SystemConfig, trials: int, seed: int, phases: str = "aligned"
+    cfg: SystemConfig, trials: int, phases: str = "aligned"
 ) -> EliminationReport:
     """Check statistical interference elimination pair by pair.
 
-    Samples `trials` fading realizations under the aligned phase
-    design with unit powers and unit denoisers, then tests each
-    (antenna m, device k) effective-gain mean: own-cluster pairs
+    Samples `trials` fading realizations from cfg.master_seed under the
+    aligned phase design with unit powers and unit denoisers, then tests
+    each (antenna m, device k) effective-gain mean: own-cluster pairs
     against beta[m, k] * pi * N / (4 * sqrt(|cluster|)), cross-cluster
     pairs against zero. Every drawn term (antenna m, surface i, device
     k), foreign reflections and own residuals alike, is tested against
@@ -405,24 +404,22 @@ def verify_elimination(
     With phases="random" the run becomes a negative control: uniform
     random phases destroy the alignment, so every pair (own-cluster
     included) is tested against a zero mean. A trial count below 2 or
-    that is not an integer, any other phases, and a seed outside
-    [0, 2**64) raise ConfigError.
+    that is not an integer, and any other phases, raise ConfigError.
     """
-    seed = as_seed("seed", seed)
     trials = as_integer("trials", trials)
     if trials < 2:
         raise ConfigError("need at least 2 trials")
     if phases not in ("aligned", "random"):
         raise ConfigError(f"phases must be 'aligned' or 'random', got {phases!r}")
     M, K, N = cfg.num_clusters, cfg.num_devices, cfg.num_ris_elements
-    geometry = place_geometry(cfg, seed)
+    geometry = place_geometry(cfg, cfg.master_seed)
     beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
 
     summed = Moments()  # (surface, antenna)
     drawn = Moments()   # (surface, antenna, device)
     for start in range(0, trials, CHUNK):
         tc = min(CHUNK, trials - start)
-        rng = rng_from_seed(derive_seed(seed, "elimination", start))
+        rng = rng_from_seed(derive_seed(cfg.master_seed, "elimination", start))
         ch = _sample_batch(rng, tc, M, cfg.cluster_of, N,
                            lambda draw: phase_configurations(draw, [(phases, None)], rng))
         summed.add(ch.summed_terms[0])

@@ -37,9 +37,8 @@ def configure_aligned(draw: PartialDraw) -> np.ndarray:
     airpfl.channel). draw is a PartialDraw or a ChannelSet. Returns
     conj(h_ps / |h_ps|) * s / |s| per element, with h_ps the element's
     path to its own cluster's antenna and s the cluster sum. A factor
-    whose path has magnitude below 1e-15 for the sum (the sum over a
-    cluster without devices is exactly 0), or exactly 0 for h_ps, is
-    taken as 1, the phasor of angle 0.
+    whose path has magnitude below 1e-15 for the sum, or exactly 0 for
+    h_ps, is taken as 1, the phasor of angle 0.
     """
     summed = draw.cluster_sums
     summed = np.where(np.abs(summed) < ZERO_SUM_TOL, 1.0, summed)

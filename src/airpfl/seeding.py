@@ -1,9 +1,10 @@
 """Counter-based seed derivation so every random draw is reproducible.
 
 All randomness in the package flows from a master seed through
-``derive_seed(master, *path)``, where the path names the purpose
-("geometry", "round-channel", round index, ...). Independent purposes
-get independent streams and nothing relies on global RNG state.
+``derive_seed(master, *path)``, where the path of ints and strings
+names the purpose ("geometry", "round-channel", round index, ...).
+Independent purposes get independent streams and nothing relies on
+global RNG state.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _encode(part) -> int:
-    if isinstance(part, (bool, np.bool_)):
-        return int(part)
     if isinstance(part, (int, np.integer)):
         return int(part) & _MASK64
-    if isinstance(part, float):
-        part = repr(part)
     if isinstance(part, str):
         digest = hashlib.sha256(part.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
@@ -31,8 +28,9 @@ def _encode(part) -> int:
 def derive_seed(master_seed: int, *path) -> int:
     """Deterministically derive a 64-bit child seed from a master seed.
 
-    Path elements may be ints, floats, or strings. The same
-    (master_seed, path) always yields the same child seed.
+    Path elements may be ints or strings; anything else raises
+    TypeError. The same (master_seed, path) always yields the same
+    child seed.
     """
     parts = [_encode(master_seed)] + [_encode(p) for p in path]
     ss = np.random.SeedSequence(parts)

@@ -101,10 +101,11 @@ def membership(cluster_of, num_clusters: int) -> np.ndarray:
     """(M, K) boolean matrix: entry [m, k] is True when device k belongs to cluster m.
 
     Row m masks cluster m's devices and its row sum is the cluster size;
-    every per-cluster sum in the package is a contraction with it. A
-    cluster may be empty (an all-False row). cluster_of must be a 1-D
-    integer array with labels in [0, num_clusters); anything else raises
-    ConfigError, so no device is silently dropped or wrapped around.
+    every per-cluster sum in the package is a contraction with it.
+    cluster_of must be a 1-D integer array with labels in
+    [0, num_clusters) that names every cluster; anything else raises
+    ConfigError, so no device is silently dropped or wrapped around and
+    no cluster is empty (an all-False row).
     """
     labels = np.asarray(cluster_of)
     if (labels.ndim != 1 or labels.dtype.kind not in "iu"
@@ -112,7 +113,12 @@ def membership(cluster_of, num_clusters: int) -> np.ndarray:
         raise ConfigError(
             f"cluster_of must be a 1-D integer array whose entries lie in [0, {num_clusters})"
         )
-    return labels == np.arange(num_clusters)[:, None]
+    own = labels == np.arange(num_clusters)[:, None]
+    present = own.any(axis=1)
+    if not present.all():
+        empty = np.argmin(present)
+        raise ConfigError(f"empty cluster: cluster {empty} has no devices (cluster_of)")
+    return own
 
 
 def make_config(
@@ -161,10 +167,7 @@ def make_config(
         raise ConfigError(
             f"cluster_of must have one entry per device ({K}), got shape {cfg.cluster_of.shape}"
         )
-    sizes = membership(cfg.cluster_of, M).sum(axis=1)
-    if (sizes == 0).any():
-        empty = int(np.flatnonzero(sizes == 0)[0])
-        raise ConfigError(f"empty cluster: cluster {empty} has no devices (cluster_of)")
+    membership(cfg.cluster_of, M)  # every cluster has a device
     if not M < K:
         raise ConfigError(f"num_clusters must be < num_devices (M={M}, K={K})")
     if cfg.max_power.shape != (K,):

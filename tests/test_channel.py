@@ -210,14 +210,14 @@ def test_small_scale_draw_order_is_documented_order():
     # cannot move unnoticed. The third shape is one sweep chunk; in the
     # fourth, 2N < M, so there is no complement and only the first 2N
     # normals of each pair enter its drawn term; the fifth has unequal
-    # clusters, a singleton and an empty one; in the last, one
-    # configuration is listed twice.
+    # clusters and singletons; in the last, one configuration is listed
+    # twice.
     for T, M, cluster_of, N, design in [
         (1, 2, np.arange(3) % 2, 5, _only_aligned),
         (3, 2, np.arange(3) % 2, 5, _aligned_and_random),
         (100, 4, np.arange(20) % 4, 16, _aligned_and_random),
         (2, 4, np.arange(5) % 4, 1, _aligned_and_random),
-        (4, 4, np.array([0, 2, 2, 2, 3, 3]), 3, _aligned_and_random),
+        (4, 4, np.array([0, 1, 2, 2, 2, 3, 3]), 3, _aligned_and_random),
         (3, 3, np.arange(6) % 3, 2, _aligned_twice),
     ]:
         rng_kernel = rng_from_seed(21)

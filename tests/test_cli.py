@@ -328,6 +328,25 @@ def test_sweep_rejects_out_of_range_seed(tmp_path, system_doc, capsys, seed):
     assert "bad config" in capsys.readouterr().err
 
 
+def test_sweep_config_digest_names_the_seed_that_ran(tmp_path, system_doc, capsys):
+    # --seed replaces the config's master_seed, so the printed digest
+    # covers the seed that ran, and overriding a config's seed gives the
+    # run of the config that carries that seed.
+    def run(master_seed, *seed):
+        doc = {"system": {**system_doc, "master_seed": master_seed},
+               "schemes": ["unbiased", "mmse"], "n_values": [4], "p_values": [1.0], "trials": 20}
+        cfg_path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["nmse-sweep", "--config", str(cfg_path), *seed, "--out", str(out)]) == 0
+        return capsys.readouterr().out, out.read_bytes()
+
+    def digest(stdout):
+        return stdout.split("config=")[1].strip()
+
+    assert digest(run(3, "--seed", "1")[0]) != digest(run(3, "--seed", "2")[0])
+    assert run(9, "--seed", "1") == run(1)
+
+
 def test_train_accepts_quantized_scheme(tmp_path, system_path, capsys):
     out = tmp_path / "train.csv"
     argv = ["train", "--config", system_path, "--scheme", "unbiased-1bit", "--rounds", "3",

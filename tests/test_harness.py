@@ -193,9 +193,9 @@ def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_sweep_grid_complete_and_deterministic():
-    cfg = _config()
-    res_a = nmse_sweep(cfg, ["ideal", "unbiased"], [4, 8], [0.5, 2.0], 40, seed=5)
-    res_b = nmse_sweep(cfg, ["ideal", "unbiased"], [4, 8], [0.5, 2.0], 40, seed=5)
+    cfg = _config(seed=5)
+    res_a = nmse_sweep(cfg, ["ideal", "unbiased"], [4, 8], [0.5, 2.0], 40)
+    res_b = nmse_sweep(cfg, ["ideal", "unbiased"], [4, 8], [0.5, 2.0], 40)
     assert len(res_a.cells) == 8
     for a, b in zip(res_a.cells, res_b.cells):
         assert a == b
@@ -208,16 +208,16 @@ def test_sweep_grid_complete_and_deterministic():
 
 
 def test_sweep_ideal_scheme_is_exact():
-    cfg = _config()
-    res = nmse_sweep(cfg, ["ideal"], [4], [1.0], 25, seed=2)
+    cfg = _config(seed=2)
+    res = nmse_sweep(cfg, ["ideal"], [4], [1.0], 25)
     cell = res.cell(4, 1.0, "ideal")
     assert cell.nmse_mean == 0.0
     assert cell.nmse_stderr == 0.0
 
 
 def test_sweep_cell_lookup_raises_on_miss():
-    cfg = _config()
-    res = nmse_sweep(cfg, ["ideal"], [4], [1.0], 10, seed=2)
+    cfg = _config(seed=2)
+    res = nmse_sweep(cfg, ["ideal"], [4], [1.0], 10)
     with pytest.raises(KeyError):
         res.cell(8, 1.0, "ideal")
 
@@ -234,7 +234,7 @@ def test_sweep_rejects_bad_schemes_before_any_trial(schemes, monkeypatch):
 
     monkeypatch.setattr(harness, "_sweep_cell", no_trials)
     with pytest.raises(ConfigError):
-        nmse_sweep(_config(), schemes, [4], [1.0], 10, seed=0)
+        nmse_sweep(_config(seed=0), schemes, [4], [1.0], 10)
 
 
 @pytest.mark.parametrize(
@@ -253,7 +253,7 @@ def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, trials, mon
 
     monkeypatch.setattr(harness, "_sweep_cell", no_trials)
     with pytest.raises(ConfigError):
-        nmse_sweep(_config(), ["mmse"], n_values, p_values, trials, seed=0)
+        nmse_sweep(_config(seed=0), ["mmse"], n_values, p_values, trials)
 
 
 @pytest.mark.parametrize("field", ["schemes", "n_values", "p_values"])
@@ -268,7 +268,7 @@ def test_sweep_rejects_empty_lists_before_any_trial(field, monkeypatch):
     monkeypatch.setattr(harness, "_sweep_cell", no_trials)
     grid = {"schemes": ["mmse"], "n_values": [4], "p_values": [1.0], field: []}
     with pytest.raises(ConfigError, match=field):
-        nmse_sweep(_config(), grid["schemes"], grid["n_values"], grid["p_values"], 10, seed=0)
+        nmse_sweep(_config(seed=0), grid["schemes"], grid["n_values"], grid["p_values"], 10)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -276,18 +276,16 @@ def test_sweep_all_zero_std_gradients_estimate_exactly():
     # With one model coordinate every standardized gradient is
     # degenerate: no cluster carries an analog signal and every
     # estimate is the exact mean term.
-    cfg = _config(D=1)
-    res = nmse_sweep(
-        cfg, ["unbiased", "mmse", "mmse+powopt", "random-phase"], [4], [1.0], 20, seed=3
-    )
+    cfg = _config(D=1, seed=3)
+    res = nmse_sweep(cfg, ["unbiased", "mmse", "mmse+powopt", "random-phase"], [4], [1.0], 20)
     for c in res.cells:
         assert c.nmse_mean == 0.0 and c.nmse_stderr == 0.0
 
 
 def test_sweep_requires_multiple_trials():
-    cfg = _config()
+    cfg = _config(seed=0)
     with pytest.raises(ValueError):
-        nmse_sweep(cfg, ["unbiased"], [4], [1.0], 1, seed=0)
+        nmse_sweep(cfg, ["unbiased"], [4], [1.0], 1)
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -309,7 +307,7 @@ def test_sweep_draws_once_per_chunk(monkeypatch):
     for name in ("sample_small_scale", "configure_aligned", "all_cascaded_gains"):
         _count_calls(monkeypatch, calls, flsim, name)
     schemes = ["unbiased", "mmse", "unbiased-1bit", "random-phase"]
-    nmse_sweep(_config(), schemes, [4, 8], [0.5, 2.0, 8.0], 250, seed=5)
+    nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
     assert calls.count("sample_small_scale") == 3
     assert calls.count("configure_aligned") == 3
     assert calls.count("all_cascaded_gains") == 2 * 3 * 3  # aligned, aligned-1bit, random
@@ -320,10 +318,10 @@ def test_ideal_only_sweep_draws_no_channel(monkeypatch):
     # the same counter sees the draws of a grid with a channel scheme.
     calls = []
     _count_calls(monkeypatch, calls, flsim, "sample_small_scale")
-    res = nmse_sweep(desk_scale_config(), ["ideal"], [16, 256], [1.0], 500, 1)
+    res = nmse_sweep(desk_scale_config(1), ["ideal"], [16, 256], [1.0], 500)
     assert calls == []
     assert [(c.nmse_mean, c.nmse_stderr) for c in res.cells] == [(0.0, 0.0)] * 2
-    nmse_sweep(desk_scale_config(), ["ideal", "unbiased"], [16], [1.0], 2, 1)
+    nmse_sweep(desk_scale_config(1), ["ideal", "unbiased"], [16], [1.0], 2)
     assert calls == ["sample_small_scale"]
 
 
@@ -331,7 +329,7 @@ def test_sweep_designs_once_per_chunk_and_budget(monkeypatch):
     designs = []
     _count_calls(monkeypatch, designs, flsim, "unbiased_design")
     schemes = ["unbiased", "mmse", "unbiased-1bit", "random-phase"]
-    nmse_sweep(_config(), schemes, [4, 8], [0.5, 2.0, 8.0], 250, seed=5)
+    nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
     assert len(designs) == 2 * 3 * 3  # (N, chunk, P), not also per scheme
 
 
@@ -341,11 +339,11 @@ def test_sweep_cell_does_not_depend_on_the_other_budgets(monkeypatch):
     import airpfl.harness as harness
 
     monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
-    cfg = _config()
+    cfg = _config(seed=5)
     schemes = ["unbiased", "mmse", "mmse+powopt-1bit", "random-phase"]
 
     def stats(p_values):
-        res = nmse_sweep(cfg, schemes, [4, 8], p_values, 40, seed=5)
+        res = nmse_sweep(cfg, schemes, [4, 8], p_values, 40)
         return {(c.num_elements, c.p_max, c.scheme): (c.nmse_mean, c.nmse_stderr)
                 for c in res.cells}
 
@@ -363,11 +361,11 @@ def test_sweep_cell_does_not_depend_on_the_order_of_surface_sizes(monkeypatch):
     import airpfl.harness as harness
 
     monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
-    cfg = _config()
+    cfg = _config(seed=5)
     schemes = ["unbiased", "mmse", "mmse+powopt-1bit", "random-phase"]
 
     def stats(n_values):
-        res = nmse_sweep(cfg, schemes, n_values, [0.5, 2.0], 40, seed=5)
+        res = nmse_sweep(cfg, schemes, n_values, [0.5, 2.0], 40)
         return {(c.num_elements, c.p_max, c.scheme): (c.nmse_mean, c.nmse_stderr)
                 for c in res.cells}
 
@@ -385,7 +383,7 @@ def test_sweep_cell_does_not_depend_on_the_order_of_schemes(monkeypatch):
     schemes = ["unbiased", "mmse-1bit", "random-phase", "ideal"]
 
     def stats(order):
-        res = nmse_sweep(_config(), order, [4, 8], [0.5], 40, seed=5)
+        res = nmse_sweep(_config(seed=5), order, [4, 8], [0.5], 40)
         return {(c.num_elements, c.p_max, c.scheme): (c.nmse_mean, c.nmse_stderr)
                 for c in res.cells}
 
@@ -404,7 +402,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "CHUNK", 16)
     schemes = ["unbiased", "mmse", "mmse+powopt-1bit", "random-phase"]
-    res = nmse_sweep(_config(), schemes, [8], [0.5, 2.0], 40, seed=5)
+    res = nmse_sweep(_config(seed=5), schemes, [8], [0.5, 2.0], 40)
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -421,7 +419,7 @@ def test_nested_sweep_bytes_are_pinned(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "CHUNK", 16)
     schemes = ["unbiased", "mmse-1bit", "mmse+powopt-1bit", "random-phase"]
-    res = nmse_sweep(_config(), schemes, [4, 8], [0.5, 2.0], 40, seed=5)
+    res = nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0], 40)
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -438,7 +436,7 @@ def test_elimination_bytes_are_pinned(phases, digest, tmp_path):
     # negative control; re-pin as above.
     import hashlib
 
-    report = verify_elimination(_config(K=6, M=2, N=8), trials=200, seed=7, phases=phases)
+    report = verify_elimination(_config(K=6, M=2, N=8, seed=7), trials=200, phases=phases)
     path = tmp_path / "elimination.csv"
     export_csv(report, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
@@ -467,7 +465,7 @@ def test_moments_merge_is_numerically_sound():
 
 def test_adaptive_error_never_exceeds_unbiased():
     cfg = _config(K=8, M=2, N=16, D=12, seed=11)
-    res = nmse_sweep(cfg, ["unbiased", "mmse"], [8, 16], [0.5, 5.0], 300, seed=11)
+    res = nmse_sweep(cfg, ["unbiased", "mmse"], [8, 16], [0.5, 5.0], 300)
     for n in [8, 16]:
         for p in [0.5, 5.0]:
             u = res.cell(n, p, "unbiased")
@@ -478,8 +476,8 @@ def test_adaptive_error_never_exceeds_unbiased():
 
 def test_stderr_scales_with_trials():
     cfg = _config(K=8, M=2, N=16, D=12, seed=13)
-    lo = nmse_sweep(cfg, ["mmse"], [16], [1.0], 400, seed=13)
-    hi = nmse_sweep(cfg, ["mmse"], [16], [1.0], 800, seed=13)
+    lo = nmse_sweep(cfg, ["mmse"], [16], [1.0], 400)
+    hi = nmse_sweep(cfg, ["mmse"], [16], [1.0], 800)
     ratio = lo.cell(16, 1.0, "mmse").nmse_stderr / hi.cell(16, 1.0, "mmse").nmse_stderr
     assert ratio == pytest.approx(np.sqrt(2.0), rel=0.10)
 
@@ -487,8 +485,8 @@ def test_stderr_scales_with_trials():
 def test_config_digest_tracks_config():
     cfg_a = _config(seed=3)
     cfg_b = _config(seed=4)
-    res_a = nmse_sweep(cfg_a, ["ideal"], [4], [1.0], 10, seed=1)
-    res_b = nmse_sweep(cfg_b, ["ideal"], [4], [1.0], 10, seed=1)
+    res_a = nmse_sweep(cfg_a, ["ideal"], [4], [1.0], 10)
+    res_b = nmse_sweep(cfg_b, ["ideal"], [4], [1.0], 10)
     assert res_a.config_digest != res_b.config_digest
 
 
@@ -507,7 +505,7 @@ def test_elimination_single_cluster_has_no_cross_pairs():
         noise_var=0.0,
         master_seed=1,
     )
-    report = verify_elimination(cfg, trials=4000, seed=1)
+    report = verify_elimination(cfg, trials=4000)
     assert len(report.rows) == 3
     assert all(r.same_cluster for r in report.rows)
     # The only drawn terms are the own residuals on the one surface.
@@ -517,20 +515,20 @@ def test_elimination_single_cluster_has_no_cross_pairs():
 
 
 def test_elimination_random_phase_control_centers_on_zero():
-    cfg = _config(K=6, M=2, N=8)
-    report = verify_elimination(cfg, trials=4000, seed=7, phases="random")
+    cfg = _config(K=6, M=2, N=8, seed=7)
+    report = verify_elimination(cfg, trials=4000, phases="random")
     assert all(r.target == 0.0 for r in report.rows)
     assert report.pairs_pass
 
 
 def test_elimination_argument_validation():
-    cfg = _config()
+    cfg = _config(seed=0)
     with pytest.raises(ConfigError):
-        verify_elimination(cfg, trials=1, seed=0)
+        verify_elimination(cfg, trials=1)
     with pytest.raises(ConfigError):
-        verify_elimination(cfg, trials=100.0, seed=0)
+        verify_elimination(cfg, trials=100.0)
     with pytest.raises(ConfigError):
-        verify_elimination(cfg, trials=100, seed=0, phases="fourier")
+        verify_elimination(cfg, trials=100, phases="fourier")
 
 
 def _random_design(ch):
@@ -549,10 +547,10 @@ def _conjugate_dropped(ch):
 def test_elimination_rejects_a_broken_alignment(design, monkeypatch):
     # The pair checks test the alignment: a phase design that does not
     # align each surface with its own cluster must fail them.
-    cfg = _config(K=6, M=2, N=8)
-    assert verify_elimination(cfg, trials=200, seed=7).all_pass
+    cfg = _config(K=6, M=2, N=8, seed=7)
+    assert verify_elimination(cfg, trials=200).all_pass
     monkeypatch.setattr(flsim, "configure_aligned", design)
-    report = verify_elimination(cfg, trials=200, seed=7)
+    report = verify_elimination(cfg, trials=200)
     assert not report.pairs_pass and not report.all_pass
     assert not any(r.passed for r in report.rows if r.same_cluster)
 
@@ -566,11 +564,11 @@ def test_elimination_rejects_biased_drawn_terms(monkeypatch):
         ch = sample_small_scale(*args)
         return dataclasses.replace(ch, drawn_terms=ch.drawn_terms + 1.0)
 
-    cfg = _config(K=6, M=2, N=8)
-    honest = verify_elimination(cfg, trials=500, seed=7)
+    cfg = _config(K=6, M=2, N=8, seed=7)
+    honest = verify_elimination(cfg, trials=500)
     assert honest.all_pass
     monkeypatch.setattr(harness, "_sample_batch", offset)
-    report = verify_elimination(cfg, trials=500, seed=7)
+    report = verify_elimination(cfg, trials=500)
     assert report.pairs_pass
     assert [r.mean for r in report.rows] == [r.mean for r in honest.rows]
     assert not report.corrections_pass and not report.all_pass
@@ -592,7 +590,7 @@ def test_elimination_singleton_cluster_residual_is_an_exact_pass():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = verify_elimination(cfg, trials=400, seed=1)
+        report = verify_elimination(cfg, trials=400)
     residual = [c for c in report.corrections if c.device == 2 and c.surface == 1]
     assert len(residual) == 2
     assert all(c.mean == 0.0 and c.stderr == 0.0 and c.z == 0.0 and c.passed for c in residual)
@@ -632,7 +630,7 @@ def test_elimination_false_alarms_are_calibrated(monkeypatch):
     cfg = _config(K=6, M=2, N=8)
     failed = 0
     for seed in range(40):
-        report = verify_elimination(cfg, trials=500, seed=seed)
+        report = verify_elimination(cfg.replace(master_seed=seed), trials=500)
         assert report.alpha == 1e-2
         assert len(report.rows) + len(report.corrections) == 36
         failed += not report.all_pass
@@ -662,7 +660,7 @@ def test_conditioned_pairs_agree_with_the_full_gain_and_are_tighter(shape):
     # given the paths the phases read: on the same draws its means agree
     # with the whole gain's, and its stderr is smaller.
     cfg = _config(**shape)
-    report = verify_elimination(cfg, trials=4000, seed=3)
+    report = verify_elimination(cfg, trials=4000)
     mean, stderr = _full_pair_moments(cfg, 4000, 3)
     for r in report.rows:
         full_mean, full_se = mean[r.antenna, r.device], stderr[r.antenna, r.device]
@@ -674,8 +672,8 @@ def test_conditioned_pairs_agree_with_the_full_gain_and_are_tighter(shape):
 
 
 def test_elimination_report_shape():
-    cfg = _config(K=4, M=2, N=4)
-    report = verify_elimination(cfg, trials=500, seed=9)
+    cfg = _config(K=4, M=2, N=4, seed=9)
+    report = verify_elimination(cfg, trials=500)
     assert len(report.rows) == 2 * 4
     assert [(c.antenna, c.surface, c.device) for c in report.corrections] == [
         (m, i, k) for m in range(2) for i in range(2) for k in range(4)
@@ -693,8 +691,8 @@ def test_elimination_report_shape():
 # ---------------------------------------------------------------------------
 
 def test_sweep_csv_roundtrip_is_exact(tmp_path):
-    cfg = _config()
-    res = nmse_sweep(cfg, ["unbiased", "ideal"], [4, 8], [0.7], 30, seed=21)
+    cfg = _config(seed=21)
+    res = nmse_sweep(cfg, ["unbiased", "ideal"], [4, 8], [0.7], 30)
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     with open(path, newline="") as fh:
@@ -711,8 +709,8 @@ def test_sweep_csv_roundtrip_is_exact(tmp_path):
 
 
 def test_elimination_csv_booleans(tmp_path):
-    cfg = _config(K=4, M=2, N=4)
-    report = verify_elimination(cfg, trials=400, seed=2)
+    cfg = _config(K=4, M=2, N=4, seed=2)
+    report = verify_elimination(cfg, trials=400)
     path = tmp_path / "elim.csv"
     export_csv(report, str(path))
     with open(path, newline="") as fh:
