@@ -9,7 +9,7 @@ shared global model on the same data to show what personalization buys.
 import numpy as np
 
 from airpfl.flsim import local_loss, run_training, synth_clustered_tasks
-from airpfl.sysmodel import make_config, place_geometry
+from airpfl.sysmodel import make_config
 
 ROUNDS = 150
 ETA = 0.08
@@ -26,21 +26,19 @@ def main():
         noise_var=1e-10,
         master_seed=11,
     )
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, truth = synth_clustered_tasks(cfg, 50, 0.1, task_seed=cfg.master_seed)
 
     print(f"{ROUNDS} rounds, eta = {ETA}, summed cluster loss\n")
     print(f"{'scheme':>14} {'round 1':>12} {'final':>12}")
     results = {}
     for scheme in ("ideal", "unbiased", "mmse", "random-phase"):
-        hist = run_training(cfg, geom, tasks, scheme, rounds=ROUNDS, eta=ETA)
+        hist = run_training(cfg, tasks, scheme, rounds=ROUNDS, eta=ETA)
         summed = hist.losses.sum(axis=1)
         results[scheme] = summed[-1]
         print(f"{scheme:>14} {summed[0]:>12.4e} {summed[-1]:>12.4e}")
 
     cfg_g = cfg.replace(num_clusters=1, cluster_of=np.zeros(8, dtype=int))
-    geom_g = place_geometry(cfg_g, cfg_g.master_seed)
-    hist_g = run_training(cfg_g, geom_g, tasks, "ideal", rounds=ROUNDS, eta=ETA)
+    hist_g = run_training(cfg_g, tasks, "ideal", rounds=ROUNDS, eta=ETA)
     w_global = hist_g.final_weights[0]
     members = [np.flatnonzero(cfg.cluster_of == m) for m in range(cfg.num_clusters)]
     global_summed = sum(local_loss(w_global, tasks)[idx].mean() for idx in members)

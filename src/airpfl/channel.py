@@ -96,7 +96,7 @@ import numpy as np
 
 # perfbench/tracing.py WRAPS times channel.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
-from .sysmodel import Geometry, membership
+from .sysmodel import ConfigError, Geometry, membership
 
 MIN_DEVICE_RIS_DISTANCE = 1.0
 
@@ -184,15 +184,16 @@ def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.nda
 
     Covers every (surface, device) pair, not only a device's own
     cluster, because a device near a foreign surface also reflects
-    off it.
+    off it. A geometry whose attenuation overflows, underflows to 0 or
+    is otherwise not finite and positive raises ConfigError.
     """
-    diff = geom.device_positions[None, :, :] - geom.ris_positions[:, None, :]
-    d_dev = np.linalg.norm(diff, axis=2)
-    d_dev = np.maximum(d_dev, MIN_DEVICE_RIS_DISTANCE)
-    d_ps = np.linalg.norm(geom.ris_positions - geom.ps_position[None, :], axis=1)
-    beta = (d_dev * d_ps[:, None]) ** (-pathloss_exponent / 2.0)
-    if not np.all(np.isfinite(beta)):
-        raise ValueError("non-finite large-scale coefficient; check geometry")
+    with np.errstate(all="ignore"):
+        diff = geom.device_positions[None, :, :] - geom.ris_positions[:, None, :]
+        d_dev = np.maximum(np.linalg.norm(diff, axis=2), MIN_DEVICE_RIS_DISTANCE)
+        d_ps = np.linalg.norm(geom.ris_positions - geom.ps_position[None, :], axis=1)
+        beta = (d_dev * d_ps[:, None]) ** (-pathloss_exponent / 2.0)
+    if not (np.isfinite(beta) & (beta > 0)).all():
+        raise ConfigError("large-scale coefficients must be finite and > 0; check the geometry")
     return beta
 
 

@@ -34,7 +34,7 @@ from .control import AggregationDesign, adaptive_denoisers, unbiased_design
 from .powopt import assemble_ratio_problem, solve_projected_ascent
 from .ris import baseline_phases, configure_aligned, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
-from .sysmodel import ConfigError, Geometry, SystemConfig, as_integer, as_number, as_seed
+from .sysmodel import ConfigError, SystemConfig, as_integer, as_number, as_seed, place_geometry
 
 DEFAULT_LEARNING_RATE = 0.05
 
@@ -84,15 +84,13 @@ _BITS_SUFFIX = re.compile(r"(.+)-(\d+)bit")
 MAX_PHASE_BITS = 52
 
 
-def parse_scheme(name: str | Scheme) -> Scheme:
+def parse_scheme(name: str) -> Scheme:
     """Parse a scheme label such as "mmse" or "unbiased-1bit".
 
     Every scheme except "ideal" takes a "-{b}bit" suffix with b an
-    integer from 1 to MAX_PHASE_BITS. Malformed labels raise
-    ConfigError; a Scheme is returned unchanged.
+    integer from 1 to MAX_PHASE_BITS. Malformed labels, and anything
+    that is not a string, raise ConfigError.
     """
-    if isinstance(name, Scheme):
-        return name
     if not isinstance(name, str):
         raise ConfigError(f"a scheme must be given by name, got {name!r}")
     base, bits = name, None
@@ -294,25 +292,27 @@ def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
 
 def run_training(
     cfg: SystemConfig,
-    geometry: Geometry,
     tasks: DeviceTasks,
-    scheme: str | Scheme,
+    scheme: str,
     rounds: int,
     eta=DEFAULT_LEARNING_RATE,
 ) -> TrainingHistory:
-    """Run one federated training job under the given uplink scheme.
+    """Run one federated training job under the scheme labelled `scheme` (see parse_scheme).
 
     tasks must be shaped for cfg's devices and model (ValueError
     otherwise). rounds must be an integer >= 1 and the learning rate eta
-    a finite number > 0 (ConfigError otherwise).
-    All randomness is derived from cfg.master_seed and the round
-    counter. Each round draws its gains with draw_gains, for its
-    scheme's phase key alone, and its noise, from round substreams that
-    do not depend on the scheme. Runs with different schemes at the
-    same seed therefore share what draw_gains draws before and apart
-    from the phases, and the noise, but not the statistics it draws
-    given them: each scheme's law is exact, while the joint law across
-    schemes is not the shared draw of one draw_gains call.
+    a finite number > 0 (ConfigError otherwise). A round whose gradient
+    spread or losses are not finite raises RuntimeError ("training
+    diverged") before any channel kernel reads them.
+    All randomness, the deployment included, is derived from
+    cfg.master_seed and the round counter. Each round draws its gains
+    with draw_gains, for its scheme's phase key alone, and its noise,
+    from round substreams that do not depend on the scheme. Runs with
+    different schemes at the same seed therefore share what draw_gains
+    draws before and apart from the phases, and the noise, but not the
+    statistics it draws given them: each scheme's law is exact, while
+    the joint law across schemes is not the shared draw of one
+    draw_gains call.
     """
     scheme = parse_scheme(scheme)
     rounds = as_integer("rounds", rounds)
@@ -327,7 +327,12 @@ def run_training(
     if not 0 < eta < np.inf:
         raise ConfigError(f"learning rate must be a finite number > 0, got {eta!r}")
 
-    beta = large_scale_coefficients(geometry, cfg.pathloss_exponent)
+    def guard(t, what, values):
+        if not np.isfinite(values).all():
+            raise RuntimeError(f"training diverged at round {t} under scheme {scheme.name!r} "
+                               f"(non-finite {what}); reduce eta or noise")
+
+    beta = large_scale_coefficients(place_geometry(cfg, cfg.master_seed), cfg.pathloss_exponent)
     weights = np.zeros((M, D))
     losses = np.empty((rounds, M))
     nmse = np.zeros(rounds)
@@ -339,13 +344,14 @@ def run_training(
         if scheme.design == "ideal":
             g_hat = g_true
         else:
+            normalized = normalize_gradient(grads)
+            guard(t, "gradient spread", normalized.std)
             rng = rng_from_seed(derive_seed(master, "round-channel", t))
             phase_rng = (rng_from_seed(derive_seed(master, "round-phases", t))
                          if scheme.phases == "random" else None)
             gains = draw_gains(rng, phase_rng, 1, cfg.cluster_of, beta, [N], [scheme.key])
             noise = rng_from_seed(derive_seed(master, "round-noise", t)).standard_normal((1, M, D))
             seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
-            normalized = normalize_gradient(grads)
             design = unbiased_design(beta, normalized.std, cfg.max_power, D, N, cfg.cluster_of)
             g_hat = aggregate_round(
                 cfg, scheme, design, gains[N, scheme.key], normalized, noise, seeds
@@ -353,13 +359,9 @@ def run_training(
             nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
         weights = weights - eta * g_hat[0]
-        if not np.all(np.isfinite(weights)):
-            raise RuntimeError(
-                f"training diverged at round {t} under scheme {scheme.name!r} "
-                f"(non-finite weights); reduce eta or noise"
-            )
         local = local_loss(weights[cfg.cluster_of], tasks)
         losses[t] = cluster_average(local[None], cfg.cluster_of, M)[0]
+        guard(t, "loss", losses[t])
 
     return TrainingHistory(
         losses=losses,
@@ -368,4 +370,3 @@ def run_training(
         seed=cfg.master_seed,
         final_weights=weights.copy(),
     )
-

@@ -16,9 +16,9 @@ arguments).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +124,9 @@ def desk_scale_config(master_seed: int = 7) -> SystemConfig:
 # NMSE sweep
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
+    """One cell of the sweep; its fields are its CSV columns, in order."""
+
     num_elements: int
     p_max: float
     scheme: str
@@ -144,10 +145,7 @@ class SweepResult:
         return ["N", "P_max", "scheme", "trials", "nmse_mean", "nmse_stderr", "seed"]
 
     def csv_rows(self) -> list[tuple]:
-        return [
-            (c.num_elements, c.p_max, c.scheme, c.trials, c.nmse_mean, c.nmse_stderr, self.seed)
-            for c in self.cells
-        ]
+        return [(*c, self.seed) for c in self.cells]
 
     def cell(self, num_elements: int, p_max: float, scheme: str) -> SweepCell:
         for c in self.cells:
@@ -158,7 +156,7 @@ class SweepResult:
 
 def nmse_sweep(
     cfg: SystemConfig,
-    schemes: list,
+    schemes: list[str],
     n_values: list[int],
     p_values: list[float],
     trials: int,
@@ -271,9 +269,8 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
 # interference-elimination verification
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)  # one per check; frozen construction is slower
-class EliminationRow:
-    """One pair check: the mean effective gain of device k at antenna m."""
+class EliminationRow(NamedTuple):
+    """One pair check: the mean effective gain of device k at antenna m; a CSV row."""
 
     antenna: int
     device: int
@@ -285,8 +282,7 @@ class EliminationRow:
     z: float
 
 
-@dataclass(slots=True)  # one per check; frozen construction is slower
-class CorrectionCheck:
+class CorrectionCheck(NamedTuple):
     """Zero-mean check of one drawn term: device k's reflection off surface i at antenna m.
 
     The term is the whole reflection for a foreign surface and the
@@ -326,10 +322,7 @@ class EliminationReport:
         return ["m", "k", "same_cluster", "mean", "stderr", "target", "pass", "z"]
 
     def csv_rows(self) -> list[tuple]:
-        return [
-            (r.antenna, r.device, r.same_cluster, r.mean, r.stderr, r.target, r.passed, r.z)
-            for r in self.rows
-        ]
+        return list(self.rows)
 
 
 def _z_scores(deviation: np.ndarray, stderr: np.ndarray) -> np.ndarray:
@@ -444,20 +437,12 @@ def verify_elimination(
     passed, family_p = _holm(np.concatenate((z.ravel(), cz.ravel())), VERIFY_ALPHA)
     pair_ok, correction_ok = passed[: M * K], passed[M * K:]
 
-    rows = [
-        EliminationRow(m, k, *fields)
-        for (m, k), fields in zip(
-            itertools.product(range(M), range(K)),
-            _scalars(same, mean, stderr, target, pair_ok, z),
-        )
-    ]
-    corrections = [
-        CorrectionCheck(m, k, i, *fields)
-        for (m, i, k), fields in zip(
-            itertools.product(range(M), range(M), range(K)),
-            _scalars(cmean, cstderr, correction_ok, cz),
-        )
-    ]
+    antenna, device = np.indices((M, K))
+    rows = list(map(EliminationRow._make,
+                    _scalars(antenna, device, same, mean, stderr, target, pair_ok, z)))
+    antenna, surface, device = np.indices((M, M, K))
+    corrections = list(map(CorrectionCheck._make,
+                           _scalars(antenna, device, surface, cmean, cstderr, correction_ok, cz)))
     pairs_pass = bool(pair_ok.all())
     corrections_pass = bool(correction_ok.all())
     return EliminationReport(

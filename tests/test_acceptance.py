@@ -411,12 +411,11 @@ def test_criterion_6_sweep_trends():
 
 def test_criterion_7_personalized_training():
     cfg = _two_cluster_config(N=256, D=32, noise_var=1e-10, seed=11)
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 50, 0.1, task_seed=cfg.master_seed)
     rounds, eta = 300, 0.08
 
-    hist_ideal = run_training(cfg, geom, tasks, "ideal", rounds=rounds, eta=eta)
-    hist_unb = run_training(cfg, geom, tasks, "unbiased", rounds=rounds, eta=eta)
+    hist_ideal = run_training(cfg, tasks, "ideal", rounds=rounds, eta=eta)
+    hist_unb = run_training(cfg, tasks, "unbiased", rounds=rounds, eta=eta)
 
     summed_ideal = hist_ideal.losses.sum(axis=1)
     mono_ok = bool(np.all(np.diff(summed_ideal) <= 1e-9))
@@ -429,10 +428,7 @@ def test_criterion_7_personalized_training():
     # Single-global-model ablation: same data, one shared model; give
     # the ablation a noiseless channel so only personalization differs.
     cfg_global = cfg.replace(num_clusters=1, cluster_of=np.zeros(8, dtype=int))
-    geom_global = place_geometry(cfg_global, cfg_global.master_seed)
-    hist_global = run_training(
-        cfg_global, geom_global, tasks, "ideal", rounds=rounds, eta=eta
-    )
+    hist_global = run_training(cfg_global, tasks, "ideal", rounds=rounds, eta=eta)
     w_global = hist_global.final_weights[0]
     members = [np.flatnonzero(cfg.cluster_of == m) for m in range(cfg.num_clusters)]
     summed_global = sum(float(local_loss(w_global, tasks)[idx].mean()) for idx in members)
@@ -442,10 +438,9 @@ def test_criterion_7_personalized_training():
     wins = 0
     for s in range(10):
         cfg_s = _two_cluster_config(N=256, D=32, noise_var=1e-10, seed=100 + s)
-        geom_s = place_geometry(cfg_s, cfg_s.master_seed)
         data_s, _ = synth_clustered_tasks(cfg_s, 50, 0.1, task_seed=cfg_s.master_seed)
-        unb = run_training(cfg_s, geom_s, data_s, "unbiased", rounds=rounds, eta=eta)
-        rnd = run_training(cfg_s, geom_s, data_s, "random-phase", rounds=rounds, eta=eta)
+        unb = run_training(cfg_s, data_s, "unbiased", rounds=rounds, eta=eta)
+        rnd = run_training(cfg_s, data_s, "random-phase", rounds=rounds, eta=eta)
         if rnd.losses[-1].sum() > unb.losses[-1].sum():
             wins += 1
     baseline_ok = wins >= 9

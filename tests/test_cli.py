@@ -301,6 +301,46 @@ def test_train_with_malformed_task_exits_2(tmp_path, system_doc, capsys, field, 
     assert "bad config" in capsys.readouterr().err
 
 
+def test_a_diverging_training_run_exits_1(system_path, capsys):
+    # Divergence is a runtime failure, reported the same way under every
+    # scheme; under mmse+powopt it once surfaced from the power solver as
+    # a malformed config (exit 2).
+    argv = ["train", "--config", system_path, "--scheme", "mmse+powopt",
+            "--eta", "50", "--rounds", "400"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(argv) == 1
+    captured = capsys.readouterr()
+    assert "diverged" in captured.err and "bad config" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["nmse-sweep", "verify-elimination", "train"])
+@pytest.mark.parametrize(
+    "changes",
+    [{"ps_ris_distance": 1e200, "pathloss_exponent": 4}, {"ps_ris_distance": 1e-200}],
+    ids=["underflow", "overflow"],
+)
+def test_attenuation_that_is_not_finite_and_positive_exits_2(
+    tmp_path, system_doc, capsys, command, changes
+):
+    # An all-zero channel once passed every verifier check, and an
+    # infinite one failed at run time (or, under -W error, on a warning).
+    system_doc.update(changes)
+    doc, extra = system_doc, ["--rounds", "3"]
+    if command == "nmse-sweep":
+        doc = {"system": system_doc, "schemes": ["unbiased"], "n_values": [4],
+               "p_values": [1.0], "trials": 20}
+        extra = []
+    elif command == "verify-elimination":
+        extra = ["--trials", "200"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main([command, "--config", str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert "bad config" in captured.err and "large-scale coefficients" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_verify_elimination_rejects_out_of_range_seed(system_path, capsys, seed):
     argv = ["verify-elimination", "--config", system_path, "--trials", "10", "--seed", seed]

@@ -42,6 +42,18 @@ def test_unbiased_design_frozen_instance():
     assert design.denoisers[0, 0] == pytest.approx(LAMBDA_FROZEN, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "beta, sigmas, max_power, match",
+    [(np.ones((1, 3)), np.ones((1, 2)), np.ones(2), "beta must have shape"),
+     (np.ones((1, 2)), np.array([[1.0, -0.5]]), np.ones(2), "non-negative"),
+     (np.ones((1, 2)), np.ones((1, 2)), np.array([1.0, 0.0]), "positive")],
+    ids=["beta-shape", "negative-std", "zero-budget"],
+)
+def test_unbiased_design_rejects_malformed_inputs(beta, sigmas, max_power, match):
+    with pytest.raises(ValueError, match=match):
+        unbiased_design(beta, sigmas, max_power, 4, 8, np.zeros(2, dtype=int))
+
+
 def test_binding_device_transmits_at_budget():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -1,5 +1,7 @@
 """Synthetic clustered tasks and the federated training loop."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from airpfl.flsim import (
     synth_clustered_tasks,
 )
 from airpfl.harness import export_csv
-from airpfl.sysmodel import ConfigError, make_config, place_geometry
+from airpfl.sysmodel import ConfigError, make_config
 
 
 def _config(K=6, M=2, N=32, D=8, noise_var=1e-9, seed=2):
@@ -97,7 +99,6 @@ def test_training_losses_are_member_averages(monkeypatch):
     # the mean local loss of its devices under its updated model, with
     # one local_loss call per round, on every device's model, through the module.
     cfg = _config(K=5)
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=5)
     calls = []
 
@@ -106,7 +107,7 @@ def test_training_losses_are_member_averages(monkeypatch):
         return local_loss(weights, tasks)
 
     monkeypatch.setattr(flsim, "local_loss", counted)
-    hist = run_training(cfg, geom, tasks, "unbiased", rounds=2)
+    hist = run_training(cfg, tasks, "unbiased", rounds=2)
     assert calls == [(5, 8)] * 2
     for m, w in enumerate(hist.final_weights):
         members = np.flatnonzero(cfg.cluster_of == m)
@@ -155,9 +156,8 @@ def test_synth_tasks_validate_arguments():
 
 def test_ideal_training_converges_monotonically():
     cfg = _config()
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 40, 0.05, task_seed=cfg.master_seed)
-    hist = run_training(cfg, geom, tasks, "ideal", rounds=150, eta=0.05)
+    hist = run_training(cfg, tasks, "ideal", rounds=150, eta=0.05)
     summed = hist.losses.sum(axis=1)
     assert np.all(np.diff(summed) <= 1e-9)
     assert summed[-1] < 0.05 * summed[0]
@@ -167,10 +167,9 @@ def test_ideal_training_converges_monotonically():
 
 def test_training_is_deterministic():
     cfg = _config()
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 20, 0.1, task_seed=cfg.master_seed)
-    a = run_training(cfg, geom, tasks, "unbiased", rounds=12, eta=0.05)
-    b = run_training(cfg, geom, tasks, "unbiased", rounds=12, eta=0.05)
+    a = run_training(cfg, tasks, "unbiased", rounds=12, eta=0.05)
+    b = run_training(cfg, tasks, "unbiased", rounds=12, eta=0.05)
     assert np.array_equal(a.losses, b.losses)
     assert np.array_equal(a.nmse, b.nmse)
     assert np.array_equal(a.final_weights, b.final_weights)
@@ -184,7 +183,6 @@ def test_training_bytes_are_pinned(tmp_path):
     import hashlib
 
     cfg = _config(K=5, N=16, D=6)
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=5)
     pinned = {
         "ideal": "55ecf102066a0fa8a4a3b016a59202ce9dd15a3a2e413daae1e16ead2acdf179",
@@ -197,7 +195,7 @@ def test_training_bytes_are_pinned(tmp_path):
     digests = {}
     for scheme in pinned:
         path = tmp_path / f"{scheme}.csv"
-        export_csv(run_training(cfg, geom, tasks, scheme, rounds=3, eta=0.05), str(path))
+        export_csv(run_training(cfg, tasks, scheme, rounds=3, eta=0.05), str(path))
         digests[scheme] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == pinned
 
@@ -207,9 +205,8 @@ def test_training_bytes_are_pinned(tmp_path):
 )
 def test_every_scheme_runs_and_records_nmse(scheme):
     cfg = _config(K=4, M=2, N=16, D=6)
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
-    hist = run_training(cfg, geom, tasks, scheme, rounds=6, eta=0.04)
+    hist = run_training(cfg, tasks, scheme, rounds=6, eta=0.04)
     assert hist.losses.shape == (6, 2)
     assert hist.nmse.shape == (6,)
     assert np.all(np.isfinite(hist.losses))
@@ -231,9 +228,8 @@ def test_constant_gradient_cluster_transmits_mean_exactly():
         noise_var=1e-6,
         master_seed=9,
     )
-    geom = place_geometry(cfg, 9)
     tasks = DeviceTasks(features=np.ones((2, 5, 1)), targets=np.full((2, 5), 3.0))
-    hist = run_training(cfg, geom, tasks, "unbiased", rounds=150, eta=0.1)
+    hist = run_training(cfg, tasks, "unbiased", rounds=150, eta=0.1)
     assert np.allclose(hist.nmse, 0.0, atol=1e-24)
     assert hist.final_weights[0, 0] == pytest.approx(3.0, rel=1e-4)
 
@@ -265,7 +261,6 @@ def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
     # the sweep does: every phase that reaches the gains sits on the
     # 2**b grid, and the run differs from the unquantized one.
     cfg = _config(K=4, M=2, N=16, D=6)
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
     seen = []
     draw = flsim.sample_small_scale
@@ -278,12 +273,12 @@ def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
         return draw(rng, trials, num_clusters, cluster_of, num_elements, recorded)
 
     monkeypatch.setattr(flsim, "sample_small_scale", record)
-    hist = run_training(cfg, geom, tasks, "random-phase-2bit", rounds=5, eta=0.04)
+    hist = run_training(cfg, tasks, "random-phase-2bit", rounds=5, eta=0.04)
     assert len(seen) == 5
     for configs in seen:
         assert len(configs) == 1
         assert np.all(np.isin(configs[0], np.exp(-1j * (np.arange(4) * (np.pi / 2)))))
-    plain = run_training(cfg, geom, tasks, "random-phase", rounds=5, eta=0.04)
+    plain = run_training(cfg, tasks, "random-phase", rounds=5, eta=0.04)
     assert hist.scheme == "random-phase-2bit"
     assert not np.array_equal(hist.nmse, plain.nmse)
 
@@ -294,52 +289,64 @@ def test_training_all_zero_std_gradients_estimate_exactly():
     # standardized gradient is degenerate and each cluster estimate is
     # the exact mean, on every channel scheme.
     cfg = _config(D=1)
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=cfg.master_seed)
-    ideal = run_training(cfg, geom, tasks, "ideal", rounds=5)
+    ideal = run_training(cfg, tasks, "ideal", rounds=5)
     for scheme in ("unbiased", "mmse", "mmse+powopt", "random-phase"):
-        hist = run_training(cfg, geom, tasks, scheme, rounds=5)
+        hist = run_training(cfg, tasks, scheme, rounds=5)
         assert np.all(hist.nmse == 0.0)
         assert np.array_equal(hist.losses, ideal.losses)
 
 
 def test_training_rejects_bad_arguments():
     cfg = _config()
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
     with pytest.raises(ValueError, match="unknown scheme"):
-        run_training(cfg, geom, tasks, "analog", rounds=3)
+        run_training(cfg, tasks, "analog", rounds=3)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, tasks, "ideal-1bit", rounds=3)
+        run_training(cfg, tasks, "ideal-1bit", rounds=3)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, tasks, "ideal", rounds=0)
+        run_training(cfg, tasks, "ideal", rounds=0)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, DeviceTasks(tasks.features[:-1], tasks.targets[:-1]), "ideal", 3)
+        run_training(cfg, DeviceTasks(tasks.features[:-1], tasks.targets[:-1]), "ideal", 3)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, DeviceTasks(tasks.features[..., 1:], tasks.targets), "ideal", 3)
+        run_training(cfg, DeviceTasks(tasks.features[..., 1:], tasks.targets), "ideal", 3)
     with pytest.raises(ValueError):
-        run_training(cfg, geom, tasks, "ideal", rounds=3, eta=[0.1, 0.1])
+        run_training(cfg, tasks, "ideal", rounds=3, eta=[0.1, 0.1])
     # Learning rates are numbers, not strings or bools that happen to convert.
     bad = ([0.1, 0.0, 0.1], [0.1, 0.1, np.nan], -0.05, "0.05", True, [0.05, "0.05", 0.05])
     for eta in bad:
         with pytest.raises(ConfigError, match="learning rate"):
-            run_training(cfg, geom, tasks, "ideal", rounds=3, eta=eta)
+            run_training(cfg, tasks, "ideal", rounds=3, eta=eta)
 
 
-def test_training_divergence_raises():
+@pytest.mark.parametrize("scheme", ["ideal", "unbiased", "mmse", "mmse+powopt", "random-phase"])
+def test_training_divergence_raises(scheme):
+    # Every scheme stops with the same error, naming the round, before a
+    # channel kernel reads a non-finite gradient spread or loss.
     cfg = _config()
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 30, 0.05, task_seed=1)
+    message = rf"diverged at round \d+ under scheme '{re.escape(scheme)}'"
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match="diverged"):
-            run_training(cfg, geom, tasks, "ideal", rounds=400, eta=5.0)
+        with pytest.raises(RuntimeError, match=message):
+            run_training(cfg, tasks, scheme, rounds=400, eta=5.0)
+
+
+def test_training_stops_on_a_non_finite_gradient_spread():
+    # Targets near the float64 limit leave the first round's losses
+    # finite, while the spread of its gradients overflows: the round
+    # stops before the statistical design reads an infinite std.
+    cfg = _config(K=4, D=4)
+    features = np.broadcast_to([3.0, -3.0, 3.0, 1.0], (4, 5, 4))
+    tasks = DeviceTasks(features=features.copy(), targets=np.full((4, 5), 1e154))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"round 0 .*non-finite gradient spread"):
+            run_training(cfg, tasks, "unbiased", rounds=3)
 
 
 def test_history_csv_rows():
     cfg = _config()
-    geom = place_geometry(cfg, cfg.master_seed)
     tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
-    hist = run_training(cfg, geom, tasks, "ideal", rounds=4, eta=0.05)
+    hist = run_training(cfg, tasks, "ideal", rounds=4, eta=0.05)
     rows = hist.csv_rows()
     assert len(rows) == 4 * 2
     assert hist.csv_header() == ["round", "cluster", "loss", "nmse", "scheme", "seed"]

@@ -77,7 +77,9 @@ def test_unknown_scheme_rejected():
 
 
 @pytest.mark.parametrize(
-    "name", ["ideal-1bit", "mmse-0bit", "mmse-01bit", "mmse-bit", "mmse-1", 3, "unbiased-53bit"]
+    "name",
+    ["ideal-1bit", "mmse-0bit", "mmse-01bit", "mmse-bit", "mmse-1", 3, "unbiased-53bit",
+     Scheme("mmse", "mmse", "aligned", None)],  # schemes cross every boundary as labels
 )
 def test_malformed_scheme_rejected(name):
     with pytest.raises(ConfigError):

@@ -155,6 +155,8 @@ def test_bad_power_rejected():
         small_config(max_power=[1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
     with pytest.raises(ConfigError):
         small_config(max_power=np.inf)
+    with pytest.raises(ConfigError, match="max_power must have shape"):
+        small_config(max_power=[1.0] * 5)
 
 
 def test_negative_noise_rejected():
@@ -238,6 +240,9 @@ def test_replace_revalidates():
             cfg.replace(**changes)
     assert cfg.replace(noise_var=2e-8).noise_var == 2e-8
     assert cfg.replace(cluster_of=[0, 0, 0, 1, 1, 1]) == cfg
+    assert cfg.replace(noise_var=2e-8) != cfg
+    assert cfg.replace(max_power=np.arange(1.0, 7.0)) != cfg
+    assert cfg != cfg.to_json()
     with pytest.raises(ConfigError, match="cluster_of entry"):
         cfg.replace(cluster_of=[0, 0, 0, 1, 1, True])
 
