@@ -145,6 +145,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    """Solve one instance; the summary's iterations= counts solver cycles (AscentResult)."""
     doc = _load_json(args.config)
     a, b, c, bounds = (
         as_array(f"power problem {key}", doc[key], as_number) for key in ("A", "b", "c", "bounds")

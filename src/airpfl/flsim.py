@@ -303,7 +303,9 @@ def run_training(
     otherwise). rounds must be an integer >= 1 and the learning rate eta
     a finite number > 0 (ConfigError otherwise). A round whose gradient
     spread or losses are not finite raises RuntimeError ("training
-    diverged") before any channel kernel reads them.
+    diverged") before any channel kernel reads them, and so does a round
+    in which numpy meets an overflow or an invalid operation: it raises
+    instead of warning, whatever the warning filters.
     All randomness, the deployment included, is derived from
     cfg.master_seed and the round counter. Each round draws its gains
     with draw_gains, for its scheme's phase key alone, and its noise,
@@ -327,41 +329,56 @@ def run_training(
     if not 0 < eta < np.inf:
         raise ConfigError(f"learning rate must be a finite number > 0, got {eta!r}")
 
-    def guard(t, what, values):
-        if not np.isfinite(values).all():
-            raise RuntimeError(f"training diverged at round {t} under scheme {scheme.name!r} "
-                               f"(non-finite {what}); reduce eta or noise")
+    def diverged(t, what):
+        return RuntimeError(f"training diverged at round {t} under scheme {scheme.name!r} "
+                            f"(non-finite {what}); reduce eta or noise")
 
     beta = large_scale_coefficients(place_geometry(cfg, cfg.master_seed), cfg.pathloss_exponent)
     weights = np.zeros((M, D))
     losses = np.empty((rounds, M))
     nmse = np.zeros(rounds)
 
-    for t in range(rounds):
-        grads = local_gradient(weights[cfg.cluster_of], tasks)[None]
-        g_true = cluster_average(grads, cfg.cluster_of, M)
+    # An overflow or invalid operation raises FloatingPointError here
+    # where numpy would warn: it is divergence of what the round was
+    # computing, under every scheme and warning filter alike.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(rounds):
+                what = "gradient spread"
+                grads = local_gradient(weights[cfg.cluster_of], tasks)[None]
+                g_true = cluster_average(grads, cfg.cluster_of, M)
 
-        if scheme.design == "ideal":
-            g_hat = g_true
-        else:
-            normalized = normalize_gradient(grads)
-            guard(t, "gradient spread", normalized.std)
-            rng = rng_from_seed(derive_seed(master, "round-channel", t))
-            phase_rng = (rng_from_seed(derive_seed(master, "round-phases", t))
-                         if scheme.phases == "random" else None)
-            gains = draw_gains(rng, phase_rng, 1, cfg.cluster_of, beta, [N], [scheme.key])
-            noise = rng_from_seed(derive_seed(master, "round-noise", t)).standard_normal((1, M, D))
-            seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
-            design = unbiased_design(beta, normalized.std, cfg.max_power, D, N, cfg.cluster_of)
-            g_hat = aggregate_round(
-                cfg, scheme, design, gains[N, scheme.key], normalized, noise, seeds
-            )
-            nmse[t] = estimation_nmse(g_hat, g_true)[0]
+                if scheme.design == "ideal":
+                    g_hat = g_true
+                else:
+                    normalized = normalize_gradient(grads)
+                    if not np.isfinite(normalized.std).all():
+                        raise diverged(t, what)
+                    what = "aggregated gradient"
+                    rng = rng_from_seed(derive_seed(master, "round-channel", t))
+                    phase_rng = (rng_from_seed(derive_seed(master, "round-phases", t))
+                                 if scheme.phases == "random" else None)
+                    gains = draw_gains(rng, phase_rng, 1, cfg.cluster_of, beta, [N], [scheme.key])
+                    noise = rng_from_seed(derive_seed(master, "round-noise", t)).standard_normal(
+                        (1, M, D)
+                    )
+                    seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
+                    design = unbiased_design(
+                        beta, normalized.std, cfg.max_power, D, N, cfg.cluster_of
+                    )
+                    g_hat = aggregate_round(
+                        cfg, scheme, design, gains[N, scheme.key], normalized, noise, seeds
+                    )
+                    nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
-        weights = weights - eta * g_hat[0]
-        local = local_loss(weights[cfg.cluster_of], tasks)
-        losses[t] = cluster_average(local[None], cfg.cluster_of, M)[0]
-        guard(t, "loss", losses[t])
+                what = "loss"
+                weights = weights - eta * g_hat[0]
+                local = local_loss(weights[cfg.cluster_of], tasks)
+                losses[t] = cluster_average(local[None], cfg.cluster_of, M)[0]
+                if not np.isfinite(losses[t]).all():
+                    raise diverged(t, what)
+    except FloatingPointError as exc:
+        raise diverged(t, what) from exc
 
     return TrainingHistory(
         losses=losses,

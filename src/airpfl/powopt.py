@@ -15,7 +15,13 @@ below cluster m's signal-free floor. A cluster whose own signal q^T b_m
 is negative gets the infinite denoiser and recovers nothing, so it
 scores zero. The problem is non-convex, so the solver runs the
 quadratic transform of Shen & Yu (IEEE TSP 2018) from several starts
-per trial and keeps the best.
+per trial and keeps the best. Each start advances in cycles of two
+transform steps, a squared extrapolation (SQUAREM, Varadhan & Roland,
+Scand. J. Statist. 2008) clipped to the box and one stabilizing step,
+and keeps the extrapolated point only where it does at least as well as
+the two plain steps, so every start still rises monotonically. Starts
+leave the working arrays as they stop, so a batch costs what its slow
+starts cost.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from .seeding import rng_from_seed
 from .sysmodel import ConfigError, membership
 
 STARTS = 8         # the all-bounds corner, then uniform-random feasible points
-MAX_ITERS = 2000
-RTOL = 1e-12       # a start stops once an iteration raises its objective by at most this
+MAX_ITERS = 2000   # cycles per start, each of three transform steps
+RTOL = 1e-12       # a start stops once a plain step raises its objective by at most this
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class AscentResult:
     q: np.ndarray          # (T, K) best amplitudes per trial
     objective: np.ndarray  # (T,)
     converged: bool        # every start of every trial met the stopping rule
-    iterations: int
+    iterations: int        # cycles run by the batch's slowest start, at most MAX_ITERS
 
 
 def assemble_ratio_problem(
@@ -89,16 +95,20 @@ def assemble_ratio_problem(
     )
 
 
-def _numerators_denominators(prob: RatioProblem, q: np.ndarray):
-    """max(b_m . q, 0) and q^T diag(a_m) q + c_m, both (T, S, M), at q (T, S, K) or (S, K)."""
-    num = np.maximum(q @ prob.b.transpose(0, 2, 1), 0.0)
-    den = q**2 @ prob.a_diag.transpose(0, 2, 1) + prob.c
-    return num, den
+def _ratios(a_diag: np.ndarray, b: np.ndarray, c: np.ndarray, q: np.ndarray):
+    """Weights y (..., M) and objective (...) at amplitudes q (..., K).
 
-
-def _sum_of_ratios(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    terms = np.divide(num**2, den, out=np.zeros_like(num), where=den > 0)
-    return terms.sum(axis=-1)
+    y_m = max(b_m . q, 0) / (q^T diag(a_m) q + c_m), 0 where the
+    denominator is 0, and the objective is sum_m y_m max(b_m . q, 0).
+    a_diag and b are (..., M, K) and broadcast against q[..., None, :].
+    Every sum runs over one row's own entries, so a row's values do not
+    depend on the rows beside it.
+    """
+    q = q[..., None, :]
+    num = np.maximum((q * b).sum(axis=-1), 0.0)
+    den = (q**2 * a_diag).sum(axis=-1) + c
+    y = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return y, (y * num).sum(axis=-1)
 
 
 def objective(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
@@ -109,27 +119,24 @@ def objective(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
     where a cluster's signal vanishes or is anti-aligned), divided by
     the model size.
     """
-    q = np.asarray(q, dtype=float)
-    return _sum_of_ratios(*_numerators_denominators(prob, q[:, None, :]))[:, 0]
+    return _ratios(prob.a_diag, prob.b, prob.c, np.asarray(q, dtype=float))[1]
 
 
-def _transform_step(prob: RatioProblem, q: np.ndarray) -> np.ndarray:
-    """Next points (T, S, K) of the quadratic-transform iteration from q (T, S, K).
+def _transform_step(a_diag, b, bounds, y):
+    """The quadratic-transform step (R, K) from a point whose weights are y (R, M).
 
-    With y_m = max(b_m . q, 0) / (q^T diag(a_m) q + c_m) fixed, the
-    surrogate sum_m 2 y_m (b_m . p) - y_m^2 (p^T diag(a_m) p + c_m) is
-    at most the objective at p (with y_m >= 0, each term is at most
-    max(b_m . p, 0)^2 / den_m(p)), equals it at p = q (y_m = 0 matches
-    an anti-aligned cluster's score 0) and is separable in p, so its
-    box maximizer (closed-form per device) never lowers the objective.
+    With y_m fixed, the surrogate sum_m 2 y_m (b_m . p) - y_m^2 (p^T
+    diag(a_m) p + c_m) is at most the objective at p (with y_m >= 0, each
+    term is at most max(b_m . p, 0)^2 / den_m(p)), equals it at the
+    point y was taken at (y_m = 0 matches an anti-aligned cluster's
+    score 0) and is separable in p, so its box maximizer (closed-form
+    per device) never lowers the objective.
     """
-    num, den = _numerators_denominators(prob, q)
-    y = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    lin = y @ prob.b
-    quad = y**2 @ prob.a_diag
-    flat = np.where(lin > 0, prob.bounds, 0.0)  # surrogate linear in q_k
+    lin = (y[..., None] * b).sum(axis=-2)
+    quad = (y[..., None] ** 2 * a_diag).sum(axis=-2)
+    flat = np.where(lin > 0, bounds, 0.0)  # surrogate linear in q_k
     step = np.divide(lin, quad, out=flat, where=quad > 0)
-    return np.clip(step, 0.0, prob.bounds)
+    return np.minimum(np.maximum(step, 0.0), bounds)
 
 
 def solve_projected_ascent(prob: RatioProblem, seeds) -> AscentResult:
@@ -137,11 +144,19 @@ def solve_projected_ascent(prob: RatioProblem, seeds) -> AscentResult:
 
     Each trial starts from the all-bounds corner plus STARTS - 1
     uniform-random feasible points drawn from rng_from_seed(seeds[t]).
-    A start stops once an iteration raises its objective by at most
-    RTOL relative and is then frozen; converged is True when every
-    start of every trial stopped within MAX_ITERS iterations. Each
-    trial returns its best start. A trial's result does not depend on
-    the other trials in the batch.
+    A cycle from q takes the plain steps q1 = F(q) and q2 = F(q1), then
+    the SQUAREM point q + 2 s r + s^2 v clipped to the box, with r =
+    q1 - q, v = q2 - 2 q1 + q and s = |r| / |v| held to [1, s_max]
+    (s = 1 where |v| is rounding noise against |r|: the point is q2),
+    then the stabilizing step F of that point. The cycle ends there if
+    that does at least as well as q2, and at q2 otherwise. s_max starts
+    at 1 per start and grows fourfold after a capped jump is kept,
+    shrinking fourfold (not below 1) after one is not. A start stops
+    once either plain step raises its objective by at most RTOL
+    relative, at the best of q, q1 and q2, and leaves the working
+    arrays; converged is True when every start of every trial stopped
+    within MAX_ITERS cycles. Each trial returns its best start, which
+    does not depend on the other trials in the batch.
     """
     T, _, K = prob.a_diag.shape
     if len(seeds) != T:
@@ -150,19 +165,48 @@ def solve_projected_ascent(prob: RatioProblem, seeds) -> AscentResult:
     for t, seed in enumerate(seeds):
         q[t, 0] = prob.bounds
         q[t, 1:] = rng_from_seed(seed).random((STARTS - 1, K)) * prob.bounds
-    f = _sum_of_ratios(*_numerators_denominators(prob, q))
-    active = np.ones((T, STARTS), dtype=bool)
-    iterations = 0
-    while active.any() and iterations < MAX_ITERS:
-        iterations += 1
-        q_new = _transform_step(prob, q)
-        f_new = _sum_of_ratios(*_numerators_denominators(prob, q_new))
-        rise = f_new - f
-        take = active & (rise > 0)
-        active &= rise > RTOL * np.abs(f)
-        q = np.where(take[..., None], q_new, q)
-        f = np.where(take, f_new, f)
-    best = (np.arange(T), np.argmax(f, axis=1))
+    q = q.reshape(T * STARTS, K)
+    a_diag, b = np.repeat(prob.a_diag, STARTS, axis=0), np.repeat(prob.b, STARTS, axis=0)
+    bounds, c = prob.bounds, prob.c
+    q_out, f_out = q.copy(), np.empty(T * STARTS)
+    rows = np.arange(T * STARTS)  # the (trial, start) of each working row
+    y, f = _ratios(a_diag, b, c, q)
+    s_max = np.ones(T * STARTS)
+    cycles = 0
+    while rows.size and cycles < MAX_ITERS:
+        cycles += 1
+        q1 = _transform_step(a_diag, b, bounds, y)
+        y1, f1 = _ratios(a_diag, b, c, q1)
+        q2 = _transform_step(a_diag, b, bounds, y1)
+        y2, f2 = _ratios(a_diag, b, c, q2)
+        r, v = q1 - q, q2 - 2.0 * q1 + q
+        r_norm, v_norm = np.sqrt((r * r).sum(axis=-1)), np.sqrt((v * v).sum(axis=-1))
+        s = np.divide(r_norm, v_norm, out=np.ones_like(r_norm),
+                      where=v_norm > np.finfo(float).eps * r_norm)
+        s = np.minimum(np.maximum(s, 1.0), s_max)
+        jump = np.clip(q + 2.0 * s[:, None] * r + (s**2)[:, None] * v, 0.0, bounds)
+        q3 = _transform_step(a_diag, b, bounds, _ratios(a_diag, b, c, jump)[0])
+        y3, f3 = _ratios(a_diag, b, c, q3)
+        kept = f3 >= f2
+        s_max = np.where(s == s_max, np.maximum(np.where(kept, 4.0, 0.25) * s_max, 1.0), s_max)
+
+        done = (f1 - f <= RTOL * np.abs(f)) | (f2 - f1 <= RTOL * np.abs(f1))
+        if done.any():
+            plain = np.stack([f, f1, f2])[:, done]
+            best = (np.argmax(plain, axis=0), np.arange(plain.shape[1]))
+            q_out[rows[done]] = np.stack([q, q1, q2])[:, done][best]
+            f_out[rows[done]] = plain[best]
+        q, y = np.where(kept[:, None], q3, q2), np.where(kept[:, None], y3, y2)
+        f = np.maximum(f3, f2)
+        if done.any():
+            live = ~done
+            rows, q, y, f, s_max = rows[live], q[live], y[live], f[live], s_max[live]
+            a_diag, b = a_diag[live], b[live]
+    q_out[rows], f_out[rows] = q, f
+    best = (np.arange(T), np.argmax(f_out.reshape(T, STARTS), axis=1))
     return AscentResult(
-        q=q[best], objective=f[best], converged=not active.any(), iterations=iterations
+        q=q_out.reshape(T, STARTS, K)[best],
+        objective=f_out.reshape(T, STARTS)[best],
+        converged=not rows.size,
+        iterations=cycles,
     )

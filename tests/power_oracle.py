@@ -8,7 +8,7 @@ handful of devices.
 
 import numpy as np
 
-from airpfl.powopt import AscentResult, RatioProblem, _numerators_denominators, _sum_of_ratios
+from airpfl.powopt import AscentResult, RatioProblem, _ratios
 
 
 def brute_force_oracle(prob: RatioProblem, grid_points: int = 60) -> AscentResult:
@@ -26,7 +26,7 @@ def brute_force_oracle(prob: RatioProblem, grid_points: int = 60) -> AscentResul
     axes = [np.linspace(0.0, b, grid_points) for b in prob.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     qs = np.stack([g.reshape(-1) for g in mesh], axis=1)  # (grid_points**K, K)
-    vals = _sum_of_ratios(*_numerators_denominators(prob, qs))  # (T, grid_points**K)
+    vals = _ratios(prob.a_diag[:, None], prob.b[:, None], prob.c, qs)[1]  # (T, grid_points**K)
     best = np.argmax(vals, axis=1)
     return AscentResult(
         q=qs[best], objective=vals[np.arange(T), best], converged=True, iterations=qs.shape[0]

@@ -301,14 +301,14 @@ def test_train_with_malformed_task_exits_2(tmp_path, system_doc, capsys, field, 
     assert "bad config" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_diverging_training_run_exits_1(system_path, capsys):
     # Divergence is a runtime failure, reported the same way under every
     # scheme; under mmse+powopt it once surfaced from the power solver as
     # a malformed config (exit 2).
     argv = ["train", "--config", system_path, "--scheme", "mmse+powopt",
             "--eta", "50", "--rounds", "400"]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli_main(argv) == 1
+    assert cli_main(argv) == 1
     captured = capsys.readouterr()
     assert "diverged" in captured.err and "bad config" not in captured.err
     assert captured.out == ""

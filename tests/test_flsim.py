@@ -188,7 +188,7 @@ def test_training_bytes_are_pinned(tmp_path):
         "ideal": "55ecf102066a0fa8a4a3b016a59202ce9dd15a3a2e413daae1e16ead2acdf179",
         "unbiased": "5bd147821883361f4ee44725c90b8a9c1965119b55a9fdb60e6dc010bec03700",
         "mmse": "e580bdc5a4203fe92f8a0139e3f8b92f72d65bc7c141c836ccc3c32e542e44d7",
-        "mmse+powopt": "deec373780e60943389bdb70cfdd384dfa871c4ba26fb0881a2c4ffb1f44ef49",
+        "mmse+powopt": "806ed31b72957730d45e493af3a860a780f235b8ec1eb94be374f4654532bb31",
         "random-phase": "3dee705b952fb4c9f5a9b4632cf089521851bc60eecfb3ecf3f8b86400f2476b",
         "mmse-1bit": "005abbeab70dcb21aecf9d895ed34fdf94a1af299777935845c43db38d670d80",
     }
@@ -319,18 +319,23 @@ def test_training_rejects_bad_arguments():
             run_training(cfg, tasks, "ideal", rounds=3, eta=eta)
 
 
-@pytest.mark.parametrize("scheme", ["ideal", "unbiased", "mmse", "mmse+powopt", "random-phase"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "scheme", ["ideal", "unbiased", "mmse", "mmse+powopt", "random-phase", "unbiased-1bit"]
+)
 def test_training_divergence_raises(scheme):
     # Every scheme stops with the same error, naming the round, before a
-    # channel kernel reads a non-finite gradient spread or loss.
+    # channel kernel reads a non-finite gradient spread or loss, and
+    # with warnings as errors: numpy's overflow inside the round is the
+    # same divergence, not a RuntimeWarning.
     cfg = _config()
     tasks, _ = synth_clustered_tasks(cfg, 30, 0.05, task_seed=1)
     message = rf"diverged at round \d+ under scheme '{re.escape(scheme)}'"
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=message):
-            run_training(cfg, tasks, scheme, rounds=400, eta=5.0)
+    with pytest.raises(RuntimeError, match=message):
+        run_training(cfg, tasks, scheme, rounds=400, eta=5.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_training_stops_on_a_non_finite_gradient_spread():
     # Targets near the float64 limit leave the first round's losses
     # finite, while the spread of its gradients overflows: the round
@@ -338,9 +343,8 @@ def test_training_stops_on_a_non_finite_gradient_spread():
     cfg = _config(K=4, D=4)
     features = np.broadcast_to([3.0, -3.0, 3.0, 1.0], (4, 5, 4))
     tasks = DeviceTasks(features=features.copy(), targets=np.full((4, 5), 1e154))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError, match=r"round 0 .*non-finite gradient spread"):
-            run_training(cfg, tasks, "unbiased", rounds=3)
+    with pytest.raises(RuntimeError, match=r"round 0 .*non-finite gradient spread"):
+        run_training(cfg, tasks, "unbiased", rounds=3)
 
 
 def test_history_csv_rows():

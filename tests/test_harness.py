@@ -408,7 +408,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "0e7d346d1f7a2a63b94a3fe6c77c170a958241732e050b2dbe3ac61834fbbdc4"
+        "5b8760cd3b50738c122dabae0c357161b6d69123b12153f98265cc6cb4040d0a"
     )
 
 
@@ -425,7 +425,7 @@ def test_nested_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "1547a4210d9d1b9011e2ed01b611c7a6075ad438c5b539f482fd6854391059ab"
+        "4d275438a3c7b45f46c228fdaeb719731773d38acaee80a21381ae7c4b5e5d9b"
     )
 
 

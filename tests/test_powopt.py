@@ -8,6 +8,8 @@ from airpfl.channel import all_cascaded_gains, large_scale_coefficients, sample_
 from airpfl.control import adaptive_denoisers, conditional_mse
 from airpfl.harness import desk_scale_config
 from airpfl.powopt import (
+    RTOL,
+    STARTS,
     RatioProblem,
     assemble_ratio_problem,
     objective,
@@ -200,6 +202,90 @@ def test_batched_solve_equals_per_trial_solves():
         assert np.array_equal(alone.q[0], batch.q[t])
         assert alone.objective[0] == batch.objective[t]
         assert alone.iterations <= batch.iterations
+
+
+def _trials(prob, idx):
+    """The sub-batch of prob holding trials idx, in that order."""
+    return RatioProblem(a_diag=prob.a_diag[idx], b=prob.b[idx], c=prob.c, bounds=prob.bounds)
+
+
+def test_batch_mixing_fast_and_slow_trials_equals_solo_solves():
+    # Rows leave the working arrays as they stop: the fast trial's rows
+    # are all gone many cycles before the slow trial's last row stops,
+    # and neither trial may notice the other.
+    prob = _trials(_desk_problem(trials=12, seed=8), [7, 1])
+    seeds = [107, 101]
+    batch = solve_projected_ascent(prob, seeds)
+    alone = [solve_projected_ascent(_trials(prob, [t]), [seed]) for t, seed in enumerate(seeds)]
+    assert alone[0].iterations * 2 < alone[1].iterations == batch.iterations
+    assert batch.converged and all(sol.converged for sol in alone)
+    for t, sol in enumerate(alone):
+        assert np.array_equal(sol.q[0], batch.q[t])
+        assert sol.objective[0] == batch.objective[t]
+
+
+def _plain_ascent(a, b, c, bounds, q, steps=20000):
+    """Best objective of the plain quadratic-transform iteration from the starts q (S, K).
+
+    Every start steps until a step raises its objective by at most RTOL
+    relative, as the solver's stopping rule reads, with no
+    extrapolation, for at most `steps` steps; returns the best
+    objective and whether every start stopped.
+    """
+    def terms(q):
+        num, den = np.maximum(q @ b.T, 0.0), q**2 @ a.T + c
+        y = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return y, np.divide(num**2, den, out=np.zeros_like(num), where=den > 0).sum(axis=1)
+
+    y, f = terms(q)
+    active = np.ones(len(q), dtype=bool)
+    for _ in range(steps):
+        lin, quad = y @ b, y**2 @ a
+        step = np.divide(lin, quad, out=np.where(lin > 0, bounds, 0.0), where=quad > 0)
+        y_new, f_new = terms(np.clip(step, 0.0, bounds))
+        take = active & (f_new > f)
+        active &= f_new - f > RTOL * np.abs(f)
+        y, f = np.where(take[:, None], y_new, y), np.where(take, f_new, f)
+        if not active.any():
+            break
+    return f.max(), not active.any()
+
+
+def test_solver_reaches_the_plain_iteration_optimum():
+    # The extrapolated cycles are an acceleration: from the same starts,
+    # no trial may end below what the plain iteration reaches.
+    prob = _desk_problem(trials=12, seed=8)
+    for t in range(12):
+        seed = 100 + t
+        sol = solve_projected_ascent(_trials(prob, [t]), [seed])
+        draws = rng_from_seed(seed).random((STARTS - 1, prob.bounds.size))
+        starts = np.vstack([prob.bounds, draws * prob.bounds])
+        best, stopped = _plain_ascent(prob.a_diag[t], prob.b[t], prob.c, prob.bounds, starts)
+        assert stopped
+        assert sol.converged
+        assert sol.objective[0] >= best - 1e-12 * abs(best)
+
+
+def test_solver_reaches_the_plain_iteration_optimum_on_small_instances():
+    # Small instances over a wide range of noise levels and budgets,
+    # where an extrapolated point sometimes lands below the plain
+    # steps: keeping it would end some trials below the plain
+    # iteration (by up to 3e-7 relative on these). At low noise the
+    # plain iteration creeps, so it runs 200 steps at most; the solver
+    # must still reach what it reached.
+    rng = np.random.default_rng(0)
+    for seed in range(120):
+        K = int(rng.integers(3, 9))
+        M = 2 if K == 3 else int(rng.integers(2, 4))
+        noise_var = float(10 ** rng.uniform(-6, -1))
+        gains, sigmas, noise_var, cluster_of, max_power = _instance(rng, K, M, noise_var)
+        max_power = max_power * 10 ** rng.uniform(-1, 1)
+        prob = assemble_ratio_problem(gains[None], sigmas[None], noise_var, cluster_of, max_power)
+        sol = solve_projected_ascent(prob, [seed])
+        draws = rng_from_seed(seed).random((STARTS - 1, K))
+        starts = np.vstack([prob.bounds, draws * prob.bounds])
+        best, _ = _plain_ascent(prob.a_diag[0], prob.b[0], prob.c, prob.bounds, starts, 200)
+        assert sol.objective[0] >= best - 1e-12 * abs(best)
 
 
 def _ratio_sum(a, b, c, q):
