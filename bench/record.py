@@ -1,11 +1,11 @@
 """Record one point of the benchmark trajectory as BENCH_<name>.json.
 
-    python3 bench/record.py --out BENCH_21.json [--seconds S]
+    python3 bench/record.py --out BENCH_21.json
 
 For each of the four workloads of perfbench/run.py it makes REPEATS
 untraced runs, at seeds 1 to REPEATS, then one traced run at seed 1,
-one after the other, each of --seconds (by default the run length that
-BENCHMARK.json sets). It writes one JSON document: the machine, the
+one after the other, each as long as BENCHMARK.json's run_seconds, so
+that every record is comparable with the others. It writes one JSON document: the machine, the
 command, the line count of src/airpfl/*.py, and per workload every
 run's result, the median of each end-to-end metric over the untraced
 runs, the traced run's per-layer metrics and the seed-1 output digest. The committed
@@ -83,7 +83,8 @@ def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
     }
 
 
-def record(seconds: float) -> dict:
+def record() -> dict:
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
     workloads = {}
     for name in WORKLOADS:
         plain = [run(name, seed, seconds, 0) for seed in range(1, REPEATS + 1)]
@@ -146,8 +147,6 @@ def check_record(doc) -> list:
         problems.append("machine lacks system, machine, cpu, nproc, python or numpy")
     if not isinstance(doc.get("command"), str):
         problems.append("command is not a string")
-    if not (_number(doc.get("seconds")) and doc["seconds"] > 0):
-        problems.append("seconds is not a positive number")
     if not (isinstance(doc.get("src_lines"), int) and doc["src_lines"] > 0):
         problems.append("src_lines is not a positive integer")
     workloads = doc.get("workloads")
@@ -179,14 +178,10 @@ def check_record(doc) -> list:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="file name, written to the repository root")
-    p.add_argument("--seconds", type=float,
-                   default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = p.parse_args(argv)
     if not re.fullmatch(r"BENCH_\w+\.json", args.out):
         p.error("--out must be a file name of the form BENCH_<name>.json")
-    if not args.seconds > 0:
-        p.error("--seconds must be positive")
-    doc = record(args.seconds)
+    doc = record()
     problems = check_record(doc)
     if problems:
         print("bench: the record does not conform: " + "; ".join(problems), file=sys.stderr)

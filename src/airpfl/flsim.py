@@ -301,11 +301,12 @@ def run_training(
 
     tasks must be shaped for cfg's devices and model (ValueError
     otherwise). rounds must be an integer >= 1 and the learning rate eta
-    a finite number > 0 (ConfigError otherwise). A round whose gradient
-    spread or losses are not finite raises RuntimeError ("training
-    diverged") before any channel kernel reads them, and so does a round
-    in which numpy meets an overflow or an invalid operation: it raises
-    instead of warning, whatever the warning filters.
+    a finite number > 0 (ConfigError otherwise). A round in which numpy
+    meets an overflow or an invalid operation, or whose losses are not
+    finite, raises RuntimeError instead of warning, whatever the warning
+    filters, naming the stage it reached: "training diverged", or, while
+    the weights are still zero, that the data or the deployment is out
+    of numeric range.
     All randomness, the deployment included, is derived from
     cfg.master_seed and the round counter. Each round draws its gains
     with draw_gains, for its scheme's phase key alone, and its noise,
@@ -330,6 +331,10 @@ def run_training(
         raise ConfigError(f"learning rate must be a finite number > 0, got {eta!r}")
 
     def diverged(t, what):
+        if t == 0 and what != "loss":  # no update applied yet: eta is not the cause
+            return RuntimeError(f"training cannot start: round 0 under scheme {scheme.name!r} "
+                                f"overflows (non-finite {what}) before any update; the task "
+                                "data or the deployment is out of numeric range")
         return RuntimeError(f"training diverged at round {t} under scheme {scheme.name!r} "
                             f"(non-finite {what}); reduce eta or noise")
 
@@ -339,8 +344,8 @@ def run_training(
     nmse = np.zeros(rounds)
 
     # An overflow or invalid operation raises FloatingPointError here
-    # where numpy would warn: it is divergence of what the round was
-    # computing, under every scheme and warning filter alike.
+    # where numpy would warn, under every scheme and warning filter
+    # alike, and `what` names the stage the round had reached.
     try:
         with np.errstate(over="raise", invalid="raise"):
             for t in range(rounds):
@@ -352,8 +357,6 @@ def run_training(
                     g_hat = g_true
                 else:
                     normalized = normalize_gradient(grads)
-                    if not np.isfinite(normalized.std).all():
-                        raise diverged(t, what)
                     what = "aggregated gradient"
                     rng = rng_from_seed(derive_seed(master, "round-channel", t))
                     phase_rng = (rng_from_seed(derive_seed(master, "round-phases", t))
@@ -375,8 +378,10 @@ def run_training(
                 weights = weights - eta * g_hat[0]
                 local = local_loss(weights[cfg.cluster_of], tasks)
                 losses[t] = cluster_average(local[None], cfg.cluster_of, M)[0]
+                # einsum and arithmetic on inf set no flag, so an infinite
+                # aggregate can reach the loss without a FloatingPointError.
                 if not np.isfinite(losses[t]).all():
-                    raise diverged(t, what)
+                    raise FloatingPointError("non-finite loss")
     except FloatingPointError as exc:
         raise diverged(t, what) from exc
 

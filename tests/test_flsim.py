@@ -347,6 +347,21 @@ def test_training_stops_on_a_non_finite_gradient_spread():
         run_training(cfg, tasks, "unbiased", rounds=3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_out_of_range_deployment_is_not_blamed_on_eta():
+    # A deployment so far away that its attenuation is tiny but nonzero
+    # overflows the first round's design while the weights are still
+    # zero: no update has been applied, so the error names the data or
+    # the deployment, not the learning rate.
+    cfg = make_config(num_devices=4, num_clusters=2, num_ris_elements=8, model_dim=4,
+                      cluster_of=[0, 0, 1, 1], max_power=1.0, noise_var=1e-9, master_seed=1,
+                      ps_ris_distance=1e70, device_disk_radius=1e70, pathloss_exponent=4)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
+    with pytest.raises(RuntimeError, match=r"round 0 .*before any update") as info:
+        run_training(cfg, tasks, "unbiased", rounds=3)
+    assert "eta" not in str(info.value)
+
+
 def test_history_csv_rows():
     cfg = _config()
     tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=0)
