@@ -87,7 +87,8 @@ def uplink(
         raise ValueError("noise_var must be >= 0")
     weights = np.sqrt(powers)[:, None, :] * gains
     signal = np.matmul(weights, grads.values)
-    return signal + np.sqrt(noise_var / 2.0) * noise
+    signal += np.sqrt(noise_var / 2.0) * noise
+    return signal
 
 
 def cluster_average(x: np.ndarray, cluster_of: np.ndarray, num_clusters: int) -> np.ndarray:
@@ -102,21 +103,22 @@ def estimate_cluster_gradient(
     means: np.ndarray,
     cluster_of: np.ndarray,
 ) -> np.ndarray:
-    """Recover every cluster's aggregated gradient, shape (T, M, D).
+    """Recover every cluster's aggregated gradient, shape (..., T, M, D).
 
-    The received signal (T, M, D) divided by the denoising factors
-    (T, M), plus the average of each cluster's reported gradient means
-    (T, K) on every coordinate. An infinite denoiser discards the analog
-    signal and keeps the mean term only.
+    The received signal (..., T, M, D) divided by the denoising factors
+    (..., T, M), plus the average of each cluster's reported gradient
+    means (T, K) on every coordinate. An infinite denoiser discards the
+    analog signal and keeps the mean term only.
     """
-    T, M, _ = received.shape
+    T, M, _ = received.shape[-3:]
     denoisers = np.asarray(denoisers, dtype=float)
-    if denoisers.shape != (T, M):
-        raise ValueError(f"denoisers must have shape ({T}, {M}), got {denoisers.shape}")
+    if denoisers.shape != received.shape[:-1]:
+        raise ValueError(f"denoisers must have shape {received.shape[:-1]}, got {denoisers.shape}")
     if not np.all(denoisers > 0):
         raise ValueError("denoisers must be positive")
     means = np.asarray(means, dtype=float)
     if means.shape != (T, np.shape(cluster_of)[0]):
         raise ValueError(f"expected one reported mean per device, got shape {means.shape}")
-    mean_term = cluster_average(means, cluster_of, M)
-    return received / denoisers[:, :, None] + mean_term[:, :, None]
+    estimate = received / denoisers[..., None]
+    estimate += cluster_average(means, cluster_of, M)[..., None]  # in place: no second temporary
+    return estimate

@@ -9,10 +9,10 @@ reference.
 
 `draw_gains` is the one channel-draw step of the package and
 `aggregate_round` its one aggregate-and-estimate step: training calls
-them with a batch of one trial, one surface size and its scheme's
-phases, and the NMSE sweep in `harness` calls them with a batch of
-Monte Carlo trials, every surface size and phase key of its grid, and
-one statistical design per power budget.
+them with a batch of one trial, one surface size and its one scheme,
+and the NMSE sweep in `harness` with a batch of Monte Carlo trials,
+every surface size and phase key of its grid, and, per size and power
+budget, one statistical design and every scheme of the grid at once.
 """
 
 from __future__ import annotations
@@ -240,28 +240,28 @@ def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
 
 def aggregate_round(
     cfg: SystemConfig,
-    scheme: Scheme,
+    schemes: list[Scheme],
     design: AggregationDesign,
-    gains: np.ndarray,
+    gains: dict,
     grads: NormalizedGradient,
     noise: np.ndarray,
     powopt_seeds=(),
 ) -> np.ndarray:
-    """One round of analog aggregation for T independent trials.
+    """One round of analog aggregation under each of schemes, for T independent trials.
 
     design is the statistical design of the round (`unbiased_design` of
     the large-scale coefficients, grads.std and cfg's power budgets,
-    model size, surface size and clusters). It depends on neither the
-    scheme nor the phases, so callers compute it once and pass it to
-    every scheme of the round. Its powers and denoisers are used as they
-    are by "unbiased"; (mmse+powopt) optimizes the powers instead, trial
-    t seeded by powopt_seeds[t]; then (mmse, mmse+powopt) the adaptive
-    denoiser replaces the denoisers; then the uplink and the per-cluster
-    estimate. gains (T, M, K) are the real cascaded gains under the
-    round's phases, grads the normalized (T, K, D) gradients and noise
-    (T, M, D) standard normal receiver draws. cfg supplies the clusters,
-    power budgets and noise level. Returns the (T, M, D) cluster
-    gradient estimates.
+    model size, surface size and clusters), shared by every scheme. Its
+    powers and denoisers are used as they are by "unbiased";
+    (mmse+powopt) optimizes the powers instead, trial t seeded by
+    powopt_seeds[t]; then (mmse, mmse+powopt) the adaptive denoiser
+    replaces the denoisers; then the uplink, one per phase key for the
+    schemes that send the design's powers, and the estimate. gains maps
+    each phase key to its (T, M, K) real cascaded gains, grads are the
+    normalized (T, K, D) gradients and noise (T, M, D) standard normal
+    receiver draws. cfg supplies the clusters, power budgets and noise
+    level. Returns the (S, T, M, D) estimates, row s bit for bit the
+    round of schemes[s] alone.
 
     A cluster whose devices all report zero std has no analog signal:
     the statistical design gives it an infinite denoiser, the adaptive
@@ -270,23 +270,31 @@ def aggregate_round(
     infinite denoiser as well, the estimate the power solver scored.
     """
     sigmas = grads.std
-    powers, denoisers, fallback = design.powers, design.denoisers, design.denoisers
-    if scheme.powopt:
-        prob = assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
-        powers = solve_projected_ascent(prob, powopt_seeds).q ** 2
-        fallback = np.full_like(fallback, np.inf)
-    if scheme.adaptive:
-        denoisers = adaptive_denoisers(
-            powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, fallback
-        )
-    received = uplink(gains, powers, grads, cfg.noise_var, noise)
-    return estimate_cluster_gradient(received, denoisers, grads.mean, cfg.cluster_of)
+    signals, received, denoisers = {}, [], []
+    for scheme in schemes:
+        h = gains[scheme.key]
+        powers, lam, fallback = design.powers, design.denoisers, design.denoisers
+        if scheme.powopt:
+            prob = assemble_ratio_problem(h, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
+            powers = solve_projected_ascent(prob, powopt_seeds).q ** 2
+            fallback = np.full_like(fallback, np.inf)
+        if scheme.adaptive:
+            lam = adaptive_denoisers(powers, h, sigmas, cfg.noise_var, cfg.cluster_of, fallback)
+        sent = scheme.name if scheme.powopt else scheme.key  # what the devices transmit
+        if sent not in signals:
+            signals[sent] = uplink(h, powers, grads, cfg.noise_var, noise)
+        received.append(signals[sent])
+        denoisers.append(lam)
+    return estimate_cluster_gradient(
+        np.stack(received), np.stack(denoisers), grads.mean, cfg.cluster_of
+    )
 
 
 def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
-    """Per-trial NMSE of (T, M, D) estimates; 0 where the truth is all zero."""
-    err = np.sum((g_hat - g_true) ** 2, axis=(1, 2))
-    denom = np.sum(g_true**2, axis=(1, 2))
+    """Per-trial NMSE (..., T) of (..., T, M, D) estimates of a (T, M, D) truth; 0 where it is 0."""
+    err = g_hat - g_true
+    err = np.sum(np.square(err, out=err), axis=(-2, -1))
+    denom = np.sum(g_true**2, axis=(-2, -1))
     return np.divide(err, denom, out=np.zeros_like(err), where=denom > 0)
 
 
@@ -370,8 +378,9 @@ def run_training(
                         beta, normalized.std, cfg.max_power, D, N, cfg.cluster_of
                     )
                     g_hat = aggregate_round(
-                        cfg, scheme, design, gains[N, scheme.key], normalized, noise, seeds
-                    )
+                        cfg, [scheme], design, {scheme.key: gains[N, scheme.key]},
+                        normalized, noise, seeds,
+                    )[0]
                     nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
                 what = "loss"

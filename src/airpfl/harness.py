@@ -173,7 +173,9 @@ def nmse_sweep(
     Every cell of the grid shares each chunk's draw: one draw_gains
     call (airpfl.flsim) for every surface size and phase key, then the
     gradients and noise. The power budget changes only the statistical
-    design and the aggregation. Comparisons along each of the three
+    design and the aggregation, one aggregate_round call for every
+    scheme, in which schemes sending the design's powers under one
+    phase key share one uplink. Comparisons along each of the three
     axes are therefore paired, while each cell's law is exactly that of
     an independent run of its own, and a cell's statistics do not
     depend on the other budgets beside it, nor on the order of the
@@ -224,9 +226,9 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
 
     Each chunk draws the gains of every size and phase key with one
     draw_gains call, its generator serving for the random phases too,
-    then its gradients and noise, once. Only the statistical design
-    (once per size and budget) and the aggregation (once per size,
-    budget and scheme) run per cell.
+    then its gradients and noise, once. Only the statistical design and
+    the aggregation of every scheme (one aggregate_round call) run once
+    per size and budget.
     """
     cfg = next(iter(cfgs.values()))
     M, K, D, cluster_of = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.cluster_of
@@ -253,11 +255,10 @@ def _sweep_cell(cfgs, beta, schemes, trials, seed):
         }
         for (n, p), cell_cfg in cfgs.items():
             design = flsim.unbiased_design(beta, grads.std, cell_cfg.max_power, D, n, cluster_of)
-            for s in channel_schemes:
-                g_hat = aggregate_round(
-                    cell_cfg, s, design, gains[n, s.key], grads, noise, seeds[n]
-                )
-                moments[n, p, s.name].add(estimation_nmse(g_hat, g_true))
+            g_hat = aggregate_round(cell_cfg, channel_schemes, design,
+                                    {key: gains[n, key] for key in keys}, grads, noise, seeds[n])
+            for s, nmse in zip(channel_schemes, estimation_nmse(g_hat, g_true)):
+                moments[n, p, s.name].add(nmse)
 
     out = {(n, p, s.name): (0.0, 0.0) for n, p in cfgs for s in schemes if s.design == "ideal"}
     for key, stats in moments.items():

@@ -10,6 +10,7 @@ from airpfl.aircomp import (
     uplink,
 )
 from airpfl.channel import all_cascaded_gains, sample_small_scale
+from airpfl.flsim import estimation_nmse
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import make_config
 from full_channel import aligned, channel_set, draw_full
@@ -203,6 +204,51 @@ def test_estimate_validates_inputs():
         estimate_cluster_gradient(received, np.array([[1.0]]), np.array([[1.0, 2.0]]), cluster_of)
     with pytest.raises(ValueError):
         estimate_cluster_gradient(received, np.array([1.0]), np.array([[1.0]]), cluster_of)
+
+
+def test_estimate_with_a_leading_axis_equals_each_slice_alone():
+    rng = np.random.default_rng(21)
+    cluster_of = np.array([0, 0, 1, 1, 1])
+    received = rng.standard_normal((3, 4, 2, 6))
+    denoisers = rng.uniform(0.5, 2.0, size=(3, 4, 2))
+    denoisers[1, 2, 0] = np.inf
+    means = rng.standard_normal((4, 5))
+    est = estimate_cluster_gradient(received, denoisers, means, cluster_of)
+    assert est.shape == (3, 4, 2, 6)
+    for s in range(3):
+        alone = estimate_cluster_gradient(received[s], denoisers[s], means, cluster_of)
+        assert np.array_equal(est[s], alone)
+
+
+def test_estimation_nmse_with_a_leading_axis_equals_each_slice_alone():
+    # 2 x 100 entries per trial: long enough for numpy's pairwise sum.
+    rng = np.random.default_rng(22)
+    g_true = rng.standard_normal((4, 2, 100))
+    g_true[1] = 0.0
+    g_hat = g_true + 0.1 * rng.standard_normal((3, 4, 2, 100))
+    nmse = estimation_nmse(g_hat, g_true)
+    assert nmse.shape == (3, 4)
+    assert np.all(nmse[:, 1] == 0.0)
+    for s in range(3):
+        assert np.array_equal(nmse[s], estimation_nmse(g_hat[s], g_true))
+
+
+@pytest.mark.parametrize(
+    "denoiser_shape, means_shape",
+    [((3, 4, 3), (4, 5)), ((2, 4, 2), (4, 5)), ((4, 2), (4, 5)), ((3, 5, 2), (4, 5)),
+     ((3, 4, 2), (5, 5))],
+)
+def test_estimate_rejects_mismatched_trailing_shapes(denoiser_shape, means_shape):
+    # received is (S=3, T=4, M=2, D=6) for 5 devices in 2 clusters.
+    with pytest.raises(ValueError):
+        estimate_cluster_gradient(np.zeros((3, 4, 2, 6)), np.ones(denoiser_shape),
+                                  np.zeros(means_shape), np.array([0, 0, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("truth_shape", [(4, 2, 5), (4, 3, 6), (5, 2, 6)])
+def test_estimation_nmse_rejects_mismatched_trailing_shapes(truth_shape):
+    with pytest.raises(ValueError):
+        estimation_nmse(np.zeros((3, 4, 2, 6)), np.zeros(truth_shape))
 
 
 def test_cluster_average_groups_devices():

@@ -15,6 +15,7 @@ from airpfl.flsim import (
     synth_clustered_tasks,
 )
 from airpfl.harness import export_csv
+from airpfl.seeding import derive_seed
 from airpfl.sysmodel import ConfigError, make_config
 
 
@@ -250,10 +251,42 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
     design = unbiased_design(
         np.ones((M, K)), grads.std, cfg.max_power, D, cfg.num_ris_elements, cfg.cluster_of
     )
-    est = flsim.aggregate_round(cfg, scheme, design, gains, grads, noise, [1, 2])
+    est = flsim.aggregate_round(cfg, [scheme], design, {scheme.key: gains}, grads, noise, [1, 2])[0]
     mean_term = flsim.cluster_average(grads.mean, cfg.cluster_of, M)
     assert np.array_equal(est[:, 1], np.repeat(mean_term[:, 1, None], D, axis=1))
     assert np.all(np.isfinite(est))
+
+
+@pytest.mark.parametrize("T", [1, 16])
+def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
+    # Schemes of one phase key share one uplink and the estimate takes
+    # every scheme at once, yet each row is bit for bit the round of its
+    # scheme alone. Trial 0's cluster 0 reports zero std throughout.
+    cfg = _config(N=16)
+    M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
+    schemes = [flsim.parse_scheme(s) for s in
+               ["unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase", "mmse+powopt"]]
+    rng = np.random.default_rng(17)
+    beta = rng.uniform(0.1, 1.0, size=(M, K))
+    drawn = flsim.draw_gains(rng, rng, T, cfg.cluster_of, beta, [16], [s.key for s in schemes])
+    gains = {key: g for (_, key), g in drawn.items()}
+    raw = rng.standard_normal((T, K, D))
+    raw[0, cfg.cluster_of == 0] = 2.5
+    grads = flsim.normalize_gradient(raw)
+    noise = rng.standard_normal((T, M, D))
+    seeds = [derive_seed(3, "powopt", t) for t in range(T)]
+    design = unbiased_design(beta, grads.std, cfg.max_power, D, 16, cfg.cluster_of)
+    assert design.denoisers[0, 0] == np.inf
+
+    together = flsim.aggregate_round(cfg, schemes, design, gains, grads, noise, seeds)
+    assert together.shape == (len(schemes), T, M, D)
+    g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
+    nmse = flsim.estimation_nmse(together, g_true)
+    for s, est, row in zip(schemes, together, nmse):
+        alone = flsim.aggregate_round(cfg, [s], design, {s.key: gains[s.key]}, grads, noise, seeds)
+        assert np.array_equal(alone[0], est), s.name
+        assert np.array_equal(flsim.estimation_nmse(alone[0], g_true), row), s.name
+        assert np.all(est[0, 0] == g_true[0, 0]), s.name  # the exact mean term
 
 
 def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):

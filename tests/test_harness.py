@@ -166,8 +166,8 @@ def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
         grads = normalize_gradient(raw[rows])
         design = unbiased_design(beta, grads.std, cfg.max_power, 4, 8, cfg.cluster_of)
         est = flsim.aggregate_round(
-            cfg, scheme, design, gains[rows], grads, noise[rows], seeds[rows]
-        )
+            cfg, [scheme], design, {scheme.key: gains[rows]}, grads, noise[rows], seeds[rows]
+        )[0]
         (powers, _, sigmas, *_), lam = calls[-1]
         mse = conditional_mse(powers, lam, gains[rows], sigmas, cfg.noise_var, 4, cfg.cluster_of)
         return design, lam, mse, est
@@ -333,6 +333,17 @@ def test_sweep_designs_once_per_chunk_and_budget(monkeypatch):
     schemes = ["unbiased", "mmse", "unbiased-1bit", "random-phase"]
     nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
     assert len(designs) == 2 * 3 * 3  # (N, chunk, P), not also per scheme
+
+
+def test_sweep_shares_one_uplink_per_phase_key(monkeypatch):
+    # Schemes that send the design's powers under one phase key share an
+    # uplink; the power-optimized scheme sends its own. Per (N, chunk, P):
+    # aligned, aligned-1bit and random, plus mmse+powopt, not one per scheme.
+    uplinks = []
+    _count_calls(monkeypatch, uplinks, flsim, "uplink")
+    schemes = ["unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase", "mmse+powopt"]
+    nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
+    assert len(uplinks) == 2 * 3 * 3 * 4
 
 
 def test_sweep_cell_does_not_depend_on_the_other_budgets(monkeypatch):
