@@ -8,11 +8,11 @@ the superposed analog uplink before taking a gradient step. Scheme
 reference.
 
 `draw_gains` is the one channel-draw step of the package and
-`aggregate_round` its one aggregate-and-estimate step: training calls
-them with a batch of one trial, one surface size and its one scheme,
-and the NMSE sweep in `harness` with a batch of Monte Carlo trials,
-every surface size and phase key of its grid, and, per size and power
-budget, one statistical design and every scheme of the grid at once.
+`aggregate_round` its one round (design, power solve, denoiser, uplink,
+estimate): training calls them with a batch of one trial, one surface
+size and its one scheme, and the NMSE sweep in `harness` with a batch
+of Monte Carlo trials, every surface size and phase key of its grid,
+and, per size and power budget, every scheme of the grid at once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .aircomp import (
     uplink,
 )
 from .channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
-from .control import AggregationDesign, adaptive_denoisers, unbiased_design
+from .control import adaptive_denoisers, unbiased_design
 from .powopt import assemble_ratio_problem, solve_projected_ascent
 from .ris import baseline_phases, configure_aligned, corrupt_phases
 from .seeding import derive_seed, rng_from_seed
@@ -214,7 +214,7 @@ def phase_configurations(draw, keys, phase_rng) -> list:
 
 
 def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
-    """One channel draw for every surface size and phase key: {(n, key): (T, M, K) gains}.
+    """One channel draw for every surface size and phase key: {n: {key: (T, M, K) gains}}.
 
     Draws `trials` realizations from rng once (sample_small_scale), at
     the largest size with each smaller one nested in it, for the
@@ -232,16 +232,15 @@ def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
         lambda draw: phase_configurations(draw, keys, phase_rng),
     )
     return {
-        (n, key): all_cascaded_gains(ch.prefix(n), beta, j)
+        n: {key: all_cascaded_gains(ch.prefix(n), beta, j) for j, key in enumerate(keys)}
         for n in sizes
-        for j, key in enumerate(keys)
     }
 
 
 def aggregate_round(
     cfg: SystemConfig,
+    beta: np.ndarray,
     schemes: list[Scheme],
-    design: AggregationDesign,
     gains: dict,
     grads: NormalizedGradient,
     noise: np.ndarray,
@@ -249,19 +248,19 @@ def aggregate_round(
 ) -> np.ndarray:
     """One round of analog aggregation under each of schemes, for T independent trials.
 
-    design is the statistical design of the round (`unbiased_design` of
-    the large-scale coefficients, grads.std and cfg's power budgets,
-    model size, surface size and clusters), shared by every scheme. Its
-    powers and denoisers are used as they are by "unbiased";
-    (mmse+powopt) optimizes the powers instead, trial t seeded by
-    powopt_seeds[t]; then (mmse, mmse+powopt) the adaptive denoiser
-    replaces the denoisers; then the uplink, one per phase key for the
-    schemes that send the design's powers, and the estimate. gains maps
-    each phase key to its (T, M, K) real cascaded gains, grads are the
+    The round first forms its statistical design, `unbiased_design` of
+    the (M, K) large-scale coefficients beta, grads.std and cfg's power
+    budgets, model size, surface size and clusters, shared by every
+    scheme. Its powers and denoisers are used as they are by
+    "unbiased"; (mmse+powopt) optimizes the powers instead, trial t
+    seeded by powopt_seeds[t]; then (mmse, mmse+powopt) the adaptive
+    denoiser replaces the denoisers; then the uplink, one per phase key
+    for the schemes that send the design's powers, and the estimate.
+    gains maps each phase key to its (T, M, K) real cascaded gains at
+    cfg's surface size (one entry of draw_gains), grads are the
     normalized (T, K, D) gradients and noise (T, M, D) standard normal
-    receiver draws. cfg supplies the clusters, power budgets and noise
-    level. Returns the (S, T, M, D) estimates, row s bit for bit the
-    round of schemes[s] alone.
+    receiver draws. Returns the (S, T, M, D) estimates, row s bit for
+    bit the round of schemes[s] alone.
 
     A cluster whose devices all report zero std has no analog signal:
     the statistical design gives it an infinite denoiser, the adaptive
@@ -270,6 +269,8 @@ def aggregate_round(
     infinite denoiser as well, the estimate the power solver scored.
     """
     sigmas = grads.std
+    design = unbiased_design(beta, sigmas, cfg.max_power, cfg.model_dim, cfg.num_ris_elements,
+                             cfg.cluster_of)
     signals, received, denoisers = {}, [], []
     for scheme in schemes:
         h = gains[scheme.key]
@@ -374,13 +375,8 @@ def run_training(
                         (1, M, D)
                     )
                     seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
-                    design = unbiased_design(
-                        beta, normalized.std, cfg.max_power, D, N, cfg.cluster_of
-                    )
-                    g_hat = aggregate_round(
-                        cfg, [scheme], design, {scheme.key: gains[N, scheme.key]},
-                        normalized, noise, seeds,
-                    )[0]
+                    g_hat = aggregate_round(cfg, beta, [scheme], gains[N], normalized, noise,
+                                            seeds)[0]
                     nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
                 what = "loss"

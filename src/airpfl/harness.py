@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import flsim
 from .aircomp import cluster_average, normalize_gradient
 from .channel import large_scale_coefficients
 from .flsim import aggregate_round, draw_gains, estimation_nmse, parse_scheme, phase_configurations
@@ -171,15 +170,16 @@ def nmse_sweep(
     scheme.
 
     Every cell of the grid shares each chunk's draw: one draw_gains
-    call (airpfl.flsim) for every surface size and phase key, then the
-    gradients and noise. The power budget changes only the statistical
-    design and the aggregation, one aggregate_round call for every
-    scheme, in which schemes sending the design's powers under one
-    phase key share one uplink. Comparisons along each of the three
-    axes are therefore paired, while each cell's law is exactly that of
-    an independent run of its own, and a cell's statistics do not
-    depend on the other budgets beside it, nor on the order of the
-    sizes or of the schemes (see draw_gains for what is shared).
+    call (airpfl.flsim) for every surface size and phase key, whose
+    generator also draws the random phases, then the gradients and
+    noise. Per size and budget, one aggregate_round call designs and
+    aggregates every scheme, and schemes sending the design's powers
+    under one phase key share one uplink. Comparisons along each of the
+    three axes are therefore paired, while each cell's law is exactly
+    that of an independent run of its own, and a cell's statistics do
+    not depend on the other budgets beside it, nor on the order of the
+    sizes or of the schemes (see draw_gains for what is shared). Ideal
+    cells are exactly 0: a grid of them alone draws nothing.
 
     Every draw, the device placement included, derives from
     cfg.master_seed, which the config digest covers. Malformed or
@@ -208,62 +208,43 @@ def nmse_sweep(
     }
     if len(grid) < len(n_values) * len(p_values):
         raise ConfigError(f"repeated sweep values in N={list(n_values)} or P={list(p_values)}")
-    geometry = place_geometry(cfg, cfg.master_seed)
-    beta_full = large_scale_coefficients(geometry, cfg.pathloss_exponent)
-    stats = _sweep_cell(grid, beta_full, parsed, trials, cfg.master_seed)
-    cells = [
-        SweepCell(n, p, s.name, trials, *stats[n, p, s.name])
-        for n in n_values
-        for p in p_values
-        for s in parsed
-    ]
-    digest = hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
-    return SweepResult(cells=cells, seed=cfg.master_seed, config_digest=digest)
 
-
-def _sweep_cell(cfgs, beta, schemes, trials, seed):
-    """Every cell of the grid: {(N, P): config} -> {(N, P, scheme name): stats}.
-
-    Each chunk draws the gains of every size and phase key with one
-    draw_gains call, its generator serving for the random phases too,
-    then its gradients and noise, once. Only the statistical design and
-    the aggregation of every scheme (one aggregate_round call) run once
-    per size and budget.
-    """
-    cfg = next(iter(cfgs.values()))
-    M, K, D, cluster_of = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.cluster_of
-    sizes = {n for n, _ in cfgs}
-    channel_schemes = [s for s in schemes if s.design != "ideal"]
+    M, K, D, seed = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.master_seed
+    beta = large_scale_coefficients(place_geometry(cfg, seed), cfg.pathloss_exponent)
+    channel_schemes = [s for s in parsed if s.design != "ideal"]
     keys = {s.key for s in channel_schemes}
-    moments = {(n, p, s.name): Moments() for n, p in cfgs for s in channel_schemes}
-    # Ideal cells are exactly 0: a grid of them alone draws nothing.
+    moments = {(n, p, s.name): Moments() for n, p in grid for s in channel_schemes}
     for start in range(0, trials if channel_schemes else 0, CHUNK):
         tc = min(CHUNK, trials - start)
-        rng = rng_from_seed(derive_seed(seed, "sweep-cell", max(sizes), start))
-        gains = draw_gains(rng, rng, tc, cluster_of, beta, sizes, keys)
+        rng = rng_from_seed(derive_seed(seed, "sweep-cell", max(n_values), start))
+        gains = draw_gains(rng, rng, tc, cfg.cluster_of, beta, n_values, keys)
         raw = rng.standard_normal((tc, K, D))
         noise = rng.standard_normal((tc, M, D))
         grads = normalize_gradient(raw)
-        g_true = cluster_average(raw, cluster_of, M)
+        g_true = cluster_average(raw, cfg.cluster_of, M)
         del raw
 
         seeds = {
             n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
             if any(s.powopt for s in channel_schemes)
             else ()
-            for n in sizes
+            for n in n_values
         }
-        for (n, p), cell_cfg in cfgs.items():
-            design = flsim.unbiased_design(beta, grads.std, cell_cfg.max_power, D, n, cluster_of)
-            g_hat = aggregate_round(cell_cfg, channel_schemes, design,
-                                    {key: gains[n, key] for key in keys}, grads, noise, seeds[n])
+        for (n, p), cell_cfg in grid.items():
+            g_hat = aggregate_round(cell_cfg, beta, channel_schemes, gains[n], grads, noise,
+                                    seeds[n])
             for s, nmse in zip(channel_schemes, estimation_nmse(g_hat, g_true)):
                 moments[n, p, s.name].add(nmse)
 
-    out = {(n, p, s.name): (0.0, 0.0) for n, p in cfgs for s in schemes if s.design == "ideal"}
-    for key, stats in moments.items():
-        out[key] = (float(stats.mean), float(stats.stderr))
-    return out
+    stats = {key: (float(m.mean), float(m.stderr)) for key, m in moments.items()}
+    cells = [
+        SweepCell(n, p, s.name, trials, *stats.get((n, p, s.name), (0.0, 0.0)))
+        for n in n_values
+        for p in p_values
+        for s in parsed
+    ]
+    digest = hashlib.sha256(cfg.to_json().encode()).hexdigest()[:12]
+    return SweepResult(cells=cells, seed=cfg.master_seed, config_digest=digest)
 
 
 # ---------------------------------------------------------------------------

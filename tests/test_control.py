@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from airpfl.aircomp import (
-    cluster_average,
-    estimate_cluster_gradient,
-    normalize_gradient,
-    uplink,
-)
+import airpfl.flsim as flsim
+from airpfl.aircomp import cluster_average, normalize_gradient
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import draw_gains
-from airpfl.powopt import assemble_ratio_problem, solve_projected_ascent
 from airpfl.sysmodel import make_config, place_geometry
 from full_channel import aligned, channel_set, draw_full
 
@@ -312,24 +307,26 @@ def test_conditional_mse_matches_error_model_simulation():
 
 
 @pytest.mark.parametrize(
-    "scales, powopt",
+    "scales, scheme",
     [
-        pytest.param(np.ones(8), False, id="unit-std"),
-        pytest.param(np.logspace(-3, 0, 8), False, id="three-decade-std"),
-        pytest.param(np.ones(8), True, id="unit-std-mmse+powopt"),
-        pytest.param(np.logspace(-3, 0, 8), True, id="three-decade-std-mmse+powopt"),
+        pytest.param(np.ones(8), "mmse", id="unit-std"),
+        pytest.param(np.logspace(-3, 0, 8), "mmse", id="three-decade-std"),
+        pytest.param(np.ones(8), "mmse+powopt", id="unit-std-mmse+powopt"),
+        pytest.param(np.logspace(-3, 0, 8), "mmse+powopt", id="three-decade-std-mmse+powopt"),
+        pytest.param(np.ones(8), "unbiased", id="unit-std-unbiased"),
+        pytest.param(np.logspace(-3, 0, 8), "unbiased", id="three-decade-std-unbiased"),
     ],
 )
-def test_conditional_mse_matches_the_implemented_uplink(scales, powopt):
-    # The mmse and mmse+powopt pipelines as training runs them:
-    # normalize_gradient -> (solve_projected_ascent powers, with the
-    # infinite fallback) -> adaptive_denoisers -> uplink ->
-    # estimate_cluster_gradient, on draw_gains gains. Device k's gradient
-    # is a random mean plus scales[k] times a standardized random
-    # direction, so its reported std is scales[k]. Given the gains and
-    # stds, every trial's squared error has expectation conditional_mse,
-    # so each cluster's mean difference over the trials must lie within 4
-    # of its standard errors (two-sided false-alarm rate 6e-5 per cluster).
+def test_conditional_mse_matches_the_implemented_uplink(scales, scheme, monkeypatch):
+    # The round as training and the sweep run it, flsim.aggregate_round,
+    # on draw_gains gains; spies on flsim.unbiased_design and
+    # flsim.adaptive_denoisers capture the powers and denoisers it used.
+    # Device k's gradient is a random mean plus scales[k] times a
+    # standardized random direction, so its reported std is scales[k].
+    # Given the gains and stds, every trial's squared error has
+    # expectation conditional_mse, so each cluster's mean difference over
+    # the trials must lie within 4 of its standard errors (two-sided
+    # false-alarm rate 6e-5 per cluster).
     K, M, N, D, T = 8, 2, 16, 32, 400
     cfg = make_config(
         num_devices=K, num_clusters=M, num_ris_elements=N, model_dim=D,
@@ -339,25 +336,36 @@ def test_conditional_mse_matches_the_implemented_uplink(scales, powopt):
     beta = large_scale_coefficients(place_geometry(cfg, 3), cfg.pathloss_exponent)
     rng = np.random.default_rng(3)
     key = ("aligned", None)
-    gains = draw_gains(rng, None, T, cfg.cluster_of, beta, [N], [key])[N, key]
+    gains = draw_gains(rng, None, T, cfg.cluster_of, beta, [N], [key])[N][key]
     direction = rng.standard_normal((T, K, D))
     direction -= direction.mean(axis=2, keepdims=True)
     direction /= direction.std(axis=2, keepdims=True)
     grads = rng.standard_normal((T, K, 1)) + scales[:, None] * direction
+    noise = rng.standard_normal((T, M, D))
 
+    designs, denoised = [], []
+
+    def spy(kernel, calls):
+        def recorded(*args):
+            calls.append((args, kernel(*args)))
+            return calls[-1][1]
+        return recorded
+
+    monkeypatch.setattr(flsim, "unbiased_design", spy(unbiased_design, designs))
+    monkeypatch.setattr(flsim, "adaptive_denoisers", spy(adaptive_denoisers, denoised))
     normalized = normalize_gradient(grads)
-    sigmas = normalized.std
-    design = unbiased_design(beta, sigmas, cfg.max_power, D, N, cfg.cluster_of)
-    powers, fallback = design.powers, design.denoisers
-    if powopt:
-        prob = assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
-        powers = solve_projected_ascent(prob, range(T)).q ** 2
-        fallback = np.full_like(fallback, np.inf)
-    lam = adaptive_denoisers(powers, gains, sigmas, cfg.noise_var, cfg.cluster_of, fallback)
-    received = uplink(gains, powers, normalized, cfg.noise_var, rng.standard_normal((T, M, D)))
-    estimate = estimate_cluster_gradient(received, lam, normalized.mean, cfg.cluster_of)
+    estimate = flsim.aggregate_round(
+        cfg, beta, [flsim.parse_scheme(scheme)], {key: gains}, normalized, noise, range(T)
+    )[0]
+    assert len(designs) == 1 and len(denoised) == (scheme != "unbiased")
+    design = designs[0][1]
+    powers, lam = design.powers, design.denoisers
+    if denoised:
+        (powers, *_), lam = denoised[0]
     realized = np.sum((estimate - cluster_average(grads, cfg.cluster_of, M)) ** 2, axis=2)
-    predicted = conditional_mse(powers, lam, gains, sigmas, cfg.noise_var, D, cfg.cluster_of)
+    predicted = conditional_mse(
+        powers, lam, gains, normalized.std, cfg.noise_var, D, cfg.cluster_of
+    )
     diff = realized - predicted
     assert np.all(np.abs(diff.mean(axis=0)) <= 4 * diff.std(axis=0, ddof=1) / np.sqrt(T))
 

@@ -248,10 +248,8 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
     grads = flsim.normalize_gradient(rng.standard_normal((T, K, D)))
     noise = rng.standard_normal((T, M, D))
     scheme = flsim.parse_scheme("mmse+powopt")
-    design = unbiased_design(
-        np.ones((M, K)), grads.std, cfg.max_power, D, cfg.num_ris_elements, cfg.cluster_of
-    )
-    est = flsim.aggregate_round(cfg, [scheme], design, {scheme.key: gains}, grads, noise, [1, 2])[0]
+    beta = np.ones((M, K))
+    est = flsim.aggregate_round(cfg, beta, [scheme], {scheme.key: gains}, grads, noise, [1, 2])[0]
     mean_term = flsim.cluster_average(grads.mean, cfg.cluster_of, M)
     assert np.array_equal(est[:, 1], np.repeat(mean_term[:, 1, None], D, axis=1))
     assert np.all(np.isfinite(est))
@@ -268,8 +266,7 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
                ["unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase", "mmse+powopt"]]
     rng = np.random.default_rng(17)
     beta = rng.uniform(0.1, 1.0, size=(M, K))
-    drawn = flsim.draw_gains(rng, rng, T, cfg.cluster_of, beta, [16], [s.key for s in schemes])
-    gains = {key: g for (_, key), g in drawn.items()}
+    gains = flsim.draw_gains(rng, rng, T, cfg.cluster_of, beta, [16], [s.key for s in schemes])[16]
     raw = rng.standard_normal((T, K, D))
     raw[0, cfg.cluster_of == 0] = 2.5
     grads = flsim.normalize_gradient(raw)
@@ -278,12 +275,12 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
     design = unbiased_design(beta, grads.std, cfg.max_power, D, 16, cfg.cluster_of)
     assert design.denoisers[0, 0] == np.inf
 
-    together = flsim.aggregate_round(cfg, schemes, design, gains, grads, noise, seeds)
+    together = flsim.aggregate_round(cfg, beta, schemes, gains, grads, noise, seeds)
     assert together.shape == (len(schemes), T, M, D)
     g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
     nmse = flsim.estimation_nmse(together, g_true)
     for s, est, row in zip(schemes, together, nmse):
-        alone = flsim.aggregate_round(cfg, [s], design, {s.key: gains[s.key]}, grads, noise, seeds)
+        alone = flsim.aggregate_round(cfg, beta, [s], {s.key: gains[s.key]}, grads, noise, seeds)
         assert np.array_equal(alone[0], est), s.name
         assert np.array_equal(flsim.estimation_nmse(alone[0], g_true), row), s.name
         assert np.all(est[0, 0] == g_true[0, 0]), s.name  # the exact mean term

@@ -154,23 +154,27 @@ def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
     # errors and estimates alone (T = 1) as inside a batch of four.
     cfg, scheme, gains, raw, noise, seeds = _degraded_round(mode)
     beta = np.ones((2, 4))
-    calls = []
+    calls, designs = [], []
 
     def record(*args):
         calls.append((args, adaptive_denoisers(*args)))
         return calls[-1][1]
 
+    def record_design(*args):
+        designs.append(unbiased_design(*args))
+        return designs[-1]
+
     monkeypatch.setattr(flsim, "adaptive_denoisers", record)
+    monkeypatch.setattr(flsim, "unbiased_design", record_design)
 
     def run(rows):
         grads = normalize_gradient(raw[rows])
-        design = unbiased_design(beta, grads.std, cfg.max_power, 4, 8, cfg.cluster_of)
         est = flsim.aggregate_round(
-            cfg, [scheme], design, {scheme.key: gains[rows]}, grads, noise[rows], seeds[rows]
+            cfg, beta, [scheme], {scheme.key: gains[rows]}, grads, noise[rows], seeds[rows]
         )[0]
         (powers, _, sigmas, *_), lam = calls[-1]
         mse = conditional_mse(powers, lam, gains[rows], sigmas, cfg.noise_var, 4, cfg.cluster_of)
-        return design, lam, mse, est
+        return designs[-1], lam, mse, est
 
     design, lam, mse, est = run(slice(None))
     if mode == "vanished":
@@ -234,7 +238,7 @@ def test_sweep_rejects_bad_schemes_before_any_trial(schemes, monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_sweep_cell", no_trials)
+    monkeypatch.setattr(harness, "place_geometry", no_trials)
     with pytest.raises(ConfigError):
         nmse_sweep(_config(seed=0), schemes, [4], [1.0], 10)
 
@@ -253,7 +257,7 @@ def test_sweep_rejects_bad_grid_before_any_trial(n_values, p_values, trials, mon
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_sweep_cell", no_trials)
+    monkeypatch.setattr(harness, "place_geometry", no_trials)
     with pytest.raises(ConfigError):
         nmse_sweep(_config(seed=0), ["mmse"], n_values, p_values, trials)
 
@@ -267,7 +271,7 @@ def test_sweep_rejects_empty_lists_before_any_trial(field, monkeypatch):
     def no_trials(*args, **kwargs):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(harness, "_sweep_cell", no_trials)
+    monkeypatch.setattr(harness, "place_geometry", no_trials)
     grid = {"schemes": ["mmse"], "n_values": [4], "p_values": [1.0], field: []}
     with pytest.raises(ConfigError, match=field):
         nmse_sweep(_config(seed=0), grid["schemes"], grid["n_values"], grid["p_values"], 10)
