@@ -88,7 +88,6 @@ and configurations is that of one fully materialized surface.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -283,12 +282,18 @@ def _block_terms(rng, own_paths, cluster_sums, configs, residual):
     (T, M, r), row r with 2n - k - r degrees of freedom, for
     r = min(2n - k, M - 1) rows. The foreign-antenna cluster-sum terms
     are F z, and the drawn terms F_V u with F_V the factor of the
-    virtual coordinates (see the module docstring).
+    virtual coordinates (see the module docstring), in which entry
+    (row, column) of the Bartlett factor R sits at coordinate k + row
+    of the column-th other antenna.
     """
     T, M, n = own_paths.shape
     J = len(configs)
-    layout = _block_layout(M, n, J)
-    k, rows = layout.rank, layout.degrees.size
+    k = min(2 * n, 1 + J)
+    rows = min(2 * n - k, M - 1)
+    own = np.arange(M)
+    others = np.arange(M - 1) + (np.arange(M - 1) >= own[:, None])  # (M, M - 1)
+    diagonal = np.arange(rows)
+    upper_rows, upper_cols = np.nonzero(np.arange(M - 1) > diagonal[:, None])
     stack = np.empty((T, M, 1 + J, n), dtype=complex)
     stack[:, :, 0] = own_paths
     for j, phasors in enumerate(configs):
@@ -298,10 +303,11 @@ def _block_terms(rng, own_paths, cluster_sums, configs, residual):
     stacked = stack.view(np.float64)  # (T, M, 1 + J, 2n)
     factor = foreign_factor(stacked.swapaxes(-1, -2))  # (T, M, 1 + J, k)
     z = rng.standard_normal((T, M, M - 1, k))
-    upper = rng.standard_normal((T, M, layout.upper[1].shape[1]))
-    chi2 = rng.chisquare(layout.degrees, size=(T, M, rows))
+    bartlett = np.zeros((T, M, rows, M - 1))
+    bartlett[:, :, upper_rows, upper_cols] = rng.standard_normal((T, M, upper_rows.size))
+    bartlett[:, :, diagonal, diagonal] = np.sqrt(
+        rng.chisquare(2 * n - k - diagonal, size=(T, M, rows)))
 
-    own, others = layout.own, layout.others
     summed = np.empty((J, T, M, M))
     own_terms = np.matmul(stacked[:, :, 1:], stacked[:, :, 0, :, None])  # (T, M, J, 1)
     summed[:, :, own, own] = own_terms[..., 0].transpose(2, 0, 1)
@@ -313,47 +319,9 @@ def _block_terms(rng, own_paths, cluster_sums, configs, residual):
     virtual = np.zeros((T, M, M, k + rows))
     virtual[:, own, own, :k] = _SQRT2 * factor[:, :, 0]
     virtual[:, own[:, None], others, :k] = z * (1.0 / _SQRT2)
-    virtual[(slice(None),) + layout.upper] = upper * (1.0 / _SQRT2)
-    virtual[(slice(None),) + layout.diagonal] = np.sqrt(chi2) * (1.0 / _SQRT2)
+    virtual[:, own[:, None], others, k:] = bartlett.swapaxes(-1, -2) * (1.0 / _SQRT2)
     drawn_factor = foreign_factor(virtual.swapaxes(-1, -2))  # (T, M, M, min(k + rows, M))
     return summed, np.matmul(drawn_factor, residual[:, :, : drawn_factor.shape[-1]])
-
-
-class _Layout(NamedTuple):
-    rank: int              # k = min(2n, 1 + J)
-    degrees: np.ndarray    # (r,) chi-square degrees of freedom of the Bartlett diagonal
-    own: np.ndarray        # (M,) each surface's own antenna
-    others: np.ndarray     # (M, M - 1) the other antennas, in increasing order
-    upper: tuple           # (surface, antenna, coordinate) of the entries above the diagonal
-    diagonal: tuple        # (surface, antenna, coordinate) of the diagonal
-
-
-@functools.lru_cache(maxsize=64)
-def _block_layout(M: int, n: int, J: int) -> _Layout:
-    """Sizes and read-only index arrays of a block of n elements, M antennas and J configurations.
-
-    The Bartlett factor has r = min(2n - k, M - 1) rows; its entry
-    (row, column) sits at virtual coordinate k + row of the column-th
-    foreign antenna, and the entries above the diagonal are listed row
-    by row.
-    """
-    k = min(2 * n, 1 + J)
-    rows = min(2 * n - k, M - 1)
-    own = np.arange(M)
-    others = np.array([[m for m in range(M) if m != i] for i in range(M)], dtype=int)
-    upper_rows, upper_cols = np.triu_indices(rows, 1, M - 1)
-    diagonal = np.arange(rows)
-    layout = _Layout(
-        rank=k,
-        degrees=2 * n - k - diagonal,
-        own=own,
-        others=others,
-        upper=(own[:, None], others[:, upper_cols], k + upper_rows),
-        diagonal=(own[:, None], others[:, diagonal], k + diagonal),
-    )
-    for a in (layout.degrees, own, others) + layout.upper + layout.diagonal:
-        a.setflags(write=False)
-    return layout
 
 
 def foreign_factor(stacked: np.ndarray) -> np.ndarray:

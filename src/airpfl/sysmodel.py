@@ -139,7 +139,7 @@ def make_config(
     Counts, cluster labels and the seed must be integers and the other
     fields numbers (bools and strings are neither); nothing is rounded.
     Then every structural invariant is checked, and the first violation
-    raises ConfigError.
+    raises ConfigError. The config's arrays are read-only copies.
     """
     num_devices = as_integer("num_devices", num_devices)
     power = as_array("max_power", max_power, as_number)
@@ -182,6 +182,8 @@ def make_config(
         raise ConfigError(f"ps_ris_distance must be > 0, got {cfg.ps_ris_distance!r}")
     if not np.isfinite(cfg.device_disk_radius) or cfg.device_disk_radius <= 0:
         raise ConfigError(f"device_disk_radius must be > 0, got {cfg.device_disk_radius!r}")
+    for array in (cfg.cluster_of, cfg.max_power):
+        array.setflags(write=False)
     return cfg
 
 

@@ -210,8 +210,9 @@ def test_small_scale_draw_order_is_documented_order():
     # cannot move unnoticed. The third shape is one sweep chunk; in the
     # fourth, 2N < M, so there is no complement and only the first 2N
     # normals of each pair enter its drawn term; the fifth has unequal
-    # clusters and singletons; in the last, one configuration is listed
-    # twice.
+    # clusters and singletons; in the sixth, one configuration is listed
+    # twice; in the last, k = 2 and the Bartlett factor has 2 rows
+    # against M - 1 = 4 columns.
     for T, M, cluster_of, N, design in [
         (1, 2, np.arange(3) % 2, 5, _only_aligned),
         (3, 2, np.arange(3) % 2, 5, _aligned_and_random),
@@ -219,6 +220,7 @@ def test_small_scale_draw_order_is_documented_order():
         (2, 4, np.arange(5) % 4, 1, _aligned_and_random),
         (4, 4, np.array([0, 1, 2, 2, 2, 3, 3]), 3, _aligned_and_random),
         (3, 3, np.arange(6) % 3, 2, _aligned_twice),
+        (3, 5, np.arange(7) % 5, 2, _only_aligned),
     ]:
         rng_kernel = rng_from_seed(21)
         ch = sample_small_scale(rng_kernel, T, M, cluster_of, N, design(rng_kernel))

@@ -247,6 +247,23 @@ def test_replace_revalidates():
         cfg.replace(cluster_of=[0, 0, 0, 1, 1, True])
 
 
+def test_config_arrays_are_read_only_copies():
+    # A validated config cannot be edited into an invalid one in place,
+    # and building it leaves the caller's arrays writeable.
+    labels, budgets = np.array([0, 0, 0, 1, 1, 1]), np.full(6, 2.0)
+    mine = small_config(cluster_of=labels, max_power=budgets)
+    for cfg in (mine, desk_scale_config()):
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.max_power[0] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.cluster_of[0] = cfg.num_clusters
+        assert np.all(cfg.max_power > 0)
+    changed = mine.replace(max_power=3.0)
+    assert np.all(changed.max_power == 3.0) and not changed.max_power.flags.writeable
+    labels[0], budgets[0] = 1, 5.0
+    assert labels.flags.writeable and budgets.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # geometry
 # ---------------------------------------------------------------------------
