@@ -348,31 +348,27 @@ def foreign_factor(stacked: np.ndarray) -> np.ndarray:
     return r.swapaxes(-1, -2)
 
 
-def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray, config: int) -> np.ndarray:
-    """Real cascaded gains for every (trial t, antenna m, device k), shape (T, M, K).
+def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray) -> np.ndarray:
+    """Real cascaded gains for every (configuration j, trial t, antenna m, device k), (J, T, M, K).
 
     Sums over every surface i the attenuated reflected path
-    beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(conj(phasors[t, i])) h_dev[t, i, k] }
-    under configuration `config`, the index of its phasors among those
-    the channel was drawn for.
+    beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(conj(phasors_j[t, i])) h_dev[t, i, k] }
+    under the j-th of the configurations the channel was drawn for.
     """
-    return cascaded_components(ch, beta, config).sum(axis=1)
+    return cascaded_components(ch, beta).sum(axis=2)
 
 
-def cascaded_components(ch: ChannelSet, beta: np.ndarray, config: int) -> np.ndarray:
-    """Per-surface terms of the cascaded gains, shape (T, M_surface, M_antenna, K).
+def cascaded_components(ch: ChannelSet, beta: np.ndarray) -> np.ndarray:
+    """Per-surface terms of the cascaded gains, shape (J, T, M_surface, M_antenna, K).
 
-    Term [t, i, m, k] is beta[i, k] times device k's reflected path off
-    surface i at antenna m: its drawn term, plus, for a device of
-    surface i's own cluster C_i, its share 1 / |C_i| of the cluster-sum
-    term summed_terms[config, t, i, m]. Summing over the surface axis
-    gives all_cascaded_gains; config as there, and anything but an
-    integer index (phases or phasors, say) raises ValueError.
+    Term [j, t, i, m, k] is beta[i, k] times device k's reflected path
+    off surface i at antenna m under configuration j: its drawn term,
+    which every configuration shares, plus, for a device of surface i's
+    own cluster C_i, its share 1 / |C_i| of the cluster-sum term
+    summed_terms[j, t, i, m]. Summing over the surface axis gives
+    all_cascaded_gains.
     """
-    if isinstance(config, (bool, np.bool_)) or not isinstance(config, (int, np.integer)):
-        raise ValueError("gain kernels take the index of a configuration drawn with the "
-                         f"channel, not phases or phasors; got {type(config).__name__}")
     own = membership(ch.cluster_of, ch.num_surfaces)
     share = beta * own / own.sum(axis=1, keepdims=True)  # (M, K)
-    summed = ch.summed_terms[config][..., None]  # (T, M, M_ant, 1)
-    return beta[None, :, None, :] * ch.drawn_terms + summed * share[:, None, :]
+    drawn = beta[None, :, None, :] * ch.drawn_terms  # (T, M, M_ant, K)
+    return drawn + ch.summed_terms[..., None] * share[:, None, :]

@@ -231,10 +231,7 @@ def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
         rng, trials, beta.shape[0], cluster_of, sizes,
         lambda draw: phase_configurations(draw, keys, phase_rng),
     )
-    return {
-        n: {key: all_cascaded_gains(ch.prefix(n), beta, j) for j, key in enumerate(keys)}
-        for n in sizes
-    }
+    return {n: dict(zip(keys, all_cascaded_gains(ch.prefix(n), beta))) for n in sizes}
 
 
 def aggregate_round(

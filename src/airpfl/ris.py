@@ -69,7 +69,7 @@ def corrupt_phases(phasors: np.ndarray, bits: int) -> np.ndarray:
     more levels than phasors is evaluated at the chosen levels only,
     with the same values.
     """
-    if not isinstance(bits, (int, np.integer)) or bits < 1:
+    if isinstance(bits, bool) or not isinstance(bits, (int, np.integer)) or bits < 1:
         raise ValueError(f"bits must be a positive integer, got {bits!r}")
     phasors = np.asarray(phasors)
     if not np.iscomplexobj(phasors):

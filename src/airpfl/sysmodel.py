@@ -212,7 +212,7 @@ class Geometry:
 
 
 def place_geometry(cfg: SystemConfig, seed: int) -> Geometry:
-    """Sample a deployment layout, deterministic in (cfg, seed).
+    """Sample a deployment layout as fresh read-only arrays, deterministic in (cfg, seed).
 
     Surface m goes to bearing 2*pi*(m+1)/M on the PS-centered circle.
     Device k is drawn uniformly by area from the disk around its own
@@ -228,8 +228,7 @@ def place_geometry(cfg: SystemConfig, seed: int) -> Geometry:
     phi = 2.0 * np.pi * v
     offsets = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
     devices = ris[cfg.cluster_of] + offsets
-    return Geometry(
-        ps_position=np.zeros(2),
-        ris_positions=ris,
-        device_positions=devices,
-    )
+    geom = Geometry(ps_position=np.zeros(2), ris_positions=ris, device_positions=devices)
+    for array in (geom.ps_position, geom.ris_positions, geom.device_positions):
+        array.setflags(write=False)
+    return geom

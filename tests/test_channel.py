@@ -329,7 +329,7 @@ def test_own_residuals_are_centred_and_vanish_for_a_singleton():
             assert np.all(own != 0.0)
         assert np.abs(drawn[:, 0][..., cluster_of != 0].sum(axis=-1)).min() > 1e-6
     # The singleton's own term is the cluster-sum term alone.
-    comp = cascaded_components(ch, np.ones((3, 6)), 0)
+    comp = cascaded_components(ch, np.ones((3, 6)))[0]
     assert np.array_equal(comp[:, 0, :, 1], ch.summed_terms[0, :, 0])
 
 
@@ -438,7 +438,7 @@ def test_unequal_clusters_give_finite_gains():
     cluster_of = np.array([0, 1, 1, 1, 1, 1, 1, 1])  # sizes 1 and 7
     ch = sample_small_scale(rng_from_seed(8), 5, 2, cluster_of, 6, aligned)
     beta = np.random.default_rng(8).uniform(0.1, 1.0, size=(2, 8))
-    gains = all_cascaded_gains(ch, beta, 0)
+    gains = all_cascaded_gains(ch, beta)[0]
     assert gains.shape == (5, 2, 8)
     assert np.all(np.isfinite(gains))
     for t in range(5):
@@ -482,7 +482,7 @@ def test_cascaded_gain_matches_direct_sum():
     beta = rng.uniform(0.5, 2.0, size=(2, 3))
     phases = rng.uniform(0, 2 * np.pi, size=(2, 2, 5))
     ch = channel_set(hp, hd, cluster_of, lambda draw: [np.exp(-1j * phases)])
-    comp = cascaded_components(ch, beta, 0)
+    comp = cascaded_components(ch, beta)[0]
     assert comp.shape == (2, 2, 2, 3)
     for t in range(2):
         for i in range(2):
@@ -506,9 +506,9 @@ def test_cascaded_gain_matches_direct_sum():
 def test_all_cascaded_gains_matches_scalar_loop():
     ch = sample_small_scale(rng_from_seed(13), 3, 2, [0, 0, 1, 1], 6, _random_phasors(2, (3, 2, 6)))
     beta = np.random.default_rng(2).uniform(0.1, 1.0, size=(2, 4))
-    grid = all_cascaded_gains(ch, beta, 0)
+    grid = all_cascaded_gains(ch, beta)[0]
     assert grid.shape == (3, 2, 4)
-    comp_sum = cascaded_components(ch, beta, 0).sum(axis=1)
+    comp_sum = cascaded_components(ch, beta)[0].sum(axis=1)
     for t in range(3):
         for m in range(2):
             for k in range(4):
@@ -527,8 +527,8 @@ def test_kernels_reproduce_the_full_channel():
     phasors = np.exp(-1j * phases)
     ch = channel_set(hp, hd, cluster_of, lambda draw: [phasors])
     ref = beta[None, :, None, :] * reflected(hp, hd, phases)
-    assert np.allclose(cascaded_components(ch, beta, 0), ref, rtol=1e-12, atol=1e-14)
-    assert np.allclose(all_cascaded_gains(ch, beta, 0), ref.sum(axis=1), rtol=1e-12, atol=1e-14)
+    assert np.allclose(cascaded_components(ch, beta)[0], ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(all_cascaded_gains(ch, beta)[0], ref.sum(axis=1), rtol=1e-12, atol=1e-14)
     assert np.allclose(phasors, configure_aligned(ch), rtol=0, atol=1e-12)
 
 
@@ -590,7 +590,7 @@ def _nested_components(name, trials, M, cluster_of, sizes, seed, chunk, kinds, z
                 return configs
 
             ch = sample_small_scale(draws, chunk, M, cluster_of, sizes, phases)
-            terms = [[cascaded_components(ch.prefix(n), np.ones((M, K)), j) for n in sizes]
+            terms = [[cascaded_components(ch.prefix(n), np.ones((M, K)))[j] for n in sizes]
                      for j in range(len(kinds))]
             sums = [[ch.prefix(n).summed_terms[j] for n in sizes] for j in range(len(kinds))]
         else:
@@ -814,9 +814,10 @@ AWKWARD_IDS = ["trial-slice", "fortran", "N=1", "prefix"]
 def test_gain_kernels_on_awkward_layouts(ch, configs):
     T, M, K = ch.own_paths.shape[0], ch.num_surfaces, ch.cluster_of.size
     beta = np.random.default_rng(3).uniform(0.1, 1.0, size=(M, K))
+    assert all_cascaded_gains(ch, beta).shape == (len(configs), T, M, K)
     for j in range(len(configs)):
-        grid = all_cascaded_gains(ch, beta, j)
-        comp_sum = cascaded_components(ch, beta, j).sum(axis=1)
+        grid = all_cascaded_gains(ch, beta)[j]
+        comp_sum = cascaded_components(ch, beta)[j].sum(axis=1)
         for t in range(T):
             for m in range(M):
                 for k in range(K):
@@ -859,15 +860,15 @@ def test_cluster_sum_terms_match_the_transposed_formula(ch, configs):
 
 def test_gain_kernels_reject_real_angles():
     # Real angles are not phasors: the sampler refuses them as a
-    # configuration, and the gain kernels, which take the index of a
-    # configuration drawn with the channel, refuse angles and phasors
-    # alike, as a caller passing either would otherwise get gains of
-    # the wrong phases.
+    # configuration. The gain kernels return every configuration drawn
+    # with the channel and take no phases at all, so a caller passing
+    # angles or phasors as a third argument fails loudly rather than
+    # getting gains of other phases.
     theta = np.zeros((2, 2, 4))
     with pytest.raises(ValueError, match="phasors"):
         sample_small_scale(rng_from_seed(3), 2, 2, [0, 1, 1], 4, lambda draw: [theta])
     ch = sample_small_scale(rng_from_seed(3), 2, 2, [0, 1, 1], 4, aligned)
-    for phases in (theta, np.exp(-1j * theta), 0.5, True):
+    for phases in (theta, np.exp(-1j * theta)):
         for kernel in (all_cascaded_gains, cascaded_components):
-            with pytest.raises(ValueError, match="index"):
+            with pytest.raises(TypeError):
                 kernel(ch, np.ones((2, 3)), phases)

@@ -12,6 +12,7 @@ import pytest
 import airpfl
 from airpfl.cli import cli_main
 from airpfl.powopt import RatioProblem, solve_projected_ascent
+from power_oracle import brute_force_oracle
 
 
 @pytest.fixture
@@ -191,6 +192,39 @@ def test_power_opt_happy_path(tmp_path, capsys):
     assert solution["converged"] == ref.converged
     assert solution["objective"] == pytest.approx(ref.objective[0], rel=1e-12)
     assert np.allclose(solution["q"], ref.q[0], rtol=1e-12)
+
+
+def test_power_opt_interior_optimum(tmp_path, capsys):
+    # An instance whose optimum leaves the box corner: q[1] lies strictly
+    # inside its bound, so the solve takes interior ascent cycles, and
+    # its objective reaches at least that of a 400-point grid search.
+    doc = {
+        "A": [[1.0, 0.5], [0.2, 1.0]],
+        "b": [[1.0, 3.0], [4.0, 1.2]],
+        "c": [0.1, 0.1],
+        "bounds": [1.0, 1.0],
+    }
+    cfg_path = tmp_path / "prob.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "solution.json"
+    code = cli_main(
+        ["power-opt", "--config", str(cfg_path), "--seed", "1", "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "converged=True" in captured.out
+    assert int(captured.out.split("iterations=")[1].split(",")[0]) > 1
+
+    solution = json.loads(out.read_text())
+    assert solution["converged"] is True
+    assert 0.0 < solution["q"][1] < 1.0
+    prob = RatioProblem(
+        a_diag=np.array([doc["A"]]),
+        b=np.array([doc["b"]]),
+        c=np.array(doc["c"]),
+        bounds=np.array(doc["bounds"]),
+    )
+    assert solution["objective"] >= brute_force_oracle(prob, 400).objective[0]
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ def test_single_element_alignment_is_exact():
     phasors = configure_aligned(ch)
     assert phasors.shape == (1, 1, 1)
     assert abs(phasors[0, 0, 0] - _phasors(0.7 - 2.1)) <= 1e-12
-    gain = all_cascaded_gains(ch, np.ones((1, 1)), 0)[0, 0, 0]
+    gain = all_cascaded_gains(ch, np.ones((1, 1)))[0, 0, 0, 0]
     assert gain == pytest.approx(6.0, rel=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_own_cluster_mean_gain_matches_closed_form():
     for _ in range(draws):
         hp, hd = draw_full(rng, 1, M, K, N)
         ch = channel_set(hp, hd, cluster_of, aligned)
-        g = all_cascaded_gains(ch, beta, 0)[0, 0]
+        g = all_cascaded_gains(ch, beta)[0, 0, 0]
         acc += g
         acc_sq += g**2
     mean = acc / draws
@@ -158,9 +158,11 @@ def test_aligned_phasors_match_the_angle_formula():
     assert np.max(np.abs(configure_aligned(ch) - _phasors(theta))) <= 1e-14
 
 
-def test_bits_must_be_positive():
-    with pytest.raises(ValueError):
-        corrupt_phases(np.ones((1, 4), dtype=complex), 0)
+@pytest.mark.parametrize("bits", [0, True, np.True_, 1.0], ids=["zero", "bool", "np-bool", "float"])
+def test_bits_must_be_positive(bits):
+    # Bools are not bit counts, as for every integer parameter of the package.
+    with pytest.raises(ValueError, match="positive integer"):
+        corrupt_phases(np.ones((1, 4), dtype=complex), bits)
 
 
 def test_quantization_rejects_real_angles():

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from airpfl.aircomp import cluster_average, estimate_cluster_gradient
-from airpfl.channel import sample_small_scale
+from airpfl.channel import large_scale_coefficients, sample_small_scale
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.harness import desk_scale_config
 from airpfl.powopt import assemble_ratio_problem
@@ -275,6 +275,18 @@ def test_geometry_is_deterministic():
     assert np.array_equal(a.device_positions, b.device_positions)
     c = place_geometry(cfg, 12)
     assert not np.allclose(a.device_positions, c.device_positions)
+
+
+def test_placed_geometry_is_read_only():
+    # A validated deployment cannot be moved in place; it still serves
+    # the large-scale coefficients.
+    cfg = desk_scale_config()
+    geom = place_geometry(cfg, 1)
+    for array in (geom.ps_position, geom.ris_positions, geom.device_positions):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, ...] = 1.0
+    beta = large_scale_coefficients(geom, cfg.pathloss_exponent)
+    assert beta.shape == (cfg.num_clusters, cfg.num_devices) and np.all(beta > 0)
 
 
 def test_ps_sits_at_origin():
