@@ -46,7 +46,7 @@ def main():
         return [configure_aligned(draw)]
 
     ch = sample_small_scale(rng_from_seed(5), 1, M, cfg.cluster_of, N, aligned)
-    gains = all_cascaded_gains(ch, beta)[0, 0]
+    gains = all_cascaded_gains(ch, beta)[0, 0, 0]
 
     rng = np.random.default_rng(5)
     sigmas = rng.uniform(0.5, 1.5, size=cfg.num_devices)

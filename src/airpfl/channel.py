@@ -72,8 +72,7 @@ the Bartlett entries above the diagonal, plus M min(2N - k, M - 1)
 chi-square draws, against 2N(M^2 + MK) for every path. Every phase
 configuration served by one draw sees the same drawn terms, each under
 its exact law, and the cluster-sum terms of every configuration are
-those of one shared channel. cascaded_components and the elimination
-verifier read the cluster-sum terms from ChannelSet.summed_terms.
+those of one shared channel.
 
 One draw can also serve a grid of B increasing surface sizes
 n_1 < ... < n_B = N_max, as nested surfaces: the size-n surface is the
@@ -81,9 +80,10 @@ first n elements of the N_max one. Own paths and sums are drawn once at
 N_max; everything else is drawn per block of elements
 [n_{b-1}, n_b) (n_0 = 0), with the block length in place of N, as the
 blocks' contributions are independent given the own paths, the sums
-and the phases; a size's terms are the sum of its blocks' increments.
-Each size then has exactly its own law, and the joint law across sizes
-and configurations is that of one fully materialized surface.
+and the phases; a size's terms are the sum of its blocks' increments,
+held on a leading size axis of the ChannelSet. Each size then has
+exactly its own law, and the joint law across sizes and configurations
+is that of one fully materialized surface.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ import numpy as np
 
 # perfbench/tracing.py WRAPS times channel.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
-from .sysmodel import ConfigError, Geometry, membership
+from .sysmodel import ConfigError, Geometry, as_integer, membership
 
 MIN_DEVICE_RIS_DISTANCE = 1.0
 
@@ -117,30 +117,29 @@ class PartialDraw(NamedTuple):
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Block-fading realizations of the uplink, one per trial, for J phase configurations.
+    """Block-fading realizations of the uplink, one per trial, for B nested sizes and J configurations.
 
-    own_paths and cluster_sums are as in PartialDraw; no device's own
-    path is materialized, nor any path to a foreign surface or toward a
-    foreign antenna. summed_terms[j, t, i, m] is the cluster-sum term
-    Re{h_ps[t, i, :, m]^H diag(conj(phasors_j[t, i])) s[t, i]} of
-    surface i at antenna m under configuration j: computed from
-    own_paths at m = i, drawn from its exact law elsewhere.
-    drawn_terms[t, i, m, k] is the part of device k's real reflected
-    path off surface i to antenna m that is drawn from its exact law,
-    which is the same for every configuration: the whole term for
-    i != cluster_of[k], and the residual about the cluster-mean term
-    summed_terms[j, t, i, m] / |C_i| for i == cluster_of[k]. smaller
-    holds, for each smaller nested size n drawn alongside (ascending),
-    the summed and drawn terms of the surface made of the first n
-    elements; see prefix.
+    own_paths and cluster_sums are as in PartialDraw, at the largest
+    size N; no device's own path is materialized, nor any path to a
+    foreign surface or toward a foreign antenna. Entry b of the terms
+    belongs to the surface made of the first n_b elements (B = 1 for a
+    draw of one size). summed_terms[b, j, t, i, m] is the cluster-sum
+    term Re{h_ps[t, i, :n_b, m]^H diag(conj(phasors_j[t, i, :n_b]))
+    s[t, i, :n_b]} of surface i at antenna m under configuration j:
+    computed from own_paths at m = i, drawn from its exact law
+    elsewhere. drawn_terms[b, t, i, m, k] is the part of device k's real
+    reflected path off surface i to antenna m that is drawn from its
+    exact law, which is the same for every configuration: the whole
+    term for i != cluster_of[k], and the residual about the
+    cluster-mean term summed_terms[b, j, t, i, m] / |C_i| for
+    i == cluster_of[k].
     """
 
     own_paths: np.ndarray      # (T, M, N) complex, h_ps[t, i, :, i]
     cluster_sums: np.ndarray   # (T, M, N) complex, each cluster's summed own-surface paths
-    summed_terms: np.ndarray   # (J, T, M, M) real, per configuration
-    drawn_terms: np.ndarray    # (T, M, M, K) real
+    summed_terms: np.ndarray   # (B, J, T, M, M) real, per size and configuration
+    drawn_terms: np.ndarray    # (B, T, M, M, K) real, per size
     cluster_of: np.ndarray     # (K,) int
-    smaller: tuple = ()        # ((n, summed_terms, drawn_terms), ...) for nested sizes n < N
 
     # perfbench/tracing.py counts draw and gain bytes from ris_to_ps and
     # device_to_ris: read-only names of the two materialized path arrays.
@@ -159,23 +158,6 @@ class ChannelSet:
     @property
     def num_elements(self) -> int:
         return self.own_paths.shape[2]
-
-    def prefix(self, n: int) -> "ChannelSet":
-        """The nested surface of the first n elements of every surface, as views.
-
-        n must be num_elements or one of the smaller sizes drawn with
-        this set (KeyError otherwise).
-        """
-        if n == self.num_elements:
-            return self
-        summed, drawn = {size: terms for size, *terms in self.smaller}[n]
-        return ChannelSet(
-            own_paths=self.own_paths[:, :, :n],
-            cluster_sums=self.cluster_sums[:, :, :n],
-            summed_terms=summed,
-            drawn_terms=drawn,
-            cluster_of=self.cluster_of,
-        )
 
 
 def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.ndarray:
@@ -217,12 +199,13 @@ def sample_small_scale(
     """Draw `trials` independent block-fading realizations from rng, for J phase configurations.
 
     cluster_of (K,) names each device's own surface. num_elements is a
-    surface size N, or an increasing sequence of nested sizes
-    n_1 < ... < n_B = N served by one draw (see prefix). phases is
-    called once, on the PartialDraw of own paths and cluster sums, and
-    returns the J (T, M, N) unit-phasor arrays (airpfl.ris) of the
-    configurations the draw serves; summed_terms[j] belongs to the j-th.
-    A real array raises ValueError.
+    surface size N, or an increasing sequence of B nested sizes
+    n_1 < ... < n_B = N served by one draw; each must be an integer
+    (ConfigError otherwise; bools and integral floats are not). phases
+    is called once, on the PartialDraw of own paths and cluster sums,
+    and returns the J (T, M, N) unit-phasor arrays (airpfl.ris) of the
+    configurations the draw serves; summed_terms[:, j] belongs to the
+    j-th. A real array raises ValueError.
 
     Draw order is fixed, each block in C order with the trial axis
     first: real then imaginary parts of every own-path entry (T, M, N),
@@ -233,44 +216,41 @@ def sample_small_scale(
     turn, the foreign-antenna statistics of its block of elements
     (_block_terms). On each surface i, the vectors u of its own devices
     C_i are replaced by their differences from their numpy mean over
-    C_i. A size's summed and drawn terms are the running sums of its
-    blocks' increments.
+    C_i. Slot b of the summed and drawn terms is the running sum of the
+    increments of blocks 1 to b.
     """
     own = membership(cluster_of, num_clusters)
     cluster_of = np.asarray(cluster_of, dtype=int)
-    sizes = tuple(int(n) for n in np.atleast_1d(num_elements))
-    T, M, K, N = trials, num_clusters, cluster_of.size, sizes[-1]
-    if any(b <= a for a, b in zip((0,) + sizes, sizes)):
+    given = num_elements if np.ndim(num_elements) else [num_elements]
+    sizes = tuple(as_integer("surface size", n) for n in given)
+    if not sizes or any(b <= a for a, b in zip((0,) + sizes, sizes)):
         raise ValueError(f"surface sizes must be positive and increasing, got {sizes}")
+    T, M, K, N, B = trials, num_clusters, cluster_of.size, sizes[-1], len(sizes)
     counts = own.sum(axis=1)
     own_paths = _complex_normal(rng, (T, M, N))
     cluster_sums = _complex_normal(rng, (T, M, N), np.sqrt(counts / 2.0)[:, None])
     configs = list(phases(PartialDraw(own_paths, cluster_sums)))
     if not all(np.iscomplexobj(p) for p in configs):
         raise ValueError("phases must be complex unit phasors e^{-j theta}, not real angles")
-    residuals = rng.standard_normal((len(sizes), T, M, M, K))
+    residuals = rng.standard_normal((B, T, M, M, K))
     for i in range(M):
         surface = residuals[:, :, i]  # a view: (B, T, M, K)
         centred = surface[..., own[i]]
         surface[..., own[i]] = centred - centred.mean(axis=-1, keepdims=True)
-    steps = []
+    summed = np.empty((B, len(configs), T, M, M))
+    drawn = np.empty((B, T, M, M, K))
     for b, (lo, hi) in enumerate(zip((0,) + sizes, sizes)):
         block = slice(lo, hi)
-        step = _block_terms(rng, own_paths[:, :, block], cluster_sums[:, :, block],
-                            [p[:, :, block] for p in configs], residuals[b])
-        steps.append(step if b == 0 else tuple(a + s for a, s in zip(steps[-1], step)))
-    return ChannelSet(
-        own_paths=own_paths,
-        cluster_sums=cluster_sums,
-        summed_terms=steps[-1][0],
-        drawn_terms=steps[-1][1],
-        cluster_of=cluster_of,
-        smaller=tuple((n, *terms) for n, terms in zip(sizes[:-1], steps[:-1])),
-    )
+        _block_terms(rng, own_paths[:, :, block], cluster_sums[:, :, block],
+                     [p[:, :, block] for p in configs], residuals[b], summed[b], drawn[b])
+        if b:
+            summed[b] += summed[b - 1]
+            drawn[b] += drawn[b - 1]
+    return ChannelSet(own_paths, cluster_sums, summed, drawn, cluster_of)
 
 
-def _block_terms(rng, own_paths, cluster_sums, configs, residual):
-    """One block's increments of the summed (J, T, M, M) and drawn (T, M, M, K) terms.
+def _block_terms(rng, own_paths, cluster_sums, configs, residual, summed, drawn):
+    """Write one block's increments into summed (J, T, M, M) and drawn (T, M, M, K).
 
     Stacks [h_i, conj(w_1), ..., conj(w_J)] over the block's n elements,
     with real and imaginary parts interleaved, which leaves every real
@@ -308,7 +288,6 @@ def _block_terms(rng, own_paths, cluster_sums, configs, residual):
     bartlett[:, :, diagonal, diagonal] = np.sqrt(
         rng.chisquare(2 * n - k - diagonal, size=(T, M, rows)))
 
-    summed = np.empty((J, T, M, M))
     own_terms = np.matmul(stacked[:, :, 1:], stacked[:, :, 0, :, None])  # (T, M, J, 1)
     summed[:, :, own, own] = own_terms[..., 0].transpose(2, 0, 1)
     foreign_terms = np.matmul(z, factor[:, :, 1:].swapaxes(-1, -2))  # (T, M, M - 1, J)
@@ -321,7 +300,7 @@ def _block_terms(rng, own_paths, cluster_sums, configs, residual):
     virtual[:, own[:, None], others, :k] = z * (1.0 / _SQRT2)
     virtual[:, own[:, None], others, k:] = bartlett.swapaxes(-1, -2) * (1.0 / _SQRT2)
     drawn_factor = foreign_factor(virtual.swapaxes(-1, -2))  # (T, M, M, min(k + rows, M))
-    return summed, np.matmul(drawn_factor, residual[:, :, : drawn_factor.shape[-1]])
+    np.matmul(drawn_factor, residual[:, :, : drawn_factor.shape[-1]], out=drawn)
 
 
 def foreign_factor(stacked: np.ndarray) -> np.ndarray:
@@ -348,27 +327,34 @@ def foreign_factor(stacked: np.ndarray) -> np.ndarray:
     return r.swapaxes(-1, -2)
 
 
-def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray) -> np.ndarray:
-    """Real cascaded gains for every (configuration j, trial t, antenna m, device k), (J, T, M, K).
-
-    Sums over every surface i the attenuated reflected path
-    beta[i, k] * Re{ h_ps[t, i, :, m]^H diag(conj(phasors_j[t, i])) h_dev[t, i, k] }
-    under the j-th of the configurations the channel was drawn for.
-    """
-    return cascaded_components(ch, beta).sum(axis=2)
-
-
-def cascaded_components(ch: ChannelSet, beta: np.ndarray) -> np.ndarray:
-    """Per-surface terms of the cascaded gains, shape (J, T, M_surface, M_antenna, K).
+def _size_components(ch: ChannelSet, beta: np.ndarray):
+    """Per-surface terms of the cascaded gains, (J, T, M_surface, M_antenna, K), of each size in turn.
 
     Term [j, t, i, m, k] is beta[i, k] times device k's reflected path
     off surface i at antenna m under configuration j: its drawn term,
     which every configuration shares, plus, for a device of surface i's
-    own cluster C_i, its share 1 / |C_i| of the cluster-sum term
-    summed_terms[j, t, i, m]. Summing over the surface axis gives
-    all_cascaded_gains.
+    own cluster C_i, its share 1 / |C_i| of the cluster-sum term.
     """
     own = membership(ch.cluster_of, ch.num_surfaces)
     share = beta * own / own.sum(axis=1, keepdims=True)  # (M, K)
-    drawn = beta[None, :, None, :] * ch.drawn_terms  # (T, M, M_ant, K)
-    return drawn + ch.summed_terms[..., None] * share[:, None, :]
+    for summed, drawn in zip(ch.summed_terms, ch.drawn_terms):
+        terms = summed[..., None] * share[:, None, :]
+        terms += beta[None, :, None, :] * drawn
+        yield terms
+
+
+def all_cascaded_gains(ch: ChannelSet, beta: np.ndarray) -> np.ndarray:
+    """Real cascaded gains for every (size b, configuration j, trial t, antenna m, device k), (B, J, T, M, K).
+
+    Sums over every surface i, one size's _size_components at a time,
+    beta[i, k] * Re{ h_ps[t, i, :n_b, m]^H diag(conj(phasors_j[t, i, :n_b])) h_dev[t, i, k, :n_b] }.
+    """
+    gains = np.empty(ch.summed_terms.shape[:-1] + ch.cluster_of.shape)
+    for b, terms in enumerate(_size_components(ch, beta)):
+        terms.sum(axis=2, out=gains[b])
+    return gains
+
+
+def cascaded_components(ch: ChannelSet, beta: np.ndarray) -> np.ndarray:
+    """Per-surface terms of the cascaded gains of every size, (B, J, T, M_surface, M_antenna, K)."""
+    return np.stack(list(_size_components(ch, beta)))

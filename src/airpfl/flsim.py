@@ -200,16 +200,16 @@ def phase_configurations(draw, keys, phase_rng) -> list:
 
     Random phases are drawn once from phase_rng and aligned ones are the
     aligned design of draw (a PartialDraw); keys with equal phases share
-    them, and bits, when set, quantizes them to 2**bits levels.
+    them, and bits, when set, quantizes them to 2**bits levels. Phases
+    other than "aligned" and "random" raise ValueError.
     """
     base = {}
     for phases, _ in keys:
+        if phases not in ("aligned", "random"):
+            raise ValueError(f"phases must be 'aligned' or 'random', got {phases!r}")
         if phases not in base:
-            base[phases] = (
-                baseline_phases(phase_rng, *draw.own_paths.shape)
-                if phases == "random"
-                else configure_aligned(draw)
-            )
+            base[phases] = (baseline_phases(phase_rng, *draw.own_paths.shape)
+                            if phases == "random" else configure_aligned(draw))
     return [base[p] if bits is None else corrupt_phases(base[p], bits) for p, bits in keys]
 
 
@@ -219,11 +219,12 @@ def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
     Draws `trials` realizations from rng once (sample_small_scale), at
     the largest size with each smaller one nested in it, for the
     configurations of the keys (phase_configurations, random phases from
-    phase_rng), and attenuates them by beta (M, K). Sizes and keys are
-    sorted first, so the draw depends only on their sets. Every (size,
-    key) shares the own paths, cluster sums, drawn terms and random
-    phases, so comparisons across them are paired, while each has
-    exactly the law of an independent draw (see airpfl.channel).
+    phase_rng), and attenuates them by beta (M, K) in one
+    all_cascaded_gains call. Sizes and keys are sorted first, so the
+    draw depends only on their sets. Every (size, key) shares the own
+    paths, cluster sums, drawn terms and random phases, so comparisons
+    across them are paired, while each has exactly the law of an
+    independent draw (see airpfl.channel).
     """
     sizes = sorted(set(sizes))
     keys = sorted(set(keys), key=lambda k: (k[0], k[1] or 0))
@@ -231,7 +232,7 @@ def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
         rng, trials, beta.shape[0], cluster_of, sizes,
         lambda draw: phase_configurations(draw, keys, phase_rng),
     )
-    return {n: dict(zip(keys, all_cascaded_gains(ch.prefix(n), beta))) for n in sizes}
+    return {n: dict(zip(keys, g)) for n, g in zip(sizes, all_cascaded_gains(ch, beta))}
 
 
 def aggregate_round(

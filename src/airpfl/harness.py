@@ -397,8 +397,8 @@ def verify_elimination(
         rng = rng_from_seed(derive_seed(cfg.master_seed, "elimination", start))
         ch = _sample_batch(rng, tc, M, cfg.cluster_of, N,
                            lambda draw: phase_configurations(draw, [(phases, None)], rng))
-        summed.add(ch.summed_terms[0])
-        drawn.add(ch.drawn_terms)
+        summed.add(ch.summed_terms[0, 0])
+        drawn.add(ch.drawn_terms[0])
         del ch  # released before the next chunk is drawn
 
     cluster_of = cfg.cluster_of

@@ -57,7 +57,7 @@ def channel_set(hp, hd, cluster_of, phases):
     drawn terms are the full channel's reflections under the first
     configuration, with each own device's path replaced by its residual
     about the cluster mean, so the kernels add back the cluster-mean
-    term.
+    term. Both carry a leading size axis of length 1.
     """
     cluster_of = np.asarray(cluster_of, dtype=int)
     sums = np.zeros(hp.shape[:3], dtype=complex)
@@ -72,7 +72,7 @@ def channel_set(hp, hd, cluster_of, phases):
     return ChannelSet(
         own_paths=own_paths,
         cluster_sums=sums,
-        summed_terms=np.stack([summed_terms(hp, sums, p) for p in configs]),
-        drawn_terms=reflected(hp, centred, -np.angle(configs[0])),
+        summed_terms=np.stack([summed_terms(hp, sums, p) for p in configs])[None],
+        drawn_terms=reflected(hp, centred, -np.angle(configs[0]))[None],
         cluster_of=cluster_of,
     )

@@ -142,7 +142,7 @@ def test_criterion_2_unbiased_aggregation():
             # The math above must agree with the public kernels, run on
             # trial 0's full channel under the aligned phases.
             ch = channel_set(hp[:1], hd[:1], cfg.cluster_of, aligned)
-            gains_ref = all_cascaded_gains(ch, beta)[0]
+            gains_ref = all_cascaded_gains(ch, beta)[0, 0]
             received = uplink(
                 gains_ref, design.powers, normalized, 0.0, np.zeros((1, M, D))
             )

@@ -91,7 +91,7 @@ def test_noiseless_uplink_matches_direct_superposition():
     powers = rng.uniform(0.0, 2.0, size=(T, K))
     grads = _normalized_batch(rng, T, K, D)
 
-    gains = all_cascaded_gains(ch, beta)[0]
+    gains = all_cascaded_gains(ch, beta)[0, 0]
     received = uplink(gains, powers, grads, 0.0, np.zeros((T, M, D)))
     assert received.shape == (T, M, D)
 
@@ -166,7 +166,7 @@ def test_noiseless_estimate_equals_weighted_sum():
     ch = sample_small_scale(rng_from_seed(9), 1, M, cluster_of, N, aligned)
     rng = np.random.default_rng(3)
     beta = rng.uniform(0.1, 1.0, size=(M, K))
-    gains = all_cascaded_gains(ch, beta)[0]
+    gains = all_cascaded_gains(ch, beta)[0, 0]
     powers = rng.uniform(0.1, 1.0, size=(1, K))
     denoisers = np.array([[2.0, 0.7]])
     grads = _normalized_batch(rng, 1, K, D)

@@ -17,7 +17,7 @@ from airpfl.channel import (
 )
 from airpfl.ris import configure_aligned, corrupt_phases
 from airpfl.seeding import derive_seed, rng_from_seed
-from airpfl.sysmodel import Geometry, make_config, place_geometry
+from airpfl.sysmodel import ConfigError, Geometry, make_config, place_geometry
 from full_channel import aligned, aligned_phases, channel_set, draw_full, reflected, summed_terms
 
 # (100 * 200)^(-2.2/2), evaluated with mpmath at 40 digits and rounded
@@ -81,8 +81,8 @@ def test_small_scale_shapes():
     ch = sample_small_scale(rng_from_seed(42), 3, 2, CLUSTERS_5, 7, aligned)
     assert ch.own_paths.shape == (3, 2, 7)
     assert ch.cluster_sums.shape == (3, 2, 7)
-    assert ch.summed_terms.shape == (1, 3, 2, 2)
-    assert ch.drawn_terms.shape == (3, 2, 2, 5)
+    assert ch.summed_terms.shape == (1, 1, 3, 2, 2)
+    assert ch.drawn_terms.shape == (1, 3, 2, 2, 5)
     assert np.array_equal(ch.cluster_of, CLUSTERS_5)
     assert ch.own_paths.shape[0] == 3
     assert ch.num_surfaces == 2
@@ -128,8 +128,9 @@ def _documented_draw(seed, T, M, cluster_of, sizes, design):
 
     design(rng) is the phases argument, given the generator it may draw
     from. Returns the generator, the own paths and cluster sums as (real,
-    imaginary) parts, and one (summed, drawn) pair per size, built per
-    surface from the drawn normals and the factor kernel.
+    imaginary) parts, and the (B, J, T, M, M) summed and (B, T, M, M, K)
+    drawn terms of the B sizes, built per surface from the drawn normals
+    and the factor kernel.
     """
     K, N = len(cluster_of), sizes[-1]
     counts = np.bincount(cluster_of, minlength=M)
@@ -179,7 +180,7 @@ def _documented_draw(seed, T, M, cluster_of, sizes, design):
             drawn_factor = foreign_factor(virtual)
             drawn[:, i] += drawn_factor @ u[b, :, i, : drawn_factor.shape[-1]]
         terms.append((summed.copy(), drawn.copy()))
-    return rng, own, sums, terms
+    return rng, own, sums, tuple(np.stack(t) for t in zip(*terms))
 
 
 def _assert_bits(got, parts):
@@ -224,11 +225,11 @@ def test_small_scale_draw_order_is_documented_order():
     ]:
         rng_kernel = rng_from_seed(21)
         ch = sample_small_scale(rng_kernel, T, M, cluster_of, N, design(rng_kernel))
-        rng, own, sums, terms = _documented_draw(21, T, M, cluster_of, (N,), design)
+        rng, own, sums, (summed, drawn) = _documented_draw(21, T, M, cluster_of, (N,), design)
         _assert_bits(ch.own_paths, own)
         _assert_bits(ch.cluster_sums, sums)
-        _assert_close(ch.summed_terms, terms[-1][0])
-        _assert_close(ch.drawn_terms, terms[-1][1])
+        _assert_close(ch.summed_terms, summed)
+        _assert_close(ch.drawn_terms, drawn)
         # Nothing else was drawn.
         assert rng_kernel.random() == rng.random()
 
@@ -291,28 +292,23 @@ def test_draw_requests_exactly_the_documented_normals(T, M, K, sizes):
 def test_nested_draw_is_documented_order_and_prefixes_are_views():
     # Sizes 1 < 3 < 7 in one draw: own paths and sums at the largest
     # size, then the residual normals of every size, then each block's
-    # foreign-antenna statistics; each prefix views the first n
-    # elements and carries the running sum of its blocks' increments.
+    # foreign-antenna statistics; slot b of both term stacks is the
+    # running sum of the increments of blocks 1 to b, the terms of the
+    # surface of the first n_b elements.
     T, M, K, sizes = 3, 4, 6, (1, 3, 7)
     cluster_of = np.arange(K) % M
     rng_kernel = rng_from_seed(8)
     ch = sample_small_scale(rng_kernel, T, M, cluster_of, sizes, _aligned_and_random(rng_kernel))
-    rng, own, sums, terms = _documented_draw(8, T, M, cluster_of, sizes, _aligned_and_random)
+    rng, own, sums, (summed, drawn) = _documented_draw(8, T, M, cluster_of, sizes,
+                                                       _aligned_and_random)
     assert rng_kernel.random() == rng.random()
+    assert ch.own_paths.shape == ch.cluster_sums.shape == (T, M, 7) and ch.num_elements == 7
     _assert_bits(ch.own_paths, own)
     _assert_bits(ch.cluster_sums, sums)
-    for hi, (summed, drawn) in zip(sizes, terms):
-        sub = ch.prefix(hi)
-        assert sub.num_elements == hi
-        assert np.shares_memory(sub.own_paths, ch.own_paths)
-        assert np.shares_memory(sub.cluster_sums, ch.cluster_sums)
-        assert np.array_equal(sub.own_paths, ch.own_paths[:, :, :hi])
-        assert np.array_equal(sub.cluster_sums, ch.cluster_sums[:, :, :hi])
-        _assert_close(sub.summed_terms, summed)
-        _assert_close(sub.drawn_terms, drawn)
-    assert ch.prefix(7) is ch
-    with pytest.raises(KeyError):
-        ch.prefix(5)
+    assert ch.summed_terms.shape == (3, 3, T, M, M)
+    assert ch.drawn_terms.shape == (3, T, M, M, K)
+    _assert_close(ch.summed_terms, summed)
+    _assert_close(ch.drawn_terms, drawn)
 
 
 def test_own_residuals_are_centred_and_vanish_for_a_singleton():
@@ -321,22 +317,41 @@ def test_own_residuals_are_centred_and_vanish_for_a_singleton():
     # at every nested size. Foreign entries are not centred.
     cluster_of = np.array([1, 0, 1, 1, 2, 2])  # sizes 1, 3, 2
     ch = sample_small_scale(rng_from_seed(4), 5, 3, cluster_of, (2, 6), aligned)
-    for drawn in (ch.drawn_terms, ch.prefix(2).drawn_terms):
+    for drawn in ch.drawn_terms:
         assert np.all(drawn[:, 0, :, 1] == 0.0)
         for i in (1, 2):
             own = drawn[:, i][..., cluster_of == i]
             assert np.abs(own.sum(axis=-1)).max() <= 1e-12 * np.abs(own).max()
             assert np.all(own != 0.0)
         assert np.abs(drawn[:, 0][..., cluster_of != 0].sum(axis=-1)).min() > 1e-6
-    # The singleton's own term is the cluster-sum term alone.
-    comp = cascaded_components(ch, np.ones((3, 6)))[0]
-    assert np.array_equal(comp[:, 0, :, 1], ch.summed_terms[0, :, 0])
+    # The singleton's own term is the cluster-sum term alone, at every size.
+    comp = cascaded_components(ch, np.ones((3, 6)))[:, 0]
+    assert np.array_equal(comp[:, :, 0, :, 1], ch.summed_terms[:, 0, :, 0])
 
 
-@pytest.mark.parametrize("sizes", [(3, 1), (2, 2), (0, 4)], ids=["decreasing", "repeated", "zero"])
+@pytest.mark.parametrize("sizes", [(3, 1), (2, 2), (0, 4), ()],
+                         ids=["decreasing", "repeated", "zero", "empty"])
 def test_small_scale_rejects_bad_nested_sizes(sizes):
     with pytest.raises(ValueError):
         sample_small_scale(rng_from_seed(1), 1, 2, [0, 1, 1], sizes, aligned)
+
+
+@pytest.mark.parametrize("sizes", [7.9, True, np.float64(8.0), [4.5, 8], [True, 8]],
+                         ids=["float", "bool", "np-float", "float-in-list", "bool-in-list"])
+def test_small_scale_rejects_non_integer_sizes(sizes):
+    # A size that is not an integer is refused, not rounded to one.
+    with pytest.raises(ConfigError, match="surface size must be an integer"):
+        sample_small_scale(rng_from_seed(1), 1, 2, [0, 1, 1], sizes, aligned)
+
+
+def test_small_scale_accepts_numpy_integer_sizes():
+    ref = sample_small_scale(rng_from_seed(1), 2, 2, [0, 1, 1], (2, 4), aligned)
+    for sizes in ((np.int64(2), np.int64(4)), np.array([2, 4], dtype=np.int32)):
+        ch = sample_small_scale(rng_from_seed(1), 2, 2, [0, 1, 1], sizes, aligned)
+        assert np.array_equal(ch.drawn_terms, ref.drawn_terms)
+        assert np.array_equal(ch.summed_terms, ref.summed_terms)
+    one = sample_small_scale(rng_from_seed(1), 2, 2, [0, 1, 1], np.int64(4), aligned)
+    assert one.num_elements == 4 and one.drawn_terms.shape[0] == 1
 
 
 def test_nested_foreign_blocks_compose_the_prefix_gram():
@@ -438,13 +453,13 @@ def test_unequal_clusters_give_finite_gains():
     cluster_of = np.array([0, 1, 1, 1, 1, 1, 1, 1])  # sizes 1 and 7
     ch = sample_small_scale(rng_from_seed(8), 5, 2, cluster_of, 6, aligned)
     beta = np.random.default_rng(8).uniform(0.1, 1.0, size=(2, 8))
-    gains = all_cascaded_gains(ch, beta)[0]
+    gains = all_cascaded_gains(ch, beta)[0, 0]
     assert gains.shape == (5, 2, 8)
     assert np.all(np.isfinite(gains))
     for t in range(5):
         for m in range(2):
             for k in range(8):
-                ref = _cascaded_gain(ch, beta, 0, t, m, k)
+                ref = _cascaded_gain(ch, beta, 0, 0, t, m, k)
                 assert gains[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
@@ -452,15 +467,15 @@ def test_unequal_clusters_give_finite_gains():
 # gain kernels
 # ---------------------------------------------------------------------------
 
-def _cascaded_gain(ch, beta, config, t, m, k):
+def _cascaded_gain(ch, beta, size, config, t, m, k):
     """Scalar reference: real cascaded device-k-to-antenna-m gain of trial t."""
     own = ch.cluster_of[k]
     total = 0.0
     for i in range(ch.num_surfaces):
-        term = ch.drawn_terms[t, i, m, k]
+        term = ch.drawn_terms[size, t, i, m, k]
         if i == own:
             share = np.count_nonzero(ch.cluster_of == own)
-            term += ch.summed_terms[config, t, i, m] / share
+            term += ch.summed_terms[size, config, t, i, m] / share
         total += beta[i, k] * term
     return total
 
@@ -482,14 +497,14 @@ def test_cascaded_gain_matches_direct_sum():
     beta = rng.uniform(0.5, 2.0, size=(2, 3))
     phases = rng.uniform(0, 2 * np.pi, size=(2, 2, 5))
     ch = channel_set(hp, hd, cluster_of, lambda draw: [np.exp(-1j * phases)])
-    comp = cascaded_components(ch, beta)[0]
+    comp = cascaded_components(ch, beta)[0, 0]
     assert comp.shape == (2, 2, 2, 3)
     for t in range(2):
         for i in range(2):
             for m in range(2):
                 for k in range(3):
                     if i != cluster_of[k]:
-                        assert comp[t, i, m, k] == beta[i, k] * ch.drawn_terms[t, i, m, k]
+                        assert comp[t, i, m, k] == beta[i, k] * ch.drawn_terms[0, t, i, m, k]
                         continue
                     acc = 0.0 + 0.0j
                     for n in range(5):
@@ -499,20 +514,20 @@ def test_cascaded_gain_matches_direct_sum():
                             * ch.cluster_sums[t, i, n]
                         )
                     share = np.count_nonzero(cluster_of == i)
-                    ref = beta[i, k] * (acc.real / share + ch.drawn_terms[t, i, m, k])
+                    ref = beta[i, k] * (acc.real / share + ch.drawn_terms[0, t, i, m, k])
                     assert comp[t, i, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_all_cascaded_gains_matches_scalar_loop():
     ch = sample_small_scale(rng_from_seed(13), 3, 2, [0, 0, 1, 1], 6, _random_phasors(2, (3, 2, 6)))
     beta = np.random.default_rng(2).uniform(0.1, 1.0, size=(2, 4))
-    grid = all_cascaded_gains(ch, beta)[0]
+    grid = all_cascaded_gains(ch, beta)[0, 0]
     assert grid.shape == (3, 2, 4)
-    comp_sum = cascaded_components(ch, beta)[0].sum(axis=1)
+    comp_sum = cascaded_components(ch, beta)[0, 0].sum(axis=1)
     for t in range(3):
         for m in range(2):
             for k in range(4):
-                ref = _cascaded_gain(ch, beta, 0, t, m, k)
+                ref = _cascaded_gain(ch, beta, 0, 0, t, m, k)
                 assert grid[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
                 assert comp_sum[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
@@ -527,8 +542,8 @@ def test_kernels_reproduce_the_full_channel():
     phasors = np.exp(-1j * phases)
     ch = channel_set(hp, hd, cluster_of, lambda draw: [phasors])
     ref = beta[None, :, None, :] * reflected(hp, hd, phases)
-    assert np.allclose(cascaded_components(ch, beta)[0], ref, rtol=1e-12, atol=1e-14)
-    assert np.allclose(all_cascaded_gains(ch, beta)[0], ref.sum(axis=1), rtol=1e-12, atol=1e-14)
+    assert np.allclose(cascaded_components(ch, beta)[0, 0], ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(all_cascaded_gains(ch, beta)[0, 0], ref.sum(axis=1), rtol=1e-12, atol=1e-14)
     assert np.allclose(phasors, configure_aligned(ch), rtol=0, atol=1e-12)
 
 
@@ -590,9 +605,9 @@ def _nested_components(name, trials, M, cluster_of, sizes, seed, chunk, kinds, z
                 return configs
 
             ch = sample_small_scale(draws, chunk, M, cluster_of, sizes, phases)
-            terms = [[cascaded_components(ch.prefix(n), np.ones((M, K)))[j] for n in sizes]
-                     for j in range(len(kinds))]
-            sums = [[ch.prefix(n).summed_terms[j] for n in sizes] for j in range(len(kinds))]
+            comp = cascaded_components(ch, np.ones((M, K)))
+            terms = [list(comp[:, j]) for j in range(len(kinds))]
+            sums = [list(ch.summed_terms[:, j]) for j in range(len(kinds))]
         else:
             hp, hd = draw_full(rng, chunk, M, K, sizes[-1])
             if zero_sum is not None:
@@ -796,34 +811,37 @@ def _awkward_channels():
     ch, configs = _recorded(5, 6, 2, cluster_of, 4)
     # A trial-axis slice, and Fortran-order copies, whose last axes are
     # not contiguous.
-    yield (ChannelSet(ch.own_paths[::2], ch.cluster_sums[::2], ch.summed_terms[:, ::2],
-                      ch.drawn_terms[::2], cluster_of), [p[::2] for p in configs])
+    yield (ChannelSet(ch.own_paths[::2], ch.cluster_sums[::2], ch.summed_terms[:, :, ::2],
+                      ch.drawn_terms[:, ::2], cluster_of), [p[::2] for p in configs])
     fields = (ch.own_paths, ch.cluster_sums, ch.summed_terms, ch.drawn_terms)
     yield ChannelSet(*(np.asfortranarray(a) for a in fields), cluster_of), configs
     # One element per surface.
     yield _recorded(6, 2, 2, cluster_of, 1)
-    # A nested prefix, whose element axis is a strided view.
+    # The surface of the first 2 of 5 elements, built by hand from
+    # element-sliced paths, whose element axis is a strided view, and
+    # the first slot of the size axis.
     ch, configs = _recorded(7, 3, 2, cluster_of, (2, 5))
-    yield ch.prefix(2), [p[:, :, :2] for p in configs]
+    yield (ChannelSet(ch.own_paths[:, :, :2], ch.cluster_sums[:, :, :2], ch.summed_terms[:1],
+                      ch.drawn_terms[:1], cluster_of), [p[:, :, :2] for p in configs])
+    # Both nested sizes of that draw; the own paths belong to the last.
+    yield ch, configs
 
 
-AWKWARD_IDS = ["trial-slice", "fortran", "N=1", "prefix"]
+AWKWARD_IDS = ["trial-slice", "fortran", "N=1", "prefix", "nested"]
 
 
 @pytest.mark.parametrize("ch, configs", list(_awkward_channels()), ids=AWKWARD_IDS)
 def test_gain_kernels_on_awkward_layouts(ch, configs):
     T, M, K = ch.own_paths.shape[0], ch.num_surfaces, ch.cluster_of.size
+    B = ch.drawn_terms.shape[0]
     beta = np.random.default_rng(3).uniform(0.1, 1.0, size=(M, K))
-    assert all_cascaded_gains(ch, beta).shape == (len(configs), T, M, K)
-    for j in range(len(configs)):
-        grid = all_cascaded_gains(ch, beta)[j]
-        comp_sum = cascaded_components(ch, beta)[j].sum(axis=1)
-        for t in range(T):
-            for m in range(M):
-                for k in range(K):
-                    ref = _cascaded_gain(ch, beta, j, t, m, k)
-                    assert grid[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
-                    assert comp_sum[t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+    grid = all_cascaded_gains(ch, beta)
+    assert grid.shape == (B, len(configs), T, M, K)
+    comp_sum = cascaded_components(ch, beta).sum(axis=3)
+    for b, j, t, m, k in np.ndindex(grid.shape):
+        ref = _cascaded_gain(ch, beta, b, j, t, m, k)
+        assert grid[b, j, t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        assert comp_sum[b, j, t, m, k] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_geometry_to_channel_pipeline():
@@ -848,11 +866,11 @@ def _transposed_own_terms(ch, phasors):
 def test_cluster_sum_terms_match_the_transposed_formula(ch, configs):
     # The own-antenna cluster-sum terms are computed from the own paths:
     # Re{h_i^H diag(conj(phasors)) s_i} for every configuration; the
-    # foreign-antenna ones are drawn.
+    # foreign-antenna ones are drawn. The own paths belong to the last size.
     T, M = ch.own_paths.shape[0], ch.num_surfaces
-    assert ch.summed_terms.shape == (len(configs), T, M, M)
+    assert ch.summed_terms.shape[1:] == (len(configs), T, M, M)
     for j, phasors in enumerate(configs):
-        got = np.diagonal(ch.summed_terms[j], axis1=-2, axis2=-1)
+        got = np.diagonal(ch.summed_terms[-1, j], axis1=-2, axis2=-1)
         ref = _transposed_own_terms(ch, phasors)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.all(np.isfinite(ch.summed_terms))

@@ -119,7 +119,7 @@ def test_unbiased_link_weights_average_to_share():
     for _ in range(draws):
         hp, hd = draw_full(rng, 1, M, K, N)
         ch = channel_set(hp, hd, cluster_of, aligned)
-        gains = all_cascaded_gains(ch, beta)[0, 0]
+        gains = all_cascaded_gains(ch, beta)[0, 0, 0]
         w = np.sqrt(design.powers[0]) * gains[0] / design.denoisers[0, 0]
         acc += w
         acc_sq += w**2

@@ -286,6 +286,20 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
         assert np.all(est[0, 0] == g_true[0, 0]), s.name  # the exact mean term
 
 
+@pytest.mark.parametrize("phases", ["Random", "randon", "ideal", ""])
+def test_unknown_phase_kind_is_refused(phases):
+    # Only "aligned" and "random" name a phase design; any other kind, a
+    # typo or a different case included, is refused rather than served
+    # some design under its own key.
+    rng = np.random.default_rng(4)
+    beta = rng.uniform(0.1, 1.0, size=(2, 4))
+    keys = [("aligned", None), (phases, 1)]
+    with pytest.raises(ValueError, match=f"got {phases!r}"):
+        flsim.draw_gains(rng, rng, 3, [0, 0, 1, 1], beta, [4], keys)
+    with pytest.raises(ValueError, match=f"got {phases!r}"):
+        flsim.phase_configurations(None, keys[1:], rng)
+
+
 def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
     # "-{b}bit" quantizes each round's phases with corrupt_phases, as
     # the sweep does: every phase that reaches the gains sits on the

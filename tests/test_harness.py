@@ -96,7 +96,7 @@ def test_batched_kernels_match_independent_oracles():
     ch = sample_small_scale(rng_from_seed(17), T, 2, cfg.cluster_of, 6, aligned)
     rng = np.random.default_rng(17)
     beta = rng.uniform(0.2, 1.5, size=(2, 5))
-    gains = all_cascaded_gains(ch, beta)[0]
+    gains = all_cascaded_gains(ch, beta)[0, 0]
     sigmas = rng.uniform(0.5, 1.5, size=(T, 5))
     design = unbiased_design(beta, sigmas, cfg.max_power, 4, 6, cfg.cluster_of)
     lam = adaptive_denoisers(
@@ -306,9 +306,9 @@ def _count_calls(monkeypatch, calls, module, name):
 
 
 def test_sweep_draws_once_per_chunk(monkeypatch):
-    # 2 nested surface sizes x 3 chunks (100 + 100 + 50 trials): one draw
-    # and one alignment per chunk serve every size and power budget, and
-    # one gain call per (chunk, size) serves every phase key.
+    # 2 nested surface sizes x 3 chunks (100 + 100 + 50 trials): one draw,
+    # one alignment and one gain call per chunk serve every size, power
+    # budget and phase key.
     calls = []
     for name in ("sample_small_scale", "configure_aligned", "all_cascaded_gains"):
         _count_calls(monkeypatch, calls, flsim, name)
@@ -316,7 +316,7 @@ def test_sweep_draws_once_per_chunk(monkeypatch):
     nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
     assert calls.count("sample_small_scale") == 3
     assert calls.count("configure_aligned") == 3
-    assert calls.count("all_cascaded_gains") == 2 * 3
+    assert calls.count("all_cascaded_gains") == 3
 
 
 def test_ideal_only_sweep_draws_no_channel(monkeypatch):
@@ -666,7 +666,7 @@ def _full_pair_moments(cfg, trials, seed):
         rng = rng_from_seed(derive_seed(seed, "elimination", start))
         ch = sample_small_scale(rng, tc, cfg.num_clusters, cfg.cluster_of, cfg.num_ris_elements,
                                 aligned)
-        pairs.add(all_cascaded_gains(ch, beta)[0])
+        pairs.add(all_cascaded_gains(ch, beta)[0, 0])
     return pairs.mean, pairs.stderr
 
 

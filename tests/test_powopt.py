@@ -47,7 +47,7 @@ def _desk_problem(trials, seed):
     beta = large_scale_coefficients(place_geometry(cfg, seed), cfg.pathloss_exponent)
     rng = rng_from_seed(seed)
     ch = sample_small_scale(rng, trials, M, cfg.cluster_of, N, aligned)
-    gains = all_cascaded_gains(ch, beta)[0]
+    gains = all_cascaded_gains(ch, beta)[0, 0]
     sigmas = normalize_gradient(rng.standard_normal((trials, K, cfg.model_dim))).std
     return assemble_ratio_problem(gains, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
 

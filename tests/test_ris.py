@@ -30,7 +30,7 @@ def test_single_element_alignment_is_exact():
     phasors = configure_aligned(ch)
     assert phasors.shape == (1, 1, 1)
     assert abs(phasors[0, 0, 0] - _phasors(0.7 - 2.1)) <= 1e-12
-    gain = all_cascaded_gains(ch, np.ones((1, 1)))[0, 0, 0, 0]
+    gain = all_cascaded_gains(ch, np.ones((1, 1)))[0, 0, 0, 0, 0]
     assert gain == pytest.approx(6.0, rel=1e-12)
 
 
@@ -77,7 +77,7 @@ def test_own_cluster_mean_gain_matches_closed_form():
     for _ in range(draws):
         hp, hd = draw_full(rng, 1, M, K, N)
         ch = channel_set(hp, hd, cluster_of, aligned)
-        g = all_cascaded_gains(ch, beta)[0, 0, 0]
+        g = all_cascaded_gains(ch, beta)[0, 0, 0, 0]
         acc += g
         acc_sq += g**2
     mean = acc / draws
