@@ -25,6 +25,9 @@ import numpy as np
 from .seeding import rng_from_seed  # noqa: F401
 from .sysmodel import membership
 
+# np.std of a constant gradient is rounding residue, not 0 (a 64-vector
+# of 0.1 gives 1.4e-17, of 7.7 gives 8.9e-16), so an exact test would
+# send that residue as signal.
 DEGENERATE_STD_TOL = 1e-12
 
 

@@ -4,7 +4,9 @@ Subcommands: nmse-sweep, verify-elimination, power-opt, train. Each
 reads a JSON config, honors --seed and --out, prints a one-line
 summary, and exits 0 on success. For every command but power-opt,
 which has no system config, --seed replaces the config's master_seed.
-Usage problems and malformed configs exit 2; runtime failures exit 1.
+Usage problems and configs that are unreadable, lack a field or are
+malformed exit 2; runtime failures, an unwritable --out among them,
+exit 1.
 Identical invocations produce byte-identical outputs.
 """
 
@@ -40,43 +42,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sweep = sub.add_parser("nmse-sweep", help="NMSE vs surface size/power/scheme")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.set_defaults(run=_cmd_sweep)
+    def command(name, help_text, run, seed=None):
+        """A subparser with the options every subcommand takes."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=seed)
+        p.add_argument("--out", default=None)
+        p.set_defaults(run=run)
+        return p
 
-    p_ver = sub.add_parser("verify-elimination", help="check statistical interference elimination")
-    p_ver.add_argument("--config", required=True)
+    command("nmse-sweep", "NMSE vs surface size/power/scheme", _cmd_sweep)
+    p_ver = command("verify-elimination", "check statistical interference elimination", _cmd_verify)
     p_ver.add_argument("--trials", type=int, default=100_000)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(run=_cmd_verify)
-
-    p_pow = sub.add_parser("power-opt", help="solve a sum-of-ratios power control instance")
-    p_pow.add_argument("--config", required=True)
-    p_pow.add_argument("--seed", type=int, default=0)
-    p_pow.add_argument("--out", default=None)
-    p_pow.set_defaults(run=_cmd_power)
-
-    p_train = sub.add_parser("train", help="run federated training")
-    p_train.add_argument("--config", required=True)
+    command("power-opt", "solve a sum-of-ratios power control instance", _cmd_power, seed=0)
+    p_train = command("train", "run federated training", _cmd_train)
     p_train.add_argument("--scheme", default="unbiased", type=_scheme)
     p_train.add_argument("--rounds", type=int, default=100)
     p_train.add_argument("--eta", type=float, default=flsim.DEFAULT_LEARNING_RATE)
-    p_train.add_argument("--seed", type=int, default=None)
-    p_train.add_argument("--out", default=None)
-    p_train.set_defaults(run=_cmd_train)
-
     return parser
 
 
 def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The JSON object in the file at path; ConfigError if it cannot be read as one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"a config must be a JSON object, got {doc!r}")
     return doc
+
+
+def _field(doc: dict, key: str, what: str):
+    """doc[key]; ConfigError naming the field when it is absent."""
+    if key not in doc:
+        raise ConfigError(f"{what} has no {key!r} field")
+    return doc[key]
 
 
 def cli_main(argv: list[str]) -> int:
@@ -88,7 +90,7 @@ def cli_main(argv: list[str]) -> int:
 
     try:
         return args.run(args)
-    except (ConfigError, json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"airpfl: bad config: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
@@ -99,7 +101,7 @@ def cli_main(argv: list[str]) -> int:
 
 def _cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    cfg = _seeded(config_from_json(json.dumps(doc["system"])), args)
+    cfg = _seeded(config_from_json(json.dumps(_field(doc, "system", "a sweep config"))), args)
     schemes = _list_field(doc, "schemes", harness.SWEEP_SCHEMES)
     n_values = _list_field(doc, "n_values", harness.DESK_N_VALUES)
     p_values = _list_field(doc, "p_values", harness.DESK_P_VALUES)
@@ -148,7 +150,8 @@ def _cmd_power(args) -> int:
     """Solve one instance; the summary's iterations= counts solver cycles (AscentResult)."""
     doc = _load_json(args.config)
     a, b, c, bounds = (
-        as_array(f"power problem {key}", doc[key], as_number) for key in ("A", "b", "c", "bounds")
+        as_array(f"power problem {key}", _field(doc, key, "a power problem"), as_number)
+        for key in ("A", "b", "c", "bounds")
     )
     prob = RatioProblem(a_diag=a[None], b=b[None], c=c, bounds=bounds)
     sol = solve_projected_ascent(prob, [as_seed("seed", args.seed)])

@@ -21,8 +21,6 @@ import numpy as np
 
 from .sysmodel import membership
 
-DENOISER_UNDERFLOW_TOL = 1e-15
-
 
 @dataclass(frozen=True)
 class AggregationDesign:
@@ -147,15 +145,21 @@ def adaptive_denoisers(
         lambda_m = |cluster m| * num_m / cross_m
 
     (terms as in conditional_mse). It is taken when positive;
-    fallback[t, m] is substituted when |cross_m| falls below 1e-15 (a
-    cluster with no analog signal); and +inf (discard the analog
-    signal, keep the mean term) is returned when the minimizer is
-    non-positive, since the constrained optimum over positive denoisers
-    is then attained in the limit.
+    fallback[t, m] is substituted when cross_m is exactly 0 (a cluster
+    with no analog signal); and +inf (discard the analog signal, keep
+    the mean term) is returned when the minimizer is non-positive,
+    since the constrained optimum over positive denoisers is then
+    attained in the limit. Every vanished cluster gives an exact 0, as
+    each term of its cross sum is an exact 0 factor times a finite one:
+    an all-zero-std cluster has mixed_k = sigma_k = 0, a cluster whose
+    own gains are 0 has h_{m,k} = 0, and a cluster whose powers the
+    solver switched off has p_k = 0. The test names no scale, so the
+    choice does not change when every gain is multiplied by c and
+    noise_var by c^2.
     """
     num, cross, own = _error_terms(powers, gains, sigmas, noise_var, cluster_of)
     sizes = own.sum(axis=1)
-    vanished = np.abs(cross) < DENOISER_UNDERFLOW_TOL
+    vanished = cross == 0.0
     raw = sizes * num / np.where(vanished, 1.0, cross)
     lam = np.where(vanished, fallback, raw)
     return np.where(lam > 0, lam, np.inf)

@@ -444,23 +444,11 @@ def verify_elimination(
 # CSV export
 # ---------------------------------------------------------------------------
 
-# Exact types of the values csv_rows produces; format(v, ".17g") of a
-# float equals format(float(v), ".17g"), and str of an int or bool is
-# str(int(v)) or str(bool(v)).
-_FORMATS = {float: lambda v: format(v, ".17g"), int: str, bool: str, str: str}
-
-
 def _format_value(v) -> str:
-    exact = _FORMATS.get(type(v))
-    if exact is not None:
-        return exact(v)
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+    """A numpy scalar as the Python scalar it holds; a float to 17 significant digits."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    return format(v, ".17g") if type(v) is float else str(v)
 
 
 def export_csv(result, path: str) -> None:

@@ -22,8 +22,6 @@ from .channel import PartialDraw
 # perfbench/tracing.py WRAPS times ris.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
 
-ZERO_SUM_TOL = 1e-15
-
 _TWO_PI = 2.0 * np.pi
 
 
@@ -37,14 +35,15 @@ def configure_aligned(draw: PartialDraw) -> np.ndarray:
     airpfl.channel). draw is a PartialDraw or a ChannelSet. Returns
     conj(h_ps / |h_ps|) * s / |s| per element, with h_ps the element's
     path to its own cluster's antenna and s the cluster sum. A factor
-    whose path has magnitude below 1e-15 for the sum, or exactly 0 for
-    h_ps, is taken as 1, the phasor of angle 0.
+    whose path is exactly 0 is taken as 1, the phasor of angle 0, and
+    where the product of the two underflows to 0 the sum's angle alone
+    is used.
     """
     summed = draw.cluster_sums
-    summed = np.where(np.abs(summed) < ZERO_SUM_TOL, 1.0, summed)
+    summed = np.where(summed == 0, 1.0, summed)
     phasors = np.conj(draw.own_paths) * summed
     mag = np.abs(phasors)
-    blocked = mag == 0.0  # h_ps = 0 here, as the sum factor has modulus >= ZERO_SUM_TOL
+    blocked = mag == 0.0  # h_ps = 0, or the product underflowed: keep the sum's angle
     phasors[blocked] = summed[blocked]
     mag[blocked] = np.abs(summed[blocked])
     np.divide(phasors.real, mag, out=phasors.real)

@@ -76,6 +76,41 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "bad config" in capsys.readouterr().err
 
 
+_POWER_DOC = {"A": [[1.0, 0.5], [0.2, 1.0]], "b": [[1.0, 0.3], [0.4, 1.2]], "c": [0.5, 0.7],
+              "bounds": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "command, document, out_name, code, message",
+    [("power-opt", _POWER_DOC, "missing/solution.json", 1, "airpfl: error:"),
+     ("verify-elimination", None, None, 2, "bad config: cannot read"),
+     ("nmse-sweep", {"n_values": [4]}, None, 2, "has no 'system' field"),
+     ("power-opt", {k: v for k, v in _POWER_DOC.items() if k != "A"}, None, 2,
+      "has no 'A' field")],
+    ids=["unwritable-power-out", "config-is-a-directory", "sweep-without-system",
+         "power-without-A"],
+)
+def test_input_and_output_faults_exit_with_their_class(
+    tmp_path, capsys, command, document, out_name, code, message
+):
+    # An input that cannot be read (here a directory, for document None),
+    # or lacks a required field, is a bad config (exit 2) whose message
+    # names it; an output that cannot be written is a runtime failure
+    # (exit 1) for every subcommand.
+    path = tmp_path / "doc.json"
+    if document is None:
+        path = tmp_path
+    else:
+        path.write_text(json.dumps(document))
+    argv = [command, "--config", str(path)]
+    if out_name is not None:
+        argv += ["--out", str(tmp_path / out_name)]
+    assert cli_main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert ("usage:" in err) == (code == 2)
+
+
 def test_invalid_config_values_exit_2(tmp_path, system_doc):
     system_doc["noise_var"] = -1.0
     path = tmp_path / "bad.json"

@@ -403,6 +403,14 @@ def test_adaptive_denoisers_fallback_on_vanished_signal():
     assert lam[1] > 0 and np.isfinite(lam[1])
 
 
+def test_a_tiny_cross_term_gets_the_minimizer():
+    # Only an exactly zero cross term takes the fallback: a cross term of
+    # 1e-17 gets the minimizer |cluster| * num / cross = (1e-34 + 1) / 1e-17.
+    lam = adaptive_denoisers(np.ones((1, 1)), np.array([[[1e-17]]]), np.ones((1, 1)), 2.0,
+                             np.array([0]), np.array([[7.5]]))
+    assert lam[0, 0] == pytest.approx(1e17, rel=1e-15)
+
+
 def test_adaptive_denoisers_discard_when_minimizer_negative():
     # A negative own-cluster gain makes the unconstrained minimizer
     # negative; the constrained optimum walks off to infinity, which

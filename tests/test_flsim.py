@@ -14,9 +14,10 @@ from airpfl.flsim import (
     run_training,
     synth_clustered_tasks,
 )
-from airpfl.harness import export_csv
+from airpfl.channel import large_scale_coefficients
+from airpfl.harness import desk_scale_config, export_csv
 from airpfl.seeding import derive_seed
-from airpfl.sysmodel import ConfigError, make_config
+from airpfl.sysmodel import ConfigError, make_config, place_geometry
 
 
 def _config(K=6, M=2, N=32, D=8, noise_var=1e-9, seed=2):
@@ -284,6 +285,34 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
         assert np.array_equal(alone[0], est), s.name
         assert np.array_equal(flsim.estimation_nmse(alone[0], g_true), row), s.name
         assert np.all(est[0, 0] == g_true[0, 0]), s.name  # the exact mean term
+
+
+@pytest.mark.parametrize("c", [1e-140, 1e-40, 1e-12, 1e-8, 1e10, 1e150])
+def test_every_scheme_nmse_is_unchanged_by_the_channel_scale(c):
+    # The uplink is homogeneous: gains and beta times c with noise_var
+    # times c**2 is the same round in other units, so every scheme's
+    # mean NMSE stays put up to rounding and the solver's tolerance.
+    cfg = desk_scale_config(1)
+    M, K, D, N = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
+    T = 20
+    beta = large_scale_coefficients(place_geometry(cfg, 1), cfg.pathloss_exponent)
+    schemes = [flsim.parse_scheme(s) for s in
+               ["unbiased", "mmse", "mmse+powopt", "random-phase", "mmse-1bit"]]
+    rng = np.random.default_rng(5)
+    gains = flsim.draw_gains(rng, rng, T, cfg.cluster_of, beta, [N], [s.key for s in schemes])[N]
+    raw = rng.standard_normal((T, K, D))
+    grads = flsim.normalize_gradient(raw)
+    noise = rng.standard_normal((T, M, D))
+    seeds = [derive_seed(1, "powopt", t) for t in range(T)]
+    truth = flsim.cluster_average(raw, cfg.cluster_of, M)
+
+    def mean_nmse(scale):
+        scaled = {key: g * scale for key, g in gains.items()}
+        est = flsim.aggregate_round(cfg.replace(noise_var=cfg.noise_var * scale**2), beta * scale,
+                                    schemes, scaled, grads, noise, seeds)
+        return flsim.estimation_nmse(est, truth).mean(axis=1)
+
+    np.testing.assert_allclose(mean_nmse(c), mean_nmse(1.0), rtol=1e-9, atol=0)
 
 
 @pytest.mark.parametrize("phases", ["Random", "randon", "ideal", ""])

@@ -423,7 +423,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "5b8760cd3b50738c122dabae0c357161b6d69123b12153f98265cc6cb4040d0a"
+        "f38c98568d7e9af1dc39cd44c16d9ab542fe711f8271879633086cc8ed66aa56"
     )
 
 
@@ -440,7 +440,7 @@ def test_nested_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "4d275438a3c7b45f46c228fdaeb719731773d38acaee80a21381ae7c4b5e5d9b"
+        "744a1f3a87bc8a161609f55f443ee17f333df8674fadcdeb73acbef1f7dac3cf"
     )
 
 

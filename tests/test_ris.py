@@ -45,6 +45,13 @@ def test_alignment_with_vanishing_sum_falls_back_to_backhaul_angle():
     assert configure_aligned(_single_link(0.0, 0.0))[0, 0, 0] == 1.0
 
 
+def test_a_tiny_cluster_sum_keeps_its_own_phasor():
+    # Only an exactly zero sum is replaced: a sum of modulus 1e-300 still
+    # sets the element's angle, as a sum of modulus 3 does.
+    phasor = configure_aligned(_single_link(np.exp(1j * 0.7), 1e-300 * np.exp(1j * 2.1)))
+    assert abs(phasor[0, 0, 0] - _phasors(0.7 - 2.1)) <= 1e-12
+
+
 def test_phases_land_in_canonical_interval():
     T, M, K, N = 4, 3, 6, 10
     cluster_of = np.repeat(np.arange(3), 2)
