@@ -8,6 +8,10 @@ Usage problems and configs that are unreadable, lack a field or are
 malformed exit 2; runtime failures, an unwritable --out among them,
 exit 1.
 Identical invocations produce byte-identical outputs.
+The CLI sets glibc's trim and mmap thresholds, so each chunk reuses
+the pages of the chunk before it; without glibc's mallopt it does
+nothing, no output depends on it, and library callers keep their own
+process's allocator settings.
 """
 
 from __future__ import annotations
@@ -81,7 +85,29 @@ def _field(doc: dict, key: str, what: str):
     return doc[key]
 
 
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Keep freed multi-MB arrays in this process's heap, so the next chunk reuses their pages.
+
+    Does nothing where the C library has no mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    # Both together: setting either one turns off glibc's dynamic rule, so
+    # the other would stay at its 128 KiB default and freed arrays would
+    # still be unmapped or trimmed. These are the values that rule reaches
+    # once a 32 MiB block is freed.
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: chunk arrays come from the heap
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: freed heap stays mapped
+
+
 def cli_main(argv: list[str]) -> int:
+    _keep_freed_pages()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

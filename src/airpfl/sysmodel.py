@@ -108,12 +108,14 @@ def membership(cluster_of, num_clusters: int) -> np.ndarray:
     no cluster is empty (an all-False row).
     """
     labels = np.asarray(cluster_of)
-    if (labels.ndim != 1 or labels.dtype.kind not in "iu"
-            or labels.min(initial=0) < 0 or labels.max(initial=0) >= num_clusters):
+    own = None
+    if labels.ndim == 1 and labels.dtype.kind in "iu":
+        own = labels == np.arange(num_clusters)[:, None]
+    # A label outside [0, num_clusters) matches no row, so own holds fewer Trues than labels.
+    if own is None or np.count_nonzero(own) != labels.size:
         raise ConfigError(
             f"cluster_of must be a 1-D integer array whose entries lie in [0, {num_clusters})"
         )
-    own = labels == np.arange(num_clusters)[:, None]
     present = own.any(axis=1)
     if not present.all():
         empty = np.argmin(present)

@@ -60,7 +60,10 @@ def test_membership_standalone():
         membership(np.array([0, 2]), 3)
 
 
-@pytest.mark.parametrize("labels", [[0, 2], [0, -1], [[0, 1]], [0.0, 1.0], [True, False]])
+# [1, 1, 2] also leaves cluster 0 empty: a label out of range is reported before an empty cluster.
+@pytest.mark.parametrize(
+    "labels", [[0, 2], [0, -1], [[0, 1]], [0.0, 1.0], [True, False], [1, 1, 2]]
+)
 def test_membership_rejects_malformed_labels(labels):
     with pytest.raises(ConfigError, match="lie in"):
         membership(labels, 2)
