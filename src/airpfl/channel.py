@@ -178,15 +178,31 @@ def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.nda
     return beta
 
 
-def _complex_normal(rng: np.random.Generator, shape: tuple, scale=1.0 / np.sqrt(2.0)):
+def trial_draw(rng, method: str, shape: tuple, *args, axis: int = 0) -> np.ndarray:
+    """rng.method(*args, size=shape), with rng one generator or a list or tuple of one per trial.
+
+    shape[axis] is the trial axis. Given a sequence of generators,
+    generator t draws trial t's slice, with the call a one-trial draw
+    makes (size 1 on that axis), and the slices are joined in order; a
+    sequence whose length is not shape[axis] raises ValueError.
+    """
+    if not isinstance(rng, (list, tuple)):
+        return getattr(rng, method)(*args, size=shape)
+    if len(rng) != shape[axis]:
+        raise ValueError(f"{len(rng)} generators given for {shape[axis]} trials")
+    one = shape[:axis] + (1,) + shape[axis + 1:]
+    return np.concatenate([getattr(g, method)(*args, size=one) for g in rng], axis=axis)
+
+
+def _complex_normal(rng, shape: tuple, scale=1.0 / np.sqrt(2.0)):
     """Circular complex Gaussians: real parts drawn first, then imaginary, times scale.
 
     The planar draw gives the same values in the same order as two
     separate calls, and each part is written once, multiplied by scale
     (broadcast against shape; 1/sqrt(2) gives unit variance), into the
-    complex result.
+    complex result. shape leads with the trial axis.
     """
-    parts = rng.standard_normal((2,) + shape)
+    parts = trial_draw(rng, "standard_normal", (2,) + shape, axis=1)
     h = np.empty(shape, dtype=complex)
     np.multiply(parts[0], scale, out=h.real)
     np.multiply(parts[1], scale, out=h.imag)
@@ -194,7 +210,7 @@ def _complex_normal(rng: np.random.Generator, shape: tuple, scale=1.0 / np.sqrt(
 
 
 def sample_small_scale(
-    rng: np.random.Generator, trials: int, num_clusters: int, cluster_of, num_elements, phases
+    rng, trials: int, num_clusters: int, cluster_of, num_elements, phases
 ) -> ChannelSet:
     """Draw `trials` independent block-fading realizations from rng, for J phase configurations.
 
@@ -218,6 +234,13 @@ def sample_small_scale(
     C_i are replaced by their differences from their numpy mean over
     C_i. Slot b of the summed and drawn terms is the running sum of the
     increments of blocks 1 to b.
+
+    rng is one numpy Generator, or a list or tuple of `trials` of them
+    (ValueError for another length). Then generator t draws trial t
+    alone, with the calls a one-trial draw from it makes, in the order
+    above (phases should draw trial t from generator t as well, as
+    ris.baseline_phases does), so trial t is bit for bit the one-trial
+    draw from generator t, whatever the other trials.
     """
     own = membership(cluster_of, num_clusters)
     cluster_of = np.asarray(cluster_of, dtype=int)
@@ -232,7 +255,7 @@ def sample_small_scale(
     configs = list(phases(PartialDraw(own_paths, cluster_sums)))
     if not all(np.iscomplexobj(p) for p in configs):
         raise ValueError("phases must be complex unit phasors e^{-j theta}, not real angles")
-    residuals = rng.standard_normal((B, T, M, M, K))
+    residuals = trial_draw(rng, "standard_normal", (B, T, M, M, K), axis=1)
     for i in range(M):
         surface = residuals[:, :, i]  # a view: (B, T, M, K)
         centred = surface[..., own[i]]
@@ -282,11 +305,12 @@ def _block_terms(rng, own_paths, cluster_sums, configs, residual, summed, drawn)
         column *= cluster_sums
     stacked = stack.view(np.float64)  # (T, M, 1 + J, 2n)
     factor = foreign_factor(stacked.swapaxes(-1, -2))  # (T, M, 1 + J, k)
-    z = rng.standard_normal((T, M, M - 1, k))
+    z = trial_draw(rng, "standard_normal", (T, M, M - 1, k))
     bartlett = np.zeros((T, M, rows, M - 1))
-    bartlett[:, :, upper_rows, upper_cols] = rng.standard_normal((T, M, upper_rows.size))
+    bartlett[:, :, upper_rows, upper_cols] = trial_draw(rng, "standard_normal",
+                                                        (T, M, upper_rows.size))
     bartlett[:, :, diagonal, diagonal] = np.sqrt(
-        rng.chisquare(2 * n - k - diagonal, size=(T, M, rows)))
+        trial_draw(rng, "chisquare", (T, M, rows), 2 * n - k - diagonal))
 
     own_terms = np.matmul(stacked[:, :, 1:], stacked[:, :, 0, :, None])  # (T, M, J, 1)
     summed[:, :, own, own] = own_terms[..., 0].transpose(2, 0, 1)
@@ -307,20 +331,35 @@ def foreign_factor(stacked: np.ndarray) -> np.ndarray:
     """Lower-triangular F with F F^T = S^T S / 2, (..., C, min(R, C)), for real S (..., R, C).
 
     For the surface-to-PS paths H of one surface, S = [Re H; Im H]
-    gives S^T S / 2 = Re(H^H H) / 2. When every S^T S of the batch is
-    positive definite, F is the Cholesky factor of S^T S / 2. Otherwise
-    (always for R < C; also for a zero column) F is the transposed R of
-    the thin QR of S, its rows signed so the diagonal is non-negative,
-    scaled by 1/sqrt(2), which needs no positive definiteness and equals
-    the Cholesky factor wherever that exists.
+    gives S^T S / 2 = Re(H^H H) / 2. Where S^T S is positive definite,
+    F is the Cholesky factor of S^T S / 2. Elsewhere (always for R < C;
+    also for a zero column) F is the transposed R of the thin QR of S,
+    its rows signed so the diagonal is non-negative, scaled by
+    1/sqrt(2), which needs no positive definiteness and equals the
+    Cholesky factor wherever that exists. The choice is made per
+    matrix, so each factor is the same alone as in any batch.
     """
-    if stacked.shape[-2] >= stacked.shape[-1]:
-        gram = np.matmul(stacked.swapaxes(-1, -2), stacked)
-        gram *= 0.5
+    if stacked.shape[-2] < stacked.shape[-1]:
+        return _qr_factor(stacked)
+    gram = np.matmul(stacked.swapaxes(-1, -2), stacked)
+    gram *= 0.5
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        pass  # a singular Gram matrix somewhere in the batch: try each matrix alone
+    factor = np.empty_like(gram)
+    singular = np.zeros(gram.shape[:-2], dtype=bool)
+    for i in np.ndindex(singular.shape):
         try:
-            return np.linalg.cholesky(gram)
+            factor[i] = np.linalg.cholesky(gram[i])
         except np.linalg.LinAlgError:
-            pass  # a singular Gram matrix somewhere in the batch
+            singular[i] = True
+    factor[singular] = _qr_factor(stacked[singular])
+    return factor
+
+
+def _qr_factor(stacked: np.ndarray) -> np.ndarray:
+    """foreign_factor from the thin QR of S, for every S in the batch."""
     r = np.linalg.qr(stacked, mode="r")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     r *= np.where(diag < 0.0, -1.0, 1.0)[..., None] * (1.0 / _SQRT2)

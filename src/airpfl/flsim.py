@@ -9,10 +9,11 @@ reference.
 
 `draw_gains` is the one channel-draw step of the package and
 `aggregate_round` its one round (design, power solve, denoiser, uplink,
-estimate): training calls them with a batch of one trial, one surface
-size and its one scheme, and the NMSE sweep in `harness` with a batch
-of Monte Carlo trials, every surface size and phase key of its grid,
-and, per size and power budget, every scheme of the grid at once.
+estimate). The NMSE sweep in `harness` calls them per chunk of CHUNK
+Monte Carlo trials, for every surface size, phase key and scheme of its
+grid at once. Training draws the gains of CHUNK rounds in one call, one
+generator per round, and runs aggregate_round on each round's trial
+alone.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .seeding import derive_seed, rng_from_seed
 from .sysmodel import ConfigError, SystemConfig, as_integer, as_number, as_seed, place_geometry
 
 DEFAULT_LEARNING_RATE = 0.05
+
+# Trials (sweep, verifier) or training rounds served by one channel draw.
+CHUNK = 100
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,14 @@ def draw_gains(rng, phase_rng, trials, cluster_of, beta, sizes, keys) -> dict:
     paths, cluster sums, drawn terms and random phases, so comparisons
     across them are paired, while each has exactly the law of an
     independent draw (see airpfl.channel).
+
+    rng and phase_rng may each be one generator or a list or tuple of
+    `trials` generators, one per trial (ValueError for another length).
+    Trial t then draws from its own generators alone: own paths, cluster
+    sums, random phases, residuals, then each block's projection
+    normals, Bartlett normals and chi-square draws, the calls and order
+    of a one-trial draw. So trial t's gains are bit for bit those of a
+    one-trial draw_gains call with generator t and phase generator t.
     """
     sizes = sorted(set(sizes))
     keys = sorted(set(keys), key=lambda k: (k[0], k[1] or 0))
@@ -315,14 +327,21 @@ def run_training(
     the weights are still zero, that the data or the deployment is out
     of numeric range.
     All randomness, the deployment included, is derived from
-    cfg.master_seed and the round counter. Each round draws its gains
-    with draw_gains, for its scheme's phase key alone, and its noise,
-    from round substreams that do not depend on the scheme. Runs with
-    different schemes at the same seed therefore share what draw_gains
-    draws before and apart from the phases, and the noise, but not the
+    cfg.master_seed and the round counter. Each round draws its gains,
+    for its scheme's phase key alone, and its noise from round
+    substreams that do not depend on the scheme. Runs with different
+    schemes at the same seed therefore share what draw_gains draws
+    before and apart from the phases, and the noise, but not the
     statistics it draws given them: each scheme's law is exact, while
     the joint law across schemes is not the shared draw of one
     draw_gains call.
+    The channel does not depend on the models, so the rounds are drawn
+    CHUNK at a time, one draw_gains call per chunk with one generator
+    per round. Round t's gains and noise are bit for bit those of a
+    one-round draw from its own streams, so the bytes do not depend on
+    CHUNK and a shorter run is a prefix of a longer one. A chunk whose
+    draw overflows is drawn again round by round, so the error names
+    the round it belongs to.
     """
     scheme = parse_scheme(scheme)
     rounds = as_integer("rounds", rounds)
@@ -345,6 +364,19 @@ def run_training(
         return RuntimeError(f"training diverged at round {t} under scheme {scheme.name!r} "
                             f"(non-finite {what}); reduce eta or noise")
 
+    def round_draws(start, stop):
+        """Gains (T, M, K) and receiver noise (T, M, D) of rounds start to stop - 1."""
+        window = range(start, stop)
+        rngs = [rng_from_seed(derive_seed(master, "round-channel", t)) for t in window]
+        phase_rngs = ([rng_from_seed(derive_seed(master, "round-phases", t)) for t in window]
+                      if scheme.phases == "random" else None)
+        gains = draw_gains(rngs, phase_rngs, len(window), cfg.cluster_of, beta, [N], [scheme.key])
+        noise = np.concatenate([
+            rng_from_seed(derive_seed(master, "round-noise", t)).standard_normal((1, M, D))
+            for t in window
+        ])
+        return gains[N][scheme.key], noise
+
     beta = large_scale_coefficients(place_geometry(cfg, cfg.master_seed), cfg.pathloss_exponent)
     weights = np.zeros((M, D))
     losses = np.empty((rounds, M))
@@ -365,16 +397,17 @@ def run_training(
                 else:
                     normalized = normalize_gradient(grads)
                     what = "aggregated gradient"
-                    rng = rng_from_seed(derive_seed(master, "round-channel", t))
-                    phase_rng = (rng_from_seed(derive_seed(master, "round-phases", t))
-                                 if scheme.phases == "random" else None)
-                    gains = draw_gains(rng, phase_rng, 1, cfg.cluster_of, beta, [N], [scheme.key])
-                    noise = rng_from_seed(derive_seed(master, "round-noise", t)).standard_normal(
-                        (1, M, D)
-                    )
+                    if t % CHUNK == 0:
+                        try:
+                            chunk = round_draws(t, min(t + CHUNK, rounds))
+                        except FloatingPointError:  # redrawn per round, to name the round
+                            chunk = None
+                    i = t % CHUNK
+                    gains, noise = (round_draws(t, t + 1) if chunk is None
+                                    else (chunk[0][i : i + 1], chunk[1][i : i + 1]))
                     seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
-                    g_hat = aggregate_round(cfg, beta, [scheme], gains[N], normalized, noise,
-                                            seeds)[0]
+                    g_hat = aggregate_round(cfg, beta, [scheme], {scheme.key: gains}, normalized,
+                                            noise, seeds)[0]
                     nmse[t] = estimation_nmse(g_hat, g_true)[0]
 
                 what = "loss"

@@ -24,7 +24,14 @@ import numpy as np
 
 from .aircomp import cluster_average, normalize_gradient
 from .channel import large_scale_coefficients
-from .flsim import aggregate_round, draw_gains, estimation_nmse, parse_scheme, phase_configurations
+from .flsim import (
+    CHUNK,
+    aggregate_round,
+    draw_gains,
+    estimation_nmse,
+    parse_scheme,
+    phase_configurations,
+)
 from .seeding import derive_seed, rng_from_seed
 from .sysmodel import (
     ConfigError,
@@ -45,8 +52,6 @@ from .control import adaptive_denoisers as _adaptive_lambda_batch  # noqa: F401
 from .control import unbiased_design as _unbiased_batch  # noqa: F401
 from .ris import configure_aligned as _aligned_phases_batch  # noqa: F401
 from .ris import corrupt_phases  # noqa: F401
-
-CHUNK = 100
 
 SWEEP_SCHEMES = ("unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import PartialDraw
+from .channel import PartialDraw, trial_draw
 # perfbench/tracing.py WRAPS times ris.rng_from_seed; draws take a generator.
 from .seeding import rng_from_seed  # noqa: F401
 
@@ -51,11 +51,16 @@ def configure_aligned(draw: PartialDraw) -> np.ndarray:
     return phasors
 
 
-def baseline_phases(
-    rng: np.random.Generator, trials: int, num_surfaces: int, num_elements: int
-) -> np.ndarray:
-    """Unit phasors e^{-j theta} of angles theta drawn uniformly on [0, 2*pi), shape (T, M, N)."""
-    return np.exp(-1j * rng.uniform(0.0, _TWO_PI, size=(trials, num_surfaces, num_elements)))
+def baseline_phases(rng, trials: int, num_surfaces: int, num_elements: int) -> np.ndarray:
+    """Unit phasors e^{-j theta} of angles theta drawn uniformly on [0, 2*pi), shape (T, M, N).
+
+    The angles are one uniform (T, M, N) block from rng, in C order. rng
+    may also be a list or tuple of T generators (ValueError for another
+    length): generator t then draws trial t's (1, M, N) block, as a
+    one-trial call with it does.
+    """
+    shape = (trials, num_surfaces, num_elements)
+    return np.exp(-1j * trial_draw(rng, "uniform", shape, 0.0, _TWO_PI))
 
 
 def corrupt_phases(phasors: np.ndarray, bits: int) -> np.ndarray:

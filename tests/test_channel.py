@@ -15,7 +15,7 @@ from airpfl.channel import (
     large_scale_coefficients,
     sample_small_scale,
 )
-from airpfl.ris import configure_aligned, corrupt_phases
+from airpfl.ris import baseline_phases, configure_aligned, corrupt_phases
 from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import ConfigError, Geometry, make_config, place_geometry
 from full_channel import aligned, aligned_phases, channel_set, draw_full, reflected, summed_terms
@@ -289,6 +289,38 @@ def test_draw_requests_exactly_the_documented_normals(T, M, K, sizes):
             assert sum(n for kind, n in rng.requests if kind == "chi2") == T * 12
 
 
+def _aligned_and_baseline(rng):
+    """Aligned phasors and ris.baseline_phases drawn from rng, which may be one generator per trial."""
+    return lambda draw: [configure_aligned(draw), baseline_phases(rng, *draw.own_paths.shape)]
+
+
+def test_per_trial_generators_each_make_a_one_trial_draw():
+    # Given one generator per trial, each generator is asked for exactly
+    # the blocks a one-trial draw from it asks for, in the same order,
+    # and trial t is that one-trial draw bit for bit.
+    T, M, K, sizes = 3, 4, 9, (4, 16, 64)
+    cluster_of = np.arange(K) % M
+    gens = [_RecordingGenerator(seed) for seed in range(T)]
+    ch = sample_small_scale(gens, T, M, cluster_of, sizes, _aligned_and_baseline(gens))
+    for t, gen in enumerate(gens):
+        solo_gen = _RecordingGenerator(t)
+        solo = sample_small_scale(solo_gen, 1, M, cluster_of, sizes,
+                                  _aligned_and_baseline(solo_gen))
+        assert gen.requests == solo_gen.requests
+        assert np.array_equal(ch.own_paths[t], solo.own_paths[0])
+        assert np.array_equal(ch.cluster_sums[t], solo.cluster_sums[0])
+        assert np.array_equal(ch.summed_terms[:, :, t], solo.summed_terms[:, :, 0])
+        assert np.array_equal(ch.drawn_terms[:, t], solo.drawn_terms[:, 0])
+
+
+def test_per_trial_generators_must_match_the_trial_count():
+    gens = [rng_from_seed(seed) for seed in range(2)]
+    with pytest.raises(ValueError, match="2 generators given for 3 trials"):
+        sample_small_scale(gens, 3, 2, [0, 0, 1, 1], 8, aligned)
+    with pytest.raises(ValueError, match="2 generators given for 3 trials"):
+        baseline_phases(tuple(gens), 3, 2, 8)
+
+
 def test_nested_draw_is_documented_order_and_prefixes_are_views():
     # Sizes 1 < 3 < 7 in one draw: own paths and sums at the largest
     # size, then the residual normals of every size, then each block's
@@ -439,6 +471,23 @@ def test_foreign_factor_falls_back_to_qr_for_the_whole_batch():
     assert factor.shape == (3, 2, 2, 2)
     assert err < 1e-12
     assert np.all(factor[0, 1, 0] == 0.0)
+
+
+def test_foreign_factor_is_chosen_per_matrix():
+    # A singular Gram matrix takes the QR route alone: every matrix's
+    # factor is bit for bit its factor alone, beside a singular one or
+    # not, and the definite ones keep their Cholesky factors.
+    stacked = np.random.default_rng(6).standard_normal((3, 2, 10, 4))
+    clean = foreign_factor(stacked)
+    stacked[1, 0, :, 2] = 0.0
+    mixed = foreign_factor(stacked)
+    for t, i in np.ndindex(3, 2):
+        assert np.array_equal(mixed[t, i], foreign_factor(stacked[t, i][None, None])[0, 0])
+        if (t, i) != (1, 0):
+            assert np.array_equal(mixed[t, i], clean[t, i])
+    assert np.all(mixed[1, 0, 2] == 0.0)
+    gram = stacked[1, 0].T @ stacked[1, 0] / 2
+    assert np.allclose(mixed[1, 0] @ mixed[1, 0].T, gram, rtol=0, atol=1e-12 * np.abs(gram).max())
 
 
 def test_foreign_factor_is_the_cholesky_factor_when_definite():

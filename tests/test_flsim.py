@@ -16,7 +16,7 @@ from airpfl.flsim import (
 )
 from airpfl.channel import large_scale_coefficients
 from airpfl.harness import desk_scale_config, export_csv
-from airpfl.seeding import derive_seed
+from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import ConfigError, make_config, place_geometry
 
 
@@ -329,10 +329,113 @@ def test_unknown_phase_kind_is_refused(phases):
         flsim.phase_configurations(None, keys[1:], rng)
 
 
+SWEEP_KEYS = [("aligned", None), ("aligned", 1), ("random", None)]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["phases-from-rng", "own-phase-rngs"])
+def test_per_trial_generators_give_each_trial_its_solo_draw(shared):
+    # T per-trial generators give T one-trial draws bit for bit, over
+    # several nested blocks and the sweep's three phase keys, whether
+    # the random phases come from the trial's channel generator (as in
+    # the sweep) or from a generator of their own (as in training).
+    T, M, K, sizes = 4, 3, 7, [4, 16, 64]
+    cluster_of = np.arange(K) % M
+    beta = np.random.default_rng(3).uniform(0.1, 1.0, size=(M, K))
+
+    def streams(t):
+        rng = rng_from_seed(derive_seed(9, "channel", t))
+        return rng, rng if shared else rng_from_seed(derive_seed(9, "phases", t))
+
+    rngs, phase_rngs = zip(*(streams(t) for t in range(T)))
+    batch = flsim.draw_gains(list(rngs), list(phase_rngs), T, cluster_of, beta, sizes, SWEEP_KEYS)
+    for t in range(T):
+        solo = flsim.draw_gains(*streams(t), 1, cluster_of, beta, sizes, SWEEP_KEYS)
+        for n in sizes:
+            for key in SWEEP_KEYS:
+                assert np.array_equal(batch[n][key][t], solo[n][key][0]), (t, n, key)
+
+
+def test_per_trial_generators_must_match_the_trial_count():
+    beta = np.ones((2, 4))
+    rngs = [rng_from_seed(t) for t in range(3)]
+    with pytest.raises(ValueError, match="generators given for"):
+        flsim.draw_gains(rngs[:2], None, 3, [0, 0, 1, 1], beta, [8], [("aligned", None)])
+    with pytest.raises(ValueError, match="generators given for"):
+        flsim.draw_gains(rngs, rngs[:2], 3, [0, 0, 1, 1], beta, [8], [("random", None)])
+
+
+def _count_draws(monkeypatch):
+    calls = []
+    draw = flsim.sample_small_scale
+
+    def counted(*args):
+        calls.append(args[1])
+        return draw(*args)
+
+    monkeypatch.setattr(flsim, "sample_small_scale", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["mmse", "random-phase", "mmse+powopt", "unbiased-1bit"])
+def test_training_bytes_do_not_depend_on_the_chunk_size(scheme, monkeypatch):
+    # A chunk of rounds is one draw with a generator per round, which
+    # gives each round its one-round draw: rounds 1, 7 or CHUNK at a
+    # time give the same run, one draw per chunk, and a shorter run is a
+    # prefix of a longer one.
+    cfg = _config(K=4, N=8, D=4)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=3)
+    rounds = 6 if scheme == "mmse+powopt" else 16
+    calls = _count_draws(monkeypatch)
+    runs = {}
+    for chunk in (1, 7, flsim.CHUNK):
+        monkeypatch.setattr(flsim, "CHUNK", chunk)
+        calls.clear()
+        runs[chunk] = run_training(cfg, tasks, scheme, rounds=rounds, eta=0.05)
+        assert len(calls) == -(-rounds // chunk)
+        assert calls == [min(chunk, rounds - start) for start in range(0, rounds, chunk)]
+    short = run_training(cfg, tasks, scheme, rounds=rounds - 3, eta=0.05)
+    ref = runs[1]
+    for hist in list(runs.values()) + [short]:
+        n = hist.nmse.size
+        assert np.array_equal(hist.losses, ref.losses[:n])
+        assert np.array_equal(hist.nmse, ref.nmse[:n])
+    assert np.array_equal(runs[7].final_weights, ref.final_weights)
+
+
+def test_an_overflowing_draw_stops_its_own_round(monkeypatch):
+    # Round 5's channel stream returns normals near the float64 limit, so
+    # its draw overflows. The chunk holding it is drawn again round by
+    # round, and the run stops at round 5, whatever the chunk size.
+    cfg = _config(K=4, N=8, D=4)
+    tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=3)
+    poisoned = derive_seed(cfg.master_seed, "round-channel", 5)
+
+    class Overflowing:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, size):
+            return np.full(size, 1e300)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+    def streams(seed):
+        rng = rng_from_seed(seed)
+        return Overflowing(rng) if seed == poisoned else rng
+
+    monkeypatch.setattr(flsim, "rng_from_seed", streams)
+    for chunk in (1, 7, flsim.CHUNK):
+        monkeypatch.setattr(flsim, "CHUNK", chunk)
+        with pytest.raises(RuntimeError, match=r"diverged at round 5 .*aggregated gradient"):
+            run_training(cfg, tasks, "mmse", rounds=12, eta=0.05)
+
+
 def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
     # "-{b}bit" quantizes each round's phases with corrupt_phases, as
     # the sweep does: every phase that reaches the gains sits on the
-    # 2**b grid, and the run differs from the unquantized one.
+    # 2**b grid, and the run differs from the unquantized one. The five
+    # rounds are one chunk, so one draw serves them, round t in row t.
     cfg = _config(K=4, M=2, N=16, D=6)
     tasks, _ = synth_clustered_tasks(cfg, 15, 0.1, task_seed=cfg.master_seed)
     seen = []
@@ -347,10 +450,10 @@ def test_quantized_training_snaps_every_round_to_the_grid(monkeypatch):
 
     monkeypatch.setattr(flsim, "sample_small_scale", record)
     hist = run_training(cfg, tasks, "random-phase-2bit", rounds=5, eta=0.04)
-    assert len(seen) == 5
-    for configs in seen:
-        assert len(configs) == 1
-        assert np.all(np.isin(configs[0], np.exp(-1j * (np.arange(4) * (np.pi / 2)))))
+    assert len(seen) == 1
+    (configs,) = seen
+    assert len(configs) == 1 and configs[0].shape == (5, 2, 16)
+    assert np.all(np.isin(configs[0], np.exp(-1j * (np.arange(4) * (np.pi / 2)))))
     plain = run_training(cfg, tasks, "random-phase", rounds=5, eta=0.04)
     assert hist.scheme == "random-phase-2bit"
     assert not np.array_equal(hist.nmse, plain.nmse)
