@@ -62,18 +62,24 @@ def normalize_gradient(grad: np.ndarray) -> NormalizedGradient:
     return NormalizedGradient(values=values, mean=mean, std=std)
 
 
+def receiver_noise(noise_var: float, normals: np.ndarray) -> np.ndarray:
+    """The real receiver noise Re{z}: standard normal draws scaled to variance noise_var / 2."""
+    if noise_var < 0:
+        raise ValueError("noise_var must be >= 0")
+    return np.sqrt(noise_var / 2.0) * normals
+
+
 def uplink(
     gains: np.ndarray,
     powers: np.ndarray,
     grads: NormalizedGradient,
-    noise_var: float,
     noise: np.ndarray,
 ) -> np.ndarray:
     """Real part of the signal at every antenna, shape (T, M, D).
 
     gains (T, M, K) are the real cascaded gains, powers (T, K) the
-    transmit powers, and noise (T, M, D) standard normal draws that are
-    scaled to the real noise variance noise_var / 2.
+    transmit powers, and noise (T, M, D) the real receiver noise
+    (receiver_noise), added as it is.
     """
     T, M, K = gains.shape
     D = grads.values.shape[2]
@@ -86,11 +92,9 @@ def uplink(
         raise ValueError(f"expected gradients of shape ({T}, {K}, D), got {grads.values.shape}")
     if noise.shape != (T, M, D):
         raise ValueError(f"noise must have shape ({T}, {M}, {D}), got {noise.shape}")
-    if noise_var < 0:
-        raise ValueError("noise_var must be >= 0")
     weights = np.sqrt(powers)[:, None, :] * gains
     signal = np.matmul(weights, grads.values)
-    signal += np.sqrt(noise_var / 2.0) * noise
+    signal += noise
     return signal
 
 
@@ -103,25 +107,29 @@ def cluster_average(x: np.ndarray, cluster_of: np.ndarray, num_clusters: int) ->
 def estimate_cluster_gradient(
     received: np.ndarray,
     denoisers: np.ndarray,
-    means: np.ndarray,
-    cluster_of: np.ndarray,
+    mean_term: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Recover every cluster's aggregated gradient, shape (..., T, M, D).
 
     The received signal (..., T, M, D) divided by the denoising factors
-    (..., T, M), plus the average of each cluster's reported gradient
-    means (T, K) on every coordinate. An infinite denoiser discards the
-    analog signal and keeps the mean term only.
+    (..., T, M), plus the mean term: the average of each cluster's
+    reported gradient means (cluster_average of the (T, K) means) on
+    every coordinate, given as (T, M, 1), or repeated along the
+    coordinates as (T, M, D), which adds without broadcasting. The
+    result is written into out when it is given. An infinite denoiser
+    discards the analog signal and keeps the mean term only.
     """
-    T, M, _ = received.shape[-3:]
+    T, M, D = received.shape[-3:]
     denoisers = np.asarray(denoisers, dtype=float)
     if denoisers.shape != received.shape[:-1]:
         raise ValueError(f"denoisers must have shape {received.shape[:-1]}, got {denoisers.shape}")
-    if not np.all(denoisers > 0):
+    if not (denoisers > 0).all():
         raise ValueError("denoisers must be positive")
-    means = np.asarray(means, dtype=float)
-    if means.shape != (T, np.shape(cluster_of)[0]):
-        raise ValueError(f"expected one reported mean per device, got shape {means.shape}")
-    estimate = received / denoisers[..., None]
-    estimate += cluster_average(means, cluster_of, M)[..., None]  # in place: no second temporary
+    mean_term = np.asarray(mean_term, dtype=float)
+    if mean_term.shape not in ((T, M, 1), (T, M, D)):
+        raise ValueError(f"mean term must have shape ({T}, {M}, 1) or ({T}, {M}, {D}), "
+                         f"got {mean_term.shape}")
+    estimate = np.divide(received, denoisers[..., None], out=out)
+    estimate += mean_term  # in place: no second temporary
     return estimate

@@ -27,7 +27,7 @@ class AggregationDesign:
     """Per-device transmit powers and per-cluster denoising factors."""
 
     powers: np.ndarray     # (T, K)
-    denoisers: np.ndarray  # (T, M)
+    denoisers: np.ndarray  # (T, M), or (J, T, M) for J surface sizes
 
 
 def unbiased_design(
@@ -35,13 +35,15 @@ def unbiased_design(
     sigmas: np.ndarray,
     max_power: np.ndarray,
     model_dim: int,
-    num_elements: int,
+    num_elements: int | list[int],
     cluster_of: np.ndarray,
 ) -> AggregationDesign:
     """Statistics-only power control with an unbiased denoiser, per trial.
 
-    sigmas has shape (T, K). Within cluster m the binding device fixes
-    the common scale
+    sigmas has shape (T, K). num_elements is one surface size, or a
+    sequence of J sizes, which share the powers and stack their
+    denoisers along a leading axis: (J, T, M). Within cluster m the
+    binding device fixes the common scale
 
         zeta_m = min_k sqrt(P_k) * beta[m, k] / (sigma_k * sqrt(D)),
 
@@ -72,7 +74,8 @@ def unbiased_design(
     signal = np.isfinite(zeta)
     zeta = np.where(signal, zeta, 0.0)
     powers = np.minimum((sigmas / own_beta) ** 2 * zeta[:, cluster_of] ** 2, max_power)
-    denoisers = np.pi * num_elements * np.sqrt(own.sum(axis=1)) * zeta / 4.0
+    sizes = np.asarray(num_elements)[..., None, None]  # (1, 1) or (J, 1, 1)
+    denoisers = np.pi * sizes * np.sqrt(own.sum(axis=1)) * zeta / 4.0
     return AggregationDesign(powers=powers, denoisers=np.where(signal, denoisers, np.inf))
 
 

@@ -9,11 +9,12 @@ reference.
 
 `draw_gains` is the one channel-draw step of the package and
 `aggregate_round` its one round (design, power solve, denoiser, uplink,
-estimate). The NMSE sweep in `harness` calls them per chunk of CHUNK
-Monte Carlo trials, for every surface size, phase key and scheme of its
-grid at once. Training draws the gains of CHUNK rounds in one call, one
-generator per round, and runs aggregate_round on each round's trial
-alone.
+estimate, NMSE) over a grid of surface sizes and power budgets. The
+NMSE sweep in `harness` calls each once per chunk of CHUNK Monte Carlo
+trials, for every surface size, power budget, phase key and scheme of
+its grid at once. Training draws the gains of CHUNK rounds in one call,
+one generator per round, and runs aggregate_round on each round's trial
+alone, with its one size and budget.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .aircomp import (
     cluster_average,
     estimate_cluster_gradient,
     normalize_gradient,
+    receiver_noise,
     uplink,
 )
 from .channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
@@ -254,23 +256,36 @@ def aggregate_round(
     gains: dict,
     grads: NormalizedGradient,
     noise: np.ndarray,
-    powopt_seeds=(),
-) -> np.ndarray:
-    """One round of analog aggregation under each of schemes, for T independent trials.
+    g_true: np.ndarray,
+    budgets=None,
+    powopt_seeds=None,
+):
+    """One round of analog aggregation for T trials, on a grid of surface sizes and budgets.
 
-    The round first forms its statistical design, `unbiased_design` of
-    the (M, K) large-scale coefficients beta, grads.std and cfg's power
-    budgets, model size, surface size and clusters, shared by every
-    scheme. Its powers and denoisers are used as they are by
-    "unbiased"; (mmse+powopt) optimizes the powers instead, trial t
-    seeded by powopt_seeds[t]; then (mmse, mmse+powopt) the adaptive
+    gains maps each surface size n to its {phase key: (T, M, K) real
+    cascaded gains} (draw_gains) and budgets lists (K,) per-device power
+    budgets, [cfg.max_power] by default. Each (n, budget) pair is a
+    cell, and every cell runs each of schemes on the same normalized
+    (T, K, D) gradients grads, (T, M, D) standard normal receiver draws
+    noise and (T, M, D) truth g_true; cfg gives the model size, the
+    clusters and the noise variance. powopt_seeds maps each size to its
+    T solver seeds and is needed only when a scheme optimizes powers.
+    Yields (n, j, estimates, nmse) cell by cell, in the order of gains
+    and then of budgets (budget j): the (S, T, M, D) estimates and their
+    (S, T) NMSE, scheme s in row s. Each row is bit for bit the round of
+    its scheme alone, and each cell the round of its size and budget
+    alone.
+
+    Each term is formed once at its own level: the receiver noise, the
+    cluster mean term and the truth's squared norms once per round; the
+    statistical design, `unbiased_design` of the (M, K) large-scale
+    coefficients beta and grads.std, once per budget for every size.
+    Within a cell, "unbiased" uses the design's powers and denoisers as
+    they are; (mmse+powopt) optimizes the powers instead, trial t seeded
+    by powopt_seeds[n][t]; then (mmse, mmse+powopt) the adaptive
     denoiser replaces the denoisers; then the uplink, one per phase key
-    for the schemes that send the design's powers, and the estimate.
-    gains maps each phase key to its (T, M, K) real cascaded gains at
-    cfg's surface size (one entry of draw_gains), grads are the
-    normalized (T, K, D) gradients and noise (T, M, D) standard normal
-    receiver draws. Returns the (S, T, M, D) estimates, row s bit for
-    bit the round of schemes[s] alone.
+    for the schemes that send the design's powers, and the estimate and
+    its NMSE.
 
     A cluster whose devices all report zero std has no analog signal:
     the statistical design gives it an infinite denoiser, the adaptive
@@ -278,35 +293,51 @@ def aggregate_round(
     A cluster that optimized powers switch off falls back to the
     infinite denoiser as well, the estimate the power solver scored.
     """
-    sigmas = grads.std
-    design = unbiased_design(beta, sigmas, cfg.max_power, cfg.model_dim, cfg.num_ris_elements,
-                             cfg.cluster_of)
-    signals, received, denoisers = {}, [], []
-    for scheme in schemes:
-        h = gains[scheme.key]
-        powers, lam, fallback = design.powers, design.denoisers, design.denoisers
-        if scheme.powopt:
-            prob = assemble_ratio_problem(h, sigmas, cfg.noise_var, cfg.cluster_of, cfg.max_power)
-            powers = solve_projected_ascent(prob, powopt_seeds).q ** 2
-            fallback = np.full_like(fallback, np.inf)
-        if scheme.adaptive:
-            lam = adaptive_denoisers(powers, h, sigmas, cfg.noise_var, cfg.cluster_of, fallback)
-        sent = scheme.name if scheme.powopt else scheme.key  # what the devices transmit
-        if sent not in signals:
-            signals[sent] = uplink(h, powers, grads, cfg.noise_var, noise)
-        received.append(signals[sent])
-        denoisers.append(lam)
-    return estimate_cluster_gradient(
-        np.stack(received), np.stack(denoisers), grads.mean, cfg.cluster_of
-    )
+    sigmas, cluster_of, noise_var = grads.std, cfg.cluster_of, cfg.noise_var
+    budgets = [cfg.max_power] if budgets is None else budgets
+    sizes = list(gains)
+    noise = receiver_noise(noise_var, noise)
+    # Repeated along the coordinates, so each estimate adds it without broadcasting.
+    mean_term = np.repeat(cluster_average(grads.mean, cluster_of, cfg.num_clusters)[..., None],
+                          g_true.shape[-1], axis=-1)
+    energy = _squared_norms(g_true)
+    designs = [unbiased_design(beta, sigmas, budget, cfg.model_dim, sizes, cluster_of)
+               for budget in budgets]
+    for i, n in enumerate(sizes):
+        for j, (budget, design) in enumerate(zip(budgets, designs)):
+            statistical = design.denoisers[i]
+            signals, estimates = {}, np.empty((len(schemes), *g_true.shape))
+            for s, scheme in enumerate(schemes):
+                h = gains[n][scheme.key]
+                powers, lam, fallback = design.powers, statistical, statistical
+                if scheme.powopt:
+                    prob = assemble_ratio_problem(h, sigmas, noise_var, cluster_of, budget)
+                    powers = solve_projected_ascent(prob, powopt_seeds[n]).q ** 2
+                    fallback = np.full_like(fallback, np.inf)
+                if scheme.adaptive:
+                    lam = adaptive_denoisers(powers, h, sigmas, noise_var, cluster_of, fallback)
+                sent = scheme.name if scheme.powopt else scheme.key  # what the devices transmit
+                if sent not in signals:
+                    signals[sent] = uplink(h, powers, grads, noise)
+                estimate_cluster_gradient(signals[sent], lam, mean_term, out=estimates[s])
+            yield n, j, estimates, estimation_nmse(estimates, g_true, energy)
 
 
-def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
-    """Per-trial NMSE (..., T) of (..., T, M, D) estimates of a (T, M, D) truth; 0 where it is 0."""
+def _squared_norms(g: np.ndarray) -> np.ndarray:
+    """Per-trial squared norms (..., T) of (..., T, M, D) arrays."""
+    return (g**2).sum(axis=(-2, -1))
+
+
+def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray, energy=None) -> np.ndarray:
+    """Per-trial NMSE (..., T) of (..., T, M, D) estimates of a (T, M, D) truth; 0 where it is 0.
+
+    energy, the truth's (T,) squared norms, is computed from g_true
+    when it is not given.
+    """
     err = g_hat - g_true
-    err = np.sum(np.square(err, out=err), axis=(-2, -1))
-    denom = np.sum(g_true**2, axis=(-2, -1))
-    return np.divide(err, denom, out=np.zeros_like(err), where=denom > 0)
+    err = np.square(err, out=err).sum(axis=(-2, -1))
+    energy = _squared_norms(g_true) if energy is None else energy
+    return np.divide(err, energy, out=np.zeros_like(err), where=energy > 0)
 
 
 def run_training(
@@ -405,10 +436,11 @@ def run_training(
                     i = t % CHUNK
                     gains, noise = (round_draws(t, t + 1) if chunk is None
                                     else (chunk[0][i : i + 1], chunk[1][i : i + 1]))
-                    seeds = [derive_seed(master, "round-powopt", t)] if scheme.powopt else ()
-                    g_hat = aggregate_round(cfg, beta, [scheme], {scheme.key: gains}, normalized,
-                                            noise, seeds)[0]
-                    nmse[t] = estimation_nmse(g_hat, g_true)[0]
+                    seeds = {N: [derive_seed(master, "round-powopt", t)]} if scheme.powopt else None
+                    _, _, estimates, round_nmse = next(aggregate_round(
+                        cfg, beta, [scheme], {N: {scheme.key: gains}}, normalized, noise, g_true,
+                        powopt_seeds=seeds))
+                    g_hat, nmse[t] = estimates[0], round_nmse[0, 0]
 
                 what = "loss"
                 weights = weights - eta * g_hat[0]

@@ -10,12 +10,15 @@ false-alarm rate.
 
 Both drivers draw from the config's master_seed and vectorize across
 trials in fixed-size chunks, so a run is a pure function of (config,
-arguments).
+arguments). The sweep aggregates each chunk's whole grid of sizes and
+budgets in one flsim.aggregate_round and merges every cell's
+statistics at once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,7 +31,6 @@ from .flsim import (
     CHUNK,
     aggregate_round,
     draw_gains,
-    estimation_nmse,
     parse_scheme,
     phase_configurations,
 )
@@ -65,29 +67,33 @@ VERIFY_ALPHA = 1e-3
 
 
 class Moments:
-    """Count, mean and centred sum of squares of samples stacked along axis 0.
+    """Count, mean and centred sum of squares of samples stacked along one axis.
 
-    Each chunk's mean and centred sum of squares are taken in two passes
-    and merged into the running ones by the update of Chan, Golub &
-    LeVeque (1983), so the variance does not cancel when it is much
-    smaller than the squared mean, as a one-pass sum of squares does.
-    Samples are shifted by the first chunk's mean, so the merge
-    subtracts means of the spread's size rather than of the data's.
+    The samples run along `axis` (0 by default) of every chunk, and the
+    statistics have the chunks' shape without it. Each chunk's mean and
+    centred sum of squares are taken in two passes and merged into the
+    running ones by the update of Chan, Golub & LeVeque (1983), so the
+    variance does not cancel when it is much smaller than the squared
+    mean, as a one-pass sum of squares does. Samples are shifted by the
+    first chunk's mean, so the merge subtracts means of the spread's
+    size rather than of the data's.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, axis: int = 0) -> None:
+        self.axis = axis
         self.count = 0
         self.shift = 0.0
         self.shifted_mean = 0.0
         self.m2 = 0.0
 
     def add(self, chunk: np.ndarray) -> None:
+        axis = self.axis
         if self.count == 0:
-            self.shift = chunk.mean(axis=0)
+            self.shift = chunk.mean(axis=axis, keepdims=True)
         chunk = chunk - self.shift
-        n = chunk.shape[0]
-        mean = chunk.mean(axis=0)
-        m2 = ((chunk - mean) ** 2).sum(axis=0)
+        n = chunk.shape[axis]
+        mean = chunk.mean(axis=axis, keepdims=True)
+        m2 = ((chunk - mean) ** 2).sum(axis=axis, keepdims=True)
         total = self.count + n
         delta = mean - self.shifted_mean
         self.shifted_mean = self.shifted_mean + delta * (n / total)
@@ -96,12 +102,12 @@ class Moments:
 
     @property
     def mean(self):
-        return self.shift + self.shifted_mean
+        return np.squeeze(self.shift + self.shifted_mean, self.axis)
 
     @property
     def variance(self):
         """Unbiased sample variance (needs at least 2 samples)."""
-        return self.m2 / (self.count - 1)
+        return np.squeeze(self.m2, self.axis) / (self.count - 1)
 
     @property
     def stderr(self):
@@ -177,8 +183,9 @@ def nmse_sweep(
     Every cell of the grid shares each chunk's draw: one draw_gains
     call (airpfl.flsim) for every surface size and phase key, whose
     generator also draws the random phases, then the gradients and
-    noise. Per size and budget, one aggregate_round call designs and
-    aggregates every scheme, and schemes sending the design's powers
+    noise. One aggregate_round call then runs the chunk's whole grid:
+    it forms the statistical design once per budget and aggregates
+    every scheme cell by cell, and schemes sending the design's powers
     under one phase key share one uplink. Comparisons along each of the
     three axes are therefore paired, while each cell's law is exactly
     that of an independent run of its own, and a cell's statistics do
@@ -206,19 +213,18 @@ def nmse_sweep(
         raise ConfigError(f"repeated sweep schemes {repeated}")
     n_values = [as_integer("surface size", n) for n in n_values]
     p_values = [as_number("power budget", p) for p in p_values]
-    grid = {  # replace() validates every cell's surface size and power budget
-        (n, p): cfg.replace(num_ris_elements=n, max_power=np.full(cfg.num_devices, p))
-        for n in n_values
-        for p in p_values
-    }
-    if len(grid) < len(n_values) * len(p_values):
+    for n in n_values:  # replace() validates each surface size and power budget
+        cfg.replace(num_ris_elements=n)
+    budgets = [cfg.replace(max_power=np.full(cfg.num_devices, p)).max_power for p in p_values]
+    if len(set(n_values)) < len(n_values) or len(set(p_values)) < len(p_values):
         raise ConfigError(f"repeated sweep values in N={list(n_values)} or P={list(p_values)}")
 
     M, K, D, seed = cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.master_seed
     beta = large_scale_coefficients(place_geometry(cfg, seed), cfg.pathloss_exponent)
     channel_schemes = [s for s in parsed if s.design != "ideal"]
     keys = {s.key for s in channel_schemes}
-    moments = {(n, p, s.name): Moments() for n, p in grid for s in channel_schemes}
+    row = {n: i for i, n in enumerate(n_values)}
+    moments = Moments(axis=-1)  # (N, P, scheme), trials along the contiguous last axis
     for start in range(0, trials if channel_schemes else 0, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "sweep-cell", max(n_values), start))
@@ -231,17 +237,16 @@ def nmse_sweep(
 
         seeds = {
             n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
-            if any(s.powopt for s in channel_schemes)
-            else ()
             for n in n_values
-        }
-        for (n, p), cell_cfg in grid.items():
-            g_hat = aggregate_round(cell_cfg, beta, channel_schemes, gains[n], grads, noise,
-                                    seeds[n])
-            for s, nmse in zip(channel_schemes, estimation_nmse(g_hat, g_true)):
-                moments[n, p, s.name].add(nmse)
+        } if any(s.powopt for s in channel_schemes) else None
+        nmse = np.empty((len(n_values), len(p_values), len(channel_schemes), tc))
+        for n, j, _, cell in aggregate_round(cfg, beta, channel_schemes, gains, grads, noise,
+                                             g_true, budgets, seeds):
+            nmse[row[n], j] = cell
+        moments.add(nmse)
 
-    stats = {key: (float(m.mean), float(m.stderr)) for key, m in moments.items()}
+    labels = itertools.product(n_values, p_values, [s.name for s in channel_schemes])
+    stats = dict(zip(labels, _scalars(moments.mean, moments.stderr))) if channel_schemes else {}
     cells = [
         SweepCell(n, p, s.name, trials, *stats.get((n, p, s.name), (0.0, 0.0)))
         for n in n_values

@@ -17,6 +17,7 @@ from airpfl.aircomp import (
     cluster_average,
     estimate_cluster_gradient,
     normalize_gradient,
+    receiver_noise,
     uplink,
 )
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients
@@ -143,11 +144,10 @@ def test_criterion_2_unbiased_aggregation():
             # trial 0's full channel under the aligned phases.
             ch = channel_set(hp[:1], hd[:1], cfg.cluster_of, aligned)
             gains_ref = all_cascaded_gains(ch, beta)[0, 0]
-            received = uplink(
-                gains_ref, design.powers, normalized, 0.0, np.zeros((1, M, D))
-            )
+            received = uplink(gains_ref, design.powers, normalized, np.zeros((1, M, D)))
             ref = estimate_cluster_gradient(
-                received, design.denoisers, normalized.mean, cfg.cluster_of
+                received, design.denoisers,
+                cluster_average(normalized.mean, cfg.cluster_of, M)[..., None],
             )[0]
             for m, idx in enumerate(members):
                 batch_version = signal[0, m] / denoisers[m] + mean_term[m]
@@ -222,11 +222,12 @@ def _cluster0_sq_error(rng, powers, lam, gains, sigmas, noise_var, D, cluster_of
     normalized = normalize_gradient(grads)
     rows = np.broadcast_to(np.stack([gains, np.ones_like(gains)]), (draws, 2, K))
     received = uplink(
-        rows, np.broadcast_to(powers, (draws, K)), normalized, noise_var,
-        rng.standard_normal((draws, 2, D)),
+        rows, np.broadcast_to(powers, (draws, K)), normalized,
+        receiver_noise(noise_var, rng.standard_normal((draws, 2, D))),
     )
     estimate = estimate_cluster_gradient(
-        received, np.broadcast_to([lam, 1.0], (draws, 2)), normalized.mean, cluster_of
+        received, np.broadcast_to([lam, 1.0], (draws, 2)),
+        cluster_average(normalized.mean, cluster_of, 2)[..., None],
     )
     truth = cluster_average(grads, cluster_of, 2)
     return np.sum((estimate[:, 0] - truth[:, 0]) ** 2, axis=1)

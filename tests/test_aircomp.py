@@ -7,6 +7,7 @@ from airpfl.aircomp import (
     cluster_average,
     estimate_cluster_gradient,
     normalize_gradient,
+    receiver_noise,
     uplink,
 )
 from airpfl.channel import all_cascaded_gains, sample_small_scale
@@ -92,7 +93,7 @@ def test_noiseless_uplink_matches_direct_superposition():
     grads = _normalized_batch(rng, T, K, D)
 
     gains = all_cascaded_gains(ch, beta)[0, 0]
-    received = uplink(gains, powers, grads, 0.0, np.zeros((T, M, D)))
+    received = uplink(gains, powers, grads, np.zeros((T, M, D)))
     assert received.shape == (T, M, D)
 
     # Real part of the complex superposition, built element by element.
@@ -116,9 +117,9 @@ def test_uplink_noise_is_reproducible_and_sized():
     gains = rng.standard_normal((3, 2, 4))
     grads = _normalized_batch(rng, 3, 4, 5)
     noise = rng.standard_normal((3, 2, 5))
-    a = uplink(gains, np.ones((3, 4)), grads, 1e-2, noise)
-    b = uplink(gains, np.ones((3, 4)), grads, 1e-2, noise)
-    clean = uplink(gains, np.ones((3, 4)), grads, 0.0, noise)
+    a = uplink(gains, np.ones((3, 4)), grads, receiver_noise(1e-2, noise))
+    b = uplink(gains, np.ones((3, 4)), grads, receiver_noise(1e-2, noise))
+    clean = uplink(gains, np.ones((3, 4)), grads, receiver_noise(0.0, noise))
     assert a.shape == (3, 2, 5)
     assert np.array_equal(a, b)
     assert np.allclose(a - clean, np.sqrt(1e-2 / 2.0) * noise, rtol=1e-12, atol=1e-15)
@@ -130,7 +131,7 @@ def test_uplink_noise_variance_split():
     D = 400000
     grads = _normalized_batch(np.random.default_rng(4), 1, 2, D)
     noise = rng_from_seed(5).standard_normal((1, 1, D))
-    received = uplink(np.ones((1, 1, 2)), np.zeros((1, 2)), grads, 0.5, noise)
+    received = uplink(np.ones((1, 1, 2)), np.zeros((1, 2)), grads, receiver_noise(0.5, noise))
     assert abs(np.var(received) - 0.25) < 0.25 * 0.02
     assert abs(np.mean(received)) < 0.005
 
@@ -141,16 +142,16 @@ def test_uplink_validates_inputs():
     grads = _normalized_batch(np.random.default_rng(0), T, K, D)
     noise = np.zeros((T, M, D))
     with pytest.raises(ValueError):
-        uplink(gains, np.ones((T, 3)), grads, 0.0, noise)
+        uplink(gains, np.ones((T, 3)), grads, noise)
     with pytest.raises(ValueError):
-        uplink(gains, -np.ones((T, K)), grads, 0.0, noise)
+        uplink(gains, -np.ones((T, K)), grads, noise)
     with pytest.raises(ValueError):
         uplink(gains, np.ones((T, K)), _normalized_batch(np.random.default_rng(0), T, 3, D),
-               0.0, noise)
+               noise)
     with pytest.raises(ValueError):
-        uplink(gains, np.ones((T, K)), grads, -1.0, noise)
+        receiver_noise(-1.0, noise)
     with pytest.raises(ValueError):
-        uplink(gains, np.ones((T, K)), grads, 0.0, np.zeros((T, M, D + 1)))
+        uplink(gains, np.ones((T, K)), grads, np.zeros((T, M, D + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +172,9 @@ def test_noiseless_estimate_equals_weighted_sum():
     denoisers = np.array([[2.0, 0.7]])
     grads = _normalized_batch(rng, 1, K, D)
 
-    received = uplink(gains, powers, grads, 0.0, np.zeros((1, M, D)))
-    est = estimate_cluster_gradient(received, denoisers, grads.mean, cluster_of)
+    received = uplink(gains, powers, grads, np.zeros((1, M, D)))
+    mean_term = cluster_average(grads.mean, cluster_of, M)[..., None]
+    est = estimate_cluster_gradient(received, denoisers, mean_term)
     assert est.shape == (1, M, D)
     for m in range(M):
         idx = np.flatnonzero(cluster_of == m)
@@ -183,27 +185,27 @@ def test_noiseless_estimate_equals_weighted_sum():
 
 def test_infinite_denoiser_keeps_mean_only():
     received = np.array([[[3.0, -1.0], [0.5, 2.0]]])
-    est = estimate_cluster_gradient(
-        received, np.array([[np.inf, 1.0]]), np.array([[2.0, 4.0, 1.0]]), np.array([0, 0, 1])
-    )
+    mean_term = cluster_average(np.array([[2.0, 4.0, 1.0]]), np.array([0, 0, 1]), 2)[..., None]
+    est = estimate_cluster_gradient(received, np.array([[np.inf, 1.0]]), mean_term)
     assert est.shape == (1, 2, 2)
     assert np.all(est[0, 0] == 3.0)
     assert np.array_equal(est[0, 1], [1.5, 3.0])
 
 
 def test_estimate_validates_inputs():
-    received = np.zeros((1, 1, 3))
-    cluster_of = np.array([0])
+    received, mean_term = np.zeros((1, 1, 3)), np.ones((1, 1, 1))
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(received, np.array([[0.0]]), np.array([[1.0]]), cluster_of)
+        estimate_cluster_gradient(received, np.array([[0.0]]), mean_term)
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(received, np.array([[-1.0]]), np.array([[1.0]]), cluster_of)
+        estimate_cluster_gradient(received, np.array([[-1.0]]), mean_term)
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(received, np.array([[np.nan]]), np.array([[1.0]]), cluster_of)
+        estimate_cluster_gradient(received, np.array([[np.nan]]), mean_term)
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(received, np.array([[1.0]]), np.array([[1.0, 2.0]]), cluster_of)
+        estimate_cluster_gradient(received, np.array([[1.0]]), np.ones((1, 1, 2)))
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(received, np.array([1.0]), np.array([[1.0]]), cluster_of)
+        estimate_cluster_gradient(received, np.array([[1.0]]), np.ones((1, 1)))
+    with pytest.raises(ValueError):
+        estimate_cluster_gradient(received, np.array([1.0]), mean_term)
 
 
 def test_estimate_with_a_leading_axis_equals_each_slice_alone():
@@ -212,11 +214,14 @@ def test_estimate_with_a_leading_axis_equals_each_slice_alone():
     received = rng.standard_normal((3, 4, 2, 6))
     denoisers = rng.uniform(0.5, 2.0, size=(3, 4, 2))
     denoisers[1, 2, 0] = np.inf
-    means = rng.standard_normal((4, 5))
-    est = estimate_cluster_gradient(received, denoisers, means, cluster_of)
+    mean_term = cluster_average(rng.standard_normal((4, 5)), cluster_of, 2)[..., None]
+    est = estimate_cluster_gradient(received, denoisers, mean_term)
     assert est.shape == (3, 4, 2, 6)
+    # The mean term repeated along the coordinates adds the same values.
+    repeated = np.repeat(mean_term, 6, axis=-1)
+    assert np.array_equal(estimate_cluster_gradient(received, denoisers, repeated), est)
     for s in range(3):
-        alone = estimate_cluster_gradient(received[s], denoisers[s], means, cluster_of)
+        alone = estimate_cluster_gradient(received[s], denoisers[s], mean_term)
         assert np.array_equal(est[s], alone)
 
 
@@ -240,9 +245,9 @@ def test_estimation_nmse_with_a_leading_axis_equals_each_slice_alone():
 )
 def test_estimate_rejects_mismatched_trailing_shapes(denoiser_shape, means_shape):
     # received is (S=3, T=4, M=2, D=6) for 5 devices in 2 clusters.
+    mean_term = cluster_average(np.zeros(means_shape), [0, 0, 1, 1, 1], 2)[..., None]
     with pytest.raises(ValueError):
-        estimate_cluster_gradient(np.zeros((3, 4, 2, 6)), np.ones(denoiser_shape),
-                                  np.zeros(means_shape), np.array([0, 0, 1, 1, 1]))
+        estimate_cluster_gradient(np.zeros((3, 4, 2, 6)), np.ones(denoiser_shape), mean_term)
 
 
 @pytest.mark.parametrize("truth_shape", [(4, 2, 5), (4, 3, 6), (5, 2, 6)])

@@ -461,10 +461,11 @@ def test_foreign_factor_with_a_zero_antenna_column():
     assert np.all(np.diagonal(factor, axis1=-2, axis2=-1) >= 0.0)
 
 
-def test_foreign_factor_falls_back_to_qr_for_the_whole_batch():
+def test_foreign_factor_falls_back_to_qr_for_the_singular_matrix_alone():
     # One trial with a zero antenna column makes its Gram matrix
-    # singular, so the batch takes the QR route; every trial's factor
-    # still reproduces its Gram matrix.
+    # singular, so that matrix alone takes the QR route and the others
+    # keep their Cholesky factors; every trial's factor still
+    # reproduces its Gram matrix.
     hp, _ = draw_full(np.random.default_rng(4), 3, 2, 1, 5)
     hp[0, 1, :, 0] = 0.0
     factor, err = _factor_error(hp)

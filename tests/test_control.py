@@ -360,15 +360,17 @@ def test_conditional_mse_matches_the_implemented_uplink(scales, scheme, noise_va
     monkeypatch.setattr(flsim, "unbiased_design", spy(unbiased_design, designs))
     monkeypatch.setattr(flsim, "adaptive_denoisers", spy(adaptive_denoisers, denoised))
     normalized = normalize_gradient(grads)
-    estimate = flsim.aggregate_round(
-        cfg, beta, [flsim.parse_scheme(scheme)], {key: gains}, normalized, noise, range(T)
-    )[0]
+    truth = cluster_average(grads, cfg.cluster_of, M)
+    [(_, _, (estimate,), _)] = flsim.aggregate_round(
+        cfg, beta, [flsim.parse_scheme(scheme)], {N: {key: gains}}, normalized, noise, truth,
+        powopt_seeds={N: range(T)},
+    )
     assert len(designs) == 1 and len(denoised) == (scheme != "unbiased")
     design = designs[0][1]
-    powers, lam = design.powers, design.denoisers
+    powers, lam = design.powers, design.denoisers[0]  # the one size's denoisers
     if denoised:
         (powers, *_), lam = denoised[0]
-    realized = np.sum((estimate - cluster_average(grads, cfg.cluster_of, M)) ** 2, axis=2)
+    realized = np.sum((estimate - truth) ** 2, axis=2)
     predicted = conditional_mse(
         powers, lam, gains, normalized.std, cfg.noise_var, D, cfg.cluster_of
     )

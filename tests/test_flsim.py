@@ -242,15 +242,19 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
     # the mean term the solver scored it by, not the interference scaled
     # by the statistical denoiser.
     cfg = _config()
-    T, M, K, D = 2, cfg.num_clusters, cfg.num_devices, cfg.model_dim
+    T, M, K, D, N = 2, cfg.num_clusters, cfg.num_devices, cfg.model_dim, cfg.num_ris_elements
     rng = np.random.default_rng(4)
     gains = rng.uniform(0.1, 1.0, size=(T, M, K))
     gains[:, 1, cfg.cluster_of == 1] = 0.0
-    grads = flsim.normalize_gradient(rng.standard_normal((T, K, D)))
+    raw = rng.standard_normal((T, K, D))
+    grads = flsim.normalize_gradient(raw)
     noise = rng.standard_normal((T, M, D))
     scheme = flsim.parse_scheme("mmse+powopt")
     beta = np.ones((M, K))
-    est = flsim.aggregate_round(cfg, beta, [scheme], {scheme.key: gains}, grads, noise, [1, 2])[0]
+    [(_, _, (est,), _)] = flsim.aggregate_round(
+        cfg, beta, [scheme], {N: {scheme.key: gains}}, grads, noise,
+        flsim.cluster_average(raw, cfg.cluster_of, M), powopt_seeds={N: [1, 2]},
+    )
     mean_term = flsim.cluster_average(grads.mean, cfg.cluster_of, M)
     assert np.array_equal(est[:, 1], np.repeat(mean_term[:, 1, None], D, axis=1))
     assert np.all(np.isfinite(est))
@@ -276,14 +280,18 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
     design = unbiased_design(beta, grads.std, cfg.max_power, D, 16, cfg.cluster_of)
     assert design.denoisers[0, 0] == np.inf
 
-    together = flsim.aggregate_round(cfg, beta, schemes, gains, grads, noise, seeds)
-    assert together.shape == (len(schemes), T, M, D)
     g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
-    nmse = flsim.estimation_nmse(together, g_true)
+    [(_, _, together, nmse)] = flsim.aggregate_round(cfg, beta, schemes, {16: gains}, grads, noise,
+                                                     g_true, powopt_seeds={16: seeds})
+    assert together.shape == (len(schemes), T, M, D)
+    assert np.array_equal(nmse, flsim.estimation_nmse(together, g_true))
     for s, est, row in zip(schemes, together, nmse):
-        alone = flsim.aggregate_round(cfg, beta, [s], {s.key: gains[s.key]}, grads, noise, seeds)
+        [(_, _, alone, alone_nmse)] = flsim.aggregate_round(
+            cfg, beta, [s], {16: {s.key: gains[s.key]}}, grads, noise, g_true,
+            powopt_seeds={16: seeds},
+        )
         assert np.array_equal(alone[0], est), s.name
-        assert np.array_equal(flsim.estimation_nmse(alone[0], g_true), row), s.name
+        assert np.array_equal(alone_nmse[0], row), s.name
         assert np.all(est[0, 0] == g_true[0, 0]), s.name  # the exact mean term
 
 
@@ -308,9 +316,11 @@ def test_every_scheme_nmse_is_unchanged_by_the_channel_scale(c):
 
     def mean_nmse(scale):
         scaled = {key: g * scale for key, g in gains.items()}
-        est = flsim.aggregate_round(cfg.replace(noise_var=cfg.noise_var * scale**2), beta * scale,
-                                    schemes, scaled, grads, noise, seeds)
-        return flsim.estimation_nmse(est, truth).mean(axis=1)
+        [(_, _, _, nmse)] = flsim.aggregate_round(
+            cfg.replace(noise_var=cfg.noise_var * scale**2), beta * scale, schemes, {N: scaled},
+            grads, noise, truth, powopt_seeds={N: seeds},
+        )
+        return nmse.mean(axis=1)
 
     np.testing.assert_allclose(mean_nmse(c), mean_nmse(1.0), rtol=1e-9, atol=0)
 

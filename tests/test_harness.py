@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import airpfl.flsim as flsim
-from airpfl.aircomp import normalize_gradient
+from airpfl.aircomp import NormalizedGradient, cluster_average, normalize_gradient
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import Scheme, parse_scheme
 from airpfl.harness import (
     DESK_N_VALUES,
     DESK_P_VALUES,
+    SWEEP_SCHEMES,
     EliminationReport,
     Moments,
     SweepResult,
@@ -169,21 +170,24 @@ def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
 
     def run(rows):
         grads = normalize_gradient(raw[rows])
-        est = flsim.aggregate_round(
-            cfg, beta, [scheme], {scheme.key: gains[rows]}, grads, noise[rows], seeds[rows]
-        )[0]
+        truth = cluster_average(raw[rows], cfg.cluster_of, 2)
+        N = cfg.num_ris_elements
+        [(_, _, (est,), _)] = flsim.aggregate_round(
+            cfg, beta, [scheme], {N: {scheme.key: gains[rows]}}, grads, noise[rows], truth,
+            powopt_seeds={N: seeds[rows]},
+        )
         (powers, _, sigmas, *_), lam = calls[-1]
         mse = conditional_mse(powers, lam, gains[rows], sigmas, cfg.noise_var, 4, cfg.cluster_of)
-        return designs[-1], lam, mse, est
+        return designs[-1].denoisers[0], lam, mse, est  # the statistical denoisers of size N
 
-    design, lam, mse, est = run(slice(None))
+    statistical, lam, mse, est = run(slice(None))
     if mode == "vanished":
-        assert lam[1, 0] == design.denoisers[1, 0] < np.inf  # the statistical fallback
+        assert lam[1, 0] == statistical[1, 0] < np.inf  # the statistical fallback
     else:
         assert lam[1, 0] == np.inf
     assert np.isfinite(lam[1, 1])
     if mode == "zero-std":
-        assert design.denoisers[1, 0] == np.inf
+        assert statistical[1, 0] == np.inf
     if mode == "switched-off":
         powers = calls[-1][0][0]
         assert np.all(powers[1, cfg.cluster_of == 0] == 0.0)
@@ -336,7 +340,7 @@ def test_sweep_designs_once_per_chunk_and_budget(monkeypatch):
     _count_calls(monkeypatch, designs, flsim, "unbiased_design")
     schemes = ["unbiased", "mmse", "unbiased-1bit", "random-phase"]
     nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
-    assert len(designs) == 2 * 3 * 3  # (N, chunk, P), not also per scheme
+    assert len(designs) == 3 * 3  # (chunk, P): every size and scheme shares a budget's design
 
 
 def test_sweep_shares_one_uplink_per_phase_key(monkeypatch):
@@ -348,6 +352,81 @@ def test_sweep_shares_one_uplink_per_phase_key(monkeypatch):
     schemes = ["unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase", "mmse+powopt"]
     nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
     assert len(uplinks) == 2 * 3 * 3 * 4
+
+
+def test_every_grid_cell_equals_its_one_cell_round(monkeypatch):
+    # The sweep runs each chunk's (N, P) grid as one aggregate_round.
+    # Every cell it yields must be, bit for bit, the one-cell round under
+    # that cell's config, on the same draws, over several chunks. Trial 0
+    # gets an all-zero-std cluster 0 and trial 1 a cluster 1 whose own
+    # gains vanish, so power control switches it off: both estimates are
+    # then the exact mean term.
+    import airpfl.harness as harness
+
+    monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
+    cfg = _config(seed=5)
+    schemes = ["unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase",
+               "mmse+powopt-1bit"]
+    grid_round = flsim.aggregate_round
+    checked = []
+
+    def checking_round(cfg, beta, schemes, gains, grads, noise, g_true, budgets, seeds):
+        silent = cfg.cluster_of == 0
+        values, std = grads.values.copy(), grads.std.copy()
+        values[0, silent], std[0, silent] = 0.0, 0.0
+        grads = NormalizedGradient(values, grads.mean, std)
+        gains = {n: {key: g.copy() for key, g in by_key.items()} for n, by_key in gains.items()}
+        for by_key in gains.values():
+            for g in by_key.values():
+                g[1, 1, cfg.cluster_of == 1] = 0.0
+        mean_term = cluster_average(grads.mean, cfg.cluster_of, cfg.num_clusters)
+        powopt = [s.powopt for s in schemes].index(True)
+        for n, j, estimates, nmse in grid_round(cfg, beta, schemes, gains, grads, noise, g_true,
+                                                budgets, seeds):
+            cell_cfg = cfg.replace(num_ris_elements=n, max_power=budgets[j])
+            [(_, _, alone, alone_nmse)] = grid_round(
+                cell_cfg, beta, schemes, {n: gains[n]}, grads, noise, g_true,
+                powopt_seeds={n: seeds[n]},
+            )
+            assert np.array_equal(estimates, alone) and np.array_equal(nmse, alone_nmse)
+            assert np.all(estimates[:, 0, 0] == mean_term[0, 0])
+            assert np.all(estimates[powopt, 1, 1] == mean_term[1, 1])
+            checked.append((noise.shape[0], n, float(budgets[j][0])))
+            yield n, j, estimates, nmse
+
+    monkeypatch.setattr(harness, "aggregate_round", checking_round)
+    nmse_sweep(cfg, schemes, [8, 4], [2.0, 0.5], 40)
+    assert checked == [(tc, n, p) for tc in (16, 16, 8) for n in (4, 8) for p in (2.0, 0.5)]
+
+
+def test_desk_sweep_chunk_memory_peak(monkeypatch):
+    # One chunk of the desk grid peaks at about 15 MB, during the draw.
+    # The grid round itself holds one cell's estimates at a time, about
+    # 4 MB at its peak; holding all ten cells' would add some 10 MB.
+    import tracemalloc
+
+    import airpfl.harness as harness
+
+    grid_round = harness.aggregate_round
+    rounds = []
+
+    def watched_round(*args):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        yield from grid_round(*args)
+        rounds.append(tracemalloc.get_traced_memory()[1] - start)
+
+    cfg = desk_scale_config()
+    tracemalloc.start()
+    try:
+        nmse_sweep(cfg, list(SWEEP_SCHEMES), DESK_N_VALUES, DESK_P_VALUES, harness.CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(harness, "aggregate_round", watched_round)
+        nmse_sweep(cfg, list(SWEEP_SCHEMES), DESK_N_VALUES, DESK_P_VALUES, harness.CHUNK)
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert len(rounds) == 1 and rounds[0] < 8e6
 
 
 def test_sweep_cell_does_not_depend_on_the_other_budgets(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from airpfl.aircomp import cluster_average, estimate_cluster_gradient
+from airpfl.aircomp import cluster_average
 from airpfl.channel import large_scale_coefficients, sample_small_scale
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.harness import desk_scale_config
@@ -79,7 +79,6 @@ def _label_consumers():
     gains = rng.standard_normal((T, M, K))
     lam = np.ones((T, M))
     x = rng.standard_normal((T, K, D))
-    received, means = rng.standard_normal((T, M, D)), rng.standard_normal((T, K))
     return {
         "sample_small_scale": lambda c: sample_small_scale(rng_from_seed(1), T, M, c, N, aligned),
         "unbiased_design": lambda c: unbiased_design(beta, sigmas, np.ones(K), D, N, c),
@@ -89,7 +88,6 @@ def _label_consumers():
             gains, sigmas, 1e-3, c, np.ones(K)
         ),
         "cluster_average": lambda c: cluster_average(x, c, M),
-        "estimate_cluster_gradient": lambda c: estimate_cluster_gradient(received, lam, means, c),
     }
 
 
