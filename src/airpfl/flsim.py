@@ -8,13 +8,14 @@ the superposed analog uplink before taking a gradient step. Scheme
 reference.
 
 `draw_gains` is the one channel-draw step of the package and
-`aggregate_round` its one round (design, power solve, denoiser, uplink,
-estimate, NMSE) over a grid of surface sizes and power budgets. The
-NMSE sweep in `harness` calls each once per chunk of CHUNK Monte Carlo
-trials, for every surface size, power budget, phase key and scheme of
-its grid at once. Training draws the gains of CHUNK rounds in one call,
-one generator per round, and runs aggregate_round on each round's trial
-alone, with its one size and budget.
+`aggregate_round` its one round (design, power solve, denoiser, and the
+NMSE from second moments, O(K^2) rather than O(K D) per sent signal)
+over a grid of surface sizes and power budgets. The NMSE sweep in
+`harness` calls each once per chunk of CHUNK Monte Carlo trials, for
+every surface size, power budget, phase key and scheme of its grid at
+once. Training draws the gains of CHUNK rounds in one call, one
+generator per round, runs aggregate_round on each round's trial alone,
+and builds its estimate with uplink and estimate_cluster_gradient.
 """
 
 from __future__ import annotations
@@ -270,22 +271,32 @@ def aggregate_round(
     noise and (T, M, D) truth g_true; cfg gives the model size, the
     clusters and the noise variance. powopt_seeds maps each size to its
     T solver seeds and is needed only when a scheme optimizes powers.
-    Yields (n, j, estimates, nmse) cell by cell, in the order of gains
-    and then of budgets (budget j): the (S, T, M, D) estimates and their
-    (S, T) NMSE, scheme s in row s. Each row is bit for bit the round of
-    its scheme alone, and each cell the round of its size and budget
-    alone.
+    Yields (n, j, powers, denoisers, nmse) cell by cell, in the order of
+    gains and then of budgets (budget j): the (S, T, K) powers and
+    (S, T, M) denoisers of scheme s in row s, from which uplink and
+    estimate_cluster_gradient build its estimate, and that estimate's
+    (S, T) NMSE. Each row is bit for bit the round of its scheme alone,
+    and each cell the round of its size and budget alone.
 
-    Each term is formed once at its own level: the receiver noise, the
-    cluster mean term and the truth's squared norms once per round; the
-    statistical design, `unbiased_design` of the (M, K) large-scale
-    coefficients beta and grads.std, once per budget for every size.
-    Within a cell, "unbiased" uses the design's powers and denoisers as
-    they are; (mmse+powopt) optimizes the powers instead, trial t seeded
-    by powopt_seeds[n][t]; then (mmse, mmse+powopt) the adaptive
-    denoiser replaces the denoisers; then the uplink, one per phase key
-    for the schemes that send the design's powers, and the estimate and
-    its NMSE.
+    The statistical design, `unbiased_design` of the (M, K) large-scale
+    coefficients beta and grads.std, is formed once per budget for every
+    size. Within a cell, "unbiased" uses the design's powers and
+    denoisers as they are; (mmse+powopt) optimizes the powers instead,
+    trial t seeded by powopt_seeds[n][t]; then (mmse, mmse+powopt) the
+    adaptive denoiser replaces the denoisers.
+
+    The NMSE is scored from second moments formed once per round, never
+    from a D-wide signal or estimate: cluster m's estimate errs by
+    e = (w X + z) / lambda + r, with w = sqrt(p) h_m the sent weights, X
+    the normalized gradients, z the receiver noise and r the mean term
+    minus the truth, so with the Gram matrix G = X X^T
+
+        |e|^2 = (w G w + 2 w X z + |z|^2) / lambda^2 + 2 (w X r + <z, r>) / lambda + |r|^2,
+
+    clamped at 0 against rounding; an infinite denoiser scores |r|^2. A
+    sent signal costs O(T M K^2), not O(T M K D), and the schemes that
+    send the same one share its moments (_signal_moments): one per phase
+    key for the design's powers, and each mmse+powopt its own.
 
     A cluster whose devices all report zero std has no analog signal:
     the statistical design gives it an infinite denoiser, the adaptive
@@ -297,47 +308,47 @@ def aggregate_round(
     budgets = [cfg.max_power] if budgets is None else budgets
     sizes = list(gains)
     noise = receiver_noise(noise_var, noise)
-    # Repeated along the coordinates, so each estimate adds it without broadcasting.
-    mean_term = np.repeat(cluster_average(grads.mean, cluster_of, cfg.num_clusters)[..., None],
-                          g_true.shape[-1], axis=-1)
-    energy = _squared_norms(g_true)
+    offset = cluster_average(grads.mean, cluster_of, cfg.num_clusters)[..., None] - g_true
+    values = grads.values.transpose(0, 2, 1)
+    noise_sq, noise_offset, offset_sq = (np.einsum("tmd,tmd->tm", a, b) for a, b in
+                                         ((noise, noise), (noise, offset), (offset, offset)))
+    terms = (np.matmul(grads.values, values), 2.0 * np.matmul(noise, values),
+             np.matmul(offset, values), noise_sq, noise_offset)
+    energy = np.einsum("tmd,tmd->t", g_true, g_true)
     designs = [unbiased_design(beta, sigmas, budget, cfg.model_dim, sizes, cluster_of)
                for budget in budgets]
     for i, n in enumerate(sizes):
         for j, (budget, design) in enumerate(zip(budgets, designs)):
-            statistical = design.denoisers[i]
-            signals, estimates = {}, np.empty((len(schemes), *g_true.shape))
+            statistical, moments = design.denoisers[i], {}
+            powers = np.empty((len(schemes), *sigmas.shape))
+            lams, err = np.empty((2, len(schemes), *statistical.shape))
             for s, scheme in enumerate(schemes):
                 h = gains[n][scheme.key]
-                powers, lam, fallback = design.powers, statistical, statistical
+                powers[s], lams[s], fallback = design.powers, statistical, statistical
                 if scheme.powopt:
                     prob = assemble_ratio_problem(h, sigmas, noise_var, cluster_of, budget)
-                    powers = solve_projected_ascent(prob, powopt_seeds[n]).q ** 2
+                    powers[s] = solve_projected_ascent(prob, powopt_seeds[n]).q ** 2
                     fallback = np.full_like(fallback, np.inf)
                 if scheme.adaptive:
-                    lam = adaptive_denoisers(powers, h, sigmas, noise_var, cluster_of, fallback)
+                    lams[s] = adaptive_denoisers(powers[s], h, sigmas, noise_var, cluster_of,
+                                                 fallback)
                 sent = scheme.name if scheme.powopt else scheme.key  # what the devices transmit
-                if sent not in signals:
-                    signals[sent] = uplink(h, powers, grads, noise)
-                estimate_cluster_gradient(signals[sent], lam, mean_term, out=estimates[s])
-            yield n, j, estimates, estimation_nmse(estimates, g_true, energy)
+                if sent not in moments:
+                    moments[sent] = _signal_moments(np.sqrt(powers[s])[:, None, :] * h, *terms)
+                square, inner = moments[sent]
+                inv = 1.0 / lams[s]
+                err[s] = (square * inv + 2.0 * inner) * inv + offset_sq
+            err = np.maximum(err, 0.0, out=err).sum(axis=-1)
+            yield n, j, powers, lams, np.divide(err, energy, out=np.zeros_like(err),
+                                                where=energy > 0)
 
 
-def _squared_norms(g: np.ndarray) -> np.ndarray:
-    """Per-trial squared norms (..., T) of (..., T, M, D) arrays."""
-    return (g**2).sum(axis=(-2, -1))
-
-
-def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray, energy=None) -> np.ndarray:
-    """Per-trial NMSE (..., T) of (..., T, M, D) estimates of a (T, M, D) truth; 0 where it is 0.
-
-    energy, the truth's (T,) squared norms, is computed from g_true
-    when it is not given.
-    """
-    err = g_hat - g_true
-    err = np.square(err, out=err).sum(axis=(-2, -1))
-    energy = _squared_norms(g_true) if energy is None else energy
-    return np.divide(err, energy, out=np.zeros_like(err), where=energy > 0)
+def _signal_moments(w, gram, noise_x2, offset_x, noise_sq, noise_offset):
+    """|y|^2 and <y, r>, each (T, M), of the signal y = w X + z of (T, M, K) weights w."""
+    wx = np.matmul(w, gram)
+    wx += noise_x2  # 2 X z
+    return (np.einsum("tmk,tmk->tm", wx, w) + noise_sq,
+            np.einsum("tmk,tmk->tm", offset_x, w) + noise_offset)
 
 
 def run_training(
@@ -437,10 +448,13 @@ def run_training(
                     gains, noise = (round_draws(t, t + 1) if chunk is None
                                     else (chunk[0][i : i + 1], chunk[1][i : i + 1]))
                     seeds = {N: [derive_seed(master, "round-powopt", t)]} if scheme.powopt else None
-                    _, _, estimates, round_nmse = next(aggregate_round(
+                    _, _, powers, lam, round_nmse = next(aggregate_round(
                         cfg, beta, [scheme], {N: {scheme.key: gains}}, normalized, noise, g_true,
                         powopt_seeds=seeds))
-                    g_hat, nmse[t] = estimates[0], round_nmse[0, 0]
+                    g_hat = estimate_cluster_gradient(
+                        uplink(gains, powers[0], normalized, receiver_noise(cfg.noise_var, noise)),
+                        lam[0], cluster_average(normalized.mean, cfg.cluster_of, M)[..., None])
+                    nmse[t] = round_nmse[0, 0]
 
                 what = "loss"
                 weights = weights - eta * g_hat[0]

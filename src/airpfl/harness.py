@@ -10,9 +10,9 @@ false-alarm rate.
 
 Both drivers draw from the config's master_seed and vectorize across
 trials in fixed-size chunks, so a run is a pure function of (config,
-arguments). The sweep aggregates each chunk's whole grid of sizes and
-budgets in one flsim.aggregate_round and merges every cell's
-statistics at once.
+arguments). The sweep scores each chunk's whole grid of sizes and
+budgets in one flsim.aggregate_round, from second moments (O(K^2), not
+O(K D), per sent signal), and merges every cell's statistics at once.
 """
 
 from __future__ import annotations
@@ -183,15 +183,15 @@ def nmse_sweep(
     Every cell of the grid shares each chunk's draw: one draw_gains
     call (airpfl.flsim) for every surface size and phase key, whose
     generator also draws the random phases, then the gradients and
-    noise. One aggregate_round call then runs the chunk's whole grid:
-    it forms the statistical design once per budget and aggregates
-    every scheme cell by cell, and schemes sending the design's powers
-    under one phase key share one uplink. Comparisons along each of the
-    three axes are therefore paired, while each cell's law is exactly
-    that of an independent run of its own, and a cell's statistics do
-    not depend on the other budgets beside it, nor on the order of the
-    sizes or of the schemes (see draw_gains for what is shared). Ideal
-    cells are exactly 0: a grid of them alone draws nothing.
+    noise. One aggregate_round call then scores the chunk's whole grid
+    from second moments, with no D-wide signal: one design per budget,
+    one set of signal moments per cell and sent signal, shared by the
+    schemes sending the design's powers under one phase key. So
+    comparisons along the three axes are paired, while each cell's law
+    is exactly that of an independent run of its own, and a cell's
+    statistics do not depend on the other budgets beside it, nor on the
+    order of the sizes or of the schemes (see draw_gains for what is
+    shared). Ideal cells are exactly 0: a grid of them alone draws nothing.
 
     Every draw, the device placement included, derives from
     cfg.master_seed, which the config digest covers. Malformed or
@@ -240,8 +240,8 @@ def nmse_sweep(
             for n in n_values
         } if any(s.powopt for s in channel_schemes) else None
         nmse = np.empty((len(n_values), len(p_values), len(channel_schemes), tc))
-        for n, j, _, cell in aggregate_round(cfg, beta, channel_schemes, gains, grads, noise,
-                                             g_true, budgets, seeds):
+        for n, j, *_, cell in aggregate_round(cfg, beta, channel_schemes, gains, grads, noise,
+                                              g_true, budgets, seeds):
             nmse[row[n], j] = cell
         moments.add(nmse)
 

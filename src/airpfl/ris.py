@@ -40,12 +40,14 @@ def configure_aligned(draw: PartialDraw) -> np.ndarray:
     is used.
     """
     summed = draw.cluster_sums
-    summed = np.where(summed == 0, 1.0, summed)
+    if (summed == 0).any():  # each fix-up only where an entry needs it
+        summed = np.where(summed == 0, 1.0, summed)
     phasors = np.conj(draw.own_paths) * summed
     mag = np.abs(phasors)
     blocked = mag == 0.0  # h_ps = 0, or the product underflowed: keep the sum's angle
-    phasors[blocked] = summed[blocked]
-    mag[blocked] = np.abs(summed[blocked])
+    if blocked.any():
+        phasors[blocked] = summed[blocked]
+        mag[blocked] = np.abs(summed[blocked])
     np.divide(phasors.real, mag, out=phasors.real)
     np.divide(phasors.imag, mag, out=phasors.imag)
     return phasors
@@ -60,7 +62,9 @@ def baseline_phases(rng, trials: int, num_surfaces: int, num_elements: int) -> n
     one-trial call with it does.
     """
     shape = (trials, num_surfaces, num_elements)
-    return np.exp(-1j * trial_draw(rng, "uniform", shape, 0.0, _TWO_PI))
+    exponent = np.zeros(shape, dtype=complex)  # +0 - j theta: the bytes of -1j * theta
+    np.negative(trial_draw(rng, "uniform", shape, 0.0, _TWO_PI), out=exponent.imag)
+    return np.exp(exponent, out=exponent)
 
 
 def corrupt_phases(phasors: np.ndarray, bits: int) -> np.ndarray:
@@ -80,9 +84,10 @@ def corrupt_phases(phasors: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError("phases must be complex unit phasors e^{-j theta}, not real angles")
     levels = 2 ** int(bits)
     step = _TWO_PI / levels
-    # theta = -angle (mod 2 pi); ceil(x - 1/2) is the nearest level, ties down.
-    index = np.ceil(np.angle(phasors) / -step - 0.5)
+    # theta = -angle (mod 2 pi); ceil(x - 1/2) is the nearest level, ties down. In place.
+    index = np.angle(phasors)
+    np.ceil(np.subtract(np.divide(index, -step, out=index), 0.5, out=index), out=index)
     if levels > index.size:
         return np.exp(-1j * (np.mod(index, levels) * step))
     table = np.exp(-1j * (np.arange(levels) * step))
-    return table[np.mod(index.astype(np.int64), levels)]
+    return table[np.bitwise_and(index.astype(np.int64), levels - 1)]  # mod 2**bits

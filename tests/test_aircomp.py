@@ -11,10 +11,10 @@ from airpfl.aircomp import (
     uplink,
 )
 from airpfl.channel import all_cascaded_gains, sample_small_scale
-from airpfl.flsim import estimation_nmse
 from airpfl.seeding import rng_from_seed
 from airpfl.sysmodel import make_config
 from full_channel import aligned, channel_set, draw_full
+from round_oracle import estimation_nmse
 
 # Population statistics of [0, 1, 2]: mean 1, std sqrt(2/3). The std
 # and the standardized entries below are 40-digit evaluations rounded

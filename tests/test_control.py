@@ -11,6 +11,7 @@ from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import draw_gains
 from airpfl.sysmodel import make_config, place_geometry
 from full_channel import aligned, channel_set, draw_full
+from round_oracle import round_estimates
 
 # pi * 8 * sqrt(2) * 0.25 / 4, evaluated with mpmath at 40 digits.
 LAMBDA_FROZEN = 2.221441469079183
@@ -324,7 +325,8 @@ def test_conditional_mse_matches_error_model_simulation():
 def test_conditional_mse_matches_the_implemented_uplink(scales, scheme, noise_var, monkeypatch):
     # The round as training and the sweep run it, flsim.aggregate_round,
     # on draw_gains gains; spies on flsim.unbiased_design and
-    # flsim.adaptive_denoisers capture the powers and denoisers it used.
+    # flsim.adaptive_denoisers capture the powers and denoisers it used,
+    # and the uplink sends them (round_estimates, as training does).
     # Device k's gradient is a random mean plus scales[k] times a
     # standardized random direction, so its reported std is scales[k].
     # Given the gains and stds, every trial's squared error has
@@ -361,15 +363,18 @@ def test_conditional_mse_matches_the_implemented_uplink(scales, scheme, noise_va
     monkeypatch.setattr(flsim, "adaptive_denoisers", spy(adaptive_denoisers, denoised))
     normalized = normalize_gradient(grads)
     truth = cluster_average(grads, cfg.cluster_of, M)
-    [(_, _, (estimate,), _)] = flsim.aggregate_round(
-        cfg, beta, [flsim.parse_scheme(scheme)], {N: {key: gains}}, normalized, noise, truth,
+    schemes = [flsim.parse_scheme(scheme)]
+    [(_, _, sent, denoisers, _)] = flsim.aggregate_round(
+        cfg, beta, schemes, {N: {key: gains}}, normalized, noise, truth,
         powopt_seeds={N: range(T)},
     )
+    [estimate] = round_estimates(cfg, schemes, {key: gains}, normalized, noise, sent, denoisers)
     assert len(designs) == 1 and len(denoised) == (scheme != "unbiased")
     design = designs[0][1]
     powers, lam = design.powers, design.denoisers[0]  # the one size's denoisers
     if denoised:
         (powers, *_), lam = denoised[0]
+    assert np.array_equal(sent[0], powers) and np.array_equal(denoisers[0], lam)
     realized = np.sum((estimate - truth) ** 2, axis=2)
     predicted = conditional_mse(
         powers, lam, gains, normalized.std, cfg.noise_var, D, cfg.cluster_of

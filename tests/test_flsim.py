@@ -18,6 +18,7 @@ from airpfl.channel import large_scale_coefficients
 from airpfl.harness import desk_scale_config, export_csv
 from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import ConfigError, make_config, place_geometry
+from round_oracle import estimation_nmse, round_estimates
 
 
 def _config(K=6, M=2, N=32, D=8, noise_var=1e-9, seed=2):
@@ -188,11 +189,11 @@ def test_training_bytes_are_pinned(tmp_path):
     tasks, _ = synth_clustered_tasks(cfg, 10, 0.1, task_seed=5)
     pinned = {
         "ideal": "55ecf102066a0fa8a4a3b016a59202ce9dd15a3a2e413daae1e16ead2acdf179",
-        "unbiased": "5bd147821883361f4ee44725c90b8a9c1965119b55a9fdb60e6dc010bec03700",
-        "mmse": "e580bdc5a4203fe92f8a0139e3f8b92f72d65bc7c141c836ccc3c32e542e44d7",
-        "mmse+powopt": "806ed31b72957730d45e493af3a860a780f235b8ec1eb94be374f4654532bb31",
-        "random-phase": "3dee705b952fb4c9f5a9b4632cf089521851bc60eecfb3ecf3f8b86400f2476b",
-        "mmse-1bit": "005abbeab70dcb21aecf9d895ed34fdf94a1af299777935845c43db38d670d80",
+        "unbiased": "3de2ff4412bcaa7f518332953d4217c3beb7d3a63bcd31e3a4206257a6e6493a",
+        "mmse": "215ebb70e3616929eedd16fa95c94dd8a2a0e8cf93d793f8e8cf044ce3689f84",
+        "mmse+powopt": "b26349e2b1b17d4ad680e7b79116f1bb665dc9ad508ab5449ac39f9bde23c74d",
+        "random-phase": "44994f884b8c744152b87a77d154c9f790c79754c758aaa3f41f1227fd5991a3",
+        "mmse-1bit": "1e4cc77f070aa491ab2a845aa20d2935da8bf1f936db59285aae409b820a3107",
     }
     digests = {}
     for scheme in pinned:
@@ -251,10 +252,11 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
     noise = rng.standard_normal((T, M, D))
     scheme = flsim.parse_scheme("mmse+powopt")
     beta = np.ones((M, K))
-    [(_, _, (est,), _)] = flsim.aggregate_round(
+    [(_, _, powers, lam, _)] = flsim.aggregate_round(
         cfg, beta, [scheme], {N: {scheme.key: gains}}, grads, noise,
         flsim.cluster_average(raw, cfg.cluster_of, M), powopt_seeds={N: [1, 2]},
     )
+    [est] = round_estimates(cfg, [scheme], {scheme.key: gains}, grads, noise, powers, lam)
     mean_term = flsim.cluster_average(grads.mean, cfg.cluster_of, M)
     assert np.array_equal(est[:, 1], np.repeat(mean_term[:, 1, None], D, axis=1))
     assert np.all(np.isfinite(est))
@@ -262,8 +264,8 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
 
 @pytest.mark.parametrize("T", [1, 16])
 def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
-    # Schemes of one phase key share one uplink and the estimate takes
-    # every scheme at once, yet each row is bit for bit the round of its
+    # Schemes of one phase key share one set of signal moments, yet each
+    # row's powers, denoisers and NMSE are bit for bit the round of its
     # scheme alone. Trial 0's cluster 0 reports zero std throughout.
     cfg = _config(N=16)
     M, K, D = cfg.num_clusters, cfg.num_devices, cfg.model_dim
@@ -281,18 +283,79 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
     assert design.denoisers[0, 0] == np.inf
 
     g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
-    [(_, _, together, nmse)] = flsim.aggregate_round(cfg, beta, schemes, {16: gains}, grads, noise,
-                                                     g_true, powopt_seeds={16: seeds})
-    assert together.shape == (len(schemes), T, M, D)
-    assert np.array_equal(nmse, flsim.estimation_nmse(together, g_true))
-    for s, est, row in zip(schemes, together, nmse):
-        [(_, _, alone, alone_nmse)] = flsim.aggregate_round(
-            cfg, beta, [s], {16: {s.key: gains[s.key]}}, grads, noise, g_true,
+    [(_, _, powers, lam, nmse)] = flsim.aggregate_round(
+        cfg, beta, schemes, {16: gains}, grads, noise, g_true, powopt_seeds={16: seeds})
+    assert (powers.shape, lam.shape, nmse.shape) == ((6, T, K), (6, T, M), (6, T))
+    together = round_estimates(cfg, schemes, gains, grads, noise, powers, lam)
+    np.testing.assert_allclose(nmse, estimation_nmse(together, g_true), rtol=0, atol=1e-12)
+    for s, scheme in enumerate(schemes):
+        [(_, _, *alone)] = flsim.aggregate_round(
+            cfg, beta, [scheme], {16: {scheme.key: gains[scheme.key]}}, grads, noise, g_true,
             powopt_seeds={16: seeds},
         )
-        assert np.array_equal(alone[0], est), s.name
-        assert np.array_equal(alone_nmse[0], row), s.name
-        assert np.all(est[0, 0] == g_true[0, 0]), s.name  # the exact mean term
+        for got, want in zip(alone, (powers, lam, nmse)):
+            assert np.array_equal(got[0], want[s]), scheme.name
+        assert np.all(together[s, 0, 0] == g_true[0, 0]), scheme.name  # the exact mean term
+
+
+@pytest.mark.parametrize("noise_var, D", [(1e-9, 8), (10.0, 8), (1e-9, 3)])
+def test_moment_nmse_equals_the_direct_error_of_explicit_estimates(noise_var, D):
+    # aggregate_round scores every scheme from second moments. Estimates
+    # built from the powers and denoisers it yields, through uplink and
+    # estimate_cluster_gradient, scored directly, must give the same NMSE
+    # within 1e-12 in every cell. Degraded modes: trial 0's cluster 0
+    # reports zero std; trial 1's cluster 1 loses its own gains, so power
+    # control switches it off; trial 2's cluster 0 has negative own gains,
+    # a non-positive minimizer. With D = 3 there are more devices (6) than
+    # coordinates, and the Gram matrix is singular.
+    cfg = _config(noise_var=noise_var, D=D)
+    M, K = cfg.num_clusters, cfg.num_devices
+    names = ["unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase", "mmse+powopt-1bit"]
+    schemes = [flsim.parse_scheme(s) for s in names]
+    T, sizes, budgets = 12, [8, 16], [np.full(K, 0.5), np.full(K, 2.0)]
+    rng = np.random.default_rng(29)
+    beta = rng.uniform(0.1, 1.0, size=(M, K))
+    gains = flsim.draw_gains(rng, rng, T, cfg.cluster_of, beta, sizes, [s.key for s in schemes])
+    for by_key in gains.values():
+        for g in by_key.values():
+            g[1, 1, cfg.cluster_of == 1] = 0.0
+            g[2, 0, cfg.cluster_of == 0] = -np.abs(g[2, 0, cfg.cluster_of == 0])
+    raw = rng.standard_normal((T, K, D))
+    raw[0, cfg.cluster_of == 0] = 2.5
+    grads = flsim.normalize_gradient(raw)
+    noise = rng.standard_normal((T, M, D))
+    g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
+    seeds = {n: [derive_seed(4, "powopt", n, t) for t in range(T)] for n in sizes}
+    cells = list(flsim.aggregate_round(cfg, beta, schemes, gains, grads, noise, g_true, budgets,
+                                       seeds))
+    assert len(cells) == 4
+    for n, _, powers, lam, nmse in cells:
+        assert np.all(lam[:, 0, 0] == np.inf)
+        assert lam[-1, 1, 1] == np.inf and np.all(powers[-1, 1, cfg.cluster_of == 1] == 0.0)
+        assert np.all(lam[[1, 3], 2, 0] == np.inf)
+        explicit = round_estimates(cfg, schemes, gains[n], grads, noise, powers, lam)
+        np.testing.assert_allclose(nmse, estimation_nmse(explicit, g_true), rtol=0, atol=1e-12)
+
+
+def test_exact_one_device_cluster_scores_zero_and_never_below():
+    # Cluster 0 is one device and there is no noise: the MMSE denoiser
+    # undoes its gain, so its estimate is its gradient and the moments
+    # cancel to rounding, which the per-cluster clamp keeps from going
+    # negative. Cluster 1 sends a constant 2.5, exactly its mean term.
+    cfg = make_config(num_devices=3, num_clusters=2, num_ris_elements=8, model_dim=64,
+                      cluster_of=[0, 1, 1], max_power=1.0, noise_var=0.0, master_seed=1)
+    T = 200
+    rng = np.random.default_rng(31)
+    gains = rng.uniform(1e-3, 1.0, size=(T, 2, 3))
+    raw = np.full((T, 3, 64), 2.5)
+    raw[:, 0] = rng.normal(rng.uniform(-2, 2, size=(T, 1)), rng.uniform(0.1, 3, size=(T, 1)),
+                           size=(T, 64))
+    g_true = flsim.cluster_average(raw, cfg.cluster_of, 2)
+    scheme = flsim.parse_scheme("mmse")
+    [(*_, nmse)] = flsim.aggregate_round(
+        cfg, np.ones((2, 3)), [scheme], {8: {scheme.key: gains}}, flsim.normalize_gradient(raw),
+        np.zeros((T, 2, 64)), g_true)
+    assert np.all(nmse >= 0.0) and np.all(nmse <= 1e-12)
 
 
 @pytest.mark.parametrize("c", [1e-140, 1e-40, 1e-12, 1e-8, 1e10, 1e150])
@@ -316,7 +379,7 @@ def test_every_scheme_nmse_is_unchanged_by_the_channel_scale(c):
 
     def mean_nmse(scale):
         scaled = {key: g * scale for key, g in gains.items()}
-        [(_, _, _, nmse)] = flsim.aggregate_round(
+        [(*_, nmse)] = flsim.aggregate_round(
             cfg.replace(noise_var=cfg.noise_var * scale**2), beta * scale, schemes, {N: scaled},
             grads, noise, truth, powopt_seeds={N: seeds},
         )

@@ -28,6 +28,7 @@ from airpfl.ris import baseline_phases
 from airpfl.seeding import derive_seed, rng_from_seed
 from airpfl.sysmodel import ConfigError, make_config, membership, place_geometry
 from full_channel import aligned
+from round_oracle import round_estimates
 
 
 def _config(K=6, M=2, N=8, D=4, seed=3):
@@ -152,7 +153,7 @@ def _degraded_round(mode):
 @pytest.mark.parametrize("mode", ["vanished", "non-positive", "zero-std", "switched-off"])
 def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
     # Every degraded mode gives a trial the same denoisers, conditional
-    # errors and estimates alone (T = 1) as inside a batch of four.
+    # errors, estimates and NMSE alone (T = 1) as inside a batch of four.
     cfg, scheme, gains, raw, noise, seeds = _degraded_round(mode)
     beta = np.ones((2, 4))
     calls, designs = [], []
@@ -172,15 +173,18 @@ def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
         grads = normalize_gradient(raw[rows])
         truth = cluster_average(raw[rows], cfg.cluster_of, 2)
         N = cfg.num_ris_elements
-        [(_, _, (est,), _)] = flsim.aggregate_round(
+        [(_, _, sent, denoisers, nmse)] = flsim.aggregate_round(
             cfg, beta, [scheme], {N: {scheme.key: gains[rows]}}, grads, noise[rows], truth,
             powopt_seeds={N: seeds[rows]},
         )
+        [est] = round_estimates(cfg, [scheme], {scheme.key: gains[rows]}, grads, noise[rows],
+                                sent, denoisers)
         (powers, _, sigmas, *_), lam = calls[-1]
         mse = conditional_mse(powers, lam, gains[rows], sigmas, cfg.noise_var, 4, cfg.cluster_of)
-        return designs[-1].denoisers[0], lam, mse, est  # the statistical denoisers of size N
+        # the statistical denoisers of size N
+        return designs[-1].denoisers[0], lam, mse, est, nmse[0]
 
-    statistical, lam, mse, est = run(slice(None))
+    statistical, lam, mse, est, nmse = run(slice(None))
     if mode == "vanished":
         assert lam[1, 0] == statistical[1, 0] < np.inf  # the statistical fallback
     else:
@@ -192,10 +196,11 @@ def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
         powers = calls[-1][0][0]
         assert np.all(powers[1, cfg.cluster_of == 0] == 0.0)
     for t in range(4):
-        _, lam_t, mse_t, est_t = run(slice(t, t + 1))
+        _, lam_t, mse_t, est_t, nmse_t = run(slice(t, t + 1))
         assert np.array_equal(lam_t[0], lam[t])
         assert np.array_equal(mse_t[0], mse[t])
         assert np.array_equal(est_t[0], est[t])
+        assert nmse_t[0] == nmse[t]
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +348,31 @@ def test_sweep_designs_once_per_chunk_and_budget(monkeypatch):
     assert len(designs) == 3 * 3  # (chunk, P): every size and scheme shares a budget's design
 
 
-def test_sweep_shares_one_uplink_per_phase_key(monkeypatch):
-    # Schemes that send the design's powers under one phase key share an
-    # uplink; the power-optimized scheme sends its own. Per (N, chunk, P):
-    # aligned, aligned-1bit and random, plus mmse+powopt, not one per scheme.
-    uplinks = []
-    _count_calls(monkeypatch, uplinks, flsim, "uplink")
+def test_sweep_shares_signal_moments_per_sent_signal(monkeypatch):
+    # A cell forms one set of signal moments per sent signal: schemes that
+    # send the design's powers under one phase key share one, and the
+    # power-optimized scheme sends its own. Per (N, chunk, P): aligned,
+    # aligned-1bit and random, plus mmse+powopt, not one per scheme.
+    moments = []
+    _count_calls(monkeypatch, moments, flsim, "_signal_moments")
     schemes = ["unbiased", "mmse", "unbiased-1bit", "mmse-1bit", "random-phase", "mmse+powopt"]
     nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0, 8.0], 250)
-    assert len(uplinks) == 2 * 3 * 3 * 4
+    assert len(moments) == 2 * 3 * 3 * 4
+
+
+def test_sweep_forms_no_d_wide_signal_or_estimate(monkeypatch):
+    # The sweep scores every cell from moments: the kernels that build a
+    # (T, M, D) signal or estimate are never called. That the moments
+    # give the explicit estimates' NMSE is test_flsim's oracle test.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep formed a D-wide array")
+
+    monkeypatch.setattr(flsim, "uplink", refuse)
+    monkeypatch.setattr(flsim, "estimate_cluster_gradient", refuse)
+    schemes = ["unbiased", "mmse", "mmse-1bit", "random-phase", "mmse+powopt"]
+    res = nmse_sweep(_config(seed=5), schemes, [4, 8], [0.5, 2.0], 40)
+    assert len(res.cells) == 2 * 2 * 5
+    assert all(0.0 < c.nmse_mean < np.inf for c in res.cells)
 
 
 def test_every_grid_cell_equals_its_one_cell_round(monkeypatch):
@@ -360,7 +381,8 @@ def test_every_grid_cell_equals_its_one_cell_round(monkeypatch):
     # that cell's config, on the same draws, over several chunks. Trial 0
     # gets an all-zero-std cluster 0 and trial 1 a cluster 1 whose own
     # gains vanish, so power control switches it off: both estimates are
-    # then the exact mean term.
+    # then the exact mean term, and so are the estimates that uplink and
+    # estimate_cluster_gradient build from the yielded powers and denoisers.
     import airpfl.harness as harness
 
     monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
@@ -381,18 +403,19 @@ def test_every_grid_cell_equals_its_one_cell_round(monkeypatch):
                 g[1, 1, cfg.cluster_of == 1] = 0.0
         mean_term = cluster_average(grads.mean, cfg.cluster_of, cfg.num_clusters)
         powopt = [s.powopt for s in schemes].index(True)
-        for n, j, estimates, nmse in grid_round(cfg, beta, schemes, gains, grads, noise, g_true,
-                                                budgets, seeds):
+        for n, j, *cell in grid_round(cfg, beta, schemes, gains, grads, noise, g_true,
+                                      budgets, seeds):
             cell_cfg = cfg.replace(num_ris_elements=n, max_power=budgets[j])
-            [(_, _, alone, alone_nmse)] = grid_round(
+            [(_, _, *alone)] = grid_round(
                 cell_cfg, beta, schemes, {n: gains[n]}, grads, noise, g_true,
                 powopt_seeds={n: seeds[n]},
             )
-            assert np.array_equal(estimates, alone) and np.array_equal(nmse, alone_nmse)
+            assert all(np.array_equal(a, b) for a, b in zip(cell, alone))
+            estimates = round_estimates(cfg, schemes, gains[n], grads, noise, *cell[:2])
             assert np.all(estimates[:, 0, 0] == mean_term[0, 0])
             assert np.all(estimates[powopt, 1, 1] == mean_term[1, 1])
             checked.append((noise.shape[0], n, float(budgets[j][0])))
-            yield n, j, estimates, nmse
+            yield n, j, *cell
 
     monkeypatch.setattr(harness, "aggregate_round", checking_round)
     nmse_sweep(cfg, schemes, [8, 4], [2.0, 0.5], 40)
@@ -401,8 +424,9 @@ def test_every_grid_cell_equals_its_one_cell_round(monkeypatch):
 
 def test_desk_sweep_chunk_memory_peak(monkeypatch):
     # One chunk of the desk grid peaks at about 15 MB, during the draw.
-    # The grid round itself holds one cell's estimates at a time, about
-    # 4 MB at its peak; holding all ten cells' would add some 10 MB.
+    # The grid round itself peaks at about 1.3 MB: it scores every cell
+    # from (T, M, K) moments and forms no (T, M, D) signal or estimate.
+    # A round that held all ten cells' estimates would add some 10 MB.
     import tracemalloc
 
     import airpfl.harness as harness
@@ -502,7 +526,7 @@ def test_one_size_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "f38c98568d7e9af1dc39cd44c16d9ab542fe711f8271879633086cc8ed66aa56"
+        "a3e43742830b8701513963971f8e8b6313fb9fdc59d756ab3b845a82c34a51cd"
     )
 
 
@@ -519,7 +543,7 @@ def test_nested_sweep_bytes_are_pinned(tmp_path, monkeypatch):
     path = tmp_path / "sweep.csv"
     export_csv(res, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "744a1f3a87bc8a161609f55f443ee17f333df8674fadcdeb73acbef1f7dac3cf"
+        "cee17bdd2986578f5152b4c01c5924513540e3b47cd3b9c272b80fa3c6a9e9b6"
     )
 
 

@@ -175,3 +175,85 @@ def test_bits_must_be_positive(bits):
 def test_quantization_rejects_real_angles():
     with pytest.raises(ValueError, match="phasors"):
         corrupt_phases(np.zeros((1, 4)), 1)
+
+
+# ---------------------------------------------------------------------------
+# the kernels equal their plain formulas byte for byte on edge inputs
+# ---------------------------------------------------------------------------
+
+class _Paths:
+    """The two path arrays configure_aligned reads, as a draw holds them."""
+
+    def __init__(self, own_paths, cluster_sums):
+        self.own_paths, self.cluster_sums = own_paths, cluster_sums
+
+
+def _aligned_formula(draw):
+    """configure_aligned with every fix-up applied unconditionally."""
+    summed = np.where(draw.cluster_sums == 0, 1.0, draw.cluster_sums)
+    phasors = np.conj(draw.own_paths) * summed
+    mag = np.abs(phasors)
+    blocked = mag == 0.0
+    phasors[blocked] = summed[blocked]
+    mag[blocked] = np.abs(summed[blocked])
+    np.divide(phasors.real, mag, out=phasors.real)
+    np.divide(phasors.imag, mag, out=phasors.imag)
+    return phasors
+
+
+@pytest.mark.parametrize("case", ["generic", "zero-sums", "zero-paths", "both", "underflow"])
+def test_aligned_phasors_equal_the_formula_with_every_fixup(case):
+    # The fix-ups run only where an entry needs them; the bytes are those
+    # of applying them everywhere.
+    rng = np.random.default_rng(41)
+    parts = rng.standard_normal((4, 4, 3, 16))
+    own, sums = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+    if case in ("zero-sums", "both"):
+        sums[:, 1, ::3] = 0.0
+    if case in ("zero-paths", "both"):
+        own[:, :, 2::4] = 0.0
+    if case == "underflow":  # the product of the two underflows to 0
+        own[0, 0, :5] *= 1e-200
+        sums[0, 0, :5] *= 1e-200
+    draw = _Paths(own, sums)
+    assert configure_aligned(draw).tobytes() == _aligned_formula(draw).tobytes()
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 5, 52])
+def test_quantized_phasors_equal_the_mod_formula(bits):
+    # Ties between levels, angles 0, -0 and pi, and the rest of the
+    # circle, both ways round: the levels come out as np.mod reads them.
+    levels = 2**bits
+    step = TWO_PI / levels
+    ties = (np.unique(np.r_[-levels:-levels + 4, -4:4, levels - 4:levels]) + 0.5) * step
+    theta = np.concatenate([ties, [0.0, -0.0, np.pi, -np.pi],
+                            np.random.default_rng(bits).uniform(-TWO_PI, TWO_PI, 64)])
+    # The axes and diagonals have exact angles: ties at 1 and 2 bits.
+    exact = np.array([1, 1j, -1, -1j, 1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
+    phasors = np.concatenate([exact, np.exp(1j * theta)])[None]
+    unrounded = np.angle(phasors) / -step - 0.5
+    assert bits > 2 or np.any(unrounded == np.round(unrounded))
+    index = np.ceil(unrounded)
+    if levels > index.size:
+        expected = np.exp(-1j * (np.mod(index, levels) * step))
+    else:
+        expected = np.exp(-1j * (np.arange(levels) * step))[np.mod(index.astype(np.int64), levels)]
+    assert corrupt_phases(phasors, bits).tobytes() == expected.tobytes()
+
+
+class _FixedAngles:
+    """A generator stand-in whose uniform draw returns the given angles."""
+
+    def __init__(self, angles):
+        self.angles = angles
+
+    def uniform(self, low, high, size):
+        return self.angles.reshape(size)
+
+
+def test_random_phasors_equal_the_complex_product_formula():
+    # Angle 0 included: -1j * 0 has the imaginary part -0.
+    angles = np.concatenate([[0.0, np.pi, 1e-300],
+                             np.random.default_rng(3).uniform(0.0, TWO_PI, 21)])
+    phasors = baseline_phases(_FixedAngles(angles), 2, 3, 4)
+    assert phasors.tobytes() == np.exp(-1j * angles.reshape(2, 3, 4)).tobytes()
