@@ -12,7 +12,8 @@ Gaussian noise of variance noise_var, so its real part has variance
 noise_var / 2. The cluster estimate divides y_m by a denoising factor
 and adds back the average of the reported means.
 
-Every kernel here takes a leading trial axis T.
+Every kernel here takes a leading trial axis T. Whoever draws the noise
+scales it once, with receiver_noise; the kernels take Re{z} as it is.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ def receiver_noise(noise_var: float, normals: np.ndarray) -> np.ndarray:
     return np.sqrt(noise_var / 2.0) * normals
 
 
+def check_powers(powers: np.ndarray) -> None:
+    """Refuse transmit powers that are negative or not finite (ValueError)."""
+    if not ((powers >= 0) & (powers < np.inf)).all():  # NaN fails both
+        raise ValueError("powers must be finite and non-negative")
+
+
 def uplink(
     gains: np.ndarray,
     powers: np.ndarray,
@@ -86,8 +93,7 @@ def uplink(
     powers = np.asarray(powers, dtype=float)
     if powers.shape != (T, K):
         raise ValueError(f"powers must have shape ({T}, {K}), got {powers.shape}")
-    if (powers < 0).any() or not np.all(np.isfinite(powers)):
-        raise ValueError("powers must be finite and non-negative")
+    check_powers(powers)
     if grads.values.shape[:2] != (T, K):
         raise ValueError(f"expected gradients of shape ({T}, {K}, D), got {grads.values.shape}")
     if noise.shape != (T, M, D):
@@ -105,31 +111,27 @@ def cluster_average(x: np.ndarray, cluster_of: np.ndarray, num_clusters: int) ->
 
 
 def estimate_cluster_gradient(
-    received: np.ndarray,
-    denoisers: np.ndarray,
-    mean_term: np.ndarray,
-    out: np.ndarray | None = None,
+    received: np.ndarray, denoisers: np.ndarray, mean_term: np.ndarray
 ) -> np.ndarray:
-    """Recover every cluster's aggregated gradient, shape (..., T, M, D).
+    """Recover every cluster's aggregated gradient, shape (T, M, D).
 
-    The received signal (..., T, M, D) divided by the denoising factors
-    (..., T, M), plus the mean term: the average of each cluster's
+    The received signal (T, M, D) divided by the denoising factors
+    (T, M), plus the (T, M, 1) mean term: the average of each cluster's
     reported gradient means (cluster_average of the (T, K) means) on
-    every coordinate, given as (T, M, 1), or repeated along the
-    coordinates as (T, M, D), which adds without broadcasting. The
-    result is written into out when it is given. An infinite denoiser
-    discards the analog signal and keeps the mean term only.
+    every coordinate. An infinite denoiser discards the analog signal
+    and keeps the mean term only.
     """
-    T, M, D = received.shape[-3:]
+    if received.ndim != 3:
+        raise ValueError(f"received signal must have shape (T, M, D), got {received.shape}")
+    T, M, _ = received.shape
     denoisers = np.asarray(denoisers, dtype=float)
-    if denoisers.shape != received.shape[:-1]:
-        raise ValueError(f"denoisers must have shape {received.shape[:-1]}, got {denoisers.shape}")
+    if denoisers.shape != (T, M):
+        raise ValueError(f"denoisers must have shape ({T}, {M}), got {denoisers.shape}")
     if not (denoisers > 0).all():
         raise ValueError("denoisers must be positive")
     mean_term = np.asarray(mean_term, dtype=float)
-    if mean_term.shape not in ((T, M, 1), (T, M, D)):
-        raise ValueError(f"mean term must have shape ({T}, {M}, 1) or ({T}, {M}, {D}), "
-                         f"got {mean_term.shape}")
-    estimate = np.divide(received, denoisers[..., None], out=out)
+    if mean_term.shape != (T, M, 1):
+        raise ValueError(f"mean term must have shape ({T}, {M}, 1), got {mean_term.shape}")
+    estimate = received / denoisers[..., None]
     estimate += mean_term  # in place: no second temporary
     return estimate

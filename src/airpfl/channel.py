@@ -155,10 +155,6 @@ class ChannelSet:
     def num_surfaces(self) -> int:
         return self.own_paths.shape[1]
 
-    @property
-    def num_elements(self) -> int:
-        return self.own_paths.shape[2]
-
 
 def large_scale_coefficients(geom: Geometry, pathloss_exponent: float) -> np.ndarray:
     """Cascaded amplitude attenuation beta, shape (M, K).

@@ -13,9 +13,10 @@ NMSE from second moments, O(K^2) rather than O(K D) per sent signal)
 over a grid of surface sizes and power budgets. The NMSE sweep in
 `harness` calls each once per chunk of CHUNK Monte Carlo trials, for
 every surface size, power budget, phase key and scheme of its grid at
-once. Training draws the gains of CHUNK rounds in one call, one
+once. Training draws the gains and noise of CHUNK rounds at once, one
 generator per round, runs aggregate_round on each round's trial alone,
-and builds its estimate with uplink and estimate_cluster_gradient.
+and builds its estimate with uplink and estimate_cluster_gradient. Both
+scale the receiver noise once per draw, and the round takes it as it is.
 """
 
 from __future__ import annotations
@@ -27,13 +28,14 @@ import numpy as np
 
 from .aircomp import (
     NormalizedGradient,
+    check_powers,
     cluster_average,
     estimate_cluster_gradient,
     normalize_gradient,
     receiver_noise,
     uplink,
 )
-from .channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
+from .channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale, trial_draw
 from .control import adaptive_denoisers, unbiased_design
 from .powopt import assemble_ratio_problem, solve_projected_ascent
 from .ris import baseline_phases, configure_aligned, corrupt_phases
@@ -265,25 +267,26 @@ def aggregate_round(
 
     gains maps each surface size n to its {phase key: (T, M, K) real
     cascaded gains} (draw_gains) and budgets lists (K,) per-device power
-    budgets, [cfg.max_power] by default. Each (n, budget) pair is a
-    cell, and every cell runs each of schemes on the same normalized
-    (T, K, D) gradients grads, (T, M, D) standard normal receiver draws
-    noise and (T, M, D) truth g_true; cfg gives the model size, the
-    clusters and the noise variance. powopt_seeds maps each size to its
-    T solver seeds and is needed only when a scheme optimizes powers.
-    Yields (n, j, powers, denoisers, nmse) cell by cell, in the order of
-    gains and then of budgets (budget j): the (S, T, K) powers and
-    (S, T, M) denoisers of scheme s in row s, from which uplink and
-    estimate_cluster_gradient build its estimate, and that estimate's
-    (S, T) NMSE. Each row is bit for bit the round of its scheme alone,
-    and each cell the round of its size and budget alone.
+    budgets, [cfg.max_power] by default. Each (n, budget) pair is a cell,
+    and every cell runs each of schemes on the same normalized (T, K, D)
+    gradients grads, (T, M, D) real receiver noise noise (as receiver_noise
+    scales it) and (T, M, D) truth g_true; cfg gives the model size, the
+    clusters and the noise variance. powopt_seeds maps each size to its T
+    solver seeds, needed only when a scheme optimizes powers. Yields (n, j,
+    powers, denoisers, nmse) cell by cell, in the order of gains and then
+    of budgets (budget j): the (S, T, K) powers and (S, T, M) denoisers of
+    scheme s in row s, from which uplink and estimate_cluster_gradient
+    build its estimate, and that estimate's (S, T) NMSE. Each row is bit
+    for bit the round of its scheme alone, and each cell the round of its
+    size and budget alone.
 
     The statistical design, `unbiased_design` of the (M, K) large-scale
     coefficients beta and grads.std, is formed once per budget for every
-    size. Within a cell, "unbiased" uses the design's powers and
-    denoisers as they are; (mmse+powopt) optimizes the powers instead,
-    trial t seeded by powopt_seeds[n][t]; then (mmse, mmse+powopt) the
-    adaptive denoiser replaces the denoisers.
+    size. Within a cell, "unbiased" uses the design's powers and denoisers
+    as they are; (mmse+powopt) optimizes the powers instead, trial t seeded
+    by powopt_seeds[n][t]; then (mmse, mmse+powopt) the adaptive denoiser
+    replaces the denoisers. Powers that uplink would refuse, negative or
+    not finite, raise ValueError before they are scored.
 
     The NMSE is scored from second moments formed once per round, never
     from a D-wide signal or estimate: cluster m's estimate errs by
@@ -307,7 +310,6 @@ def aggregate_round(
     sigmas, cluster_of, noise_var = grads.std, cfg.cluster_of, cfg.noise_var
     budgets = [cfg.max_power] if budgets is None else budgets
     sizes = list(gains)
-    noise = receiver_noise(noise_var, noise)
     offset = cluster_average(grads.mean, cluster_of, cfg.num_clusters)[..., None] - g_true
     values = grads.values.transpose(0, 2, 1)
     noise_sq, noise_offset, offset_sq = (np.einsum("tmd,tmd->tm", a, b) for a, b in
@@ -334,6 +336,7 @@ def aggregate_round(
                                                  fallback)
                 sent = scheme.name if scheme.powopt else scheme.key  # what the devices transmit
                 if sent not in moments:
+                    check_powers(powers[s])
                     moments[sent] = _signal_moments(np.sqrt(powers[s])[:, None, :] * h, *terms)
                 square, inner = moments[sent]
                 inv = 1.0 / lams[s]
@@ -407,17 +410,15 @@ def run_training(
                             f"(non-finite {what}); reduce eta or noise")
 
     def round_draws(start, stop):
-        """Gains (T, M, K) and receiver noise (T, M, D) of rounds start to stop - 1."""
+        """Gains (T, M, K) and real receiver noise (T, M, D) of rounds start to stop - 1."""
         window = range(start, stop)
         rngs = [rng_from_seed(derive_seed(master, "round-channel", t)) for t in window]
         phase_rngs = ([rng_from_seed(derive_seed(master, "round-phases", t)) for t in window]
                       if scheme.phases == "random" else None)
         gains = draw_gains(rngs, phase_rngs, len(window), cfg.cluster_of, beta, [N], [scheme.key])
-        noise = np.concatenate([
-            rng_from_seed(derive_seed(master, "round-noise", t)).standard_normal((1, M, D))
-            for t in window
-        ])
-        return gains[N][scheme.key], noise
+        noise = trial_draw([rng_from_seed(derive_seed(master, "round-noise", t)) for t in window],
+                           "standard_normal", (len(window), M, D))
+        return gains[N][scheme.key], receiver_noise(cfg.noise_var, noise)
 
     beta = large_scale_coefficients(place_geometry(cfg, cfg.master_seed), cfg.pathloss_exponent)
     weights = np.zeros((M, D))
@@ -452,7 +453,7 @@ def run_training(
                         cfg, beta, [scheme], {N: {scheme.key: gains}}, normalized, noise, g_true,
                         powopt_seeds=seeds))
                     g_hat = estimate_cluster_gradient(
-                        uplink(gains, powers[0], normalized, receiver_noise(cfg.noise_var, noise)),
+                        uplink(gains, powers[0], normalized, noise),
                         lam[0], cluster_average(normalized.mean, cfg.cluster_of, M)[..., None])
                     nmse[t] = round_nmse[0, 0]
 

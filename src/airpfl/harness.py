@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aircomp import cluster_average, normalize_gradient
+from .aircomp import cluster_average, normalize_gradient, receiver_noise
 from .channel import large_scale_coefficients
 from .flsim import (
     CHUNK,
@@ -180,18 +180,18 @@ def nmse_sweep(
     error. Rows are ordered by N in the given order, then P, then
     scheme.
 
-    Every cell of the grid shares each chunk's draw: one draw_gains
-    call (airpfl.flsim) for every surface size and phase key, whose
-    generator also draws the random phases, then the gradients and
-    noise. One aggregate_round call then scores the chunk's whole grid
-    from second moments, with no D-wide signal: one design per budget,
-    one set of signal moments per cell and sent signal, shared by the
-    schemes sending the design's powers under one phase key. So
-    comparisons along the three axes are paired, while each cell's law
-    is exactly that of an independent run of its own, and a cell's
-    statistics do not depend on the other budgets beside it, nor on the
-    order of the sizes or of the schemes (see draw_gains for what is
-    shared). Ideal cells are exactly 0: a grid of them alone draws nothing.
+    Every cell of the grid shares each chunk's draw: one draw_gains call
+    (airpfl.flsim) for every surface size and phase key, whose generator also
+    draws the random phases, then the gradients and the noise, scaled once by
+    receiver_noise. One aggregate_round call then scores the chunk's whole
+    grid from second moments, with no D-wide signal: one design per budget,
+    one set of signal moments per cell and sent signal, shared by the schemes
+    sending the design's powers under one phase key. So comparisons along the
+    three axes are paired, while each cell's law is exactly that of an
+    independent run of its own, and a cell's statistics do not depend on the
+    other budgets beside it, nor on the order of the sizes or of the schemes
+    (see draw_gains for what is shared). Ideal cells are exactly 0: a grid of
+    them alone draws nothing.
 
     Every draw, the device placement included, derives from
     cfg.master_seed, which the config digest covers. Malformed or
@@ -230,7 +230,7 @@ def nmse_sweep(
         rng = rng_from_seed(derive_seed(seed, "sweep-cell", max(n_values), start))
         gains = draw_gains(rng, rng, tc, cfg.cluster_of, beta, n_values, keys)
         raw = rng.standard_normal((tc, K, D))
-        noise = rng.standard_normal((tc, M, D))
+        noise = receiver_noise(cfg.noise_var, rng.standard_normal((tc, M, D)))
         grads = normalize_gradient(raw)
         g_true = cluster_average(raw, cfg.cluster_of, M)
         del raw

@@ -8,7 +8,7 @@ that training runs, and score them directly.
 
 import numpy as np
 
-from airpfl.aircomp import cluster_average, estimate_cluster_gradient, receiver_noise, uplink
+from airpfl.aircomp import cluster_average, estimate_cluster_gradient, uplink
 
 
 def estimation_nmse(g_hat: np.ndarray, g_true: np.ndarray) -> np.ndarray:
@@ -22,9 +22,8 @@ def round_estimates(cfg, schemes, gains, grads, noise, powers, denoisers) -> np.
     """(S, T, M, D) estimates of a round's schemes from the (S, T, K) powers and (S, T, M) denoisers.
 
     gains maps each scheme's phase key to its (T, M, K) gains and noise
-    holds the round's (T, M, D) standard normal receiver draws.
+    is the round's (T, M, D) real receiver noise, as aggregate_round takes it.
     """
-    noise = receiver_noise(cfg.noise_var, noise)
     mean_term = cluster_average(grads.mean, cfg.cluster_of, cfg.num_clusters)[..., None]
     return np.stack([
         estimate_cluster_gradient(uplink(gains[s.key], p, grads, noise), lam, mean_term)

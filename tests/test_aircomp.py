@@ -206,23 +206,9 @@ def test_estimate_validates_inputs():
         estimate_cluster_gradient(received, np.array([[1.0]]), np.ones((1, 1)))
     with pytest.raises(ValueError):
         estimate_cluster_gradient(received, np.array([1.0]), mean_term)
-
-
-def test_estimate_with_a_leading_axis_equals_each_slice_alone():
-    rng = np.random.default_rng(21)
-    cluster_of = np.array([0, 0, 1, 1, 1])
-    received = rng.standard_normal((3, 4, 2, 6))
-    denoisers = rng.uniform(0.5, 2.0, size=(3, 4, 2))
-    denoisers[1, 2, 0] = np.inf
-    mean_term = cluster_average(rng.standard_normal((4, 5)), cluster_of, 2)[..., None]
-    est = estimate_cluster_gradient(received, denoisers, mean_term)
-    assert est.shape == (3, 4, 2, 6)
-    # The mean term repeated along the coordinates adds the same values.
-    repeated = np.repeat(mean_term, 6, axis=-1)
-    assert np.array_equal(estimate_cluster_gradient(received, denoisers, repeated), est)
-    for s in range(3):
-        alone = estimate_cluster_gradient(received[s], denoisers[s], mean_term)
-        assert np.array_equal(est[s], alone)
+    # Training's one (T, M, D) round is the only shape: no leading scheme axis.
+    with pytest.raises(ValueError, match="received signal must have shape"):
+        estimate_cluster_gradient(np.zeros((2, 1, 1, 3)), np.ones((2, 1, 1)), np.ones((1, 1, 1)))
 
 
 def test_estimation_nmse_with_a_leading_axis_equals_each_slice_alone():
@@ -240,14 +226,17 @@ def test_estimation_nmse_with_a_leading_axis_equals_each_slice_alone():
 
 @pytest.mark.parametrize(
     "denoiser_shape, means_shape",
-    [((3, 4, 3), (4, 5)), ((2, 4, 2), (4, 5)), ((4, 2), (4, 5)), ((3, 5, 2), (4, 5)),
-     ((3, 4, 2), (5, 5))],
+    [((4, 3), (4, 2, 1)), ((5, 2), (4, 2, 1)), ((3, 4, 2), (4, 2, 1)), ((4, 2), (4, 2, 6)),
+     ((4, 2), (5, 2, 1)), ((4, 2), (4, 2))],
 )
 def test_estimate_rejects_mismatched_trailing_shapes(denoiser_shape, means_shape):
-    # received is (S=3, T=4, M=2, D=6) for 5 devices in 2 clusters.
-    mean_term = cluster_average(np.zeros(means_shape), [0, 0, 1, 1, 1], 2)[..., None]
-    with pytest.raises(ValueError):
-        estimate_cluster_gradient(np.zeros((3, 4, 2, 6)), np.ones(denoiser_shape), mean_term)
+    # received is (T=4, M=2, D=6). Each case breaks one input's shape, the
+    # denoisers' or else the mean term's, and that input's check refuses it.
+    # A mean term repeated along the coordinates, (T, M, D), is refused too.
+    check = "denoisers" if denoiser_shape != (4, 2) else "mean term"
+    with pytest.raises(ValueError, match=f"{check} must have shape"):
+        estimate_cluster_gradient(np.zeros((4, 2, 6)), np.ones(denoiser_shape),
+                                  np.zeros(means_shape))
 
 
 @pytest.mark.parametrize("truth_shape", [(4, 2, 5), (4, 3, 6), (5, 2, 6)])

@@ -86,7 +86,7 @@ def test_small_scale_shapes():
     assert np.array_equal(ch.cluster_of, CLUSTERS_5)
     assert ch.own_paths.shape[0] == 3
     assert ch.num_surfaces == 2
-    assert ch.num_elements == 7
+    assert ch.own_paths.shape[-1] == 7
     # The byte counters of the benchmark read the two materialized path arrays.
     assert ch.ris_to_ps is ch.own_paths and ch.device_to_ris is ch.cluster_sums
 
@@ -334,7 +334,7 @@ def test_nested_draw_is_documented_order_and_prefixes_are_views():
     rng, own, sums, (summed, drawn) = _documented_draw(8, T, M, cluster_of, sizes,
                                                        _aligned_and_random)
     assert rng_kernel.random() == rng.random()
-    assert ch.own_paths.shape == ch.cluster_sums.shape == (T, M, 7) and ch.num_elements == 7
+    assert ch.own_paths.shape == ch.cluster_sums.shape == (T, M, 7)
     _assert_bits(ch.own_paths, own)
     _assert_bits(ch.cluster_sums, sums)
     assert ch.summed_terms.shape == (3, 3, T, M, M)
@@ -383,7 +383,7 @@ def test_small_scale_accepts_numpy_integer_sizes():
         assert np.array_equal(ch.drawn_terms, ref.drawn_terms)
         assert np.array_equal(ch.summed_terms, ref.summed_terms)
     one = sample_small_scale(rng_from_seed(1), 2, 2, [0, 1, 1], np.int64(4), aligned)
-    assert one.num_elements == 4 and one.drawn_terms.shape[0] == 1
+    assert one.own_paths.shape[-1] == 4 and one.drawn_terms.shape[0] == 1
 
 
 def test_nested_foreign_blocks_compose_the_prefix_gram():

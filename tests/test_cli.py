@@ -445,6 +445,25 @@ def test_attenuation_that_is_not_finite_and_positive_exits_2(
     assert captured.out == ""
 
 
+def test_a_sweep_whose_design_overflows_exits_1_and_writes_nothing(tmp_path, capsys):
+    # The statistical design's powers overflow to NaN on this deployment:
+    # a runtime failure, named by the round's power check, not NaN cells.
+    system = {"num_devices": 4, "num_clusters": 2, "num_ris_elements": 8, "model_dim": 4,
+              "cluster_of": [0, 0, 1, 1], "max_power": 1.0, "noise_var": 1e-9,
+              "master_seed": 1, "ps_ris_distance": 1e70, "device_disk_radius": 1e70,
+              "pathloss_exponent": 4}
+    doc = {"system": system, "schemes": ["unbiased", "mmse", "mmse+powopt"],
+           "n_values": [4, 8], "p_values": [1.0], "trials": 20}
+    path, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    path.write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):  # the overflow itself (ROADMAP item 6)
+        code = cli_main(["nmse-sweep", "--config", str(path), "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "airpfl: error: powers must be finite and non-negative" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_verify_elimination_rejects_out_of_range_seed(system_path, capsys, seed):
     argv = ["verify-elimination", "--config", system_path, "--trials", "10", "--seed", seed]

@@ -5,7 +5,7 @@ import pytest
 from scipy import optimize
 
 import airpfl.flsim as flsim
-from airpfl.aircomp import cluster_average, normalize_gradient
+from airpfl.aircomp import cluster_average, normalize_gradient, receiver_noise
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import draw_gains
@@ -349,7 +349,7 @@ def test_conditional_mse_matches_the_implemented_uplink(scales, scheme, noise_va
     direction -= direction.mean(axis=2, keepdims=True)
     direction /= direction.std(axis=2, keepdims=True)
     grads = rng.standard_normal((T, K, 1)) + scales[:, None] * direction
-    noise = rng.standard_normal((T, M, D))
+    noise = receiver_noise(cfg.noise_var, rng.standard_normal((T, M, D)))
 
     designs, denoised = [], []
 

@@ -249,7 +249,7 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
     gains[:, 1, cfg.cluster_of == 1] = 0.0
     raw = rng.standard_normal((T, K, D))
     grads = flsim.normalize_gradient(raw)
-    noise = rng.standard_normal((T, M, D))
+    noise = flsim.receiver_noise(cfg.noise_var, rng.standard_normal((T, M, D)))
     scheme = flsim.parse_scheme("mmse+powopt")
     beta = np.ones((M, K))
     [(_, _, powers, lam, _)] = flsim.aggregate_round(
@@ -277,7 +277,7 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
     raw = rng.standard_normal((T, K, D))
     raw[0, cfg.cluster_of == 0] = 2.5
     grads = flsim.normalize_gradient(raw)
-    noise = rng.standard_normal((T, M, D))
+    noise = flsim.receiver_noise(cfg.noise_var, rng.standard_normal((T, M, D)))
     seeds = [derive_seed(3, "powopt", t) for t in range(T)]
     design = unbiased_design(beta, grads.std, cfg.max_power, D, 16, cfg.cluster_of)
     assert design.denoisers[0, 0] == np.inf
@@ -323,7 +323,7 @@ def test_moment_nmse_equals_the_direct_error_of_explicit_estimates(noise_var, D)
     raw = rng.standard_normal((T, K, D))
     raw[0, cfg.cluster_of == 0] = 2.5
     grads = flsim.normalize_gradient(raw)
-    noise = rng.standard_normal((T, M, D))
+    noise = flsim.receiver_noise(cfg.noise_var, rng.standard_normal((T, M, D)))
     g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
     seeds = {n: [derive_seed(4, "powopt", n, t) for t in range(T)] for n in sizes}
     cells = list(flsim.aggregate_round(cfg, beta, schemes, gains, grads, noise, g_true, budgets,
@@ -373,15 +373,16 @@ def test_every_scheme_nmse_is_unchanged_by_the_channel_scale(c):
     gains = flsim.draw_gains(rng, rng, T, cfg.cluster_of, beta, [N], [s.key for s in schemes])[N]
     raw = rng.standard_normal((T, K, D))
     grads = flsim.normalize_gradient(raw)
-    noise = rng.standard_normal((T, M, D))
+    normals = rng.standard_normal((T, M, D))
     seeds = [derive_seed(1, "powopt", t) for t in range(T)]
     truth = flsim.cluster_average(raw, cfg.cluster_of, M)
 
     def mean_nmse(scale):
         scaled = {key: g * scale for key, g in gains.items()}
+        noise_var = cfg.noise_var * scale**2
         [(*_, nmse)] = flsim.aggregate_round(
-            cfg.replace(noise_var=cfg.noise_var * scale**2), beta * scale, schemes, {N: scaled},
-            grads, noise, truth, powopt_seeds={N: seeds},
+            cfg.replace(noise_var=noise_var), beta * scale, schemes, {N: scaled}, grads,
+            flsim.receiver_noise(noise_var, normals), truth, powopt_seeds={N: seeds},
         )
         return nmse.mean(axis=1)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import airpfl.flsim as flsim
-from airpfl.aircomp import NormalizedGradient, cluster_average, normalize_gradient
+from airpfl.aircomp import NormalizedGradient, cluster_average, normalize_gradient, receiver_noise
 from airpfl.channel import all_cascaded_gains, large_scale_coefficients, sample_small_scale
 from airpfl.control import adaptive_denoisers, conditional_mse, unbiased_design
 from airpfl.flsim import Scheme, parse_scheme
@@ -132,13 +132,13 @@ def _degraded_round(mode):
     """Four trials of one round; trial 1's cluster 0 is in the given degraded mode.
 
     Returns the config, scheme, (T, M, K) gains, raw (T, K, D)
-    gradients, (T, M, D) noise and the per-trial solver seeds.
+    gradients, (T, M, D) real receiver noise and the per-trial solver seeds.
     """
     cfg = _config(K=4, M=2, N=8, D=4)
     rng = np.random.default_rng(29)
     gains = rng.uniform(0.1, 1.0, size=(4, 2, 4))
     raw = rng.standard_normal((4, 4, 4))
-    noise = rng.standard_normal((4, 2, 4))
+    noise = receiver_noise(cfg.noise_var, rng.standard_normal((4, 2, 4)))
     own = cfg.cluster_of == 0
     if mode in ("vanished", "switched-off"):
         gains[1, 0, own] = 0.0
@@ -326,6 +326,51 @@ def test_sweep_draws_once_per_chunk(monkeypatch):
     assert calls.count("sample_small_scale") == 3
     assert calls.count("configure_aligned") == 3
     assert calls.count("all_cascaded_gains") == 3
+
+
+def test_receiver_noise_is_scaled_once_per_drawn_chunk(monkeypatch):
+    # The noise is scaled where it is drawn: once per chunk of the sweep
+    # (100 + 100 + 50 trials) and of a 250-round training run (chunks of
+    # 100 rounds), never inside the round, which takes it as it is.
+    import airpfl.harness as harness
+
+    calls, inside = [], []
+    _count_calls(monkeypatch, calls, harness, "receiver_noise")
+    _count_calls(monkeypatch, calls, flsim, "receiver_noise")
+    grid_round = flsim.aggregate_round
+
+    def watched_round(*args, **kwargs):
+        before = len(calls)
+        for cell in grid_round(*args, **kwargs):
+            inside.append(len(calls) - before)
+            yield cell
+
+    monkeypatch.setattr(harness, "aggregate_round", watched_round)
+    monkeypatch.setattr(flsim, "aggregate_round", watched_round)
+    cfg = _config(seed=5)
+    nmse_sweep(cfg, ["unbiased", "mmse+powopt"], [4, 8], [0.5, 2.0], 250)
+    assert len(calls) == 3 and len(inside) == 3 * 2 * 2
+    tasks, _ = flsim.synth_clustered_tasks(cfg, 5, 0.1, task_seed=0)
+    flsim.run_training(cfg, tasks, "mmse", 250)
+    assert len(calls) == 6 and len(inside) == 12 + 250
+    assert not any(inside)
+
+
+def test_a_design_that_overflows_is_refused_not_scored():
+    # So far away, the statistical design's powers overflow to NaN. The
+    # round refuses them, as the uplink would, rather than scoring NaN
+    # cells. The power solver's powers stay finite, so an mmse+powopt
+    # grid alone is still scored. The overflow warns (ROADMAP item 6).
+    cfg = make_config(num_devices=4, num_clusters=2, num_ris_elements=8, model_dim=4,
+                      cluster_of=[0, 0, 1, 1], max_power=1.0, noise_var=1e-9, master_seed=1,
+                      ps_ris_distance=1e70, device_disk_radius=1e70, pathloss_exponent=4)
+    for scheme in ("unbiased", "mmse"):
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(ValueError, match="powers must be finite and non-negative"):
+            nmse_sweep(cfg, [scheme, "mmse+powopt"], [4, 8], [1.0], 20)
+    with pytest.warns(RuntimeWarning):
+        res = nmse_sweep(cfg, ["mmse+powopt"], [4, 8], [1.0], 20)
+    assert all(np.isfinite([c.nmse_mean, c.nmse_stderr]).all() for c in res.cells)
 
 
 def test_ideal_only_sweep_draws_no_channel(monkeypatch):
