@@ -28,15 +28,6 @@ from .sysmodel import ConfigError, as_array, as_number, as_seed, config_from_jso
 from .sysmodel import place_geometry  # noqa: F401
 
 
-def _scheme(text: str) -> str:
-    """text, a scheme label that flsim.parse_scheme accepts; a usage error otherwise."""
-    try:
-        flsim.parse_scheme(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return text
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and kept: parsing leaves it unchanged."""
@@ -60,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trials", type=int, default=100_000)
     command("power-opt", "solve a sum-of-ratios power control instance", _cmd_power, seed=0)
     p_train = command("train", "run federated training", _cmd_train)
-    p_train.add_argument("--scheme", default="unbiased", type=_scheme)
+    p_train.add_argument("--scheme", default="unbiased")
     p_train.add_argument("--rounds", type=int, default=100)
     p_train.add_argument("--eta", type=float, default=flsim.DEFAULT_LEARNING_RATE)
     return parser

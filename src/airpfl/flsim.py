@@ -272,13 +272,14 @@ def aggregate_round(
     gradients grads, (T, M, D) real receiver noise noise (as receiver_noise
     scales it) and (T, M, D) truth g_true; cfg gives the model size, the
     clusters and the noise variance. powopt_seeds maps each size to its T
-    solver seeds, needed only when a scheme optimizes powers. Yields (n, j,
-    powers, denoisers, nmse) cell by cell, in the order of gains and then
-    of budgets (budget j): the (S, T, K) powers and (S, T, M) denoisers of
-    scheme s in row s, from which uplink and estimate_cluster_gradient
-    build its estimate, and that estimate's (S, T) NMSE. Each row is bit
-    for bit the round of its scheme alone, and each cell the round of its
-    size and budget alone.
+    solver seeds; when a scheme optimizes powers, a size without seeds
+    raises ValueError before any design or solve. Returns (powers,
+    denoisers, nmse), the (I, J, S, T, K) powers and (I, J, S, T, M)
+    denoisers from which uplink and estimate_cluster_gradient build each
+    estimate, and those estimates' (I, J, S, T) NMSE: size i in the order
+    of gains, budget j, scheme s. Each scheme's row is bit for bit the
+    round of its scheme alone, and each (i, j) cell the round of its size
+    and budget alone.
 
     The statistical design, `unbiased_design` of the (M, K) large-scale
     coefficients beta and grads.std, is formed once per budget for every
@@ -310,6 +311,11 @@ def aggregate_round(
     sigmas, cluster_of, noise_var = grads.std, cfg.cluster_of, cfg.noise_var
     budgets = [cfg.max_power] if budgets is None else budgets
     sizes = list(gains)
+    optimizing = [s.name for s in schemes if s.powopt]
+    unseeded = [n for n in sizes if powopt_seeds is None or n not in powopt_seeds]
+    if optimizing and unseeded:
+        raise ValueError(f"schemes {optimizing} optimize powers, but surface sizes {unseeded} "
+                         "have no solver seeds")
     offset = cluster_average(grads.mean, cluster_of, cfg.num_clusters)[..., None] - g_true
     values = grads.values.transpose(0, 2, 1)
     noise_sq, noise_offset, offset_sq = (np.einsum("tmd,tmd->tm", a, b) for a, b in
@@ -319,31 +325,31 @@ def aggregate_round(
     energy = np.einsum("tmd,tmd->t", g_true, g_true)
     designs = [unbiased_design(beta, sigmas, budget, cfg.model_dim, sizes, cluster_of)
                for budget in budgets]
+    grid = (len(sizes), len(budgets), len(schemes))
+    powers = np.empty((*grid, *sigmas.shape))
+    lams, err = np.empty((2, *grid, *offset_sq.shape))
     for i, n in enumerate(sizes):
         for j, (budget, design) in enumerate(zip(budgets, designs)):
+            p, lam, e = powers[i, j], lams[i, j], err[i, j]  # views of this cell's rows
             statistical, moments = design.denoisers[i], {}
-            powers = np.empty((len(schemes), *sigmas.shape))
-            lams, err = np.empty((2, len(schemes), *statistical.shape))
             for s, scheme in enumerate(schemes):
                 h = gains[n][scheme.key]
-                powers[s], lams[s], fallback = design.powers, statistical, statistical
+                p[s], lam[s], fallback = design.powers, statistical, statistical
                 if scheme.powopt:
                     prob = assemble_ratio_problem(h, sigmas, noise_var, cluster_of, budget)
-                    powers[s] = solve_projected_ascent(prob, powopt_seeds[n]).q ** 2
+                    p[s] = solve_projected_ascent(prob, powopt_seeds[n]).q ** 2
                     fallback = np.full_like(fallback, np.inf)
                 if scheme.adaptive:
-                    lams[s] = adaptive_denoisers(powers[s], h, sigmas, noise_var, cluster_of,
-                                                 fallback)
+                    lam[s] = adaptive_denoisers(p[s], h, sigmas, noise_var, cluster_of, fallback)
                 sent = scheme.name if scheme.powopt else scheme.key  # what the devices transmit
                 if sent not in moments:
-                    check_powers(powers[s])
-                    moments[sent] = _signal_moments(np.sqrt(powers[s])[:, None, :] * h, *terms)
+                    check_powers(p[s])
+                    moments[sent] = _signal_moments(np.sqrt(p[s])[:, None, :] * h, *terms)
                 square, inner = moments[sent]
-                inv = 1.0 / lams[s]
-                err[s] = (square * inv + 2.0 * inner) * inv + offset_sq
-            err = np.maximum(err, 0.0, out=err).sum(axis=-1)
-            yield n, j, powers, lams, np.divide(err, energy, out=np.zeros_like(err),
-                                                where=energy > 0)
+                inv = 1.0 / lam[s]
+                e[s] = (square * inv + 2.0 * inner) * inv + offset_sq
+    err = np.maximum(err, 0.0, out=err).sum(axis=-1)
+    return powers, lams, np.divide(err, energy, out=np.zeros_like(err), where=energy > 0)
 
 
 def _signal_moments(w, gram, noise_x2, offset_x, noise_sq, noise_offset):
@@ -449,13 +455,13 @@ def run_training(
                     gains, noise = (round_draws(t, t + 1) if chunk is None
                                     else (chunk[0][i : i + 1], chunk[1][i : i + 1]))
                     seeds = {N: [derive_seed(master, "round-powopt", t)]} if scheme.powopt else None
-                    _, _, powers, lam, round_nmse = next(aggregate_round(
+                    powers, lam, round_nmse = (a[0, 0, 0] for a in aggregate_round(
                         cfg, beta, [scheme], {N: {scheme.key: gains}}, normalized, noise, g_true,
                         powopt_seeds=seeds))
                     g_hat = estimate_cluster_gradient(
-                        uplink(gains, powers[0], normalized, noise),
-                        lam[0], cluster_average(normalized.mean, cfg.cluster_of, M)[..., None])
-                    nmse[t] = round_nmse[0, 0]
+                        uplink(gains, powers, normalized, noise),
+                        lam, cluster_average(normalized.mean, cfg.cluster_of, M)[..., None])
+                    nmse[t] = round_nmse[0]
 
                 what = "loss"
                 weights = weights - eta * g_hat[0]

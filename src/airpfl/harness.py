@@ -67,33 +67,35 @@ VERIFY_ALPHA = 1e-3
 
 
 class Moments:
-    """Count, mean and centred sum of squares of samples stacked along one axis.
+    """Count, mean and centred sum of squares of samples stacked along axis 0.
 
-    The samples run along `axis` (0 by default) of every chunk, and the
-    statistics have the chunks' shape without it. Each chunk's mean and
-    centred sum of squares are taken in two passes and merged into the
-    running ones by the update of Chan, Golub & LeVeque (1983), so the
-    variance does not cancel when it is much smaller than the squared
-    mean, as a one-pass sum of squares does. Samples are shifted by the
-    first chunk's mean, so the merge subtracts means of the spread's
-    size rather than of the data's.
+    The statistics have the chunks' shape without axis 0. Each chunk's
+    mean and centred sum of squares are taken in two passes and merged
+    into the running ones by the update of Chan, Golub & LeVeque (1983),
+    so the variance does not cancel when it is much smaller than the
+    squared mean, as a one-pass sum of squares does. Samples are shifted
+    by the first chunk's mean, so the merge subtracts means of the
+    spread's size rather than of the data's.
+
+    The sweep passes a trials-first view of its trials-last NMSE grid.
+    numpy reduces a view along the contiguous axis it is stored on, so the
+    sums are those of the grid's own layout; a contiguous trials-first
+    copy would sum in another order and move the last bits.
     """
 
-    def __init__(self, axis: int = 0) -> None:
-        self.axis = axis
+    def __init__(self) -> None:
         self.count = 0
         self.shift = 0.0
         self.shifted_mean = 0.0
         self.m2 = 0.0
 
     def add(self, chunk: np.ndarray) -> None:
-        axis = self.axis
         if self.count == 0:
-            self.shift = chunk.mean(axis=axis, keepdims=True)
+            self.shift = chunk.mean(axis=0)
         chunk = chunk - self.shift
-        n = chunk.shape[axis]
-        mean = chunk.mean(axis=axis, keepdims=True)
-        m2 = ((chunk - mean) ** 2).sum(axis=axis, keepdims=True)
+        n = chunk.shape[0]
+        mean = chunk.mean(axis=0)
+        m2 = ((chunk - mean) ** 2).sum(axis=0)
         total = self.count + n
         delta = mean - self.shifted_mean
         self.shifted_mean = self.shifted_mean + delta * (n / total)
@@ -102,12 +104,12 @@ class Moments:
 
     @property
     def mean(self):
-        return np.squeeze(self.shift + self.shifted_mean, self.axis)
+        return self.shift + self.shifted_mean
 
     @property
     def variance(self):
         """Unbiased sample variance (needs at least 2 samples)."""
-        return np.squeeze(self.m2, self.axis) / (self.count - 1)
+        return self.m2 / (self.count - 1)
 
     @property
     def stderr(self):
@@ -190,8 +192,9 @@ def nmse_sweep(
     three axes are paired, while each cell's law is exactly that of an
     independent run of its own, and a cell's statistics do not depend on the
     other budgets beside it, nor on the order of the sizes or of the schemes
-    (see draw_gains for what is shared). Ideal cells are exactly 0: a grid of
-    them alone draws nothing.
+    (see draw_gains for what is shared). The round returns the chunk's NMSE
+    grid whole, sizes in the order of n_values, and one Moments merge takes
+    it. Ideal cells are exactly 0: a grid of them alone draws nothing.
 
     Every draw, the device placement included, derives from
     cfg.master_seed, which the config digest covers. Malformed or
@@ -223,8 +226,7 @@ def nmse_sweep(
     beta = large_scale_coefficients(place_geometry(cfg, seed), cfg.pathloss_exponent)
     channel_schemes = [s for s in parsed if s.design != "ideal"]
     keys = {s.key for s in channel_schemes}
-    row = {n: i for i, n in enumerate(n_values)}
-    moments = Moments(axis=-1)  # (N, P, scheme), trials along the contiguous last axis
+    moments = Moments()  # (N, P, scheme)
     for start in range(0, trials if channel_schemes else 0, CHUNK):
         tc = min(CHUNK, trials - start)
         rng = rng_from_seed(derive_seed(seed, "sweep-cell", max(n_values), start))
@@ -239,11 +241,10 @@ def nmse_sweep(
             n: [derive_seed(seed, "sweep-powopt", n, start + t) for t in range(tc)]
             for n in n_values
         } if any(s.powopt for s in channel_schemes) else None
-        nmse = np.empty((len(n_values), len(p_values), len(channel_schemes), tc))
-        for n, j, *_, cell in aggregate_round(cfg, beta, channel_schemes, gains, grads, noise,
-                                              g_true, budgets, seeds):
-            nmse[row[n], j] = cell
-        moments.add(nmse)
+        by_size = {n: gains[n] for n in n_values}  # the grid's rows follow n_values
+        *_, nmse = aggregate_round(cfg, beta, channel_schemes, by_size, grads, noise, g_true,
+                                   budgets, seeds)
+        moments.add(np.moveaxis(nmse, -1, 0))  # a view: see Moments
 
     labels = itertools.product(n_values, p_values, [s.name for s in channel_schemes])
     stats = dict(zip(labels, _scalars(moments.mean, moments.stderr))) if channel_schemes else {}

@@ -2,7 +2,7 @@
 
 flsim.aggregate_round scores every scheme from per-trial second moments
 and never forms an estimate. These helpers form the estimates from the
-powers and denoisers it yields, with the uplink and estimate kernels
+powers and denoisers it returns, with the uplink and estimate kernels
 that training runs, and score them directly.
 """
 

@@ -364,10 +364,10 @@ def test_conditional_mse_matches_the_implemented_uplink(scales, scheme, noise_va
     normalized = normalize_gradient(grads)
     truth = cluster_average(grads, cfg.cluster_of, M)
     schemes = [flsim.parse_scheme(scheme)]
-    [(_, _, sent, denoisers, _)] = flsim.aggregate_round(
+    sent, denoisers, _ = (a[0, 0] for a in flsim.aggregate_round(
         cfg, beta, schemes, {N: {key: gains}}, normalized, noise, truth,
         powopt_seeds={N: range(T)},
-    )
+    ))
     [estimate] = round_estimates(cfg, schemes, {key: gains}, normalized, noise, sent, denoisers)
     assert len(designs) == 1 and len(denoised) == (scheme != "unbiased")
     design = designs[0][1]

@@ -1,5 +1,6 @@
 """Synthetic clustered tasks and the federated training loop."""
 
+import itertools
 import re
 
 import numpy as np
@@ -252,14 +253,22 @@ def test_cluster_switched_off_by_power_control_estimates_its_mean_term():
     noise = flsim.receiver_noise(cfg.noise_var, rng.standard_normal((T, M, D)))
     scheme = flsim.parse_scheme("mmse+powopt")
     beta = np.ones((M, K))
-    [(_, _, powers, lam, _)] = flsim.aggregate_round(
-        cfg, beta, [scheme], {N: {scheme.key: gains}}, grads, noise,
-        flsim.cluster_average(raw, cfg.cluster_of, M), powopt_seeds={N: [1, 2]},
-    )
+    truth = flsim.cluster_average(raw, cfg.cluster_of, M)
+    powers, lam, _ = (a[0, 0] for a in flsim.aggregate_round(
+        cfg, beta, [scheme], {N: {scheme.key: gains}}, grads, noise, truth,
+        powopt_seeds={N: [1, 2]},
+    ))
     [est] = round_estimates(cfg, [scheme], {scheme.key: gains}, grads, noise, powers, lam)
     mean_term = flsim.cluster_average(grads.mean, cfg.cluster_of, M)
     assert np.array_equal(est[:, 1], np.repeat(mean_term[:, 1, None], D, axis=1))
     assert np.all(np.isfinite(est))
+    # Without solver seeds for every size, the round refuses the scheme
+    # before any design or solve.
+    for seeds, unseeded in ((None, [N]), ({N + 1: [1, 2]}, [N])):
+        with pytest.raises(ValueError, match=re.escape(f"['mmse+powopt'] optimize powers, but "
+                                                       f"surface sizes {unseeded}")):
+            flsim.aggregate_round(cfg, beta, [scheme], {N: {scheme.key: gains}}, grads, noise,
+                                  truth, powopt_seeds=seeds)
 
 
 @pytest.mark.parametrize("T", [1, 16])
@@ -283,25 +292,25 @@ def test_one_multi_scheme_round_equals_one_round_per_scheme(T):
     assert design.denoisers[0, 0] == np.inf
 
     g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
-    [(_, _, powers, lam, nmse)] = flsim.aggregate_round(
-        cfg, beta, schemes, {16: gains}, grads, noise, g_true, powopt_seeds={16: seeds})
+    powers, lam, nmse = (a[0, 0] for a in flsim.aggregate_round(
+        cfg, beta, schemes, {16: gains}, grads, noise, g_true, powopt_seeds={16: seeds}))
     assert (powers.shape, lam.shape, nmse.shape) == ((6, T, K), (6, T, M), (6, T))
     together = round_estimates(cfg, schemes, gains, grads, noise, powers, lam)
     np.testing.assert_allclose(nmse, estimation_nmse(together, g_true), rtol=0, atol=1e-12)
     for s, scheme in enumerate(schemes):
-        [(_, _, *alone)] = flsim.aggregate_round(
+        alone = flsim.aggregate_round(
             cfg, beta, [scheme], {16: {scheme.key: gains[scheme.key]}}, grads, noise, g_true,
             powopt_seeds={16: seeds},
         )
         for got, want in zip(alone, (powers, lam, nmse)):
-            assert np.array_equal(got[0], want[s]), scheme.name
+            assert np.array_equal(got[0, 0, 0], want[s]), scheme.name
         assert np.all(together[s, 0, 0] == g_true[0, 0]), scheme.name  # the exact mean term
 
 
 @pytest.mark.parametrize("noise_var, D", [(1e-9, 8), (10.0, 8), (1e-9, 3)])
 def test_moment_nmse_equals_the_direct_error_of_explicit_estimates(noise_var, D):
     # aggregate_round scores every scheme from second moments. Estimates
-    # built from the powers and denoisers it yields, through uplink and
+    # built from the powers and denoisers it returns, through uplink and
     # estimate_cluster_gradient, scored directly, must give the same NMSE
     # within 1e-12 in every cell. Degraded modes: trial 0's cluster 0
     # reports zero std; trial 1's cluster 1 loses its own gains, so power
@@ -326,10 +335,10 @@ def test_moment_nmse_equals_the_direct_error_of_explicit_estimates(noise_var, D)
     noise = flsim.receiver_noise(cfg.noise_var, rng.standard_normal((T, M, D)))
     g_true = flsim.cluster_average(raw, cfg.cluster_of, M)
     seeds = {n: [derive_seed(4, "powopt", n, t) for t in range(T)] for n in sizes}
-    cells = list(flsim.aggregate_round(cfg, beta, schemes, gains, grads, noise, g_true, budgets,
-                                       seeds))
-    assert len(cells) == 4
-    for n, _, powers, lam, nmse in cells:
+    grid = flsim.aggregate_round(cfg, beta, schemes, gains, grads, noise, g_true, budgets, seeds)
+    assert all(a.shape[:3] == (2, 2, len(schemes)) for a in grid)
+    for (i, n), j in itertools.product(enumerate(gains), range(2)):
+        powers, lam, nmse = (a[i, j] for a in grid)
         assert np.all(lam[:, 0, 0] == np.inf)
         assert lam[-1, 1, 1] == np.inf and np.all(powers[-1, 1, cfg.cluster_of == 1] == 0.0)
         assert np.all(lam[[1, 3], 2, 0] == np.inf)
@@ -352,7 +361,7 @@ def test_exact_one_device_cluster_scores_zero_and_never_below():
                            size=(T, 64))
     g_true = flsim.cluster_average(raw, cfg.cluster_of, 2)
     scheme = flsim.parse_scheme("mmse")
-    [(*_, nmse)] = flsim.aggregate_round(
+    *_, nmse = flsim.aggregate_round(
         cfg, np.ones((2, 3)), [scheme], {8: {scheme.key: gains}}, flsim.normalize_gradient(raw),
         np.zeros((T, 2, 64)), g_true)
     assert np.all(nmse >= 0.0) and np.all(nmse <= 1e-12)
@@ -380,11 +389,11 @@ def test_every_scheme_nmse_is_unchanged_by_the_channel_scale(c):
     def mean_nmse(scale):
         scaled = {key: g * scale for key, g in gains.items()}
         noise_var = cfg.noise_var * scale**2
-        [(*_, nmse)] = flsim.aggregate_round(
+        *_, nmse = flsim.aggregate_round(
             cfg.replace(noise_var=noise_var), beta * scale, schemes, {N: scaled}, grads,
             flsim.receiver_noise(noise_var, normals), truth, powopt_seeds={N: seeds},
         )
-        return nmse.mean(axis=1)
+        return nmse[0, 0].mean(axis=1)
 
     np.testing.assert_allclose(mean_nmse(c), mean_nmse(1.0), rtol=1e-9, atol=0)
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -173,10 +174,10 @@ def test_batched_adaptive_lambda_degraded_modes(mode, monkeypatch):
         grads = normalize_gradient(raw[rows])
         truth = cluster_average(raw[rows], cfg.cluster_of, 2)
         N = cfg.num_ris_elements
-        [(_, _, sent, denoisers, nmse)] = flsim.aggregate_round(
+        sent, denoisers, nmse = (a[0, 0] for a in flsim.aggregate_round(
             cfg, beta, [scheme], {N: {scheme.key: gains[rows]}}, grads, noise[rows], truth,
             powopt_seeds={N: seeds[rows]},
-        )
+        ))
         [est] = round_estimates(cfg, [scheme], {scheme.key: gains[rows]}, grads, noise[rows],
                                 sent, denoisers)
         (powers, _, sigmas, *_), lam = calls[-1]
@@ -341,18 +342,18 @@ def test_receiver_noise_is_scaled_once_per_drawn_chunk(monkeypatch):
 
     def watched_round(*args, **kwargs):
         before = len(calls)
-        for cell in grid_round(*args, **kwargs):
-            inside.append(len(calls) - before)
-            yield cell
+        grid = grid_round(*args, **kwargs)
+        inside.append(len(calls) - before)
+        return grid
 
     monkeypatch.setattr(harness, "aggregate_round", watched_round)
     monkeypatch.setattr(flsim, "aggregate_round", watched_round)
     cfg = _config(seed=5)
     nmse_sweep(cfg, ["unbiased", "mmse+powopt"], [4, 8], [0.5, 2.0], 250)
-    assert len(calls) == 3 and len(inside) == 3 * 2 * 2
+    assert len(calls) == 3 and len(inside) == 3
     tasks, _ = flsim.synth_clustered_tasks(cfg, 5, 0.1, task_seed=0)
     flsim.run_training(cfg, tasks, "mmse", 250)
-    assert len(calls) == 6 and len(inside) == 12 + 250
+    assert len(calls) == 6 and len(inside) == 3 + 250
     assert not any(inside)
 
 
@@ -422,12 +423,12 @@ def test_sweep_forms_no_d_wide_signal_or_estimate(monkeypatch):
 
 def test_every_grid_cell_equals_its_one_cell_round(monkeypatch):
     # The sweep runs each chunk's (N, P) grid as one aggregate_round.
-    # Every cell it yields must be, bit for bit, the one-cell round under
+    # Every cell it returns must be, bit for bit, the one-cell round under
     # that cell's config, on the same draws, over several chunks. Trial 0
     # gets an all-zero-std cluster 0 and trial 1 a cluster 1 whose own
     # gains vanish, so power control switches it off: both estimates are
     # then the exact mean term, and so are the estimates that uplink and
-    # estimate_cluster_gradient build from the yielded powers and denoisers.
+    # estimate_cluster_gradient build from the returned powers and denoisers.
     import airpfl.harness as harness
 
     monkeypatch.setattr(harness, "CHUNK", 16)  # 40 trials: chunks of 16, 16 and 8
@@ -448,29 +449,31 @@ def test_every_grid_cell_equals_its_one_cell_round(monkeypatch):
                 g[1, 1, cfg.cluster_of == 1] = 0.0
         mean_term = cluster_average(grads.mean, cfg.cluster_of, cfg.num_clusters)
         powopt = [s.powopt for s in schemes].index(True)
-        for n, j, *cell in grid_round(cfg, beta, schemes, gains, grads, noise, g_true,
-                                      budgets, seeds):
+        grid = grid_round(cfg, beta, schemes, gains, grads, noise, g_true, budgets, seeds)
+        for (i, n), j in itertools.product(enumerate(gains), range(len(budgets))):
+            cell = [a[i, j] for a in grid]
             cell_cfg = cfg.replace(num_ris_elements=n, max_power=budgets[j])
-            [(_, _, *alone)] = grid_round(
+            alone = grid_round(
                 cell_cfg, beta, schemes, {n: gains[n]}, grads, noise, g_true,
                 powopt_seeds={n: seeds[n]},
             )
-            assert all(np.array_equal(a, b) for a, b in zip(cell, alone))
+            assert all(np.array_equal(a, b[0, 0]) for a, b in zip(cell, alone))
             estimates = round_estimates(cfg, schemes, gains[n], grads, noise, *cell[:2])
             assert np.all(estimates[:, 0, 0] == mean_term[0, 0])
             assert np.all(estimates[powopt, 1, 1] == mean_term[1, 1])
             checked.append((noise.shape[0], n, float(budgets[j][0])))
-            yield n, j, *cell
+        return grid
 
     monkeypatch.setattr(harness, "aggregate_round", checking_round)
     nmse_sweep(cfg, schemes, [8, 4], [2.0, 0.5], 40)
-    assert checked == [(tc, n, p) for tc in (16, 16, 8) for n in (4, 8) for p in (2.0, 0.5)]
+    assert checked == [(tc, n, p) for tc in (16, 16, 8) for n in (8, 4) for p in (2.0, 0.5)]
 
 
 def test_desk_sweep_chunk_memory_peak(monkeypatch):
     # One chunk of the desk grid peaks at about 15 MB, during the draw.
-    # The grid round itself peaks at about 1.3 MB: it scores every cell
-    # from (T, M, K) moments and forms no (T, M, D) signal or estimate.
+    # The grid round itself peaks at about 2 MB, the grid it returns
+    # included: it scores every cell from (T, M, K) moments and forms no
+    # (T, M, D) signal or estimate.
     # A round that held all ten cells' estimates would add some 10 MB.
     import tracemalloc
 
@@ -482,8 +485,9 @@ def test_desk_sweep_chunk_memory_peak(monkeypatch):
     def watched_round(*args):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        yield from grid_round(*args)
+        grid = grid_round(*args)
         rounds.append(tracemalloc.get_traced_memory()[1] - start)
+        return grid
 
     cfg = desk_scale_config()
     tracemalloc.start()
